@@ -15,10 +15,11 @@ tau in T_i (i = the forest's base level):
     sum of a_Q over Q contained in {tau < inf}
         <= A * integral over {tau < inf} of sigma1^(p/p1) sigma2^(p/p2) dmu.
 
-`certify_carleson_constant` computes the smallest such A exhaustively
-(budgeted tail enumeration) — the embedding verifier refuses to run with
-an uncertified constant unless one is supplied explicitly.  Under the
-condition, for f_s = h_s with finite L^(p_s)(omega_s) norms,
+`certify_carleson_constant` computes the smallest such A exhaustively:
+the tails {tau < inf} are exactly the unions of finest atoms, and it
+sweeps all of them in blocks (budgeted) — the embedding verifier refuses
+to run with an uncertified constant unless one is supplied explicitly.
+Under the condition, for f_s = h_s with finite L^(p_s)(omega_s) norms,
 
     sum over Q of essinf_Q( E^sigma1(h1 sigma1^-1 | F_K1)
                             E^sigma2(h2 sigma2^-1 | F_K1) )^p a_Q
@@ -35,9 +36,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .principal import PrincipalForest
+from .principal import PrincipalForest, shell_index
 from .space import Exponents, FilteredSpace, Fn, as_fn, cond_exp, weighted_cond_exp
-from .stopping import StoppingTime, enumerate_tail_masks, finest_mask, mask_points, stopping_time_from_tail
+from .stopping import StoppingTime, _tail_blocks, finest_mask, stopping_time_from_tail
 from .weights import sigma_from_omega
 
 VARIANTS = ("node", "exit")
@@ -99,14 +100,8 @@ def build_level_sets(
         if node.k1 not in cache:
             cache[node.k1] = cond_exp(space, sigma1, node.k1) * cond_exp(space, sigma2, node.k1)
         w = cache[node.k1][base]
-        # 2^l < w <= 2^(l+1): exponents via floor(log2) corrected exactly
-        exps = np.floor(np.log2(w)).astype(int)
-        for pos, (x, l) in enumerate(zip(w, exps)):
-            while x > 2.0 ** (l + 1):
-                l += 1
-            while x <= 2.0**l:
-                l -= 1
-            exps[pos] = l
+        # 2^l < w <= 2^(l+1), i.e. l + 1 is the base-2 shell of w
+        exps = np.array([shell_index(float(x), 2.0) - 1 for x in w])
         for l in sorted(set(int(e) for e in exps)):
             pts = base[exps == l]
             entries.append(CarlesonEntry(node_index, node.k1, l, pts, 0.0))
@@ -144,10 +139,16 @@ def certify_carleson_constant(
 ) -> tuple[CarlesonFamily, StoppingTime]:
     """Smallest A valid for every tau in T_i, by exhaustive tail enumeration.
 
-    Returns the certified family and the worst-case stopping time.
+    Every nonempty tail (union of finest atoms) is evaluated, a block of
+    tails at a time.  Numerators add entry coefficients in entry order and
+    denominators add per-leaf mix integrals in leaf order, the order of a
+    per-tail sum, so A is the same float; the worst tail is the first
+    maximizer in ascending mask order.  Returns the certified family and
+    the worst-case stopping time.
     """
     sigma1 = as_fn(space, sigma1)
     sigma2 = as_fn(space, sigma2)
+    blocks = _tail_blocks(space, family.base_level, budget)
     mix = _mix_density(space, sigma1, sigma2, exps)
     entry_masks = [finest_mask(space, e.points) for e in family.entries]
     coeffs = family.coefficients()
@@ -157,19 +158,20 @@ def certify_carleson_constant(
     )
     best = 0.0
     best_mask: int | None = None
-    for mask in enumerate_tail_masks(space, family.base_level, budget=budget):
-        if mask == 0:
-            continue
-        num = sum(
-            c for c, em in zip(coeffs, entry_masks) if em & mask == em
-        )
-        den = sum(atom_mix[a] for a in range(atom_mix.size) if mask >> a & 1)
+    for tails, _ in blocks:
+        num = np.zeros(tails.size)
+        for c, em in zip(coeffs, entry_masks):
+            num += np.where((tails & em) == em, c, 0.0)
+        den = np.zeros(tails.size)
+        for a, am in enumerate(atom_mix):
+            den += np.where(tails >> a & 1, am, 0.0)
         ratio = num / den
-        if ratio > best or best_mask is None:
-            best = ratio
-            best_mask = mask
+        k = int(np.argmax(ratio))
+        if ratio[k] > best or best_mask is None:
+            best = float(ratio[k])
+            best_mask = int(tails[k])
     assert best_mask is not None
-    tau = stopping_time_from_tail(space, family.base_level, mask_points(space, best_mask))
+    tau = stopping_time_from_tail(space, family.base_level, best_mask)
     return family.with_constant(best, certified=True), tau
 
 

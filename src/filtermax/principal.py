@@ -45,20 +45,23 @@ from .space import FilteredSpace, Fn, as_fn, cond_exp
 
 
 def shell_index(x: float, base: float = 4.0) -> int:
-    """The unique integer l with base^(l-1) < x <= base^l (x > 0).
+    """The unique integer l with base^(l-1) < x <= base^l (x > 0 finite).
 
-    Computed by log and then corrected with exact power comparisons, so
-    boundary values land on the correct side (base^l is exact in double
-    precision for the magnitudes that occur here).
+    base must be a power of two, 2^b.  With x = m 2^e from frexp
+    (1/2 <= m < 1), the smallest integer c with x <= 2^c is e - 1 when
+    m = 1/2 and e otherwise, and l = ceil(c / b).  Everything is integer
+    arithmetic on the exact exponent, so boundary values land on the
+    correct side and no power of the base is ever formed (4^512 would
+    overflow a double).
     """
-    if not x > 0:
-        raise ValueError(f"shell index needs x > 0, got {x!r}")
-    l = int(math.floor(math.log(x) / math.log(base)))
-    while x > base**l:
-        l += 1
-    while x <= base ** (l - 1):
-        l -= 1
-    return l
+    if not (x > 0 and math.isfinite(x)):
+        raise ValueError(f"shell index needs a finite x > 0, got {x!r}")
+    b_mant, b_exp = math.frexp(base)
+    if b_mant != 0.5 or b_exp < 2:
+        raise ValueError(f"shell base must be a power of two above 1, got {base!r}")
+    mant, exp = math.frexp(x)
+    c = exp - 1 if mant == 0.5 else exp
+    return -(-c // (b_exp - 1))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -251,6 +251,27 @@ def cond_exp(space: FilteredSpace, f: Fn, level: int) -> Fn:
     labels = space.atom_of[level]
     sums = np.bincount(labels, weights=f * space.masses, minlength=space.atom_mass[level].size)
     return (sums / space.atom_mass[level])[labels]
+
+
+def _row_cond_exp(space: FilteredSpace) -> Callable[[np.ndarray, int], np.ndarray]:
+    """Row-batched conditional expectation for the exact tail sweeps.
+
+    Builds one points x atoms aggregation matrix per level and returns
+    cond(rows, level), the `cond_exp` of every row of a (k, n) block.
+    The matrices live only as long as the returned function: the caller's
+    sweep builds them, nothing is cached on the space.
+    """
+    onehots = []
+    for labels, atom_mass in zip(space.atom_of, space.atom_mass):
+        onehot = np.zeros((space.n, atom_mass.size))
+        onehot[np.arange(space.n), labels] = 1.0
+        onehots.append(onehot)
+
+    def cond(rows: np.ndarray, level: int) -> np.ndarray:
+        sums = (rows * space.masses) @ onehots[level]
+        return (sums / space.atom_mass[level])[:, space.atom_of[level]]
+
+    return cond
 
 
 def weighted_cond_exp(space: FilteredSpace, f: Fn, sigma: Fn, level: int) -> Fn:

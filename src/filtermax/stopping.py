@@ -5,13 +5,17 @@ such that {tau = j} is a union of level-j atoms for every finite j.  The
 family of all such assignments with tau >= i is denoted T_i; the sets
 {tau < infinity} realizable by T_i tails are exactly the unions of
 pairwise-disjoint atoms drawn from levels i..L (antichains in the
-refinement forest).
+refinement forest).  Since every atom is a union of finest atoms and
+stopping at level L is allowed from any origin, these are exactly the
+2**leaves unions of finest atoms, whatever i is.
 
 Exhaustive enumeration is exponential in the forest, so it is guarded by
 an atom budget (number of (level, atom) pairs at levels i..L, default 24,
-overridable via the FILTERMAX_ATOM_BUDGET environment variable).  For
-larger spaces `heuristic_sup_over_tau` searches a candidate family of
-stopping times and returns a certified lower bound for the supremum.
+overridable via the FILTERMAX_ATOM_BUDGET environment variable).  Exact
+tail sweeps walk that power set in byte-capped numpy blocks
+(`_tail_blocks`).  For larger spaces `heuristic_sup_over_tau` searches a
+candidate family of stopping times and returns a certified lower bound
+for the supremum.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from .space import FilteredSpace, Fn, cond_exp
 
 DEFAULT_ATOM_BUDGET = 24
 _BUDGET_ENV = "FILTERMAX_ATOM_BUDGET"
+_BLOCK_BYTES = 512 * 1024  # cap on one rows x n float64 block of a batched tail sweep
+_MAX_MASK_BITS = 62  # finest atoms a tail mask can hold in an int64
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -207,8 +213,8 @@ def enumerate_stopping_times(
 # ---- tail sets ------------------------------------------------------------
 #
 # Tail sets are represented as bit masks over the finest-level atoms (every
-# achievable tail is a union of those), which makes dedup, unions, and the
-# subset tests needed by the Carleson condition cheap integer operations.
+# achievable tail is a union of those), which makes unions and the subset
+# tests needed by the Carleson condition cheap integer operations.
 
 
 def finest_mask(space: FilteredSpace, subset) -> int:
@@ -238,38 +244,46 @@ def mask_points(space: FilteredSpace, mask: int) -> np.ndarray:
 def enumerate_tail_masks(space: FilteredSpace, i: int = 0, budget: int | None = None) -> list[int]:
     """All distinct sets {tau < infinity} over tau in T_i, as finest-atom masks.
 
-    Far smaller than the stopping-time family itself (many tau share a
-    tail), and every supremum taken over T_i in the weight constants only
-    depends on the tail, so this is the enumeration the exact modes use.
+    Every union of finest atoms is a T_i tail (stop at level L on exactly
+    those atoms) and every tail is such a union, so this is the power set
+    of the finest atoms: the masks 0 .. 2**leaves - 1 in ascending order,
+    0 being the tail of tau = infinity.  Guarded by the same atom budget
+    as `enumerate_stopping_times`.
     """
     space._check_level(i)
     _check_budget(space, i, budget)
-    atom_bits: list[list[int]] = []
-    for level_atoms in space.atoms:
-        bits = []
-        for atom in level_atoms:
-            m = 0
-            for a_idx in np.unique(space.atom_of[space.last_level][atom]):
-                m |= 1 << int(a_idx)
-            bits.append(m)
-        atom_bits.append(bits)
+    return list(range(1 << len(space.atoms[space.last_level])))
 
-    def tails(level: int, a_idx: int) -> set[int]:
-        full = atom_bits[level][a_idx]
-        if level == space.last_level:
-            return {full, 0}
-        combos = {0}
-        for c in space.children(level, a_idx):
-            child = tails(level + 1, c)
-            combos = {base | extra for base in combos for extra in child}
-        combos.add(full)
-        return combos
 
-    total = {0}
-    for a_idx in range(len(space.atoms[i])):
-        part = tails(i, a_idx)
-        total = {base | extra for base in total for extra in part}
-    return sorted(total)
+def _tail_blocks(
+    space: FilteredSpace, i: int, budget: int | None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The nonempty T_i tails in blocks, for batched exact sweeps.
+
+    Checks the atom budget when called, before any block is built, then
+    yields (tails, inside): an int64 array of consecutive masks from
+    1 .. 2**leaves - 1 in ascending order, and the matching rows x n
+    boolean point membership.  The row count keeps one rows x n float64
+    block within _BLOCK_BYTES (a block has at least one row, so a space
+    of more than _BLOCK_BYTES / 8 points exceeds it by that one row).
+    """
+    space._check_level(i)
+    _check_budget(space, i, budget)
+    leaf_of = space.atom_of[space.last_level]
+    leaves = len(space.atoms[space.last_level])
+    if leaves > _MAX_MASK_BITS:
+        raise EnumerationBudgetError(
+            f"enumeration infeasible: {leaves} finest atoms do not fit a {_MAX_MASK_BITS}-bit tail mask"
+        )
+    rows = max(1, _BLOCK_BYTES // (8 * space.n))
+    end = 1 << leaves
+
+    def blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for lo in range(1, end, rows):
+            tails = np.arange(lo, min(lo + rows, end), dtype=np.int64)
+            yield tails, (tails[:, None] >> leaf_of & 1).astype(bool)
+
+    return blocks()
 
 
 def stopping_time_from_tail(space: FilteredSpace, i: int, tail) -> StoppingTime:

@@ -12,7 +12,8 @@ weights and a Hölder pair (p1, p2):
 The dual weights sigma_s = omega_s^{-1/(p_s - 1)} are derived internally.
 Tail suprema run over T_0 — on a finite tower the T_i tail families are
 nested decreasingly in i, so the i = 0 supremum is the binding one.
-Exact mode enumerates every achievable tail (budgeted); heuristic mode
+Exact mode evaluates every achievable tail, i.e. every union of finest
+atoms, on byte-capped blocks of tails at once (budgeted); heuristic mode
 searches candidate stopping times and yields a certified lower bound.
 """
 
@@ -24,13 +25,8 @@ from typing import Callable
 import numpy as np
 
 from .operators import bilinear_maximal, maximal
-from .space import Exponents, FilteredSpace, Fn, as_fn, cond_exp
-from .stopping import (
-    enumerate_tail_masks,
-    heuristic_sup_over_tau,
-    mask_points,
-    stopping_time_from_tail,
-)
+from .space import Exponents, FilteredSpace, Fn, _row_cond_exp, as_fn, cond_exp
+from .stopping import _tail_blocks, heuristic_sup_over_tau, stopping_time_from_tail
 
 EXACT = "exact"
 HEURISTIC = "heuristic"
@@ -130,28 +126,40 @@ def b_p_constant(space: FilteredSpace, v: Fn, omega1: Fn, omega2: Fn, exps: Expo
     return _atom_max(space, density, "B")
 
 
+_RowCond = Callable[[np.ndarray, int], np.ndarray]
+
+
 def _sup_over_tails(
     space: FilteredSpace,
     name: str,
     tail_objective: Callable[[np.ndarray], float],
+    block_objective: Callable[[np.ndarray, _RowCond], np.ndarray],
     guide: tuple[Fn, Fn],
     mode: str,
     budget: int | None,
 ) -> WeightConstant:
-    """Maximize an objective of the tail point set over T_0 tails."""
+    """Maximize an objective of the tail point set over T_0 tails.
+
+    Exact mode calls block_objective(chi, cond) on each block of nonempty
+    tails: chi is the rows x n 0/1 indicator block, cond the row-batched
+    conditional expectation, and the result holds one value per row.  The
+    witness is the first maximizing tail in ascending mask order (nan
+    values are skipped), as a per-tail loop would pick it.  Heuristic mode
+    calls tail_objective(points) once per candidate stopping time.
+    """
     if mode == EXACT:
+        blocks = _tail_blocks(space, 0, budget)
+        cond = _row_cond_exp(space)
         best_val = -np.inf
-        best_pts: np.ndarray | None = None
-        for mask in enumerate_tail_masks(space, 0, budget=budget):
-            if mask == 0:
-                continue
-            pts = mask_points(space, mask)
-            val = tail_objective(pts)
-            if val > best_val:
-                best_val = val
-                best_pts = pts
-        assert best_pts is not None
-        tau = stopping_time_from_tail(space, 0, best_pts)
+        best_mask: int | None = None
+        for tails, inside in blocks:
+            vals = block_objective(inside.astype(float), cond)
+            k = int(np.argmax(np.where(np.isnan(vals), -np.inf, vals)))
+            if vals[k] > best_val:
+                best_val = float(vals[k])
+                best_mask = int(tails[k])
+        assert best_mask is not None
+        tau = stopping_time_from_tail(space, 0, best_mask)
         return WeightConstant(name, best_val, EXACT, _tau_witness(tau))
     if mode == HEURISTIC:
         value, tau = heuristic_sup_over_tau(
@@ -187,7 +195,10 @@ def rh_constant(
     def objective(pts: np.ndarray) -> float:
         return float(w1[pts].sum() ** a1 * w2[pts].sum() ** a2 / mix[pts].sum())
 
-    return _sup_over_tails(space, "RH", objective, (sigma1, sigma2), mode, budget)
+    def block_objective(chi: np.ndarray, cond: _RowCond) -> np.ndarray:
+        return (chi @ w1) ** a1 * (chi @ w2) ** a2 / (chi @ mix)
+
+    return _sup_over_tails(space, "RH", objective, block_objective, (sigma1, sigma2), mode, budget)
 
 
 def s_p_constant(
@@ -222,7 +233,16 @@ def s_p_constant(
         den = w1[pts].sum() ** a1 * w2[pts].sum() ** a2
         return float((num / den) ** (1.0 / p))
 
-    return _sup_over_tails(space, "S", objective, (sigma1, sigma2), mode, budget)
+    def block_objective(chi: np.ndarray, cond: _RowCond) -> np.ndarray:
+        f1, f2 = chi * sigma1, chi * sigma2
+        m = cond(f1, 0) * cond(f2, 0)
+        for level in range(1, space.n_levels):
+            np.maximum(m, cond(f1, level) * cond(f2, level), out=m)
+        num = (m**p * chi) @ v_mass
+        den = (chi @ w1) ** a1 * (chi @ w2) ** a2
+        return (num / den) ** (1.0 / p)
+
+    return _sup_over_tails(space, "S", objective, block_objective, (sigma1, sigma2), mode, budget)
 
 
 def w_infty_constant(
@@ -253,7 +273,15 @@ def w_infty_constant(
         num = float((m1[pts] ** a1 * m2[pts] ** a2 * space.masses[pts]).sum())
         return num / float(mix[pts].sum())
 
-    return _sup_over_tails(space, "Winf", objective, (sigma1, sigma2), mode, budget)
+    def block_objective(chi: np.ndarray, cond: _RowCond) -> np.ndarray:
+        f1, f2 = chi * sigma1, chi * sigma2
+        m1, m2 = cond(f1, 0), cond(f2, 0)
+        for level in range(1, space.n_levels):
+            np.maximum(m1, cond(f1, level), out=m1)
+            np.maximum(m2, cond(f2, level), out=m2)
+        return (m1**a1 * m2**a2 * chi) @ space.masses / (chi @ mix)
+
+    return _sup_over_tails(space, "Winf", objective, block_objective, (sigma1, sigma2), mode, budget)
 
 
 ALL_CONSTANTS = ("a", "rh", "s", "b", "winf")

@@ -43,6 +43,16 @@ def mixed6():
     )
 
 
+@pytest.fixture
+def lumpy5():
+    """Five points whose finest atoms are not all singletons; the atom
+    {3, 4} repeats from level 1 to level 2."""
+    return FilteredSpace(
+        [0.3, 0.1, 0.25, 0.2, 0.15],
+        [[[0, 1, 2, 3, 4]], [[0, 1, 2], [3, 4]], [[0, 1], [2], [3, 4]]],
+    )
+
+
 def brute_force_stopping_times(space: FilteredSpace, i: int) -> set[StoppingTime]:
     """Independent oracle: try every per-point level assignment in
     {i..L, inf}^n and keep the adapted ones ({tau = j} a union of

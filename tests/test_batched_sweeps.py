@@ -1,0 +1,293 @@
+"""Batched exact tail sweeps against the per-tail scalar loop they replace.
+
+The reference below walks `enumerate_tail_masks` one tail at a time with
+one `mask_points` and one operator call per tail, exactly as the library
+did before its sweeps were blocked.  The batched RH/S/Winf values sum in
+a different order, so they must agree to REL_TOL; the Carleson sums keep
+the scalar order and must agree bit for bit.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from filtermax import (
+    CarlesonEntry,
+    CarlesonFamily,
+    EnumerationBudgetError,
+    Exponents,
+    FilteredSpace,
+    Instance,
+    bilinear_maximal,
+    build_level_sets,
+    certify_carleson_constant,
+    compute_constant,
+    default_forest,
+    enumerate_tail_masks,
+    finest_mask,
+    gen_instance,
+    mask_points,
+    maximal,
+    proof_coefficients,
+    sigma_from_omega,
+    space_from_dict,
+)
+from filtermax.stopping import _BLOCK_BYTES, _tail_blocks
+from filtermax.weights import _sup_over_tails
+
+REL_TOL = 1e-12
+BUDGET = 64  # generated towers of 10 finest atoms can hold up to 40 atoms
+FIXTURES = ["quad", "pair", "chain", "mixed6", "lumpy5"]
+
+
+# ---- the scalar reference ----------------------------------------------------
+
+
+def scalar_tail_values(space, v, omega1, omega2, exps):
+    """{name: {mask: value}} over every nonempty tail, one tail at a time."""
+    sigma1 = sigma_from_omega(omega1, exps.p1)
+    sigma2 = sigma_from_omega(omega2, exps.p2)
+    p = exps.p
+    a1, a2 = p / exps.p1, p / exps.p2
+    w1 = sigma1 * space.masses
+    w2 = sigma2 * space.masses
+    mix = sigma1**a1 * sigma2**a2 * space.masses
+    v_mass = v * space.masses
+
+    def rh(pts, chi):
+        return float(w1[pts].sum() ** a1 * w2[pts].sum() ** a2 / mix[pts].sum())
+
+    def s(pts, chi):
+        m = bilinear_maximal(space, sigma1 * chi, sigma2 * chi)
+        num = float((m[pts] ** p * v_mass[pts]).sum())
+        return float((num / (w1[pts].sum() ** a1 * w2[pts].sum() ** a2)) ** (1.0 / p))
+
+    def winf(pts, chi):
+        m1 = maximal(space, sigma1 * chi)
+        m2 = maximal(space, sigma2 * chi)
+        num = float((m1[pts] ** a1 * m2[pts] ** a2 * space.masses[pts]).sum())
+        return num / float(mix[pts].sum())
+
+    out = {"rh": {}, "s": {}, "winf": {}}
+    for mask in enumerate_tail_masks(space, 0, budget=BUDGET):
+        if mask == 0:
+            continue
+        pts = mask_points(space, mask)
+        chi = space.indicator(pts)
+        for name, objective in (("rh", rh), ("s", s), ("winf", winf)):
+            out[name][mask] = objective(pts, chi)
+    return out
+
+
+def scalar_carleson(space, family, sigma1, sigma2, exps):
+    """(A, worst mask) by the per-tail sums, in entry and leaf order."""
+    mix = sigma1 ** (exps.p / exps.p1) * sigma2 ** (exps.p / exps.p2) * space.masses
+    entry_masks = [finest_mask(space, e.points) for e in family.entries]
+    coeffs = family.coefficients()
+    atom_mix = np.array([mix[atom].sum() for atom in space.atoms[space.last_level]])
+    best = 0.0
+    best_mask = None
+    for mask in enumerate_tail_masks(space, family.base_level, budget=BUDGET):
+        if mask == 0:
+            continue
+        num = sum(c for c, em in zip(coeffs, entry_masks) if em & mask == em)
+        den = sum(atom_mix[a] for a in range(atom_mix.size) if mask >> a & 1)
+        ratio = num / den
+        if ratio > best or best_mask is None:
+            best = ratio
+            best_mask = mask
+    return best, best_mask
+
+
+# ---- comparisons -------------------------------------------------------------
+
+
+def assert_constants_match(space, v, omega1, omega2, exps):
+    ref = scalar_tail_values(space, v, omega1, omega2, exps)
+    for name, values in ref.items():
+        best_mask = max(values, key=lambda m: (values[m], -m))  # first maximizer
+        best = values[best_mask]
+        got = compute_constant(name, space, v, omega1, omega2, exps, mode="exact", budget=BUDGET)
+        assert got.mode == "exact"
+        assert abs(got.value - best) <= REL_TOL * abs(best), name
+        witness_mask = finest_mask(space, got.witness["tail"])
+        if witness_mask != best_mask:
+            # only a near-tie between the top two tails may move the witness
+            assert abs(values[witness_mask] - best) <= REL_TOL * abs(best), name
+
+
+def assert_carleson_matches(inst):
+    forest = default_forest(inst)
+    for variant in ("node", "exit"):
+        family = build_level_sets(forest, inst.sigma1, inst.sigma2, variant=variant)
+        family = proof_coefficients(inst.space, family, inst.sigma1, inst.sigma2, inst.v, inst.exps)
+        if not family.entries:
+            continue
+        certified, worst = certify_carleson_constant(
+            inst.space, family, inst.sigma1, inst.sigma2, inst.exps, budget=BUDGET
+        )
+        want_a, want_mask = scalar_carleson(inst.space, family, inst.sigma1, inst.sigma2, inst.exps)
+        assert certified.carleson_A == want_a, variant
+        assert finest_mask(inst.space, worst.tail_set()) == want_mask, variant
+
+
+def random_weights(rng, n):
+    return tuple(np.exp(0.8 * rng.standard_normal(n)) for _ in range(3))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_batched_constants_match_scalar_on_fixtures(name, request):
+    space = request.getfixturevalue(name)
+    rng = np.random.default_rng(7)
+    for exps in (Exponents(2.0, 2.0), Exponents(1.5, 3.0), Exponents(4.0, 1.3)):
+        v, omega1, omega2 = random_weights(rng, space.n)
+        assert_constants_match(space, v, omega1, omega2, exps)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_batched_carleson_equals_scalar_on_fixtures(name, request):
+    space = request.getfixturevalue(name)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        v, omega1, omega2 = random_weights(rng, space.n)
+        h1, h2 = random_weights(rng, space.n)[:2]
+        inst = Instance(space, v, omega1, omega2, Exponents(2.0, 2.0), False, h1=h1, h2=h2)
+        assert_carleson_matches(inst)
+
+
+@pytest.mark.parametrize(
+    "shape", [dict(depth=3, branching=2), dict(depth=2, branching=3, p1=1.5, p2=3.0)]
+)
+def test_batched_matches_scalar_on_generated_instances(shape):
+    for seed in range(3):
+        inst = gen_instance(seed, model="lognormal:1.2", **shape)
+        assert_constants_match(inst.space, inst.v, inst.omega1, inst.omega2, inst.exps)
+        assert_carleson_matches(inst)
+
+
+@st.composite
+def small_instances(draw):
+    """Irregular towers of at most 10 finest atoms (1-3 points each), with
+    1-3 coarser levels, each merging contiguous runs of the level below
+    (a run of length one everywhere repeats the level)."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=10))
+    n = sum(sizes)
+    starts = np.cumsum([0, *sizes])
+    atoms = [list(range(starts[a], starts[a + 1])) for a in range(len(sizes))]
+    levels = [atoms]
+    for _ in range(draw(st.integers(1, 3))):
+        cuts = draw(st.lists(st.booleans(), min_size=len(atoms) - 1, max_size=len(atoms) - 1))
+        merged = [list(atoms[0])]
+        for atom, cut in zip(atoms[1:], cuts):
+            if cut:
+                merged.append(list(atom))
+            else:
+                merged[-1].extend(atom)
+        atoms = merged
+        levels.insert(0, atoms)
+    positive = st.floats(min_value=0.05, max_value=20.0)
+    masses = draw(st.lists(positive, min_size=n, max_size=n))
+    v, omega1, omega2, h1, h2 = (
+        np.array(draw(st.lists(positive, min_size=n, max_size=n))) for _ in range(5)
+    )
+    exps = Exponents(draw(st.floats(1.2, 4.0)), draw(st.floats(1.2, 4.0)))
+    space = FilteredSpace(masses, levels)
+    return Instance(space, v, omega1, omega2, exps, False, h1=h1, h2=h2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_instances())
+def test_batched_matches_scalar_on_generated_spaces(inst):
+    assert_constants_match(inst.space, inst.v, inst.omega1, inst.omega2, inst.exps)
+    assert_carleson_matches(inst)
+
+
+# ---- blocks ------------------------------------------------------------------
+
+
+def test_blocks_cover_the_power_set_in_order(mixed6, lumpy5):
+    for space in (mixed6, lumpy5):
+        leaves = len(space.atoms[space.last_level])
+        tails, insides = zip(*_tail_blocks(space, 0, None))
+        assert np.concatenate(tails).tolist() == list(range(1, 2**leaves))
+        for block_tails, inside in zip(tails, insides):
+            for mask, row in zip(block_tails, inside):
+                assert np.flatnonzero(row).tolist() == mask_points(space, int(mask)).tolist()
+
+
+@pytest.fixture(scope="module")
+def wide_points():
+    """4 finest atoms of 16384 points each: one row is already the whole cap,
+    so every block holds a single tail."""
+    n, per_leaf = 65536, 16384
+    data = {
+        "masses": np.random.default_rng(3).uniform(0.5, 1.5, n).tolist(),
+        "levels": [
+            [list(range(n))],
+            [list(range(n // 2)), list(range(n // 2, n))],
+            [list(range(a * per_leaf, (a + 1) * per_leaf)) for a in range(4)],
+        ],
+    }
+    return space_from_dict(data)
+
+
+def test_blocks_stay_under_the_byte_cap_on_wide_points(wide_points):
+    space = wide_points
+    n = space.n
+    rows = 0
+    for tails, inside in _tail_blocks(space, 0, None):
+        assert inside.shape == (tails.size, n)
+        assert inside.astype(float).nbytes <= _BLOCK_BYTES
+        rows += tails.size
+    assert rows == 15
+    rng = np.random.default_rng(5)
+    v, omega1, omega2 = random_weights(rng, n)
+    exps = Exponents(2.0, 2.0)
+    ref = scalar_tail_values(space, v, omega1, omega2, exps)["rh"]
+    best = max(ref.values())
+    got = compute_constant("rh", space, v, omega1, omega2, exps)
+    assert abs(got.value - best) <= REL_TOL * best
+
+
+def test_blocks_check_the_budget_before_building(monkeypatch, quad):
+    monkeypatch.setenv("FILTERMAX_ATOM_BUDGET", "3")
+    with pytest.raises(EnumerationBudgetError):
+        _tail_blocks(quad, 0, None)
+    assert len(list(_tail_blocks(quad, 0, 7))) == 1
+    # past 62 finest atoms a tail no longer fits an int64 mask
+    wide = FilteredSpace(np.ones(63), [[list(range(63))], [[x] for x in range(63)]])
+    with pytest.raises(EnumerationBudgetError, match="62-bit"):
+        _tail_blocks(wide, 0, 1000)
+
+
+def test_carleson_keeps_the_first_worst_tail_across_blocks(wide_points):
+    space = wide_points
+    one = np.ones(space.n)
+    leaf2 = space.atoms[space.last_level][2]
+    family = CarlesonFamily("node", 0, (CarlesonEntry(0, 0, 0, leaf2, 0.0),))
+    exps = Exponents(2.0, 2.0)
+    for coeff in (0.0, 1.0):  # all tails tie at 0; then only leaf 2 alone is worst
+        fam = family.with_coefficients([coeff])
+        certified, worst = certify_carleson_constant(space, fam, one, one, exps)
+        want_a, want_mask = scalar_carleson(space, fam, one, one, exps)
+        assert certified.carleson_A == want_a
+        assert finest_mask(space, worst.tail_set()) == want_mask == (1 if coeff == 0 else 4)
+
+
+@pytest.mark.parametrize("name", ["quad", "wide_points"])
+def test_exact_sweep_keeps_the_first_maximizer_across_blocks(name, request):
+    space = request.getfixturevalue(name)
+
+    def tied(chi, cond):
+        return np.ones(chi.shape[0])
+
+    def full_tail_nan(chi, cond):
+        size = chi.sum(axis=1)
+        return np.where(size == space.n, np.nan, size)
+
+    c = _sup_over_tails(space, "T", None, tied, None, "exact", None)
+    assert finest_mask(space, c.witness["tail"]) == 1
+    # nan is skipped, as a per-tail `>` skips it: the first 3-leaf tail wins
+    c = _sup_over_tails(space, "T", None, full_tail_nan, None, "exact", None)
+    assert finest_mask(space, c.witness["tail"]) == 7

@@ -1,6 +1,9 @@
 """Principal-set forests: the worked four-point example, the structural
 properties P.1-P.5, doubling, sparse domination, and serialization."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -38,6 +41,24 @@ def test_shell_index_boundaries():
     for k in range(-25, 26):
         assert shell_index(4.0**k) == k
         assert shell_index(2.0**k, base=2.0) == k
+
+
+def test_shell_index_extreme_magnitudes():
+    # the shell comes from the binary exponent, so no power of 4 can overflow
+    ulp = 2.0**-52
+    for k in (-500, -30, -1, 0, 1, 30, 300, 511):
+        x = math.ldexp(1.0, 2 * k)  # 4^k, exact
+        assert shell_index(x) == k
+        assert shell_index(x * (1.0 + ulp)) == k + 1
+        assert shell_index(x * (1.0 - ulp)) == k
+    assert shell_index(1e308) == 512
+    assert shell_index(sys.float_info.max) == 512
+    assert shell_index(5e-324) == -537  # the least subnormal is 4^-537
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            shell_index(bad)
+    with pytest.raises(ValueError):
+        shell_index(2.0, base=3.0)
 
 
 # ---- the worked example ----------------------------------------------------------

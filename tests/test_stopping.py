@@ -131,6 +131,18 @@ def test_tail_masks_hand_values(quad):
     assert from_taus == set(masks)
 
 
+@pytest.mark.parametrize("name", ["quad", "chain", "mixed6", "lumpy5"])
+def test_tail_masks_are_stopping_time_tails(name, request):
+    # chain repeats its root level; lumpy5 has non-singleton finest atoms
+    space = request.getfixturevalue(name)
+    leaves = len(space.atoms[space.last_level])
+    for i in range(space.n_levels):
+        masks = enumerate_tail_masks(space, i)
+        assert masks == list(range(2**leaves))
+        from_taus = {finest_mask(space, t.tail_set()) for t in enumerate_stopping_times(space, i)}
+        assert from_taus == set(masks)
+
+
 def test_tail_masks_respect_origin(chain):
     # from origin 2 any union of the singletons is a tail; from origin 0
     # the same tails arise because the chain does not split until level 2
