@@ -36,8 +36,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .principal import PrincipalForest, shell_index
-from .space import Exponents, FilteredSpace, Fn, as_fn, cond_exp, weighted_cond_exp
+from .principal import PrincipalForest, _shells
+from .space import Exponents, FilteredSpace, Fn, as_fn, level_products, weighted_cond_exp
 from .stopping import StoppingTime, _tail_blocks, finest_mask, stopping_time_from_tail
 from .weights import sigma_from_omega
 
@@ -92,17 +92,14 @@ def build_level_sets(
     if np.any(sigma1 <= 0) or np.any(sigma2 <= 0):
         raise ValueError("sigma weights must be strictly positive")
     entries: list[CarlesonEntry] = []
-    cache: dict[int, Fn] = {}
+    prods = level_products(space, sigma1, sigma2)
     for node_index, node in enumerate(forest.nodes()):
         base = node.points if variant == "node" else node.exit_points
         if base.size == 0:
             continue
-        if node.k1 not in cache:
-            cache[node.k1] = cond_exp(space, sigma1, node.k1) * cond_exp(space, sigma2, node.k1)
-        w = cache[node.k1][base]
         # 2^l < w <= 2^(l+1), i.e. l + 1 is the base-2 shell of w
-        exps = np.array([shell_index(float(x), 2.0) - 1 for x in w])
-        for l in sorted(set(int(e) for e in exps)):
+        exps = _shells(prods[node.k1][base], 1) - 1
+        for l in np.unique(exps).tolist():
             pts = base[exps == l]
             entries.append(CarlesonEntry(node_index, node.k1, l, pts, 0.0))
     return CarlesonFamily(variant, forest.base_level, tuple(entries))
@@ -115,12 +112,10 @@ def proof_coefficients(
     sigma1 = as_fn(space, sigma1)
     sigma2 = as_fn(space, sigma2)
     v = as_fn(space, v)
-    cache: dict[int, Fn] = {}
+    prods = level_products(space, sigma1, sigma2)
     coeffs = []
     for entry in family.entries:
-        if entry.k1 not in cache:
-            cache[entry.k1] = cond_exp(space, sigma1, entry.k1) * cond_exp(space, sigma2, entry.k1)
-        w = cache[entry.k1][entry.points]
+        w = prods[entry.k1][entry.points]
         coeffs.append(float((w**exps.p * v[entry.points] * space.masses[entry.points]).sum()))
     return family.with_coefficients(coeffs)
 
@@ -204,11 +199,9 @@ def check_carleson_condition(
     sigma1 = as_fn(space, sigma1)
     sigma2 = as_fn(space, sigma2)
     tail = tau.tail_mask()
-    inside = np.zeros(space.n, dtype=bool)
-    inside[space.as_subset(np.flatnonzero(tail))] = True
     lhs = 0.0
     for entry in family.entries:
-        if inside[entry.points].all():
+        if tail[entry.points].all():
             lhs += entry.coefficient
     mix = _mix_density(space, sigma1, sigma2, exps)
     rhs = family.carleson_A * float(mix[tail].sum())
@@ -259,14 +252,13 @@ def verify_embedding(
     omega2 = as_fn(space, omega2)
     sigma1 = sigma_from_omega(omega1, exps.p1)
     sigma2 = sigma_from_omega(omega2, exps.p2)
-    cache: dict[int, Fn] = {}
+    wprods = [
+        weighted_cond_exp(space, h1 / sigma1, sigma1, j) * weighted_cond_exp(space, h2 / sigma2, sigma2, j)
+        for j in range(space.n_levels)
+    ]
     lhs = 0.0
     for entry in family.entries:
-        if entry.k1 not in cache:
-            cache[entry.k1] = weighted_cond_exp(space, h1 / sigma1, sigma1, entry.k1) * weighted_cond_exp(
-                space, h2 / sigma2, sigma2, entry.k1
-            )
-        essinf = float(cache[entry.k1][entry.points].min())
+        essinf = float(wprods[entry.k1][entry.points].min())
         lhs += essinf**exps.p * entry.coefficient
     p0 = forest.root.points
     n1 = float((h1[p0] ** exps.p1 * omega1[p0] * space.masses[p0]).sum())

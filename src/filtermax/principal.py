@@ -33,7 +33,6 @@ truncated pair agrees on P0 with the tailed operator of (h1, h2).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -41,7 +40,10 @@ from typing import Iterator
 import numpy as np
 
 from .operators import tailed_bilinear_maximal
-from .space import FilteredSpace, Fn, as_fn, cond_exp
+from .space import FilteredSpace, Fn, ValidationError, as_fn, cond_exp, level_products
+from .space import read_json, write_json
+
+_NO_SHELL = np.iinfo(np.int64).min  # shell of a zero product
 
 
 def shell_index(x: float, base: float = 4.0) -> int:
@@ -59,9 +61,17 @@ def shell_index(x: float, base: float = 4.0) -> int:
     b_mant, b_exp = math.frexp(base)
     if b_mant != 0.5 or b_exp < 2:
         raise ValueError(f"shell base must be a power of two above 1, got {base!r}")
-    mant, exp = math.frexp(x)
-    c = exp - 1 if mant == 0.5 else exp
-    return -(-c // (b_exp - 1))
+    return int(_shells(np.float64(x), b_exp - 1))
+
+
+def _shells(x: np.ndarray, bits: int = 2) -> np.ndarray:
+    """`shell_index` elementwise for base 2^bits by the same exponent arithmetic,
+    on finite x >= 0, as int64; x = 0 gets _NO_SHELL, below every finite shell."""
+    if not np.all(np.isfinite(x)):
+        raise ValueError("shell index needs finite values")
+    mant, exp = np.frexp(x)
+    c = exp.astype(np.int64) - (mant == 0.5)
+    return np.where(x > 0, -(-c // bits), _NO_SHELL)
 
 
 @dataclass(frozen=True)
@@ -101,10 +111,6 @@ class PrincipalForest:
         return sum(1 for _ in self.root)
 
 
-def _level_products(space: FilteredSpace, h1: Fn, h2: Fn) -> list[Fn]:
-    return [cond_exp(space, h1, j) * cond_exp(space, h2, j) for j in range(space.n_levels)]
-
-
 def build_principal_forest(
     space: FilteredSpace, i: int, k: int, omega0, h1: Fn, h2: Fn
 ) -> PrincipalForest | None:
@@ -120,43 +126,35 @@ def build_principal_forest(
     omega0 = space.as_subset(omega0)
     if not space.is_level_measurable(i, omega0):
         raise ValueError(f"Omega0 must be a union of level-{i} atoms")
-    prods = _level_products(space, h1, h2)
+    # integer shells of the level products: 4^(k2+1) itself overflows for k2 >= 511
+    shells = [_shells(pr) for pr in level_products(space, h1, h2)]
 
-    in_omega0 = np.zeros(space.n, dtype=bool)
-    in_omega0[omega0] = True
-    p0_mask = in_omega0 & (4.0 ** (k - 1) < prods[i]) & (prods[i] <= 4.0**k)
+    p0_mask = np.zeros(space.n, dtype=bool)
+    p0_mask[omega0] = shells[i][omega0] == k
     if not p0_mask.any():
         return None
 
     def grow(points: np.ndarray, k1: int, k2: int, generation: int) -> PrincipalSet:
-        threshold = 4.0 ** (k2 + 1)
-        remaining = np.ones(space.n, dtype=bool)  # not yet stopped, within this node
-        node_mask = np.zeros(space.n, dtype=bool)
-        node_mask[points] = True
+        remaining = np.zeros(space.n, dtype=bool)  # points of this node not yet stopped
+        remaining[points] = True
         children: list[PrincipalSet] = []
-        assert not (prods[k1][points] > threshold).any(), "node violates its own shell bound"
+        # a product above 4^(K2+1) is one whose shell exceeds K2 + 1
+        assert not (shells[k1][points] > k2 + 1).any(), "node violates its own shell bound"
         for j in range(k1 + 1, space.n_levels):
-            hit = node_mask & remaining & (prods[j] > threshold)
+            hit = remaining & (shells[j] > k2 + 1)
             if not hit.any():
                 continue
             remaining &= ~hit
-            shells = sorted({shell_index(float(x)) for x in np.unique(prods[j][hit])})
-            for l in shells:
-                piece = hit & (4.0 ** (l - 1) < prods[j]) & (prods[j] <= 4.0**l)
-                if not piece.any():
-                    continue
+            for l in np.unique(shells[j][hit]).tolist():
                 assert l >= k2 + 2, "child shell must jump by at least two"
-                children.append(grow(np.flatnonzero(piece), j, l, generation + 1))
-        child_mask = np.zeros(space.n, dtype=bool)
-        for child in children:
-            child_mask[child.points] = True
-        exit_points = np.flatnonzero(node_mask & ~child_mask)
+                children.append(grow(np.flatnonzero(hit & (shells[j] == l)), j, l, generation + 1))
+        # every hit point went to the child of its own shell: E(P) is what was never hit
         return PrincipalSet(
             points=points,
             k1=k1,
             k2=k2,
             generation=generation,
-            exit_points=exit_points,
+            exit_points=np.flatnonzero(remaining),
             children=tuple(children),
         )
 
@@ -168,10 +166,8 @@ def build_principal_forest(
 
 def occupied_shells(space: FilteredSpace, i: int, omega0, h1: Fn, h2: Fn) -> list[int]:
     """Shell exponents k for which P0 is nonempty."""
-    prods = cond_exp(space, as_fn(space, h1), i) * cond_exp(space, as_fn(space, h2), i)
-    idx = space.as_subset(omega0)
-    vals = prods[idx]
-    return sorted({shell_index(float(x)) for x in vals[vals > 0]})
+    vals = level_products(space, h1, h2)[i][space.as_subset(omega0)]
+    return np.unique(_shells(vals[vals > 0])).tolist()
 
 
 def forest_cover(space: FilteredSpace, i: int, omega0, h1: Fn, h2: Fn) -> list[PrincipalForest]:
@@ -235,7 +231,7 @@ class PropertyReport:
 def verify_properties(forest: PrincipalForest) -> PropertyReport:
     """Evaluate P.1–P.5 and the doubling bound exactly on every node."""
     space = forest.space
-    prods = _level_products(space, forest.h1, forest.h2)
+    prods = level_products(space, forest.h1, forest.h2)
     root = forest.root
 
     # P.1: exit sets are pairwise disjoint and tile P0
@@ -255,8 +251,7 @@ def verify_properties(forest: PrincipalForest) -> PropertyReport:
     for node in root:
         if not space.is_level_measurable(node.k1, node.points):
             p2_ok = False
-        vals = prods[node.k1][node.points]
-        if not (np.all(4.0 ** (node.k2 - 1) < vals) and np.all(vals <= 4.0**node.k2)):
+        if not np.all(_shells(prods[node.k1][node.points]) == node.k2):
             p4_ok = False
         exit_ind = space.indicator(node.exit_points)
         cover = 2.0 * cond_exp(space, exit_ind, node.k1) - 1.0
@@ -265,9 +260,11 @@ def verify_properties(forest: PrincipalForest) -> PropertyReport:
         tail_max = tailed_bilinear_maximal(
             space, forest.base_level, forest.h1 * chi, forest.h2 * chi
         )
-        cap = 4.0 ** (node.k2 + 1)
         if node.exit_points.size:
-            p5_margin = min(p5_margin, (cap - float(tail_max[node.exit_points].max())) / cap)
+            # (cap - sup) / cap with cap = 4^(K2+1), without forming cap (it overflows
+            # above K2 = 510); scaling by a power of two is exact, so the float is the same
+            sup = float(tail_max[node.exit_points].max())
+            p5_margin = min(p5_margin, 1.0 - math.ldexp(sup, -2 * (node.k2 + 1)))
         mu_p = space.measure(node.points)
         mu_exit = space.measure(node.exit_points)
         doubling_margin = min(doubling_margin, (2.0 * mu_exit - mu_p) / mu_p)
@@ -285,17 +282,6 @@ def verify_properties(forest: PrincipalForest) -> PropertyReport:
         doubling_margin=doubling_margin,
         max_doubling_ratio=max_ratio,
     )
-
-
-def doubling_check(forest: PrincipalForest) -> tuple[bool, float]:
-    """mu(P) <= 2 mu(E(P)) at every node; returns (ok, worst ratio)."""
-    worst = 0.0
-    for node in forest.root:
-        mu_exit = forest.space.measure(node.exit_points)
-        if mu_exit == 0:
-            return False, np.inf
-        worst = max(worst, forest.space.measure(node.points) / mu_exit)
-    return worst <= 2.0 * (1.0 + 1e-12), worst
 
 
 @dataclass(frozen=True)
@@ -385,11 +371,13 @@ def forest_from_dict(space: FilteredSpace, data: dict) -> PrincipalForest:
 
 
 def dump_forest(forest: PrincipalForest, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(forest_to_dict(forest), fh)
-        fh.write("\n")
+    write_json(path, forest_to_dict(forest))
 
 
 def load_forest(space: FilteredSpace, path: str) -> PrincipalForest:
-    with open(path) as fh:
-        return forest_from_dict(space, json.load(fh))
+    """Rebuild a stored forest; a malformed file raises ValidationError naming the path."""
+    data = read_json(path)
+    try:
+        return forest_from_dict(space, data)
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"{path}: malformed forest data ({exc!r})") from exc

@@ -253,11 +253,17 @@ def cond_exp(space: FilteredSpace, f: Fn, level: int) -> Fn:
     return (sums / space.atom_mass[level])[labels]
 
 
-def _row_cond_exp(space: FilteredSpace) -> Callable[[np.ndarray, int], np.ndarray]:
+def level_products(space: FilteredSpace, f: Fn, g: Fn) -> list[Fn]:
+    """E(f | F_j) E(g | F_j) for j = 0..L: principal sets, Carleson level sets
+    and the heuristic first-hit guides are all cut from these products."""
+    return [cond_exp(space, f, j) * cond_exp(space, g, j) for j in range(space.n_levels)]
+
+
+def _row_cond_exp(space: FilteredSpace) -> Callable[[FilteredSpace, np.ndarray, int], np.ndarray]:
     """Row-batched conditional expectation for the exact tail sweeps.
 
     Builds one points x atoms aggregation matrix per level and returns
-    cond(rows, level), the `cond_exp` of every row of a (k, n) block.
+    cond(space, rows, level), called like `cond_exp`, on every row of a (k, n) block.
     The matrices live only as long as the returned function: the caller's
     sweep builds them, nothing is cached on the space.
     """
@@ -267,7 +273,7 @@ def _row_cond_exp(space: FilteredSpace) -> Callable[[np.ndarray, int], np.ndarra
         onehot[np.arange(space.n), labels] = 1.0
         onehots.append(onehot)
 
-    def cond(rows: np.ndarray, level: int) -> np.ndarray:
+    def cond(_: FilteredSpace, rows: np.ndarray, level: int) -> np.ndarray:
         sums = (rows * space.masses) @ onehots[level]
         return (sums / space.atom_mass[level])[:, space.atom_of[level]]
 
@@ -342,23 +348,32 @@ def space_to_dict(space: FilteredSpace) -> dict:
 def space_from_dict(data: dict, where: str = "space") -> FilteredSpace:
     if not isinstance(data, dict) or "masses" not in data or "levels" not in data:
         raise ValidationError(f"{where}: expected an object with 'masses' and 'levels'")
-    report = validate(data["masses"], data["levels"])
-    if not report.ok:
-        raise ValidationError(f"{where}: {report}")
-    return FilteredSpace(data["masses"], data["levels"])
+    try:
+        return FilteredSpace(data["masses"], data["levels"])
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+
+
+def read_json(path: str):
+    """Parse a JSON file; malformed JSON raises ValidationError naming the path."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
+
+
+def write_json(path: str, data) -> None:
+    """Write one JSON document followed by a newline."""
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+        fh.write("\n")
 
 
 def load_space(path: str) -> FilteredSpace:
     """Load a space from a JSON file; errors carry the file path."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
-    return space_from_dict(data, where=path)
+    return space_from_dict(read_json(path), where=path)
 
 
 def dump_space(space: FilteredSpace, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(space_to_dict(space), fh)
-        fh.write("\n")
+    write_json(path, space_to_dict(space))

@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .space import FilteredSpace, Fn, cond_exp
+from .space import FilteredSpace, Fn, level_products
 
 DEFAULT_ATOM_BUDGET = 24
 _BUDGET_ENV = "FILTERMAX_ATOM_BUDGET"
@@ -94,11 +94,6 @@ class StoppingTime:
 
     def __hash__(self) -> int:
         return hash((self.origin, self.levels.tobytes()))
-
-
-def tail_set(tau: StoppingTime) -> np.ndarray:
-    """Sorted indices of {tau < infinity}."""
-    return tau.tail_set()
 
 
 def adaptedness_violation(space: FilteredSpace, tau: StoppingTime) -> str | None:
@@ -294,12 +289,9 @@ def stopping_time_from_tail(space: FilteredSpace, i: int, tail) -> StoppingTime:
     an achievable T_i tail (a union of atoms at levels >= i), else ValueError.
     """
     space._check_level(i)
-    if isinstance(tail, (int, np.integer)):
-        inside = np.zeros(space.n, dtype=bool)
-        inside[mask_points(space, int(tail))] = True
-    else:
-        inside = np.zeros(space.n, dtype=bool)
-        inside[space.as_subset(tail)] = True
+    pts = mask_points(space, int(tail)) if isinstance(tail, (int, np.integer)) else space.as_subset(tail)
+    inside = np.zeros(space.n, dtype=bool)
+    inside[pts] = True
     levels = np.full(space.n, np.inf)
     for j in range(i, space.n_levels):
         for atom in space.atoms[j]:
@@ -371,7 +363,7 @@ def heuristic_sup_over_tau(
     # first-hit thresholds on the guide product
     if guide is not None:
         g1, g2 = guide
-        prods = [cond_exp(space, g1, j) * cond_exp(space, g2, j) for j in range(space.n_levels)]
+        prods = level_products(space, g1, g2)
         values = np.unique(np.concatenate([pr[pr > 0] for pr in prods]))
         if values.size:
             lo, hi = float(values[0]), float(values[-1])

@@ -22,11 +22,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import carleson as _carleson
-from .operators import bilinear_maximal, lp_norm, maximal, weighted_cond_exp
+from .operators import bilinear_maximal, lp_norm, maximal, weighted_maximal
 from .principal import (
     PrincipalForest,
-    build_principal_forest,
-    occupied_shells,
+    forest_cover,
     sparse_domination_report,
     verify_properties,
 )
@@ -37,8 +36,10 @@ from .space import (
     ValidationError,
     as_fn,
     cond_exp,
+    read_json,
     space_from_dict,
     space_to_dict,
+    write_json,
 )
 from .stopping import (
     EnumerationBudgetError,
@@ -268,18 +269,11 @@ def instance_from_dict(data: dict, where: str = "instance") -> Instance:
 
 
 def load_instance(path: str) -> Instance:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
-    return instance_from_dict(data, where=path)
+    return instance_from_dict(read_json(path), where=path)
 
 
 def dump_instance(inst: Instance, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(instance_to_dict(inst), fh)
-        fh.write("\n")
+    write_json(path, instance_to_dict(inst))
 
 
 # ---- evaluation family -------------------------------------------------------
@@ -304,8 +298,9 @@ def evaluation_pairs(inst: Instance, count: int, seed: int | None = None) -> lis
     return out
 
 
-def norm_ratio(inst: Instance, f1: Fn, f2: Fn) -> float | None:
-    """||M(f1 sigma1, f2 sigma2)||_{L^p(v)} / (||f1||_{p1,sigma1} ||f2||_{p2,sigma2})."""
+def _pair_norms(inst: Instance, f1: Fn, f2: Fn) -> tuple[float, float] | None:
+    """(||M(f1 sigma1, f2 sigma2)||_{L^p(v)}, ||f1||_{p1,sigma1} ||f2||_{p2,sigma2}),
+    or None when the denominator vanishes (the operator is then not evaluated)."""
     den = lp_norm(inst.space, f1, inst.sigma1, inst.exps.p1) * lp_norm(
         inst.space, f2, inst.sigma2, inst.exps.p2
     )
@@ -314,7 +309,44 @@ def norm_ratio(inst: Instance, f1: Fn, f2: Fn) -> float | None:
     num = lp_norm(
         inst.space, bilinear_maximal(inst.space, f1 * inst.sigma1, f2 * inst.sigma2), inst.v, inst.exps.p
     )
-    return num / den
+    return num, den
+
+
+def norm_ratio(inst: Instance, f1: Fn, f2: Fn) -> float | None:
+    """||M(f1 sigma1, f2 sigma2)||_{L^p(v)} / (||f1||_{p1,sigma1} ||f2||_{p2,sigma2})."""
+    norms = _pair_norms(inst, f1, f2)
+    return None if norms is None else norms[0] / norms[1]
+
+
+def _indicator_ratio(inst: Instance, pts) -> float:
+    """norm_ratio of the indicator pair (1_E, 1_E) of a nonempty point set E."""
+    chi = inst.space.indicator(pts)
+    ratio = norm_ratio(inst, chi, chi)
+    assert ratio is not None, "indicator pair of an empty set"
+    return ratio
+
+
+def _worst_pair(
+    inst: Instance, pairs: Sequence[tuple[str, Fn, Fn]], const: float
+) -> tuple[str, float, float]:
+    """The pair with the largest lhs / rhs for the bound lhs <= const * den,
+    as (name, lhs, rhs); the first such pair wins ties."""
+    worst: tuple[float, str, float, float] | None = None
+    for name, f1, f2 in pairs:
+        norms = _pair_norms(inst, f1, f2)
+        if norms is None:
+            continue
+        num, den = norms
+        rhs = const * den
+        if worst is None or num / rhs > worst[0]:
+            worst = (num / rhs, name, num, rhs)
+    assert worst is not None, "evaluation family was empty"
+    return worst[1:]
+
+
+def _row_seed(inst: Instance) -> int:
+    """The seed column of a result row: -1 for a hand-written instance."""
+    return -1 if inst.seed is None else inst.seed
 
 
 # ---- theorem checks ----------------------------------------------------------
@@ -344,25 +376,12 @@ def check_thm11_forward(
     )
     if pairs is None:
         pairs = evaluation_pairs(inst, 5)
-    worst: tuple[float, str, float, float] | None = None
-    for name, f1, f2 in pairs:
-        den = lp_norm(inst.space, f1, inst.sigma1, exps.p1) * lp_norm(inst.space, f2, inst.sigma2, exps.p2)
-        if den == 0.0:
-            continue
-        num = lp_norm(
-            inst.space, bilinear_maximal(inst.space, f1 * inst.sigma1, f2 * inst.sigma2), inst.v, exps.p
-        )
-        rhs = const * den
-        score = num / rhs
-        if worst is None or score > worst[0]:
-            worst = (score, name, num, rhs)
-    assert worst is not None, "evaluation family was empty"
-    _, name, lhs, rhs = worst
+    name, lhs, rhs = _worst_pair(inst, pairs, const)
     return CheckResult(
         theorem="thm11_forward",
         lhs=lhs,
         rhs=rhs,
-        seed=-1 if inst.seed is None else inst.seed,
+        seed=_row_seed(inst),
         detail={"pair": name, "A": a_const.value, "const": const},
     )
 
@@ -378,10 +397,7 @@ def check_thm11_converse(inst: Instance, mode: str = "exact", budget: int | None
     exps = inst.exps
     a_const = a_p_constant(inst.space, inst.v, inst.omega1, inst.omega2, exps)
     rh = rh_constant(inst.space, inst.omega1, inst.omega2, exps, mode=mode, budget=budget)
-    atom = np.asarray(a_const.witness["atom"], dtype=np.int64)
-    chi = inst.space.indicator(atom)
-    r_b = norm_ratio(inst, chi, chi)
-    assert r_b is not None
+    r_b = _indicator_ratio(inst, a_const.witness["atom"])
     lhs = a_const.value ** (1.0 / exps.p)
     rhs = r_b * rh.value ** (1.0 / exps.p)
     return CheckResult(
@@ -389,7 +405,7 @@ def check_thm11_converse(inst: Instance, mode: str = "exact", budget: int | None
         lhs=lhs,
         rhs=rhs,
         mode=rh.mode if rh.mode == "exact" else "lower-bound",
-        seed=-1 if inst.seed is None else inst.seed,
+        seed=_row_seed(inst),
         detail={"A": a_const.value, "RH": rh.value, "atom_level": a_const.witness["level"], "r_B": r_b},
     )
 
@@ -434,7 +450,7 @@ def check_thm12(
     thm12_upper: every evaluated ratio <= 32 p1' p2' [S] [RH]^(1/p).
     """
     exps = inst.exps
-    seed = -1 if inst.seed is None else inst.seed
+    seed = _row_seed(inst)
     s_const = s_p_constant(inst.space, inst.v, inst.omega1, inst.omega2, exps, mode=mode, budget=budget)
     rh = rh_constant(inst.space, inst.omega1, inst.omega2, exps, mode=mode, budget=budget)
     out: list[CheckResult] = []
@@ -445,11 +461,7 @@ def check_thm12(
     ratios = [(name, norm_ratio(inst, f1, f2)) for name, f1, f2 in pairs]
     ratios = [(name, r) for name, r in ratios if r is not None]
 
-    witness_pts = np.asarray(s_const.witness["tail"], dtype=np.int64)
-    chi_w = inst.space.indicator(witness_pts)
-    witness_full = norm_ratio(inst, chi_w, chi_w)
-    assert witness_full is not None
-    ratios.append(("s_witness_tail", witness_full))
+    ratios.append(("s_witness_tail", _indicator_ratio(inst, s_const.witness["tail"])))
 
     if mode == "exact":
         masks = enumerate_tail_masks(inst.space, 0, budget=budget)
@@ -497,33 +509,22 @@ def check_thm14(inst: Instance, pairs: Sequence[tuple[str, Fn, Fn]] | None = Non
     """Exp-log bound 32 (2e)^(1/p) p1' p2' [B]^(1/p), plus the substitution
     identity ||f_s sigma_s||_{p_s, omega_s} = ||f_s||_{p_s, sigma_s}."""
     exps = inst.exps
-    seed = -1 if inst.seed is None else inst.seed
+    seed = _row_seed(inst)
     b_const = b_p_constant(inst.space, inst.v, inst.omega1, inst.omega2, exps)
     const = (
         32.0 * (2.0 * math.e) ** (1.0 / exps.p) * exps.p1_prime * exps.p2_prime * b_const.value ** (1.0 / exps.p)
     )
     if pairs is None:
         pairs = evaluation_pairs(inst, 5)
-    worst: tuple[float, str, float, float] | None = None
     ident = 0.0
-    for name, f1, f2 in pairs:
+    for _, f1, f2 in pairs:
         n1_sigma = lp_norm(inst.space, f1, inst.sigma1, exps.p1)
         n2_sigma = lp_norm(inst.space, f2, inst.sigma2, exps.p2)
         n1_omega = lp_norm(inst.space, f1 * inst.sigma1, inst.omega1, exps.p1)
         n2_omega = lp_norm(inst.space, f2 * inst.sigma2, inst.omega2, exps.p2)
         for a, b in ((n1_sigma, n1_omega), (n2_sigma, n2_omega)):
             ident = max(ident, abs(a - b) / max(a, b, 1e-300))
-        den = n1_sigma * n2_sigma
-        if den == 0.0:
-            continue
-        num = lp_norm(
-            inst.space, bilinear_maximal(inst.space, f1 * inst.sigma1, f2 * inst.sigma2), inst.v, exps.p
-        )
-        rhs = const * den
-        if worst is None or num / rhs > worst[0]:
-            worst = (num / rhs, name, num, rhs)
-    assert worst is not None
-    _, name, lhs, rhs = worst
+    name, lhs, rhs = _worst_pair(inst, pairs, const)
     return [
         CheckResult(
             theorem="thm14_bound",
@@ -551,7 +552,7 @@ def check_thm15(
 ) -> CheckResult:
     """Mixed bound 32 * 2^(1/p) p1' p2' [A]^(1/p) [Winf]^(1/p) on every pair."""
     exps = inst.exps
-    seed = -1 if inst.seed is None else inst.seed
+    seed = _row_seed(inst)
     a_const = a_p_constant(inst.space, inst.v, inst.omega1, inst.omega2, exps)
     winf = w_infty_constant(inst.space, inst.omega1, inst.omega2, exps, mode=mode, budget=budget)
     const = (
@@ -563,19 +564,7 @@ def check_thm15(
     )
     if pairs is None:
         pairs = evaluation_pairs(inst, 5)
-    worst: tuple[float, str, float, float] | None = None
-    for name, f1, f2 in pairs:
-        den = lp_norm(inst.space, f1, inst.sigma1, exps.p1) * lp_norm(inst.space, f2, inst.sigma2, exps.p2)
-        if den == 0.0:
-            continue
-        num = lp_norm(
-            inst.space, bilinear_maximal(inst.space, f1 * inst.sigma1, f2 * inst.sigma2), inst.v, exps.p
-        )
-        rhs = const * den
-        if worst is None or num / rhs > worst[0]:
-            worst = (num / rhs, name, num, rhs)
-    assert worst is not None
-    _, name, lhs, rhs = worst
+    name, lhs, rhs = _worst_pair(inst, pairs, const)
     return CheckResult(
         theorem="thm15_bound",
         lhs=lhs,
@@ -601,23 +590,16 @@ def default_forest(inst: Instance) -> PrincipalForest:
     """Forest at base level 0 over the full space, at the heaviest occupied shell."""
     h1, h2 = _instance_h(inst)
     space = inst.space
-    omega0 = np.arange(space.n)
-    best: tuple[float, PrincipalForest] | None = None
-    for k in occupied_shells(space, 0, omega0, h1, h2):
-        forest = build_principal_forest(space, 0, k, omega0, h1, h2)
-        if forest is None:
-            continue
-        weight = space.measure(forest.root.points)
-        if best is None or weight > best[0]:
-            best = (weight, forest)
-    if best is None:
+    forests = forest_cover(space, 0, np.arange(space.n), h1, h2)
+    if not forests:
         raise ValueError("no occupied shell: E_0(h1) E_0(h2) vanishes everywhere")
-    return best[1]
+    # max keeps the first of equally heavy forests, i.e. the lowest shell
+    return max(forests, key=lambda forest: space.measure(forest.root.points))
 
 
 def check_sparse(inst: Instance) -> list[CheckResult]:
     """Sparse domination and P.1–P.5 on the instance's default forest."""
-    seed = -1 if inst.seed is None else inst.seed
+    seed = _row_seed(inst)
     forest = default_forest(inst)
     report = sparse_domination_report(forest)
     props = verify_properties(forest)
@@ -662,7 +644,7 @@ def check_sparse(inst: Instance) -> list[CheckResult]:
 def check_carleson(inst: Instance, budget: int | None = None) -> list[CheckResult]:
     """Embedding with proof-style coefficients and an exhaustively
     certified Carleson constant, in both shell variants."""
-    seed = -1 if inst.seed is None else inst.seed
+    seed = _row_seed(inst)
     forest = default_forest(inst)
     h1, h2 = _instance_h(inst)
     out = []
@@ -730,9 +712,7 @@ def check_properties(inst: Instance, draws: int = 20, seed: int | None = None) -
         jensen = max(jensen, float(np.max((jl - je) / je)))
 
         p_doob = float(rng.uniform(1.1, 4.0))
-        mw = np.maximum.reduce(
-            [weighted_cond_exp(space, np.abs(f), g, t) for t in range(space.n_levels)]
-        )
+        mw = weighted_maximal(space, f, g)
         num = lp_norm(space, mw, g, p_doob)
         den = (p_doob / (p_doob - 1.0)) * lp_norm(space, f, g, p_doob)
         doob = max(doob, num / den - 1.0)
@@ -743,7 +723,7 @@ def check_properties(inst: Instance, draws: int = 20, seed: int | None = None) -
         square = max(square, float(np.max(np.abs(m1 * m1 - mbil))) / sq_scale)
 
     rh = rh_constant(space, inst.omega1, inst.omega2, exps, mode="heuristic")
-    seed_out = -1 if inst.seed is None else inst.seed
+    seed_out = _row_seed(inst)
 
     def mk(name: str, val: float, tol: float) -> CheckResult:
         return CheckResult(
@@ -787,29 +767,17 @@ def estimate_norm(inst: Instance, budget: int = 16, seed: int = 0) -> tuple[floa
 
     for level in range(space.n_levels):
         for a_idx, atom in enumerate(space.atoms[level]):
-            chi = space.indicator(atom)
-            consider(norm_ratio(inst, chi, chi), {"kind": "atom", "level": level, "atom": a_idx})
+            consider(_indicator_ratio(inst, atom), {"kind": "atom", "level": level, "atom": a_idx})
     try:
-        masks = enumerate_tail_masks(space, 0)
-        for mask in masks:
-            if mask == 0:
-                continue
-            chi = space.indicator(mask_points(space, mask))
-            consider(norm_ratio(inst, chi, chi), {"kind": "tail", "mask": mask})
+        _, best_tail, _, arg_tail = _tail_ratios(inst, enumerate_tail_masks(space, 0))
+        consider(best_tail, {"kind": "tail", "mask": arg_tail})
     except EnumerationBudgetError:
-        def objective(tau) -> float:
-            chi = space.indicator(tau.tail_set())
-            r = norm_ratio(inst, chi, chi)
-            return -np.inf if r is None else r
-
+        # the search skips empty tails, so every candidate's indicator pair has a ratio
         val, tau = heuristic_sup_over_tau(
-            space, 0, objective, guide=(inst.sigma1, inst.sigma2)
+            space, 0, lambda tau: _indicator_ratio(inst, tau.tail_set()), guide=(inst.sigma1, inst.sigma2)
         )
         consider(val, {"kind": "tail_heuristic", "tail": tau.tail_set().tolist()})
-    for t in range(budget):
-        rng = _pair_rng(seed, t)
-        f1 = np.exp(0.5 * rng.standard_normal(space.n))
-        f2 = np.exp(0.5 * rng.standard_normal(space.n))
+    for t, (_, f1, f2) in enumerate(evaluation_pairs(inst, budget, seed=seed)):
         consider(norm_ratio(inst, f1, f2), {"kind": "random", "draw": t})
     return best, witness
 
@@ -853,13 +821,12 @@ def run_instance_suite(
     if suite in ("sparse", "all"):
         rows.extend(check_sparse(inst))
     if suite in ("carleson", "all"):
-        if fallback:
-            try:
-                rows.extend(check_carleson(inst, budget=budget))
-            except EnumerationBudgetError:
-                pass  # certification is exhaustive-only; nothing to report
-        else:
+        try:
             rows.extend(check_carleson(inst, budget=budget))
+        except EnumerationBudgetError:
+            if not fallback:
+                raise
+            # certification is exhaustive-only: with fallback there is nothing to report
     if suite in ("props", "all"):
         rows.extend(check_properties(inst))
     return rows

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import bilinear_maximal, maximal
+from .operators import _level_max, bilinear_maximal, maximal
 from .space import Exponents, FilteredSpace, Fn, _row_cond_exp, as_fn, cond_exp
 from .stopping import _tail_blocks, heuristic_sup_over_tau, stopping_time_from_tail
 
@@ -126,7 +126,7 @@ def b_p_constant(space: FilteredSpace, v: Fn, omega1: Fn, omega2: Fn, exps: Expo
     return _atom_max(space, density, "B")
 
 
-_RowCond = Callable[[np.ndarray, int], np.ndarray]
+_RowCond = Callable[[FilteredSpace, np.ndarray, int], np.ndarray]
 
 
 def _sup_over_tails(
@@ -234,10 +234,7 @@ def s_p_constant(
         return float((num / den) ** (1.0 / p))
 
     def block_objective(chi: np.ndarray, cond: _RowCond) -> np.ndarray:
-        f1, f2 = chi * sigma1, chi * sigma2
-        m = cond(f1, 0) * cond(f2, 0)
-        for level in range(1, space.n_levels):
-            np.maximum(m, cond(f1, level) * cond(f2, level), out=m)
+        m = _level_max(space, cond, 0, chi * sigma1, chi * sigma2)
         num = (m**p * chi) @ v_mass
         den = (chi @ w1) ** a1 * (chi @ w2) ** a2
         return (num / den) ** (1.0 / p)
@@ -274,11 +271,8 @@ def w_infty_constant(
         return num / float(mix[pts].sum())
 
     def block_objective(chi: np.ndarray, cond: _RowCond) -> np.ndarray:
-        f1, f2 = chi * sigma1, chi * sigma2
-        m1, m2 = cond(f1, 0), cond(f2, 0)
-        for level in range(1, space.n_levels):
-            np.maximum(m1, cond(f1, level), out=m1)
-            np.maximum(m2, cond(f2, level), out=m2)
+        m1 = _level_max(space, cond, 0, chi * sigma1)
+        m2 = _level_max(space, cond, 0, chi * sigma2)
         return (m1**a1 * m2**a2 * chi) @ space.masses / (chi @ mix)
 
     return _sup_over_tails(space, "Winf", objective, block_objective, (sigma1, sigma2), mode, budget)

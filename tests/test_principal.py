@@ -3,14 +3,15 @@ properties P.1-P.5, doubling, sparse domination, and serialization."""
 
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from filtermax import (
     FilteredSpace,
+    ValidationError,
     build_principal_forest,
-    doubling_check,
     dump_forest,
     forest_cover,
     forest_from_dict,
@@ -61,6 +62,21 @@ def test_shell_index_extreme_magnitudes():
         shell_index(2.0, base=3.0)
 
 
+def test_forest_on_level_products_above_4_to_the_511(quad):
+    """Shells come from binary exponents, so a forest whose thresholds 4^(K2+1)
+    would overflow a double still builds and checks."""
+    h = np.array([1e154, 1.0, 1.0, 1.0])
+    forest = build_principal_forest(quad, 0, 510, np.arange(4), h, h)
+    assert forest is not None
+    assert [(node.k1, node.k2) for node in forest.nodes()] == [(0, 510), (2, 512)]
+    assert forest.root.exit_points.tolist() == [1, 2, 3]
+    props = verify_properties(forest)
+    assert props.ok
+    assert 0.0 < props.p5_margin < 1.0
+    report = sparse_domination_report(forest)
+    assert report.min_slack >= 0.0
+
+
 # ---- the worked example ----------------------------------------------------------
 
 
@@ -109,10 +125,16 @@ def test_worked_properties(worked):
     assert props.p1_ok and props.p2_ok and props.p4_ok
     assert props.p3_margin == pytest.approx(0.5)  # 2 * E_0(1_{1,2,3}) - 1
     assert props.p5_margin == pytest.approx(0.0)  # tight at point 1
+    assert props.doubling_ok
     assert props.max_doubling_ratio == pytest.approx(4.0 / 3.0)
-    ok, worst = doubling_check(worked)
-    assert ok
-    assert worst == pytest.approx(4.0 / 3.0)
+
+
+def test_properties_flag_a_node_outside_its_shell(worked):
+    """P.4 needs E_K1(h1) E_K1(h2) inside the node's own shell, not merely below its top."""
+    shifted = replace(worked, root=replace(worked.root, k2=worked.root.k2 + 1))
+    props = verify_properties(shifted)
+    assert not props.p4_ok
+    assert not props.ok
 
 
 def test_occupied_shells_and_cover(quad):
@@ -168,6 +190,23 @@ def test_forest_from_dict_detects_corruption(worked):
     data["root"]["k2"] = 3
     with pytest.raises(ValueError, match="root"):
         forest_from_dict(worked.space, data)
+
+
+def test_load_forest_malformed_json(quad, tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"base_level": 0,')
+    with pytest.raises(ValidationError) as err:
+        load_forest(quad, str(path))
+    assert str(err.value).startswith(f"{path}:1: invalid JSON")
+
+
+def test_load_forest_missing_fields(quad, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text("{}")
+    with pytest.raises(ValidationError) as err:
+        load_forest(quad, str(path))
+    assert str(err.value).startswith(f"{path}: ")
+    assert "base_level" in str(err.value)
 
 
 # ---- randomized structural check ---------------------------------------------------

@@ -264,8 +264,9 @@ def test_space_round_trip(mixed6, tmp_path):
 def test_space_from_dict_errors(tmp_path):
     with pytest.raises(ValidationError, match="masses"):
         space_from_dict({"levels": []})
-    with pytest.raises(ValidationError, match="here"):
+    with pytest.raises(ValidationError) as err:
         space_from_dict({"masses": [1.0, -1.0], "levels": [[[0, 1]]]}, where="here")
+    assert str(err.value) == "here: masses[1]: mass -1.0 is not strictly positive"
 
 
 def test_load_space_bad_json(tmp_path):

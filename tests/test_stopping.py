@@ -19,7 +19,6 @@ from filtermax import (
     is_adapted,
     mask_points,
     stopping_time_from_tail,
-    tail_set,
 )
 from filtermax.stopping import DEFAULT_ATOM_BUDGET
 
@@ -38,7 +37,6 @@ def test_stopping_time_value_semantics():
     assert a != c
     assert a.tail_set().tolist() == [0]
     assert a.tail_mask().tolist() == [True, False]
-    assert tail_set(a).tolist() == [0]
 
 
 def test_adaptedness(quad):

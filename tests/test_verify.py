@@ -224,6 +224,14 @@ def test_thm15_flat(flat):
     assert row.passed
 
 
+def test_worst_pair_skips_vanishing_norms_and_keeps_the_first_tie(flat):
+    ones = np.ones(4)
+    pairs = [("zero", np.zeros(4), ones), ("first", ones, ones), ("again", ones, ones)]
+    assert check_thm11_forward(flat, pairs).detail["pair"] == "first"
+    assert check_thm14(flat, pairs)[0].detail["pair"] == "first"
+    assert check_thm15(flat, pairs, mode="exact").detail["pair"] == "first"
+
+
 def test_sparse_rows_flat(flat):
     dom, props = check_sparse(flat)
     assert dom.theorem == "sparse_domination"
