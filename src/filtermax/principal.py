@@ -296,8 +296,15 @@ class DominationReport:
     localization_gap: float  # max over P0 of |operator - operator_global|
 
     @property
+    def scale(self) -> float:
+        """Tolerance scale: the largest finite bound entry, at least 1.  A node
+        with K2 >= 511 has an infinite bound, which must not excuse every point."""
+        finite = self.bound[np.isfinite(self.bound)]
+        return max(float(np.max(finite, initial=0.0)), 1.0)
+
+    @property
     def ok(self) -> bool:
-        scale = max(float(np.max(self.bound)), 1.0)
+        scale = self.scale
         return self.min_slack >= -1e-12 * scale and self.localization_gap <= 1e-12 * scale
 
 

@@ -53,12 +53,19 @@ def enumeration_budget() -> int:
 
 
 def _check_budget(space: FilteredSpace, i: int, budget: int | None) -> None:
+    """Raise EnumerationBudgetError unless the T_i tails can be swept exactly:
+    at most `budget` atoms at levels i..L, and a tail mask that fits an int64."""
     limit = enumeration_budget() if budget is None else budget
     count = space.atom_count(from_level=i)
     if count > limit:
         raise EnumerationBudgetError(
             f"enumeration infeasible: {count} atoms at levels {i}..{space.last_level} "
             f"exceed the budget of {limit} (raise {_BUDGET_ENV} to override)"
+        )
+    leaves = len(space.atoms[space.last_level])
+    if leaves > _MAX_MASK_BITS:
+        raise EnumerationBudgetError(
+            f"enumeration infeasible: {leaves} finest atoms do not fit a {_MAX_MASK_BITS}-bit tail mask"
         )
 
 
@@ -265,13 +272,8 @@ def _tail_blocks(
     space._check_level(i)
     _check_budget(space, i, budget)
     leaf_of = space.atom_of[space.last_level]
-    leaves = len(space.atoms[space.last_level])
-    if leaves > _MAX_MASK_BITS:
-        raise EnumerationBudgetError(
-            f"enumeration infeasible: {leaves} finest atoms do not fit a {_MAX_MASK_BITS}-bit tail mask"
-        )
     rows = max(1, _BLOCK_BYTES // (8 * space.n))
-    end = 1 << leaves
+    end = 1 << len(space.atoms[space.last_level])
 
     def blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
         for lo in range(1, end, rows):

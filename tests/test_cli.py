@@ -36,6 +36,15 @@ def test_gen_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model,field", [("lognormal:400", "omega1"), ("power:800", "v")])
+def test_gen_rejects_weights_that_overflow(tmp_path, capsys, model, field):
+    out = tmp_path / "x.json"
+    assert run("gen", "--model", model, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"model {model!r} at seed 0: field {field!r}" in err
+    assert not out.exists()
+
+
 def test_gen_io_error(tmp_path, capsys):
     out = tmp_path / "no" / "dir" / "x.json"
     assert run("gen", "--out", str(out)) == 3

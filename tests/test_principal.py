@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from filtermax import (
+    DominationReport,
     FilteredSpace,
     ValidationError,
     build_principal_forest,
@@ -75,6 +76,24 @@ def test_forest_on_level_products_above_4_to_the_511(quad):
     assert 0.0 < props.p5_margin < 1.0
     report = sparse_domination_report(forest)
     assert report.min_slack >= 0.0
+    # the K2 = 512 node's exit point has bound inf; the tolerance scale skips it
+    assert np.isinf(report.bound[0])
+    assert report.scale == 16.0 * 4.0**509
+    assert report.ok
+
+
+def test_domination_report_scale_ignores_infinite_bounds():
+    """An infinite bound entry must not make every comparison pass."""
+    report = DominationReport(
+        bound=np.array([np.inf, 1.0]),
+        operator=np.array([0.0, 1.5]),
+        operator_global=np.array([0.0, 1.5]),
+        min_slack=-0.5,
+        tightest_point=1,
+        localization_gap=0.0,
+    )
+    assert not report.ok
+    assert report.scale == 1.0
 
 
 # ---- the worked example ----------------------------------------------------------

@@ -3,10 +3,13 @@ instance, the norm estimator, suite/ensemble runners, and report formats."""
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import filtermax.principal
+import filtermax.verify
 from filtermax import (
     CSV_HEADER,
     CheckResult,
@@ -21,6 +24,7 @@ from filtermax import (
     check_thm12,
     check_thm14,
     check_thm15,
+    default_forest,
     dump_instance,
     estimate_norm,
     evaluation_pairs,
@@ -138,6 +142,35 @@ def test_load_instance_errors(tmp_path):
     )
     with pytest.raises(ValidationError, match="omega1"):
         load_instance(str(path))
+
+
+def test_product_weight_is_validated_on_load(tmp_path):
+    for seed in (3, 4):
+        path = tmp_path / f"gen{seed}.json"
+        dump_instance(gen_instance(seed, depth=3, model="product", p1=1.5, p2=3.0), str(path))
+        assert load_instance(str(path)).product_weight
+    data = {
+        "masses": [1, 1, 1],
+        "levels": [[[0, 1, 2]], [[0], [1], [2]]],
+        "p1": 2,
+        "p2": 2,
+        "v": [2.0, 6.0, 3.0],
+        "omega1": [4.0, 4.0, 1.0],
+        "omega2": [1.0, 9.0, 4.0],
+        "product_weight": True,
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    # v must be omega1^(1/2) omega2^(1/2) = [2, 6, 2]: point 2 is the first mismatch
+    with pytest.raises(ValidationError, match=r"bad\.json: product_weight is true but v\[2\] = 3\.0"):
+        load_instance(str(path))
+    data["v"][2] = 2.0 * (1.0 + 1e-12)  # inside DEFAULT_REL_TOL
+    path.write_text(json.dumps(data))
+    assert load_instance(str(path)).product_weight
+    data["product_weight"] = False
+    data["v"][2] = 3.0
+    path.write_text(json.dumps(data))
+    assert not load_instance(str(path)).product_weight
 
 
 # ---- CheckResult semantics --------------------------------------------------------
@@ -351,6 +384,86 @@ def test_run_instance_suite_fallback():
     assert rows and all(r.mode == "lower-bound" for r in rows)
     # exhaustive-only carleson certification is skipped quietly under fallback
     assert run_instance_suite(big, "carleson", fallback=True) == []
+
+
+def _count_work(monkeypatch) -> tuple[Counter, list]:
+    """Count weight constants by (name, mode) and principal forest builds."""
+    constants: Counter = Counter()
+    builds: list = []
+    compute = filtermax.verify.compute_constant
+    build = filtermax.principal.build_principal_forest
+
+    def counted_constant(name, *args, mode="exact", **kwargs):
+        constants[(name, mode)] += 1
+        return compute(name, *args, mode=mode, **kwargs)
+
+    def counted_build(*args, **kwargs):
+        builds.append(args[2])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(filtermax.verify, "compute_constant", counted_constant)
+    monkeypatch.setattr(filtermax.principal, "build_principal_forest", counted_build)
+    return constants, builds
+
+
+def test_suite_computes_each_constant_and_the_forest_once(monkeypatch):
+    inst = gen_instance(4, depth=3, model="product")
+    constants, builds = _count_work(monkeypatch)
+    default_forest(inst)
+    shells = list(builds)
+    assert shells
+    builds.clear()
+    run_instance_suite(inst, "all")
+    assert builds == shells
+    assert constants == {
+        (name, "exact"): 1 for name in ("a", "rh", "s", "b", "winf")
+    } | {("rh", "heuristic"): 1}
+    # every call starts afresh: a second run repeats the same work
+    run_instance_suite(inst, "all")
+    assert builds == shells * 2
+    assert set(constants.values()) == {2}
+
+
+def test_fallback_suite_decides_the_tail_mode_once(monkeypatch):
+    inst = gen_instance(5, depth=5, model="product", p1=2.5, p2=2.5)
+    constants, _ = _count_work(monkeypatch)
+    rows = run_instance_suite(inst, "all", pair_count=2, fallback=True)
+    # one heuristic RH serves thm11_converse, thm12 and prop_rh_ge1; nothing exact is tried
+    assert constants == {
+        ("a", "exact"): 1,
+        ("b", "exact"): 1,
+        ("rh", "heuristic"): 1,
+        ("s", "heuristic"): 1,
+        ("winf", "heuristic"): 1,
+    }
+    assert not any(r.theorem.startswith("carleson") for r in rows)
+
+
+@pytest.mark.parametrize("depth,mode", [(3, "exact"), (5, "heuristic")])
+def test_suite_rows_equal_the_individual_checks(depth, mode):
+    inst = gen_instance(6, depth=depth, model="product")
+    pairs = evaluation_pairs(inst, 3)
+    rows = [
+        check_thm11_forward(inst, pairs),
+        check_thm11_converse(inst, mode),
+        *check_thm12(inst, pairs, mode),
+        *check_thm14(inst, pairs),
+        check_thm15(inst, pairs, mode),
+        *check_sparse(inst),
+        *(check_carleson(inst) if mode == "exact" else []),
+        *check_properties(inst),
+    ]
+    assert run_instance_suite(inst, "all", pair_count=3, fallback=mode != "exact") == rows
+
+
+def test_suites_without_tail_checks_need_no_fallback():
+    big = gen_instance(4, depth=5, branching=2)  # over the atom budget
+    for suite in ("thm14", "sparse", "props"):
+        rows = run_instance_suite(big, suite, pair_count=1)
+        assert rows and all(r.mode == "exact" for r in rows)
+    for suite in ("thm11", "thm15", "carleson", "all"):
+        with pytest.raises(EnumerationBudgetError):
+            run_instance_suite(big, suite, pair_count=1)
 
 
 def test_run_ensemble_sorted_and_parallel_equal():
