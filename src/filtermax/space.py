@@ -253,6 +253,21 @@ def cond_exp(space: FilteredSpace, f: Fn, level: int) -> Fn:
     return (sums / space.atom_mass[level])[labels]
 
 
+def _cond_exp_rows(space: FilteredSpace, rows: np.ndarray, level: int) -> np.ndarray:
+    """`cond_exp` of every row of a (k, n) block, bit for bit.
+
+    One bincount over row-offset labels adds each row's terms into its
+    own atoms in point order, exactly as `cond_exp` does for that row;
+    `_row_cond_exp`'s matmul sums in another order.  Rows are not
+    validated: callers pass finite blocks of width n.
+    """
+    atoms = space.atom_mass[level].size
+    k = rows.shape[0]
+    labels = space.atom_of[level] + atoms * np.arange(k)[:, None]
+    sums = np.bincount(labels.ravel(), weights=(rows * space.masses).ravel(), minlength=k * atoms)
+    return (sums.reshape(k, atoms) / space.atom_mass[level])[:, space.atom_of[level]]
+
+
 def level_products(space: FilteredSpace, f: Fn, g: Fn) -> list[Fn]:
     """E(f | F_j) E(g | F_j) for j = 0..L: principal sets, Carleson level sets
     and the heuristic first-hit guides are all cut from these products."""

@@ -143,10 +143,12 @@ def first_hit(space: FilteredSpace, i: int, conditions: Sequence[np.ndarray]) ->
         cond = np.asarray(conditions[j], dtype=bool)
         if cond.shape != (space.n,):
             raise ValueError(f"condition at level {j} must have shape ({space.n},)")
-        for a_idx, atom in enumerate(space.atoms[j]):
-            vals = cond[atom]
-            if vals.any() != vals.all():
-                raise ValueError(f"condition at level {j} is not constant on atom {atom.tolist()}")
+        labels = space.atom_of[j]
+        hits = np.bincount(labels, weights=cond)  # points of each atom where cond holds
+        mixed = np.flatnonzero((hits != 0) & (hits != np.bincount(labels)))
+        if mixed.size:
+            atom = space.atoms[j][mixed[0]]
+            raise ValueError(f"condition at level {j} is not constant on atom {atom.tolist()}")
         levels[np.isinf(levels) & cond] = j
     return StoppingTime(levels, origin=i)
 

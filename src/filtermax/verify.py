@@ -17,12 +17,12 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import carleson as _carleson
-from .operators import bilinear_maximal, lp_norm, maximal, weighted_maximal
+from .operators import _level_max, bilinear_maximal, lp_norm, maximal, weighted_maximal
 from .principal import (
     PrincipalForest,
     forest_cover,
@@ -34,6 +34,7 @@ from .space import (
     FilteredSpace,
     Fn,
     ValidationError,
+    _cond_exp_rows,
     as_fn,
     cond_exp,
     read_json,
@@ -44,9 +45,8 @@ from .space import (
 from .stopping import (
     EnumerationBudgetError,
     _check_budget,
-    enumerate_tail_masks,
+    _tail_blocks,
     heuristic_sup_over_tau,
-    mask_points,
 )
 from .weights import WeightConstant, compute_constant, sigma_from_omega
 
@@ -100,12 +100,13 @@ class Instance:
         return default_forest(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     """One verified inequality: lhs <= rhs up to tolerance.
 
     mode "exact" rows can falsify; "lower-bound" rows (heuristic constants
-    on the rhs) are only conclusive when they pass.
+    on the rhs) are only conclusive when they pass.  Slotted, since an
+    ensemble run holds every row in memory.
     """
 
     theorem: str
@@ -431,35 +432,46 @@ def check_thm11_converse(inst: Instance, mode: str = "exact") -> CheckResult:
     )
 
 
-def _tail_ratios(inst: Instance, masks: Iterable[int]) -> tuple[float, float, int | None]:
-    """Per achievable tail E: restricted and full norm ratios of the pair
-    (sigma1 1_E, sigma2 1_E).  Returns both maxima and the mask attaining
-    the full one."""
+def _tail_ratios(inst: Instance) -> tuple[float, float, int | None]:
+    """Per nonempty T_0 tail E: restricted and full norm ratios of the pair
+    (sigma1 1_E, sigma2 1_E).  Returns both maxima and the first mask
+    attaining the full one; raises EnumerationBudgetError when the tails
+    cannot be swept exactly.
+
+    Sweeps `_tail_blocks` through `_cond_exp_rows`, so each ratio is bit
+    for bit what `bilinear_maximal` and `lp_norm` give for that tail: each
+    norm is a 1-d sum of one row (`sum(axis=1)` adds short rows in another
+    order), rooted as a Python float.  The S sweep sums in another order,
+    which keeps thm12_attain an independent check of it.
+    """
     exps = inst.exps
     space = inst.space
+    masses = space.masses
     best_restricted = -np.inf
     best_full = -np.inf
     arg_f: int | None = None
-    for mask in masks:
-        if mask == 0:
-            continue
-        pts = mask_points(space, mask)
-        chi = space.indicator(pts)
-        m = bilinear_maximal(space, inst.sigma1 * chi, inst.sigma2 * chi)
-        den = lp_norm(space, chi, inst.sigma1, exps.p1) * lp_norm(space, chi, inst.sigma2, exps.p2)
-        restricted = lp_norm(space, m, inst.v, exps.p, subset=pts) / den
-        full = lp_norm(space, m, inst.v, exps.p) / den
-        best_restricted = max(best_restricted, restricted)
-        if full > best_full:
-            best_full, arg_f = full, mask
+    for tails, inside in _tail_blocks(space, 0, None):
+        chi = inside.astype(float)
+        m = _level_max(space, _cond_exp_rows, 0, inst.sigma1 * chi, inst.sigma2 * chi)
+        dens1 = chi**exps.p1 * inst.sigma1 * masses
+        dens2 = chi**exps.p2 * inst.sigma2 * masses
+        dens_m = m**exps.p * inst.v * masses
+        for mask, row_inside, d1, d2, dm in zip(tails, inside, dens1, dens2, dens_m):
+            den = float(d1.sum()) ** (1.0 / exps.p1) * float(d2.sum()) ** (1.0 / exps.p2)
+            restricted = float(dm[row_inside].sum()) ** (1.0 / exps.p) / den
+            full = float(dm.sum()) ** (1.0 / exps.p) / den
+            best_restricted = max(best_restricted, restricted)
+            if full > best_full:
+                best_full, arg_f = full, int(mask)
     return best_restricted, best_full, arg_f
 
 
 def check_thm12(inst: Instance, pairs: Pairs | None = None, mode: str = "exact") -> list[CheckResult]:
     """Testing-constant characterization.
 
-    thm12_attain (exact mode): the tail-indicator family, evaluated
-    through the operator/norm code path, reproduces [S] to 1e-12.
+    thm12_attain (exact mode): the tail-indicator family, swept in blocks
+    by `_tail_ratios` (bit for bit the operator/norm code path, not the S
+    sweep's objective), reproduces [S] to 1e-12.
     thm12_lower: [S] <= estimated norm (the witness tail is evaluated as a
     full-norm pair, so this holds by construction).
     thm12_upper: every evaluated ratio <= 32 p1' p2' [S] [RH]^(1/p).
@@ -477,8 +489,7 @@ def check_thm12(inst: Instance, pairs: Pairs | None = None, mode: str = "exact")
     ratios.append(("s_witness_tail", _indicator_ratio(inst, s_const.witness["tail"])))
 
     if mode == "exact":
-        masks = enumerate_tail_masks(inst.space, 0)
-        best_restricted, best_full, _ = _tail_ratios(inst, masks)
+        best_restricted, best_full, _ = _tail_ratios(inst)
         scale = max(abs(s_const.value), abs(best_restricted), 1.0)
         out.append(
             CheckResult(
@@ -769,7 +780,7 @@ def estimate_norm(inst: Instance, budget: int = 16, seed: int = 0) -> tuple[floa
         for a_idx, atom in enumerate(space.atoms[level]):
             consider(_indicator_ratio(inst, atom), {"kind": "atom", "level": level, "atom": a_idx})
     try:
-        _, best_tail, arg_tail = _tail_ratios(inst, enumerate_tail_masks(space, 0))
+        _, best_tail, arg_tail = _tail_ratios(inst)
         consider(best_tail, {"kind": "tail", "mask": arg_tail})
     except EnumerationBudgetError:
         # the search skips empty tails, so every candidate's indicator pair has a ratio

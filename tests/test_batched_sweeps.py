@@ -1,11 +1,14 @@
 """Batched exact tail sweeps against the per-tail scalar loop they replace.
 
-The reference below walks `enumerate_tail_masks` one tail at a time with
+The references below walk `enumerate_tail_masks` one tail at a time with
 one `mask_points` and one operator call per tail, exactly as the library
 did before its sweeps were blocked.  The batched RH/S/Winf values sum in
-a different order, so they must agree to REL_TOL; the Carleson sums keep
-the scalar order and must agree bit for bit.
+a different order, so they must agree to REL_TOL; the Carleson sums and
+thm12's tail-indicator ratios keep the scalar order and must agree bit
+for bit.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -22,18 +25,23 @@ from filtermax import (
     bilinear_maximal,
     build_level_sets,
     certify_carleson_constant,
+    check_thm12,
     compute_constant,
+    cond_exp,
     default_forest,
     enumerate_tail_masks,
     finest_mask,
     gen_instance,
+    lp_norm,
     mask_points,
     maximal,
     proof_coefficients,
     sigma_from_omega,
     space_from_dict,
 )
+from filtermax.space import _cond_exp_rows
 from filtermax.stopping import _BLOCK_BYTES, _tail_blocks
+from filtermax.verify import _tail_ratios
 from filtermax.weights import _sup_over_tails
 
 REL_TOL = 1e-12
@@ -98,6 +106,29 @@ def scalar_carleson(space, family, sigma1, sigma2, exps):
             best = ratio
             best_mask = mask
     return best, best_mask
+
+
+def scalar_tail_ratios(inst):
+    """thm12's (restricted max, full max, first full argmax mask), one tail
+    at a time through `bilinear_maximal` and `lp_norm`."""
+    exps = inst.exps
+    space = inst.space
+    best_restricted = -np.inf
+    best_full = -np.inf
+    arg_f = None
+    for mask in enumerate_tail_masks(space, 0):
+        if mask == 0:
+            continue
+        pts = mask_points(space, mask)
+        chi = space.indicator(pts)
+        m = bilinear_maximal(space, inst.sigma1 * chi, inst.sigma2 * chi)
+        den = lp_norm(space, chi, inst.sigma1, exps.p1) * lp_norm(space, chi, inst.sigma2, exps.p2)
+        restricted = lp_norm(space, m, inst.v, exps.p, subset=pts) / den
+        full = lp_norm(space, m, inst.v, exps.p) / den
+        best_restricted = max(best_restricted, restricted)
+        if full > best_full:
+            best_full, arg_f = full, mask
+    return best_restricted, best_full, arg_f
 
 
 # ---- comparisons -------------------------------------------------------------
@@ -201,6 +232,72 @@ def small_instances(draw):
 def test_batched_matches_scalar_on_generated_spaces(inst):
     assert_constants_match(inst.space, inst.v, inst.omega1, inst.omega2, inst.exps)
     assert_carleson_matches(inst)
+
+
+# ---- thm12's tail-indicator sweep --------------------------------------------
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_tail_ratios_equal_scalar_on_fixtures(name, request):
+    space = request.getfixturevalue(name)
+    rng = np.random.default_rng(13)
+    for exps in (Exponents(2.0, 2.0), Exponents(1.5, 3.0), Exponents(4.0, 1.3)):
+        v, omega1, omega2 = random_weights(rng, space.n)
+        inst = Instance(space, v, omega1, omega2, exps, False)
+        assert _tail_ratios(inst) == scalar_tail_ratios(inst)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        dict(depth=3),
+        dict(depth=2, branching=3, model="power:1.5"),
+        dict(model="product:1.0", p1=1.5, p2=3.0),
+        dict(depth=3, model="product", p1=2.5, p2=2.5),
+    ],
+)
+def test_tail_ratios_equal_scalar_on_generated_instances(shape):
+    for seed in range(4):
+        inst = gen_instance(seed, **shape)
+        assert _tail_ratios(inst) == scalar_tail_ratios(inst)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_instances())
+def test_tail_ratios_equal_scalar_on_generated_spaces(inst):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("FILTERMAX_ATOM_BUDGET", str(BUDGET))
+        assert _tail_ratios(inst) == scalar_tail_ratios(inst)
+
+
+@pytest.mark.parametrize("name", [*FIXTURES, "generated"])
+def test_row_cond_exp_is_cond_exp_of_each_row(name, request):
+    if name == "generated":
+        space = gen_instance(3, depth=3, branching=3).space
+    else:
+        space = request.getfixturevalue(name)
+    rng = np.random.default_rng(17)
+    rows = rng.standard_normal((9, space.n)) * np.exp(3.0 * rng.standard_normal((9, space.n)))
+    for level in range(space.n_levels):
+        got = _cond_exp_rows(space, rows, level)
+        assert got.shape == rows.shape
+        for row, want in zip(rows, got):
+            assert want.tobytes() == cond_exp(space, row, level).tobytes()
+
+
+def test_thm12_attain_catches_a_wrong_s(monkeypatch):
+    inst = gen_instance(0, depth=3)
+    attain = {r.theorem: r for r in check_thm12(inst)}["thm12_attain"]
+    assert attain.status == "pass"
+    constant = Instance.constant
+
+    def skewed(self, name, mode="exact"):
+        c = constant(self, name, mode)
+        return dataclasses.replace(c, value=c.value * (1 + 1e-9)) if name == "s" else c
+
+    monkeypatch.setattr(Instance, "constant", skewed)
+    attain = {r.theorem: r for r in check_thm12(inst)}["thm12_attain"]
+    assert attain.status == "fail"
 
 
 # ---- blocks ------------------------------------------------------------------

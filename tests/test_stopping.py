@@ -78,7 +78,11 @@ def test_first_hit_hand_values(quad):
 def test_first_hit_rejects_non_measurable_condition(quad):
     # condition at level 0 is not constant on the single level-0 atom
     conds = [np.array([True, False, False, False])] + [np.zeros(4, dtype=bool)] * 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^condition at level 0 is not constant on atom \[0, 1, 2, 3\]$"):
+        first_hit(quad, 0, conds)
+    # level-then-atom order: both level-1 atoms are cut, the first one is named
+    conds = [np.zeros(4, dtype=bool), np.array([False, True, True, False]), np.ones(4, dtype=bool)]
+    with pytest.raises(ValueError, match=r"^condition at level 1 is not constant on atom \[0, 1\]$"):
         first_hit(quad, 0, conds)
 
 

@@ -3,6 +3,7 @@ instance, the norm estimator, suite/ensemble runners, and report formats."""
 
 import json
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -187,6 +188,14 @@ def test_check_result_status_rules():
     # tolerance is relative with a tiny absolute floor
     edge = CheckResult("x", lhs=1.0 + 5e-10, rhs=1.0)
     assert edge.passed
+
+
+def test_check_result_is_slotted_and_pickles(flat):
+    # slotted rows keep an ensemble's report small; the process pool pickles them
+    for row in run_instance_suite(flat, "thm12", pair_count=1):
+        assert not hasattr(row, "__dict__")
+        back = pickle.loads(pickle.dumps(row))
+        assert back == row and back.status == row.status
 
 
 # ---- theorem checkers on the flat instance -----------------------------------------
