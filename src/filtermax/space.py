@@ -248,24 +248,28 @@ def cond_exp(space: FilteredSpace, f: Fn, level: int) -> Fn:
     """Conditional expectation E(f | F_level): atom-wise mass average."""
     space._check_level(level)
     f = as_fn(space, f)
-    labels = space.atom_of[level]
-    sums = np.bincount(labels, weights=f * space.masses, minlength=space.atom_mass[level].size)
-    return (sums / space.atom_mass[level])[labels]
+    return _atom_average(space.atom_of[level], f * space.masses, space.atom_mass[level])
 
 
 def _cond_exp_rows(space: FilteredSpace, rows: np.ndarray, level: int) -> np.ndarray:
     """`cond_exp` of every row of a (k, n) block, bit for bit.
 
-    One bincount over row-offset labels adds each row's terms into its
-    own atoms in point order, exactly as `cond_exp` does for that row;
-    `_row_cond_exp`'s matmul sums in another order.  Rows are not
-    validated: callers pass finite blocks of width n.
+    Row r's points are relabelled into atoms r*atoms .. (r+1)*atoms - 1,
+    so one `_atom_average` adds each row's terms into its own atoms in
+    point order, exactly as `cond_exp` does for that row; `_row_cond_exp`'s
+    matmul sums in another order.  Rows are not validated: callers pass
+    finite blocks of width n.
     """
-    atoms = space.atom_mass[level].size
     k = rows.shape[0]
-    labels = space.atom_of[level] + atoms * np.arange(k)[:, None]
-    sums = np.bincount(labels.ravel(), weights=(rows * space.masses).ravel(), minlength=k * atoms)
-    return (sums.reshape(k, atoms) / space.atom_mass[level])[:, space.atom_of[level]]
+    mass = space.atom_mass[level]
+    labels = (space.atom_of[level] + mass.size * np.arange(k)[:, None]).ravel()
+    return _atom_average(labels, (rows * space.masses).ravel(), np.tile(mass, k)).reshape(rows.shape)
+
+
+def _atom_average(labels: np.ndarray, weighted: np.ndarray, atom_mass: np.ndarray) -> np.ndarray:
+    """Add each point's mass-weighted value into its atom (in point order),
+    divide by the atom mass and read every point's atom back."""
+    return (np.bincount(labels, weights=weighted, minlength=atom_mass.size) / atom_mass)[labels]
 
 
 def level_products(space: FilteredSpace, f: Fn, g: Fn) -> list[Fn]:

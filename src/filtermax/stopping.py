@@ -245,41 +245,42 @@ def mask_points(space: FilteredSpace, mask: int) -> np.ndarray:
     return np.sort(np.concatenate(parts))
 
 
-def enumerate_tail_masks(space: FilteredSpace, i: int = 0, budget: int | None = None) -> list[int]:
+def enumerate_tail_masks(space: FilteredSpace, i: int = 0, budget: int | None = None) -> range:
     """All distinct sets {tau < infinity} over tau in T_i, as finest-atom masks.
 
     Every union of finest atoms is a T_i tail (stop at level L on exactly
     those atoms) and every tail is such a union, so this is the power set
     of the finest atoms: the masks 0 .. 2**leaves - 1 in ascending order,
-    0 being the tail of tau = infinity.  Guarded by the same atom budget
-    as `enumerate_stopping_times`.
+    0 being the tail of tau = infinity, as a `range` so that nothing is
+    materialised.  Guarded by the same atom budget as
+    `enumerate_stopping_times`; the exact sweeps take their tails from here.
     """
     space._check_level(i)
     _check_budget(space, i, budget)
-    return list(range(1 << len(space.atoms[space.last_level])))
+    return range(1 << len(space.atoms[space.last_level]))
 
 
 def _tail_blocks(
     space: FilteredSpace, i: int, budget: int | None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The nonempty T_i tails in blocks, for batched exact sweeps.
+    """The nonempty T_i tails of `enumerate_tail_masks` in blocks, for
+    batched exact sweeps.
 
-    Checks the atom budget when called, before any block is built, then
-    yields (tails, inside): an int64 array of consecutive masks from
-    1 .. 2**leaves - 1 in ascending order, and the matching rows x n
-    boolean point membership.  The row count keeps one rows x n float64
-    block within _BLOCK_BYTES (a block has at least one row, so a space
-    of more than _BLOCK_BYTES / 8 points exceeds it by that one row).
+    Enumerates (so checks the atom budget) when called, before any block
+    is built, then yields (tails, inside): an int64 array of consecutive
+    masks from 1 .. 2**leaves - 1 in ascending order, and the matching
+    rows x n boolean point membership.  The row count keeps one rows x n
+    float64 block within _BLOCK_BYTES (a block has at least one row, so a
+    space of more than _BLOCK_BYTES / 8 points exceeds it by that one row).
     """
-    space._check_level(i)
-    _check_budget(space, i, budget)
+    masks = enumerate_tail_masks(space, i, budget)
     leaf_of = space.atom_of[space.last_level]
     rows = max(1, _BLOCK_BYTES // (8 * space.n))
-    end = 1 << len(space.atoms[space.last_level])
 
     def blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for lo in range(1, end, rows):
-            tails = np.arange(lo, min(lo + rows, end), dtype=np.int64)
+        for lo in range(1, len(masks), rows):
+            part = masks[lo : lo + rows]
+            tails = np.arange(part.start, part.stop, dtype=np.int64)
             yield tails, (tails[:, None] >> leaf_of & 1).astype(bool)
 
     return blocks()

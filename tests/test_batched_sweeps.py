@@ -313,6 +313,16 @@ def test_blocks_cover_the_power_set_in_order(mixed6, lumpy5):
                 assert np.flatnonzero(row).tolist() == mask_points(space, int(mask)).tolist()
 
 
+def test_blocks_slice_the_lazy_tail_enumeration():
+    # 40 finest atoms: 2**40 tails, swept block by block, never materialised
+    space = FilteredSpace(np.ones(40), [[list(range(40))], [[x] for x in range(40)]])
+    masks = enumerate_tail_masks(space, 0, 41)
+    assert isinstance(masks, range) and len(masks) == 1 << 40
+    blocks = _tail_blocks(space, 0, 41)
+    first, second = next(blocks)[0], next(blocks)[0]
+    assert first.tolist() + second.tolist() == list(masks[1 : 1 + first.size + second.size])
+
+
 @pytest.fixture(scope="module")
 def wide_points():
     """4 finest atoms of 16384 points each: one row is already the whole cap,

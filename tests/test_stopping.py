@@ -124,7 +124,7 @@ def test_enumerated_are_adapted_and_distinct(quad):
 def test_tail_masks_hand_values(quad):
     masks = enumerate_tail_masks(quad, 0)
     assert len(masks) == 16
-    assert masks == sorted(masks)
+    assert list(masks) == sorted(masks)
     assert 0 in masks  # tau = infinity
     assert (1 << 4) - 1 in masks  # tau = 0
 
@@ -140,7 +140,7 @@ def test_tail_masks_are_stopping_time_tails(name, request):
     leaves = len(space.atoms[space.last_level])
     for i in range(space.n_levels):
         masks = enumerate_tail_masks(space, i)
-        assert masks == list(range(2**leaves))
+        assert list(masks) == list(range(2**leaves))
         from_taus = {finest_mask(space, t.tail_set()) for t in enumerate_stopping_times(space, i)}
         assert from_taus == set(masks)
 
