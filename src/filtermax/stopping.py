@@ -15,7 +15,8 @@ overridable via the FILTERMAX_ATOM_BUDGET environment variable).  Exact
 tail sweeps walk that power set in byte-capped numpy blocks
 (`_tail_blocks`).  For larger spaces `heuristic_sup_over_tau` searches a
 candidate family of stopping times and returns a certified lower bound
-for the supremum.
+for the supremum; it scores candidates in blocks of tails with the same
+objective the exact sweeps use.
 """
 
 from __future__ import annotations
@@ -311,82 +312,98 @@ def stopping_time_from_tail(space: FilteredSpace, i: int, tail) -> StoppingTime:
 # ---- heuristic search ------------------------------------------------------
 
 
-def _antichain_of(space: FilteredSpace, tau: StoppingTime) -> list[tuple[int, int]]:
-    """The stopped atoms (level, atom index) of an adapted tau."""
-    out = []
-    for j in range(tau.origin, space.n_levels):
-        hit = tau.levels == j
-        if not hit.any():
-            continue
-        for a_idx in np.unique(space.atom_of[j][hit]):
-            out.append((j, int(a_idx)))
-    return sorted(out)
+def _chain_rows(space: FilteredSpace, chains: Sequence[Sequence[tuple[int, int]]]) -> np.ndarray:
+    """The tails {tau < inf} of antichains of stopped atoms (level, atom index),
+    as a k x n boolean block."""
+    inside = np.zeros((len(chains), space.n), dtype=bool)
+    for row, chain in zip(inside, chains):
+        for t, a in chain:
+            row[space.atoms[t][a]] = True
+    return inside
 
 
-def _tau_from_antichain(space: FilteredSpace, i: int, chain: Sequence[tuple[int, int]]) -> StoppingTime:
-    levels = np.full(space.n, np.inf)
-    for t, a in chain:
-        levels[space.atoms[t][a]] = t
-    return StoppingTime(levels, origin=i)
+def _first_max(vals: np.ndarray) -> int:
+    """Row of a block's first maximal value, nan skipped, as a per-tail `>` picks it."""
+    return int(np.argmax(np.where(np.isnan(vals), -np.inf, vals)))
 
 
 def heuristic_sup_over_tau(
     space: FilteredSpace,
     i: int,
-    objective: Callable[[StoppingTime], float],
+    objective: Callable[[np.ndarray], np.ndarray],
     guide: tuple[Fn, Fn] | None = None,
     threshold_count: int = 32,
     max_rounds: int = 40,
 ) -> tuple[float, StoppingTime]:
-    """Lower-bound search for sup over tau in T_i of objective(tau).
+    """Lower-bound search for the sup over tau in T_i of a tail objective.
 
-    Candidates: first-hit times of level-product thresholds (when a guide
-    pair of positive weights is supplied), every single-atom stop, the
-    full stop tau = i, then greedy hill climbing on the antichain of
-    stopped atoms (refine / merge / drop / add moves).  Every candidate is
-    a genuine adapted stopping time, so the result never exceeds the true
-    supremum.  Empty-tail candidates are skipped.
+    objective(inside) maps a k x n boolean block of tails {tau < inf} to k
+    values.  It is called once per candidate block: the full stop tau = i
+    and every single-atom stop; the first-hit times of level-product
+    thresholds (when a guide pair of positive weights is supplied); the
+    moves of each round of greedy hill climbing on the antichain of stopped
+    atoms (refine / merge / drop / add).  A block whose rows as float64
+    would pass _BLOCK_BYTES is scored in slices of that size, as an exact
+    sweep is, so memory stays linear in the points.  A block's first
+    maximizer (nan skipped) replaces the best only when strictly larger.
+    Every candidate is a genuine adapted stopping time, so the result never
+    exceeds the true supremum.  Each distinct nonempty tail is scored once,
+    in the first block that holds it; empty tails are not scored.
     """
     space._check_level(i)
-    best: tuple[float, StoppingTime] | None = None
+    best_val = -np.inf
+    chain: list[tuple[int, int]] | None = None
+    # one value per tail, the first one scored: a block kernel may round a row
+    # differently in another block (a 1-row matmul is a dot product), and a
+    # tail re-scored higher would count as an improvement on itself
+    scores = {np.packbits(np.zeros(space.n, dtype=bool)).tobytes(): np.nan}  # empty tails
+    rows = max(1, _BLOCK_BYTES // (8 * space.n))  # tails per call, as in an exact sweep block
 
-    def consider(tau: StoppingTime) -> float | None:
-        nonlocal best
-        if not tau.tail_mask().any():
-            return None
-        val = float(objective(tau))
-        if best is None or val > best[0]:
-            best = (val, tau)
-        return val
+    def winner(candidates: Sequence, tails: Callable[[Sequence], np.ndarray]) -> int | None:
+        """Index of the block's first maximizer when it beats the best so far;
+        tails(part) is the boolean block of a slice of the candidates."""
+        nonlocal best_val
+        found = None
+        for lo in range(0, len(candidates), rows):
+            inside = tails(candidates[lo : lo + rows])
+            keys = [np.packbits(row).tobytes() for row in inside]
+            fresh = {key: r for r, key in enumerate(keys) if key not in scores}  # a row of each new tail
+            if fresh:
+                scores.update(zip(fresh, np.asarray(objective(inside[list(fresh.values())]), dtype=float)))
+            vals = np.array([scores[key] for key in keys])
+            k = _first_max(vals)
+            if vals[k] > best_val:
+                best_val, found = float(vals[k]), lo + k
+        return found
 
     # full stop and single-atom stops
-    consider(StoppingTime(np.full(space.n, float(i)), origin=i))
-    for t in range(i, space.n_levels):
-        for a_idx in range(len(space.atoms[t])):
-            consider(_tau_from_antichain(space, i, [(t, a_idx)]))
+    opening = [[(i, a) for a in range(len(space.atoms[i]))]]
+    opening += [[(t, a)] for t in range(i, space.n_levels) for a in range(len(space.atoms[t]))]
+    k = winner(opening, lambda part: _chain_rows(space, part))
+    if k is not None:
+        chain = opening[k]
 
     # first-hit thresholds on the guide product
     if guide is not None:
-        g1, g2 = guide
-        prods = level_products(space, g1, g2)
+        prods = level_products(space, *guide)
         values = np.unique(np.concatenate([pr[pr > 0] for pr in prods]))
         if values.size:
             lo, hi = float(values[0]), float(values[-1])
             grid = np.geomspace(lo, hi, num=threshold_count) if hi > lo else np.array([lo])
             thresholds = np.unique(np.concatenate([grid, values * (1.0 - 1e-9), values]))
-            for thr in thresholds:
-                conds = [pr > thr for pr in prods]
-                consider(first_hit(space, i, conds))
+            # the first hit of {prods[j] > thr}, j >= i, stops exactly on {reach > thr}
+            reach = np.max(prods[i:], axis=0)
+            k = winner(thresholds, lambda part: reach > part[:, None])
+            if k is not None:
+                stop = first_hit(space, i, [pr > thresholds[k] for pr in prods]).levels
+                hit = np.flatnonzero(np.isfinite(stop)).tolist()
+                chain = sorted({(int(stop[x]), int(space.atom_of[int(stop[x])][x])) for x in hit})
 
-    assert best is not None
+    assert chain is not None
     # greedy improvement on the antichain
-    chain = _antichain_of(space, best[1])
     for _ in range(max_rounds):
-        current = best[0]
         moves: list[list[tuple[int, int]]] = []
-        covered = np.zeros(space.n, dtype=bool)
-        for t, a in chain:
-            covered[space.atoms[t][a]] = True
+        covered = _chain_rows(space, [chain])[0]
         for idx, (t, a) in enumerate(chain):
             rest = chain[:idx] + chain[idx + 1 :]
             moves.append(rest)  # drop
@@ -405,12 +422,12 @@ def heuristic_sup_over_tau(
             for a_idx, atom in enumerate(space.atoms[t]):
                 if not covered[atom].any():
                     moves.append(chain + [(t, a_idx)])
-        improved = False
-        for move in moves:
-            val = consider(_tau_from_antichain(space, i, sorted(set(move))))
-            if val is not None and val > current:
-                improved = True
-        if not improved:
+        moves = [sorted(set(move)) for move in moves]
+        k = winner(moves, lambda part: _chain_rows(space, part))
+        if k is None:
             break
-        chain = _antichain_of(space, best[1])
-    return best
+        chain = moves[k]
+    levels = np.full(space.n, np.inf)
+    for t, a in chain:
+        levels[space.atoms[t][a]] = t
+    return best_val, StoppingTime(levels, origin=i)

@@ -209,6 +209,9 @@ def gen_instance(
             raise ValueError(
                 f"model {model!r} at seed {seed}: field {key!r} is not finite and strictly positive"
             )
+    bad = _bad_dual_weight(omega1, omega2, exps)
+    if bad is not None:
+        raise ValueError(f"model {model!r} at seed {seed}: {bad}")
     return Instance(
         space=space,
         v=v,
@@ -219,6 +222,22 @@ def gen_instance(
         seed=seed,
         model=model,
     )
+
+
+def _bad_dual_weight(omega1: Fn, omega2: Fn, exps: Exponents) -> str | None:
+    """Where a dual weight sigma_s = omega_s^(-1/(p_s - 1)) is not finite and
+    strictly positive (p_s near 1 overflows or underflows it), else None."""
+    for s, omega, p_s in ((1, omega1, exps.p1), (2, omega2, exps.p2)):
+        with np.errstate(all="ignore"):
+            sigma = sigma_from_omega(omega, p_s)
+        bad = np.flatnonzero(~(np.isfinite(sigma) & (sigma > 0)))
+        if bad.size:
+            x = int(bad[0])
+            return (
+                f"field 'sigma{s}' = omega{s}^(-1/(p{s} - 1)) with p{s} = {p_s!r} is "
+                f"{float(sigma[x])!r} at point {x}, not finite and strictly positive"
+            )
+    return None
 
 
 def _product_v(omega1: Fn, omega2: Fn, exps: Exponents) -> Fn:
@@ -271,6 +290,9 @@ def instance_from_dict(data: dict, where: str = "instance") -> Instance:
             raise ValidationError(f"{where}: field {key!r} must be strictly positive")
         if not weight and np.any(arrays[key] < 0):
             raise ValidationError(f"{where}: field {key!r} must be nonnegative")
+    bad = _bad_dual_weight(arrays["omega1"], arrays["omega2"], exps)
+    if bad is not None:
+        raise ValidationError(f"{where}: {bad}")
     product = bool(data.get("product_weight", False))
     if product:
         v = arrays["v"]
@@ -348,10 +370,7 @@ def norm_ratio(inst: Instance, f1: Fn, f2: Fn) -> float | None:
 
 def _indicator_ratio(inst: Instance, pts) -> float:
     """norm_ratio of the indicator pair (1_E, 1_E) of a nonempty point set E."""
-    chi = inst.space.indicator(pts)
-    ratio = norm_ratio(inst, chi, chi)
-    assert ratio is not None, "indicator pair of an empty set"
-    return ratio
+    return _indicator_ratios(inst, inst.space.indicator(pts)[None] > 0)[1][0]
 
 
 def _worst_pair(inst: Instance, pairs: Pairs, const: float) -> tuple[str, float, float]:
@@ -432,37 +451,49 @@ def check_thm11_converse(inst: Instance, mode: str = "exact") -> CheckResult:
     )
 
 
+def _indicator_ratios(inst: Instance, inside: np.ndarray) -> tuple[list[float], list[float]]:
+    """Restricted and full norm ratios of the pair (sigma1 1_E, sigma2 1_E)
+    for each row E of a k x n boolean block of nonempty tails.
+
+    Runs the block through `_cond_exp_rows`, so each ratio is bit for bit
+    what `bilinear_maximal` and `lp_norm` give for that tail (the full one
+    is `_indicator_ratio`): each norm is a 1-d sum of one row (`sum(axis=1)`
+    adds short rows in another order), rooted as a Python float.
+    """
+    exps = inst.exps
+    space = inst.space
+    masses = space.masses
+    chi = inside.astype(float)
+    m = _level_max(space, _cond_exp_rows, 0, inst.sigma1 * chi, inst.sigma2 * chi)
+    dens1 = chi**exps.p1 * inst.sigma1 * masses
+    dens2 = chi**exps.p2 * inst.sigma2 * masses
+    dens_m = m**exps.p * inst.v * masses
+    restricted, full = [], []
+    for row_inside, d1, d2, dm in zip(inside, dens1, dens2, dens_m):
+        den = float(d1.sum()) ** (1.0 / exps.p1) * float(d2.sum()) ** (1.0 / exps.p2)
+        restricted.append(float(dm[row_inside].sum()) ** (1.0 / exps.p) / den)
+        full.append(float(dm.sum()) ** (1.0 / exps.p) / den)
+    return restricted, full
+
+
 def _tail_ratios(inst: Instance) -> tuple[float, float, int | None]:
     """Per nonempty T_0 tail E: restricted and full norm ratios of the pair
     (sigma1 1_E, sigma2 1_E).  Returns both maxima and the first mask
     attaining the full one; raises EnumerationBudgetError when the tails
     cannot be swept exactly.
 
-    Sweeps `_tail_blocks` through `_cond_exp_rows`, so each ratio is bit
-    for bit what `bilinear_maximal` and `lp_norm` give for that tail: each
-    norm is a 1-d sum of one row (`sum(axis=1)` adds short rows in another
-    order), rooted as a Python float.  The S sweep sums in another order,
-    which keeps thm12_attain an independent check of it.
+    Sweeps `_tail_blocks` through `_indicator_ratios`.  The S sweep sums in
+    another order, which keeps thm12_attain an independent check of it.
     """
-    exps = inst.exps
-    space = inst.space
-    masses = space.masses
     best_restricted = -np.inf
     best_full = -np.inf
     arg_f: int | None = None
-    for tails, inside in _tail_blocks(space, 0, None):
-        chi = inside.astype(float)
-        m = _level_max(space, _cond_exp_rows, 0, inst.sigma1 * chi, inst.sigma2 * chi)
-        dens1 = chi**exps.p1 * inst.sigma1 * masses
-        dens2 = chi**exps.p2 * inst.sigma2 * masses
-        dens_m = m**exps.p * inst.v * masses
-        for mask, row_inside, d1, d2, dm in zip(tails, inside, dens1, dens2, dens_m):
-            den = float(d1.sum()) ** (1.0 / exps.p1) * float(d2.sum()) ** (1.0 / exps.p2)
-            restricted = float(dm[row_inside].sum()) ** (1.0 / exps.p) / den
-            full = float(dm.sum()) ** (1.0 / exps.p) / den
-            best_restricted = max(best_restricted, restricted)
-            if full > best_full:
-                best_full, arg_f = full, int(mask)
+    for tails, inside in _tail_blocks(inst.space, 0, None):
+        restricted, full = _indicator_ratios(inst, inside)
+        best_restricted = max(best_restricted, *restricted)
+        for mask, ratio in zip(tails, full):
+            if ratio > best_full:
+                best_full, arg_f = ratio, int(mask)
     return best_restricted, best_full, arg_f
 
 
@@ -785,7 +816,7 @@ def estimate_norm(inst: Instance, budget: int = 16, seed: int = 0) -> tuple[floa
     except EnumerationBudgetError:
         # the search skips empty tails, so every candidate's indicator pair has a ratio
         val, tau = heuristic_sup_over_tau(
-            space, 0, lambda tau: _indicator_ratio(inst, tau.tail_set()), guide=(inst.sigma1, inst.sigma2)
+            space, 0, lambda inside: _indicator_ratios(inst, inside)[1], guide=(inst.sigma1, inst.sigma2)
         )
         consider(val, {"kind": "tail_heuristic", "tail": tau.tail_set().tolist()})
     for t, (_, f1, f2) in enumerate(evaluation_pairs(inst, budget, seed=seed)):

@@ -12,9 +12,11 @@ weights and a Hölder pair (p1, p2):
 The dual weights sigma_s = omega_s^{-1/(p_s - 1)} are derived internally.
 Tail suprema run over T_0 — on a finite tower the T_i tail families are
 nested decreasingly in i, so the i = 0 supremum is the binding one.
-Exact mode evaluates every achievable tail, i.e. every union of finest
-atoms, on byte-capped blocks of tails at once (budgeted); heuristic mode
-searches candidate stopping times and yields a certified lower bound.
+Each tail constant has one objective, a function of a block of tails.
+Exact mode evaluates it on every achievable tail, i.e. every union of
+finest atoms, in byte-capped blocks (budgeted); heuristic mode evaluates
+it on the candidate blocks of the stopping-time search and yields a
+certified lower bound.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import _level_max, bilinear_maximal, maximal
-from .space import Exponents, FilteredSpace, Fn, _row_cond_exp, as_fn, cond_exp
-from .stopping import _tail_blocks, heuristic_sup_over_tau, stopping_time_from_tail
+from .operators import _level_max
+from .space import Exponents, FilteredSpace, Fn, _cond_exp_rows, _row_cond_exp, as_fn, cond_exp
+from .stopping import _first_max, _tail_blocks, heuristic_sup_over_tau, stopping_time_from_tail
 
 EXACT = "exact"
 HEURISTIC = "heuristic"
@@ -132,7 +134,6 @@ _RowCond = Callable[[FilteredSpace, np.ndarray, int], np.ndarray]
 def _sup_over_tails(
     space: FilteredSpace,
     name: str,
-    tail_objective: Callable[[np.ndarray], float],
     block_objective: Callable[[np.ndarray, _RowCond], np.ndarray],
     guide: tuple[Fn, Fn],
     mode: str,
@@ -140,33 +141,40 @@ def _sup_over_tails(
 ) -> WeightConstant:
     """Maximize an objective of the tail point set over T_0 tails.
 
-    Exact mode calls block_objective(chi, cond) on each block of nonempty
-    tails: chi is the rows x n 0/1 indicator block, cond the row-batched
-    conditional expectation, and the result holds one value per row.  The
-    witness is the first maximizing tail in ascending mask order (nan
-    values are skipped), as a per-tail loop would pick it.  Heuristic mode
-    calls tail_objective(points) once per candidate stopping time.
+    block_objective(chi, cond) takes a rows x n 0/1 indicator block of
+    nonempty tails and the row-batched conditional expectation, and returns
+    one value per row.  Both modes score tails through the one objective
+    built from it: exact mode on every block of `_tail_blocks`, heuristic
+    mode on the candidate blocks of `heuristic_sup_over_tau`.  Either way
+    the witness is the first maximizing tail (nan values are skipped), as a
+    per-tail loop would pick it: in ascending mask order for the sweep, in
+    candidate order for the search.
     """
-    if mode == EXACT:
-        blocks = _tail_blocks(space, 0, budget)
-        cond = _row_cond_exp(space)
-        best_val = -np.inf
-        best_mask: int | None = None
-        for tails, inside in blocks:
-            vals = block_objective(inside.astype(float), cond)
-            k = int(np.argmax(np.where(np.isnan(vals), -np.inf, vals)))
-            if vals[k] > best_val:
-                best_val = float(vals[k])
-                best_mask = int(tails[k])
-        assert best_mask is not None
-        tau = stopping_time_from_tail(space, 0, best_mask)
-        return WeightConstant(name, best_val, EXACT, _tau_witness(tau))
-    if mode == HEURISTIC:
-        value, tau = heuristic_sup_over_tau(
-            space, 0, lambda t: tail_objective(t.tail_set()), guide=guide
-        )
+    if mode not in (EXACT, HEURISTIC):
+        raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
+    blocks = _tail_blocks(space, 0, budget) if mode == EXACT else None
+    # the matmul kernel holds a points x atoms matrix per level, linear in the
+    # points under the atom budget but quadratic past it, where the search runs;
+    # the bincount rows hold none
+    cond = _row_cond_exp(space) if blocks is not None else _cond_exp_rows
+
+    def objective(inside: np.ndarray) -> np.ndarray:
+        return block_objective(inside.astype(float), cond)
+
+    if blocks is None:
+        value, tau = heuristic_sup_over_tau(space, 0, objective, guide=guide)
         return WeightConstant(name, value, "lower-bound", _tau_witness(tau))
-    raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
+    best_val = -np.inf
+    best_mask: int | None = None
+    for tails, inside in blocks:
+        vals = objective(inside)
+        k = _first_max(vals)
+        if vals[k] > best_val:
+            best_val = float(vals[k])
+            best_mask = int(tails[k])
+    assert best_mask is not None
+    tau = stopping_time_from_tail(space, 0, best_mask)
+    return WeightConstant(name, best_val, EXACT, _tau_witness(tau))
 
 
 def rh_constant(
@@ -192,13 +200,10 @@ def rh_constant(
     w2 = sigma2 * space.masses
     mix = sigma1**a1 * sigma2**a2 * space.masses
 
-    def objective(pts: np.ndarray) -> float:
-        return float(w1[pts].sum() ** a1 * w2[pts].sum() ** a2 / mix[pts].sum())
-
     def block_objective(chi: np.ndarray, cond: _RowCond) -> np.ndarray:
         return (chi @ w1) ** a1 * (chi @ w2) ** a2 / (chi @ mix)
 
-    return _sup_over_tails(space, "RH", objective, block_objective, (sigma1, sigma2), mode, budget)
+    return _sup_over_tails(space, "RH", block_objective, (sigma1, sigma2), mode, budget)
 
 
 def s_p_constant(
@@ -225,21 +230,13 @@ def s_p_constant(
     w2 = sigma2 * space.masses
     v_mass = v * space.masses
 
-    def objective(pts: np.ndarray) -> float:
-        chi = np.zeros(space.n)
-        chi[pts] = 1.0
-        m = bilinear_maximal(space, sigma1 * chi, sigma2 * chi)
-        num = float((m[pts] ** p * v_mass[pts]).sum())
-        den = w1[pts].sum() ** a1 * w2[pts].sum() ** a2
-        return float((num / den) ** (1.0 / p))
-
     def block_objective(chi: np.ndarray, cond: _RowCond) -> np.ndarray:
         m = _level_max(space, cond, 0, chi * sigma1, chi * sigma2)
         num = (m**p * chi) @ v_mass
         den = (chi @ w1) ** a1 * (chi @ w2) ** a2
         return (num / den) ** (1.0 / p)
 
-    return _sup_over_tails(space, "S", objective, block_objective, (sigma1, sigma2), mode, budget)
+    return _sup_over_tails(space, "S", block_objective, (sigma1, sigma2), mode, budget)
 
 
 def w_infty_constant(
@@ -262,20 +259,12 @@ def w_infty_constant(
     a1, a2 = exps.p / exps.p1, exps.p / exps.p2
     mix = sigma1**a1 * sigma2**a2 * space.masses
 
-    def objective(pts: np.ndarray) -> float:
-        chi = np.zeros(space.n)
-        chi[pts] = 1.0
-        m1 = maximal(space, sigma1 * chi)
-        m2 = maximal(space, sigma2 * chi)
-        num = float((m1[pts] ** a1 * m2[pts] ** a2 * space.masses[pts]).sum())
-        return num / float(mix[pts].sum())
-
     def block_objective(chi: np.ndarray, cond: _RowCond) -> np.ndarray:
         m1 = _level_max(space, cond, 0, chi * sigma1)
         m2 = _level_max(space, cond, 0, chi * sigma2)
         return (m1**a1 * m2**a2 * chi) @ space.masses / (chi @ mix)
 
-    return _sup_over_tails(space, "Winf", objective, block_objective, (sigma1, sigma2), mode, budget)
+    return _sup_over_tails(space, "Winf", block_objective, (sigma1, sigma2), mode, budget)
 
 
 ALL_CONSTANTS = ("a", "rh", "s", "b", "winf")

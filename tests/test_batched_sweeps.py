@@ -1,11 +1,13 @@
-"""Batched exact tail sweeps against the per-tail scalar loop they replace.
+"""Batched exact tail sweeps and the batched heuristic search against the
+per-tail scalar loops they replace.
 
 The references below walk `enumerate_tail_masks` one tail at a time with
 one `mask_points` and one operator call per tail, exactly as the library
-did before its sweeps were blocked.  The batched RH/S/Winf values sum in
-a different order, so they must agree to REL_TOL; the Carleson sums and
-thm12's tail-indicator ratios keep the scalar order and must agree bit
-for bit.
+did before its sweeps were blocked, and `reference_search` is the
+heuristic search as it was before it scored candidates in blocks.  The
+batched RH/S/Winf values sum in a different order, so they must agree to
+REL_TOL; the Carleson sums and thm12's tail-indicator ratios keep the
+scalar order and must agree bit for bit.
 """
 
 import dataclasses
@@ -22,6 +24,7 @@ from filtermax import (
     Exponents,
     FilteredSpace,
     Instance,
+    StoppingTime,
     bilinear_maximal,
     build_level_sets,
     certify_carleson_constant,
@@ -31,7 +34,10 @@ from filtermax import (
     default_forest,
     enumerate_tail_masks,
     finest_mask,
+    first_hit,
     gen_instance,
+    is_adapted,
+    level_products,
     lp_norm,
     mask_points,
     maximal,
@@ -52,8 +58,8 @@ FIXTURES = ["quad", "pair", "chain", "mixed6", "lumpy5"]
 # ---- the scalar reference ----------------------------------------------------
 
 
-def scalar_tail_values(space, v, omega1, omega2, exps):
-    """{name: {mask: value}} over every nonempty tail, one tail at a time."""
+def scalar_objectives(space, v, omega1, omega2, exps):
+    """{name: objective(pts, chi)} of one tail, through the operators."""
     sigma1 = sigma_from_omega(omega1, exps.p1)
     sigma2 = sigma_from_omega(omega2, exps.p2)
     p = exps.p
@@ -77,13 +83,19 @@ def scalar_tail_values(space, v, omega1, omega2, exps):
         num = float((m1[pts] ** a1 * m2[pts] ** a2 * space.masses[pts]).sum())
         return num / float(mix[pts].sum())
 
-    out = {"rh": {}, "s": {}, "winf": {}}
+    return {"rh": rh, "s": s, "winf": winf}
+
+
+def scalar_tail_values(space, v, omega1, omega2, exps):
+    """{name: {mask: value}} over every nonempty tail, one tail at a time."""
+    objectives = scalar_objectives(space, v, omega1, omega2, exps)
+    out = {name: {} for name in objectives}
     for mask in enumerate_tail_masks(space, 0, budget=BUDGET):
         if mask == 0:
             continue
         pts = mask_points(space, mask)
         chi = space.indicator(pts)
-        for name, objective in (("rh", rh), ("s", s), ("winf", winf)):
+        for name, objective in objectives.items():
             out[name][mask] = objective(pts, chi)
     return out
 
@@ -300,6 +312,151 @@ def test_thm12_attain_catches_a_wrong_s(monkeypatch):
     assert attain.status == "fail"
 
 
+# ---- the heuristic search ----------------------------------------------------
+
+
+def antichain_of(space, tau):
+    """The stopped atoms (level, atom index) of an adapted tau."""
+    out = []
+    for j in range(tau.origin, space.n_levels):
+        hit = tau.levels == j
+        out += [(j, int(a_idx)) for a_idx in np.unique(space.atom_of[j][hit])]
+    return sorted(out)
+
+
+def tau_from_antichain(space, i, chain):
+    levels = np.full(space.n, np.inf)
+    for t, a in chain:
+        levels[space.atoms[t][a]] = t
+    return StoppingTime(levels, origin=i)
+
+
+def reference_search(space, i, objective, guide, threshold_count=32, max_rounds=40):
+    """The per-candidate search the batched one replaces: one StoppingTime
+    and one scalar objective(tau) call per candidate, one `first_hit` per
+    threshold, the same candidate order and moves."""
+    best = None
+
+    def consider(tau):
+        nonlocal best
+        if not tau.tail_mask().any():
+            return None
+        val = float(objective(tau))
+        if best is None or val > best[0]:
+            best = (val, tau)
+        return val
+
+    consider(StoppingTime(np.full(space.n, float(i)), origin=i))
+    for t in range(i, space.n_levels):
+        for a_idx in range(len(space.atoms[t])):
+            consider(tau_from_antichain(space, i, [(t, a_idx)]))
+    prods = level_products(space, *guide)
+    values = np.unique(np.concatenate([pr[pr > 0] for pr in prods]))
+    lo, hi = float(values[0]), float(values[-1])
+    grid = np.geomspace(lo, hi, num=threshold_count) if hi > lo else np.array([lo])
+    for thr in np.unique(np.concatenate([grid, values * (1.0 - 1e-9), values])):
+        consider(first_hit(space, i, [pr > thr for pr in prods]))
+    chain = antichain_of(space, best[1])
+    for _ in range(max_rounds):
+        current = best[0]
+        moves = []
+        covered = np.zeros(space.n, dtype=bool)
+        for t, a in chain:
+            covered[space.atoms[t][a]] = True
+        for idx, (t, a) in enumerate(chain):
+            rest = chain[:idx] + chain[idx + 1 :]
+            moves.append(rest)
+            if t < space.last_level:
+                moves.append(rest + [(t + 1, c) for c in space.children(t, a)])
+            if t > i:
+                parent = int(space.atom_of[t - 1][space.atoms[t][a][0]])
+                p_atom = space.atoms[t - 1][parent]
+                keep = [
+                    (tt, aa)
+                    for tt, aa in rest
+                    if not np.isin(space.atoms[tt][aa], p_atom, assume_unique=True).any()
+                ]
+                moves.append(keep + [(t - 1, parent)])
+        for t in range(i, space.n_levels):
+            for a_idx, atom in enumerate(space.atoms[t]):
+                if not covered[atom].any():
+                    moves.append(chain + [(t, a_idx)])
+        improved = False
+        for move in moves:
+            val = consider(tau_from_antichain(space, i, sorted(set(move))))
+            if val is not None and val > current:
+                improved = True
+        if not improved:
+            break
+        chain = antichain_of(space, best[1])
+    return best
+
+
+def assert_search_matches_reference(space, v, omega1, omega2, exps, exact=None):
+    """The batched heuristic RH/S/Winf against `reference_search` on the
+    scalar objectives; below `exact` ({name: value}) where given."""
+    guide = (sigma_from_omega(omega1, exps.p1), sigma_from_omega(omega2, exps.p2))
+    for name, scalar in scalar_objectives(space, v, omega1, omega2, exps).items():
+
+        def objective(tau):
+            return scalar(tau.tail_set(), space.indicator(tau.tail_set()))
+
+        want, want_tau = reference_search(space, 0, objective, guide)
+        got = compute_constant(name, space, v, omega1, omega2, exps, mode="heuristic")
+        assert got.mode == "lower-bound"
+        assert abs(got.value - want) <= REL_TOL * abs(want), name
+        levels = [np.inf if x is None else x for x in got.witness["tau"]]
+        tau = StoppingTime(levels, origin=got.witness["origin"])
+        assert is_adapted(space, tau), name
+        assert tau.tail_set().tolist() == got.witness["tail"], name
+        if tau != want_tau:
+            # only a near-tie between the top two candidates may move the witness
+            assert abs(objective(tau) - want) <= REL_TOL * abs(want), name
+        if exact is not None:
+            assert got.value <= exact[name] * (1 + REL_TOL), name
+
+
+def exact_constants(space, v, omega1, omega2, exps):
+    return {
+        name: compute_constant(name, space, v, omega1, omega2, exps, mode="exact", budget=BUDGET).value
+        for name in ("rh", "s", "winf")
+    }
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_search_matches_reference_on_fixtures(name, request):
+    space = request.getfixturevalue(name)
+    rng = np.random.default_rng(19)
+    for exps in (Exponents(2.0, 2.0), Exponents(1.5, 3.0), Exponents(4.0, 1.3)):
+        weights = random_weights(rng, space.n)
+        exact = exact_constants(space, *weights, exps)
+        assert_search_matches_reference(space, *weights, exps, exact)
+
+
+@pytest.mark.parametrize(
+    "shape,enumerable",
+    [
+        (dict(depth=3), True),
+        (dict(depth=2, branching=4), True),
+        (dict(depth=5, model="product", p1=2.5, p2=2.5), False),
+    ],
+)
+def test_search_matches_reference_on_generated_instances(shape, enumerable):
+    for seed in range(2):
+        inst = gen_instance(seed, **shape)
+        weights = (inst.v, inst.omega1, inst.omega2)
+        exact = exact_constants(inst.space, *weights, inst.exps) if enumerable else None
+        assert_search_matches_reference(inst.space, *weights, inst.exps, exact)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_instances())
+def test_search_matches_reference_on_generated_spaces(inst):
+    weights = (inst.v, inst.omega1, inst.omega2)
+    exact = exact_constants(inst.space, *weights, inst.exps)
+    assert_search_matches_reference(inst.space, *weights, inst.exps, exact)
+
+
 # ---- blocks ------------------------------------------------------------------
 
 
@@ -393,8 +550,14 @@ def test_exact_sweep_keeps_the_first_maximizer_across_blocks(name, request):
         size = chi.sum(axis=1)
         return np.where(size == space.n, np.nan, size)
 
-    c = _sup_over_tails(space, "T", None, tied, None, "exact", None)
+    c = _sup_over_tails(space, "T", tied, None, "exact", None)
     assert finest_mask(space, c.witness["tail"]) == 1
     # nan is skipped, as a per-tail `>` skips it: the first 3-leaf tail wins
-    c = _sup_over_tails(space, "T", None, full_tail_nan, None, "exact", None)
+    c = _sup_over_tails(space, "T", full_tail_nan, None, "exact", None)
+    assert finest_mask(space, c.witness["tail"]) == 7
+    # the search too, whether a block is one slice (quad) or one per tail
+    # (wide_points): the full stop comes first, then adding leaves to a half
+    c = _sup_over_tails(space, "T", tied, None, "heuristic", None)
+    assert c.witness["tau"] == [0] * space.n
+    c = _sup_over_tails(space, "T", full_tail_nan, None, "heuristic", None)
     assert finest_mask(space, c.witness["tail"]) == 7

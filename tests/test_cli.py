@@ -36,10 +36,18 @@ def test_gen_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("model,field", [("lognormal:400", "omega1"), ("power:800", "v")])
-def test_gen_rejects_weights_that_overflow(tmp_path, capsys, model, field):
+@pytest.mark.parametrize(
+    "model,flags,field",
+    [
+        pytest.param("lognormal:400", [], "omega1", id="lognormal:400-omega1"),
+        pytest.param("power:800", [], "v", id="power:800-v"),
+        # p1 near 1: the dual weight omega1^(-1/(p1 - 1)) overflows
+        pytest.param("lognormal", ["--p1", "1.001"], "sigma1", id="lognormal-p1=1.001-sigma1"),
+    ],
+)
+def test_gen_rejects_weights_that_overflow(tmp_path, capsys, model, flags, field):
     out = tmp_path / "x.json"
-    assert run("gen", "--model", model, "--out", str(out)) == 2
+    assert run("gen", "--model", model, *flags, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert f"model {model!r} at seed 0: field {field!r}" in err
     assert not out.exists()
@@ -87,11 +95,26 @@ def test_constants_missing_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+# p1 near 1: the dual weight omega1^(-1/(p1 - 1)) = omega1^(-1000) overflows at point 1
+DUAL_OVERFLOW = {
+    "masses": [1, 1],
+    "levels": [[[0, 1]], [[0], [1]]],
+    "p1": 1.001,
+    "p2": 2,
+    "v": [1, 1],
+    "omega1": [1, 1e-3],
+    "omega2": [1, 1],
+}
+
+
 def test_constants_invalid_instance(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"masses": [1, -1], "levels": [[[0, 1]]]}')
     assert run("constants", str(bad)) == 4
     assert "invalid instance" in capsys.readouterr().err
+    bad.write_text(json.dumps(DUAL_OVERFLOW))
+    assert run("constants", str(bad)) == 4
+    assert "field 'sigma1'" in capsys.readouterr().err
 
 
 def test_constants_infeasible_and_fallback(tmp_path, capsys):
@@ -138,6 +161,9 @@ def test_verify_missing_and_invalid(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2")
     assert run("verify", str(bad)) == 4
+    bad.write_text(json.dumps(DUAL_OVERFLOW))
+    assert run("verify", str(bad)) == 4
+    assert "field 'sigma1'" in capsys.readouterr().err
 
 
 def test_verify_infeasible_suggests_fallback(tmp_path, capsys):

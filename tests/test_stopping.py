@@ -17,6 +17,7 @@ from filtermax import (
     first_hit,
     heuristic_sup_over_tau,
     is_adapted,
+    level_products,
     mask_points,
     stopping_time_from_tail,
 )
@@ -212,11 +213,8 @@ def test_heuristic_finds_exact_optimum_on_small_space(quad):
     maximum over all 16 tails is known by enumeration."""
     profile = np.array([5.0, 1.0, 0.5, 2.0])
 
-    def objective(tau):
-        pts = tau.tail_set()
-        if pts.size == 0:
-            return -np.inf
-        return float(profile[pts].sum())
+    def objective(inside):
+        return inside.astype(float) @ profile
 
     exact = max(
         float(profile[mask_points(quad, m)].sum())
@@ -227,7 +225,7 @@ def test_heuristic_finds_exact_optimum_on_small_space(quad):
     assert val <= exact + 1e-12
     assert val == pytest.approx(exact)
     assert is_adapted(quad, tau)
-    assert objective(tau) == pytest.approx(val)
+    assert objective(tau.tail_mask()[None])[0] == pytest.approx(val)
 
 
 def test_heuristic_never_exceeds_exact_random(mixed6):
@@ -235,22 +233,62 @@ def test_heuristic_never_exceeds_exact_random(mixed6):
     for _ in range(5):
         profile = np.exp(rng.standard_normal(6))
 
-        def objective(tau):
-            pts = tau.tail_set()
-            if pts.size == 0:
-                return -np.inf
+        def objective(inside):
             # a non-monotone objective: ratio of two integrals
-            num = float((profile[pts] * mixed6.masses[pts]).sum())
-            den = float(mixed6.masses[pts].sum()) ** 0.5
-            return num / den
+            chi = inside.astype(float)
+            return chi @ (profile * mixed6.masses) / (chi @ mixed6.masses) ** 0.5
 
         exact = max(
-            objective(stopping_time_from_tail(mixed6, 0, mask_points(mixed6, m)))
+            objective(stopping_time_from_tail(mixed6, 0, mask_points(mixed6, m)).tail_mask()[None])[0]
             for m in enumerate_tail_masks(mixed6, 0)
             if m
         )
         val, _ = heuristic_sup_over_tau(mixed6, 0, objective, guide=(profile, profile))
         assert val <= exact * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("name", ["quad", "pair", "chain", "mixed6", "lumpy5"])
+def test_first_hit_tail_is_the_reach_above_the_threshold(name, request):
+    # the search scores every threshold at once as {max_{j >= i} prods[j] > thr}
+    space = request.getfixturevalue(name)
+    rng = np.random.default_rng(23)
+    prods = level_products(space, np.exp(rng.standard_normal(space.n)), np.exp(rng.standard_normal(space.n)))
+    values = np.unique(np.concatenate(prods))
+    thresholds = np.unique(np.concatenate([[0.0], values * (1 - 1e-9), values, values * (1 + 1e-9)]))
+    for i in range(space.n_levels):
+        reach = np.max(prods[i:], axis=0)
+        for thr in thresholds:
+            tau = first_hit(space, i, [pr > thr for pr in prods])
+            assert np.array_equal(tau.tail_mask(), reach > thr)
+
+
+@pytest.mark.parametrize("i", [0, 1])
+def test_heuristic_scores_each_candidate_block_in_one_call(mixed6, i):
+    profile = np.exp(np.random.default_rng(29).standard_normal(6))
+    blocks = []
+
+    def objective(inside):
+        blocks.append(inside.copy())
+        chi = inside.astype(float)
+        return chi @ (profile * mixed6.masses) / (chi @ mixed6.masses) ** 0.5
+
+    heuristic_sup_over_tau(mixed6, i, objective, max_rounds=0)
+    # the opening family: the full stop and every single-atom stop, each
+    # distinct tail once (the level-1 atom {5} is also a level-2 atom)
+    assert len(blocks) == 1
+    want = {tuple(atom) for t in range(i, 3) for atom in mixed6.level_atoms(t)} | {tuple(range(6))}
+    assert {tuple(np.flatnonzero(row)) for row in blocks[0]} == want
+    assert len(blocks[0]) == len(want)
+    blocks.clear()
+    heuristic_sup_over_tau(mixed6, i, objective, guide=(profile, profile), max_rounds=0)
+    assert len(blocks) == 2  # opening family, then every threshold
+    for rounds in (1, 3, 40):
+        blocks.clear()
+        heuristic_sup_over_tau(mixed6, i, objective, guide=(profile, profile), max_rounds=rounds)
+        assert len(blocks) <= 2 + rounds
+        # no tail is scored twice, and no empty one at all
+        rows = [row.tobytes() for block in blocks for row in block if row.any()]
+        assert len(rows) == sum(len(block) for block in blocks) == len(set(rows))
 
 
 def test_enumeration_yields_before_materializing(quad):

@@ -39,6 +39,7 @@ from filtermax import (
     run_instance_suite,
 )
 from filtermax.stopping import EnumerationBudgetError
+from filtermax.verify import _indicator_ratio
 
 H = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -142,6 +143,14 @@ def test_load_instance_errors(tmp_path):
         )
     )
     with pytest.raises(ValidationError, match="omega1"):
+        load_instance(str(path))
+    # p1 near 1: sigma1 = omega1^(-1000) overflows at point 1, underflows at point 2
+    base = {"masses": [1, 1, 1], "levels": [[[0, 1, 2]]], "p1": 1.001, "p2": 2, "v": [1, 1, 1]}
+    path.write_text(json.dumps({**base, "omega1": [1, 1e-3, 1e3], "omega2": [1, 1, 1]}))
+    with pytest.raises(ValidationError, match=r"bad.json: field 'sigma1' .* p1 = 1.001 is inf at point 1"):
+        load_instance(str(path))
+    path.write_text(json.dumps({**base, "omega1": [1, 1, 1e3], "omega2": [1, 1, 1]}))
+    with pytest.raises(ValidationError, match="field 'sigma1' .* is 0.0 at point 2"):
         load_instance(str(path))
 
 
@@ -340,6 +349,34 @@ def test_estimate_norm_deterministic_and_monotone(pair):
     d = estimate_norm(inst, budget=16, seed=5)[0]
     assert a <= c <= d
     assert estimate_norm(inst, budget=4, seed=7)[0] >= 0  # other seeds still run
+
+
+@pytest.mark.parametrize("shape", [dict(depth=3), dict(depth=2, branching=3, model="power:1.5")])
+def test_estimate_norm_heuristic_branch(shape):
+    """Past the atom budget the tail pairs come from the heuristic search,
+    scored in blocks by `_tail_ratios`' row kernel."""
+    search = filtermax.verify.heuristic_sup_over_tau
+    found = []
+
+    def recorded(*args, **kwargs):
+        found.append(search(*args, **kwargs))
+        return found[-1]
+
+    for seed in range(3):
+        inst = gen_instance(seed, **shape)
+        unforced = estimate_norm(inst, budget=4)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("FILTERMAX_ATOM_BUDGET", "3")
+            mp.setattr(filtermax.verify, "heuristic_sup_over_tau", recorded)
+            found.clear()
+            forced = estimate_norm(inst, budget=4)
+            assert estimate_norm(inst, budget=4) == forced  # deterministic
+        assert len(found) == 2
+        assert forced[0] <= unforced[0]
+        assert forced[1]["kind"] in ("atom", "tail_heuristic", "random")
+        # each block value is bit for bit the ratio of its tail's indicator pair
+        value, tau = found[0]
+        assert value == _indicator_ratio(inst, tau.tail_set())
 
 
 def test_norm_ratio_zero_denominator(flat):
