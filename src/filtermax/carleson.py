@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .principal import PrincipalForest, _shells
-from .space import Exponents, FilteredSpace, Fn, as_fn, level_products, weighted_cond_exp
+from .space import Exponents, FilteredSpace, Fn, _weighted_cond, _weighted_pair, as_fn, level_products
 from .stopping import StoppingTime, _tail_blocks, finest_mask, stopping_time_from_tail
 from .weights import sigma_from_omega
 
@@ -109,10 +109,8 @@ def proof_coefficients(
     space: FilteredSpace, family: CarlesonFamily, sigma1: Fn, sigma2: Fn, v: Fn, exps: Exponents
 ) -> CarlesonFamily:
     """a_Q = integral over Q of (E_K1(sigma1) E_K1(sigma2))^p v dmu."""
-    sigma1 = as_fn(space, sigma1)
-    sigma2 = as_fn(space, sigma2)
-    v = as_fn(space, v)
     prods = level_products(space, sigma1, sigma2)
+    v = as_fn(space, v)
     coeffs = []
     for entry in family.entries:
         w = prods[entry.k1][entry.points]
@@ -252,9 +250,10 @@ def verify_embedding(
     omega2 = as_fn(space, omega2)
     sigma1 = sigma_from_omega(omega1, exps.p1)
     sigma2 = sigma_from_omega(omega2, exps.p2)
+    pair1 = _weighted_pair(space, h1 / sigma1, sigma1)
+    pair2 = _weighted_pair(space, h2 / sigma2, sigma2)
     wprods = [
-        weighted_cond_exp(space, h1 / sigma1, sigma1, j) * weighted_cond_exp(space, h2 / sigma2, sigma2, j)
-        for j in range(space.n_levels)
+        _weighted_cond(space, *pair1, j) * _weighted_cond(space, *pair2, j) for j in range(space.n_levels)
     ]
     lhs = 0.0
     for entry in family.entries:

@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -71,8 +72,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--model", default="lognormal")
     ver.add_argument("--p1", type=float, default=2.0)
     ver.add_argument("--p2", type=float, default=2.0)
-    ver.add_argument("--pairs", type=int, default=5, help="random test pairs per instance")
-    ver.add_argument("--tol", type=float, default=DEFAULT_REL_TOL, help="relative tolerance for pass/fail")
+    ver.add_argument("--pairs", type=int, default=5, help="random test pairs per instance (at least 1)")
+    ver.add_argument(
+        "--tol", type=float, default=DEFAULT_REL_TOL, help="relative tolerance for pass/fail (finite, >= 0)"
+    )
     ver.add_argument("--jobs", type=int, default=1)
     ver.add_argument("--fallback", action="store_true")
     ver.add_argument("--format", default="csv", choices=("csv", "json"))
@@ -156,6 +159,12 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if (args.instance is None) == (args.ensemble is None):
         print("error: give an instance path or --ensemble SEED COUNT (not both)", file=sys.stderr)
+        return EXIT_USAGE
+    if args.pairs < 1:
+        print(f"error: --pairs must be at least 1, got {args.pairs}", file=sys.stderr)
+        return EXIT_USAGE
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        print(f"error: --tol must be finite and non-negative, got {args.tol!r}", file=sys.stderr)
         return EXIT_USAGE
     replay_instance = None
     try:

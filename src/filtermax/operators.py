@@ -3,6 +3,10 @@
 All maxima run over the full level window 0..L (or a tail j >= i of it);
 on a finite tower the conditional expectations are constant outside the
 window, so nothing is lost by truncating.
+
+Each public operator checks its level and arrays once, on entry, and then
+takes every level's conditional expectation on the unchecked kernel
+`space._cond` (or `space._weighted_cond`).
 """
 
 from __future__ import annotations
@@ -11,7 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .space import FilteredSpace, Fn, as_fn, cond_exp, weighted_cond_exp
+from .space import FilteredSpace, Fn, _cond, _weighted_cond, _weighted_pair, as_fn
+from .space import cond_exp  # noqa: F401  (bench/tests expects this module to bind it)
 
 
 def _level_max(space: FilteredSpace, cond: Callable, start: int, f: Fn, g: Fn | None = None) -> Fn:
@@ -37,13 +42,15 @@ def bilinear_maximal(space: FilteredSpace, f: Fn, g: Fn) -> Fn:
 
 
 def tailed_bilinear_maximal(space: FilteredSpace, i: int, f: Fn, g: Fn) -> Fn:
-    """Tail version: max over levels j >= i only (cond_exp rejects a bad level i)."""
-    return _level_max(space, cond_exp, i, f, g)
+    """Tail version: max over levels j >= i only."""
+    space._check_level(i)
+    return _level_max(space, _cond, i, as_fn(space, f), as_fn(space, g))
 
 
 def tailed_maximal(space: FilteredSpace, i: int, f: Fn) -> Fn:
-    """max over levels j >= i of |E(f | F_j)| (cond_exp rejects a bad level i)."""
-    return _level_max(space, cond_exp, i, f)
+    """max over levels j >= i of |E(f | F_j)|."""
+    space._check_level(i)
+    return _level_max(space, _cond, i, as_fn(space, f))
 
 
 def weighted_maximal(space: FilteredSpace, f: Fn, sigma: Fn) -> Fn:
@@ -54,8 +61,8 @@ def weighted_maximal(space: FilteredSpace, f: Fn, sigma: Fn) -> Fn:
     Satisfies the Doob bound ||M^sigma f||_{L^p(sigma)} <= p' ||f||_{L^p(sigma)}
     for every p in (1, inf).
     """
-    absf = np.abs(as_fn(space, f))
-    return _level_max(space, lambda s, h, level: weighted_cond_exp(s, h, sigma, level), 0, absf)
+    f_sigma, sigma = _weighted_pair(space, np.abs(as_fn(space, f)), sigma)
+    return _level_max(space, lambda s, h, level: _weighted_cond(s, h, sigma, level), 0, f_sigma)
 
 
 def lp_norm(space: FilteredSpace, f: Fn, weight: Fn, p: float, subset=None) -> float:

@@ -39,8 +39,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .operators import tailed_bilinear_maximal
-from .space import FilteredSpace, Fn, ValidationError, as_fn, cond_exp, level_products
+from .operators import _level_max, tailed_bilinear_maximal
+from .space import FilteredSpace, Fn, ValidationError, _cond, as_fn, level_products
 from .space import read_json, write_json
 
 _NO_SHELL = np.iinfo(np.int64).min  # shell of a zero product
@@ -254,12 +254,10 @@ def verify_properties(forest: PrincipalForest) -> PropertyReport:
         if not np.all(_shells(prods[node.k1][node.points]) == node.k2):
             p4_ok = False
         exit_ind = space.indicator(node.exit_points)
-        cover = 2.0 * cond_exp(space, exit_ind, node.k1) - 1.0
+        cover = 2.0 * _cond(space, exit_ind, node.k1) - 1.0
         p3_margin = min(p3_margin, float(cover[node.points].min()))
         chi = space.indicator(node.points)
-        tail_max = tailed_bilinear_maximal(
-            space, forest.base_level, forest.h1 * chi, forest.h2 * chi
-        )
+        tail_max = _level_max(space, _cond, forest.base_level, forest.h1 * chi, forest.h2 * chi)
         if node.exit_points.size:
             # (cap - sup) / cap with cap = 4^(K2+1), without forming cap (it overflows
             # above K2 = 510); scaling by a power of two is exact, so the float is the same

@@ -11,6 +11,12 @@ point.
 Functions on the space ("Fn") are plain numpy arrays of length n.  Sets
 are unions of points, passed around as sorted integer index arrays or
 boolean masks.
+
+Public functions check their inputs once, on entry (`as_fn`, the level).
+The loops inside the package then take conditional expectations on the
+unchecked kernel `_cond`, which averages one function or every row of a
+(k, n) block, bit for bit as `cond_exp` does; `_weighted_cond` is its
+weighted form and `_row_cond_exp` the matmul kernel of the exact sweeps.
 """
 
 from __future__ import annotations
@@ -235,6 +241,13 @@ def as_fn(space: FilteredSpace, values) -> Fn:
     return arr
 
 
+def _positive(space: FilteredSpace, w, name: str) -> Fn:
+    arr = as_fn(space, w)
+    if np.any(arr <= 0):
+        raise ValueError(f"{name} must be strictly positive")
+    return arr
+
+
 def integrate(space: FilteredSpace, f: Fn, subset=None) -> float:
     """Integral of f dmu, optionally restricted to a point set."""
     f = as_fn(space, f)
@@ -247,35 +260,28 @@ def integrate(space: FilteredSpace, f: Fn, subset=None) -> float:
 def cond_exp(space: FilteredSpace, f: Fn, level: int) -> Fn:
     """Conditional expectation E(f | F_level): atom-wise mass average."""
     space._check_level(level)
-    f = as_fn(space, f)
-    return _atom_average(space.atom_of[level], f * space.masses, space.atom_mass[level])
+    return _cond(space, as_fn(space, f), level)
 
 
-def _cond_exp_rows(space: FilteredSpace, rows: np.ndarray, level: int) -> np.ndarray:
-    """`cond_exp` of every row of a (k, n) block, bit for bit.
-
-    Row r's points are relabelled into atoms r*atoms .. (r+1)*atoms - 1,
-    so one `_atom_average` adds each row's terms into its own atoms in
-    point order, exactly as `cond_exp` does for that row; `_row_cond_exp`'s
-    matmul sums in another order.  Rows are not validated: callers pass
-    finite blocks of width n.
-    """
-    k = rows.shape[0]
+def _cond(space: FilteredSpace, f: np.ndarray, level: int) -> np.ndarray:
+    """`cond_exp` of one function or of every row of a (k, n) block, unchecked:
+    adds each point's mass-weighted value into its atom in point order, divides
+    by the atom mass and reads every point's atom back.  Row r of a block adds
+    into its own atoms r*atoms .. (r+1)*atoms - 1, so it sums as a 1-d call does."""
     mass = space.atom_mass[level]
-    labels = (space.atom_of[level] + mass.size * np.arange(k)[:, None]).ravel()
-    return _atom_average(labels, (rows * space.masses).ravel(), np.tile(mass, k)).reshape(rows.shape)
-
-
-def _atom_average(labels: np.ndarray, weighted: np.ndarray, atom_mass: np.ndarray) -> np.ndarray:
-    """Add each point's mass-weighted value into its atom (in point order),
-    divide by the atom mass and read every point's atom back."""
-    return (np.bincount(labels, weights=weighted, minlength=atom_mass.size) / atom_mass)[labels]
+    labels = space.atom_of[level]
+    if f.ndim == 2:
+        labels = (labels + mass.size * np.arange(f.shape[0])[:, None]).ravel()
+        mass = np.tile(mass, f.shape[0])
+    sums = np.bincount(labels, weights=(f * space.masses).ravel(), minlength=mass.size)
+    return (sums / mass)[labels].reshape(f.shape)
 
 
 def level_products(space: FilteredSpace, f: Fn, g: Fn) -> list[Fn]:
     """E(f | F_j) E(g | F_j) for j = 0..L: principal sets, Carleson level sets
     and the heuristic first-hit guides are all cut from these products."""
-    return [cond_exp(space, f, j) * cond_exp(space, g, j) for j in range(space.n_levels)]
+    f, g = as_fn(space, f), as_fn(space, g)
+    return [_cond(space, f, j) * _cond(space, g, j) for j in range(space.n_levels)]
 
 
 def _row_cond_exp(space: FilteredSpace) -> Callable[[FilteredSpace, np.ndarray, int], np.ndarray]:
@@ -306,12 +312,21 @@ def weighted_cond_exp(space: FilteredSpace, f: Fn, sigma: Fn, level: int) -> Fn:
     E(f sigma | F_level) = E^sigma(f | F_level) E(sigma | F_level) holds
     identically.
     """
-    sigma = as_fn(space, sigma)
-    if np.any(sigma <= 0):
-        raise ValueError("sigma must be strictly positive")
-    num = cond_exp(space, as_fn(space, f) * sigma, level)
-    den = cond_exp(space, sigma, level)
-    return num / den
+    return _weighted_cond(space, *_weighted_pair(space, f, sigma, level), level)
+
+
+def _weighted_pair(space: FilteredSpace, f: Fn, sigma: Fn, level: int = 0) -> tuple[Fn, Fn]:
+    """(f sigma, sigma) for `_weighted_cond`, checked once in `weighted_cond_exp`'s
+    order: sigma finite and strictly positive, f finite, the level, f sigma finite."""
+    sigma = _positive(space, sigma, "sigma")
+    f = as_fn(space, f)
+    space._check_level(level)
+    return as_fn(space, f * sigma), sigma
+
+
+def _weighted_cond(space: FilteredSpace, f_sigma: Fn, sigma: Fn, level: int) -> Fn:
+    """E^sigma(f | F_level) from f sigma and sigma, unchecked."""
+    return _cond(space, f_sigma, level) / _cond(space, sigma, level)
 
 
 @dataclass(frozen=True)

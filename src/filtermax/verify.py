@@ -34,7 +34,7 @@ from .space import (
     FilteredSpace,
     Fn,
     ValidationError,
-    _cond_exp_rows,
+    _cond,
     as_fn,
     cond_exp,
     read_json,
@@ -290,10 +290,18 @@ def instance_from_dict(data: dict, where: str = "instance") -> Instance:
             raise ValidationError(f"{where}: field {key!r} must be strictly positive")
         if not weight and np.any(arrays[key] < 0):
             raise ValidationError(f"{where}: field {key!r} must be nonnegative")
+    if ("h1" in arrays) != ("h2" in arrays):
+        given, missing = ("h1", "h2") if "h1" in arrays else ("h2", "h1")
+        raise ValidationError(f"{where}: field {given!r} needs field {missing!r} too")
     bad = _bad_dual_weight(arrays["omega1"], arrays["omega2"], exps)
     if bad is not None:
         raise ValidationError(f"{where}: {bad}")
-    product = bool(data.get("product_weight", False))
+    seed = data.get("seed")
+    if seed is not None and (type(seed) is not int or seed < 0):
+        raise ValidationError(f"{where}: field 'seed' must be a non-negative integer, got {seed!r}")
+    product = data.get("product_weight", False)
+    if type(product) is not bool:
+        raise ValidationError(f"{where}: field 'product_weight' must be true or false, got {product!r}")
     if product:
         v = arrays["v"]
         expected = _product_v(arrays["omega1"], arrays["omega2"], exps)
@@ -311,7 +319,7 @@ def instance_from_dict(data: dict, where: str = "instance") -> Instance:
         omega2=arrays["omega2"],
         exps=exps,
         product_weight=product,
-        seed=data.get("seed"),
+        seed=seed,
         model=data.get("model", ""),
         h1=arrays.get("h1"),
         h2=arrays.get("h2"),
@@ -348,44 +356,64 @@ def evaluation_pairs(inst: Instance, count: int, seed: int | None = None) -> lis
     return out
 
 
-def _pair_norms(inst: Instance, f1: Fn, f2: Fn) -> tuple[float, float] | None:
-    """(||M(f1 sigma1, f2 sigma2)||_{L^p(v)}, ||f1||_{p1,sigma1} ||f2||_{p2,sigma2}),
-    or None when the denominator vanishes (the operator is then not evaluated)."""
-    den = lp_norm(inst.space, f1, inst.sigma1, inst.exps.p1) * lp_norm(
-        inst.space, f2, inst.sigma2, inst.exps.p2
-    )
-    if den == 0.0:
-        return None
-    num = lp_norm(
-        inst.space, bilinear_maximal(inst.space, f1 * inst.sigma1, f2 * inst.sigma2), inst.v, inst.exps.p
-    )
-    return num, den
+def _pair_norms(
+    inst: Instance, F1: np.ndarray, F2: np.ndarray, inside: np.ndarray | None = None
+) -> tuple[list[float], list[float], list[float]]:
+    """Unchecked lists, per row pair (f1, f2) of two (k, n) blocks, of ||M(f1 sigma1,
+    f2 sigma2)||_{L^p(v)}, of ||f1||_{p1,sigma1} ||f2||_{p2,sigma2}, and of the first
+    over the row of a boolean block `inside` only (all points without it), bit for
+    bit as `bilinear_maximal` and `lp_norm`: a norm is a 1-d sum of one row
+    (`sum(axis=1)` adds short rows in another order), rooted as a Python float."""
+    exps, masses = inst.exps, inst.space.masses
+
+    def norms(rows, p: float) -> list[float]:
+        return [float(row.sum()) ** (1.0 / p) for row in rows]
+
+    m = _level_max(inst.space, _cond, 0, F1 * inst.sigma1, F2 * inst.sigma2)
+    dens_m = m**exps.p * inst.v * masses
+    nums = norms(dens_m, exps.p)
+    n1 = norms(np.abs(F1) ** exps.p1 * inst.sigma1 * masses, exps.p1)
+    n2 = norms(np.abs(F2) ** exps.p2 * inst.sigma2 * masses, exps.p2)
+    dens = [a * b for a, b in zip(n1, n2)]
+    return nums, dens, nums if inside is None else norms((dm[r] for dm, r in zip(dens_m, inside)), exps.p)
+
+
+def _pair_block(inst: Instance, pairs: Pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs' f1s and f2s as two (k, n) blocks, checked one pair at a time."""
+    F1 = np.empty((len(pairs), inst.space.n))
+    F2 = np.empty_like(F1)
+    for r, (_, f1, f2) in enumerate(pairs):
+        F1[r], F2[r] = as_fn(inst.space, f1), as_fn(inst.space, f2)
+    return F1, F2
 
 
 def norm_ratio(inst: Instance, f1: Fn, f2: Fn) -> float | None:
     """||M(f1 sigma1, f2 sigma2)||_{L^p(v)} / (||f1||_{p1,sigma1} ||f2||_{p2,sigma2})."""
-    norms = _pair_norms(inst, f1, f2)
-    return None if norms is None else norms[0] / norms[1]
+    (num,), (den,), _ = _pair_norms(inst, *_pair_block(inst, [("", f1, f2)]))
+    return None if den == 0.0 else num / den
 
 
 def _indicator_ratio(inst: Instance, pts) -> float:
     """norm_ratio of the indicator pair (1_E, 1_E) of a nonempty point set E."""
-    return _indicator_ratios(inst, inst.space.indicator(pts)[None] > 0)[1][0]
+    chi = inst.space.indicator(pts)[None]
+    (num,), (den,), _ = _pair_norms(inst, chi, chi)
+    return num / den
 
 
-def _worst_pair(inst: Instance, pairs: Pairs, const: float) -> tuple[str, float, float]:
+def _worst_pair(inst: Instance, pairs: Pairs, const: float, check: str) -> tuple[str, float, float]:
     """The pair with the largest lhs / rhs for the bound lhs <= const * den,
-    as (name, lhs, rhs); the first such pair wins ties."""
+    as (name, lhs, rhs); the first such pair wins ties.  Raises ValueError
+    naming the check when no pair has a nonvanishing denominator."""
+    nums, dens, _ = _pair_norms(inst, *_pair_block(inst, pairs))
     worst: tuple[float, str, float, float] | None = None
-    for name, f1, f2 in pairs:
-        norms = _pair_norms(inst, f1, f2)
-        if norms is None:
+    for (name, _, _), num, den in zip(pairs, nums, dens):
+        if den == 0.0:
             continue
-        num, den = norms
         rhs = const * den
         if worst is None or num / rhs > worst[0]:
             worst = (num / rhs, name, num, rhs)
-    assert worst is not None, "evaluation family was empty"
+    if worst is None:
+        raise ValueError(f"{check}: no test pair has ||f1|| ||f2|| > 0 ({len(pairs)} pairs given)")
     return worst[1:]
 
 
@@ -417,7 +445,7 @@ def check_thm11_forward(inst: Instance, pairs: Pairs | None = None) -> CheckResu
         * a_const.value ** (exps.q_prime / exps.p)
     )
     pairs = evaluation_pairs(inst, 5) if pairs is None else pairs
-    name, lhs, rhs = _worst_pair(inst, pairs, const)
+    name, lhs, rhs = _worst_pair(inst, pairs, const, "thm11_forward")
     return CheckResult(
         theorem="thm11_forward",
         lhs=lhs,
@@ -451,49 +479,25 @@ def check_thm11_converse(inst: Instance, mode: str = "exact") -> CheckResult:
     )
 
 
-def _indicator_ratios(inst: Instance, inside: np.ndarray) -> tuple[list[float], list[float]]:
-    """Restricted and full norm ratios of the pair (sigma1 1_E, sigma2 1_E)
-    for each row E of a k x n boolean block of nonempty tails.
-
-    Runs the block through `_cond_exp_rows`, so each ratio is bit for bit
-    what `bilinear_maximal` and `lp_norm` give for that tail (the full one
-    is `_indicator_ratio`): each norm is a 1-d sum of one row (`sum(axis=1)`
-    adds short rows in another order), rooted as a Python float.
-    """
-    exps = inst.exps
-    space = inst.space
-    masses = space.masses
-    chi = inside.astype(float)
-    m = _level_max(space, _cond_exp_rows, 0, inst.sigma1 * chi, inst.sigma2 * chi)
-    dens1 = chi**exps.p1 * inst.sigma1 * masses
-    dens2 = chi**exps.p2 * inst.sigma2 * masses
-    dens_m = m**exps.p * inst.v * masses
-    restricted, full = [], []
-    for row_inside, d1, d2, dm in zip(inside, dens1, dens2, dens_m):
-        den = float(d1.sum()) ** (1.0 / exps.p1) * float(d2.sum()) ** (1.0 / exps.p2)
-        restricted.append(float(dm[row_inside].sum()) ** (1.0 / exps.p) / den)
-        full.append(float(dm.sum()) ** (1.0 / exps.p) / den)
-    return restricted, full
-
-
 def _tail_ratios(inst: Instance) -> tuple[float, float, int | None]:
     """Per nonempty T_0 tail E: restricted and full norm ratios of the pair
     (sigma1 1_E, sigma2 1_E).  Returns both maxima and the first mask
     attaining the full one; raises EnumerationBudgetError when the tails
     cannot be swept exactly.
 
-    Sweeps `_tail_blocks` through `_indicator_ratios`.  The S sweep sums in
+    Sweeps `_tail_blocks` through `_pair_norms`.  The S sweep sums in
     another order, which keeps thm12_attain an independent check of it.
     """
     best_restricted = -np.inf
     best_full = -np.inf
     arg_f: int | None = None
     for tails, inside in _tail_blocks(inst.space, 0, None):
-        restricted, full = _indicator_ratios(inst, inside)
-        best_restricted = max(best_restricted, *restricted)
-        for mask, ratio in zip(tails, full):
-            if ratio > best_full:
-                best_full, arg_f = ratio, int(mask)
+        chi = inside.astype(float)
+        nums, dens, restricted = _pair_norms(inst, chi, chi, inside)
+        best_restricted = max(best_restricted, *(num / den for num, den in zip(restricted, dens)))
+        for mask, num, den in zip(tails, nums, dens):
+            if num / den > best_full:
+                best_full, arg_f = num / den, int(mask)
     return best_restricted, best_full, arg_f
 
 
@@ -514,8 +518,8 @@ def check_thm12(inst: Instance, pairs: Pairs | None = None, mode: str = "exact")
     out: list[CheckResult] = []
 
     pairs = evaluation_pairs(inst, 5) if pairs is None else pairs
-    ratios = [(name, norm_ratio(inst, f1, f2)) for name, f1, f2 in pairs]
-    ratios = [(name, r) for name, r in ratios if r is not None]
+    nums, dens, _ = _pair_norms(inst, *_pair_block(inst, pairs))
+    ratios = [(name, num / den) for (name, _, _), num, den in zip(pairs, nums, dens) if den != 0.0]
 
     ratios.append(("s_witness_tail", _indicator_ratio(inst, s_const.witness["tail"])))
 
@@ -578,7 +582,7 @@ def check_thm14(inst: Instance, pairs: Pairs | None = None) -> list[CheckResult]
         n2_omega = lp_norm(inst.space, f2 * inst.sigma2, inst.omega2, exps.p2)
         for a, b in ((n1_sigma, n1_omega), (n2_sigma, n2_omega)):
             ident = max(ident, abs(a - b) / max(a, b, 1e-300))
-    name, lhs, rhs = _worst_pair(inst, pairs, const)
+    name, lhs, rhs = _worst_pair(inst, pairs, const, "thm14_bound")
     return [
         CheckResult(
             theorem="thm14_bound",
@@ -612,7 +616,7 @@ def check_thm15(inst: Instance, pairs: Pairs | None = None, mode: str = "exact")
         * (a_const.value * winf.value) ** (1.0 / exps.p)
     )
     pairs = evaluation_pairs(inst, 5) if pairs is None else pairs
-    name, lhs, rhs = _worst_pair(inst, pairs, const)
+    name, lhs, rhs = _worst_pair(inst, pairs, const, "thm15_bound")
     return CheckResult(
         theorem="thm15_bound",
         lhs=lhs,
@@ -815,16 +819,26 @@ def estimate_norm(inst: Instance, budget: int = 16, seed: int = 0) -> tuple[floa
         consider(best_tail, {"kind": "tail", "mask": arg_tail})
     except EnumerationBudgetError:
         # the search skips empty tails, so every candidate's indicator pair has a ratio
-        val, tau = heuristic_sup_over_tau(
-            space, 0, lambda inside: _indicator_ratios(inst, inside)[1], guide=(inst.sigma1, inst.sigma2)
-        )
+        def tail_ratios(inside: np.ndarray) -> list[float]:
+            nums, dens, _ = _pair_norms(inst, inside.astype(float), inside.astype(float))
+            return [num / den for num, den in zip(nums, dens)]
+
+        val, tau = heuristic_sup_over_tau(space, 0, tail_ratios, guide=(inst.sigma1, inst.sigma2))
         consider(val, {"kind": "tail_heuristic", "tail": tau.tail_set().tolist()})
-    for t, (_, f1, f2) in enumerate(evaluation_pairs(inst, budget, seed=seed)):
-        consider(norm_ratio(inst, f1, f2), {"kind": "random", "draw": t})
+    nums, dens, _ = _pair_norms(inst, *_pair_block(inst, evaluation_pairs(inst, budget, seed=seed)))
+    for t, (num, den) in enumerate(zip(nums, dens)):
+        consider(None if den == 0.0 else num / den, {"kind": "random", "draw": t})
     return best, witness
 
 
 # ---- suite runner ------------------------------------------------------------
+
+
+def _check_suite_args(suite: str, pair_count: int) -> None:
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
+    if pair_count < 1:
+        raise ValueError(f"pair_count must be at least 1, got {pair_count}")
 
 
 def run_instance_suite(
@@ -840,8 +854,7 @@ def run_instance_suite(
     and the default forest are computed once per call, whatever earlier
     calls computed.
     """
-    if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
+    _check_suite_args(suite, pair_count)
     inst = replace(inst)
     mode = "exact"
     if suite in _TAIL_SUITES:
@@ -890,6 +903,7 @@ def run_ensemble(
     Rows come back sorted by (seed, theorem); with jobs > 1 the instances
     are processed in a process pool, which cannot change the output.
     """
+    _check_suite_args(suite, pair_count)
     args = [
         (master_seed + t, suite, depth, branching, model, p1, p2, pair_count, fallback)
         for t in range(count)

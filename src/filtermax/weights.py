@@ -27,7 +27,8 @@ from typing import Callable
 import numpy as np
 
 from .operators import _level_max
-from .space import Exponents, FilteredSpace, Fn, _cond_exp_rows, _row_cond_exp, as_fn, cond_exp
+from .space import Exponents, FilteredSpace, Fn, _cond, _positive, _row_cond_exp, as_fn
+from .space import cond_exp  # noqa: F401  (bench/tests expects this module to bind it)
 from .stopping import _first_max, _tail_blocks, heuristic_sup_over_tau, stopping_time_from_tail
 
 EXACT = "exact"
@@ -50,13 +51,6 @@ class WeightConstant:
 
     def __float__(self) -> float:
         return self.value
-
-
-def _positive(space: FilteredSpace, w, name: str) -> Fn:
-    arr = as_fn(space, w)
-    if np.any(arr <= 0):
-        raise ValueError(f"{name} must be strictly positive")
-    return arr
 
 
 def sigma_from_omega(omega: Fn, p_s: float) -> Fn:
@@ -95,14 +89,15 @@ def a_p_constant(space: FilteredSpace, v: Fn, omega1: Fn, omega2: Fn, exps: Expo
     v = _positive(space, v, "v")
     sigma1 = sigma_from_omega(_positive(space, omega1, "omega1"), exps.p1)
     sigma2 = sigma_from_omega(_positive(space, omega2, "omega2"), exps.p2)
+    sigma1, sigma2 = as_fn(space, sigma1), as_fn(space, sigma2)  # overflow for p_s near 1
     p = exps.p
     e1, e2 = p / exps.p1_prime, p / exps.p2_prime
 
     def density(level: int) -> Fn:
         return (
-            cond_exp(space, v, level)
-            * cond_exp(space, sigma1, level) ** e1
-            * cond_exp(space, sigma2, level) ** e2
+            _cond(space, v, level)
+            * _cond(space, sigma1, level) ** e1
+            * _cond(space, sigma2, level) ** e2
         )
 
     return _atom_max(space, density, "A")
@@ -116,13 +111,14 @@ def b_p_constant(space: FilteredSpace, v: Fn, omega1: Fn, omega2: Fn, exps: Expo
     sigma2 = sigma_from_omega(_positive(space, omega2, "omega2"), exps.p2)
     p = exps.p
     log_mix = np.log(sigma1 ** (p / exps.p1) * sigma2 ** (p / exps.p2))
+    sigma1, sigma2, log_mix = as_fn(space, sigma1), as_fn(space, sigma2), as_fn(space, log_mix)
 
     def density(level: int) -> Fn:
         return (
-            cond_exp(space, v, level)
-            * cond_exp(space, sigma1, level) ** p
-            * cond_exp(space, sigma2, level) ** p
-            / np.exp(cond_exp(space, log_mix, level))
+            _cond(space, v, level)
+            * _cond(space, sigma1, level) ** p
+            * _cond(space, sigma2, level) ** p
+            / np.exp(_cond(space, log_mix, level))
         )
 
     return _atom_max(space, density, "B")
@@ -155,8 +151,8 @@ def _sup_over_tails(
     blocks = _tail_blocks(space, 0, budget) if mode == EXACT else None
     # the matmul kernel holds a points x atoms matrix per level, linear in the
     # points under the atom budget but quadratic past it, where the search runs;
-    # the bincount rows hold none
-    cond = _row_cond_exp(space) if blocks is not None else _cond_exp_rows
+    # the bincount kernel holds none
+    cond = _row_cond_exp(space) if blocks is not None else _cond
 
     def objective(inside: np.ndarray) -> np.ndarray:
         return block_objective(inside.astype(float), cond)

@@ -45,9 +45,9 @@ from filtermax import (
     sigma_from_omega,
     space_from_dict,
 )
-from filtermax.space import _cond_exp_rows
+from filtermax.space import _cond
 from filtermax.stopping import _BLOCK_BYTES, _tail_blocks
-from filtermax.verify import _tail_ratios
+from filtermax.verify import _pair_norms, _tail_ratios, norm_ratio
 from filtermax.weights import _sup_over_tails
 
 REL_TOL = 1e-12
@@ -291,10 +291,14 @@ def test_row_cond_exp_is_cond_exp_of_each_row(name, request):
     rng = np.random.default_rng(17)
     rows = rng.standard_normal((9, space.n)) * np.exp(3.0 * rng.standard_normal((9, space.n)))
     for level in range(space.n_levels):
-        got = _cond_exp_rows(space, rows, level)
+        got = _cond(space, rows, level)
         assert got.shape == rows.shape
         for row, want in zip(rows, got):
             assert want.tobytes() == cond_exp(space, row, level).tobytes()
+            one = _cond(space, row, level)  # a single function, 1-d
+            assert one.shape == row.shape and one.tobytes() == want.tobytes()
+        assert _cond(space, rows[:1], level).tobytes() == got[:1].tobytes()
+        assert _cond(space, rows[:0], level).shape == (0, space.n)
 
 
 def test_thm12_attain_catches_a_wrong_s(monkeypatch):
@@ -561,3 +565,58 @@ def test_exact_sweep_keeps_the_first_maximizer_across_blocks(name, request):
     assert c.witness["tau"] == [0] * space.n
     c = _sup_over_tails(space, "T", full_tail_nan, None, "heuristic", None)
     assert finest_mask(space, c.witness["tail"]) == 7
+
+
+# ---- the block pair norms ------------------------------------------------------
+
+
+def reference_pair_norms(inst, F1, F2, inside=None):
+    """_pair_norms one pair at a time through the public operator and norms."""
+    nums, dens, inside_nums = [], [], []
+    for r, (f1, f2) in enumerate(zip(F1, F2)):
+        m = bilinear_maximal(inst.space, f1 * inst.sigma1, f2 * inst.sigma2)
+        nums.append(lp_norm(inst.space, m, inst.v, inst.exps.p))
+        n1 = lp_norm(inst.space, f1, inst.sigma1, inst.exps.p1)
+        dens.append(n1 * lp_norm(inst.space, f2, inst.sigma2, inst.exps.p2))
+        pts = None if inside is None else np.flatnonzero(inside[r])
+        inside_nums.append(lp_norm(inst.space, m, inst.v, inst.exps.p, subset=pts))
+    return nums, dens, inside_nums
+
+
+def assert_pair_norms_match(inst, seed):
+    """Random signed pairs, a zero f1 (no ratio) and indicator pairs of random
+    point sets, scored as one block, equal the per-pair reference bit for bit."""
+    n = inst.space.n
+    rng = np.random.default_rng(seed)
+    F1 = rng.standard_normal((6, n)) * np.exp(rng.standard_normal((6, n)))
+    F2 = np.exp(0.5 * rng.standard_normal((6, n)))
+    F1[2] = 0.0
+    assert _pair_norms(inst, F1, F2) == reference_pair_norms(inst, F1, F2)
+    assert norm_ratio(inst, F1[2], F2[2]) is None
+    for f1, f2, num, den in zip(F1, F2, *_pair_norms(inst, F1, F2)[:2]):
+        assert norm_ratio(inst, f1, f2) == (None if den == 0.0 else num / den)
+    inside = rng.random((5, n)) < 0.5
+    inside[:, 0] = True  # nonempty sets
+    chi = inside.astype(float)
+    assert _pair_norms(inst, chi, chi, inside) == reference_pair_norms(inst, chi, chi, inside)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_pair_norms_equal_the_public_operators_on_fixtures(name, request):
+    space = request.getfixturevalue(name)
+    rng = np.random.default_rng(23)
+    for exps in (Exponents(2.0, 2.0), Exponents(1.5, 3.0)):
+        v, omega1, omega2 = random_weights(rng, space.n)
+        assert_pair_norms_match(Instance(space, v, omega1, omega2, exps, False), 5)
+
+
+@pytest.mark.parametrize("shape", [dict(depth=3), dict(depth=2, branching=4, p1=1.5, p2=3.0), dict(depth=5)])
+def test_pair_norms_equal_the_public_operators_on_generated_instances(shape):
+    for seed in range(3):
+        assert_pair_norms_match(gen_instance(seed, **shape), seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_instances(), st.integers(0, 2**32 - 1))
+def test_pair_norms_equal_the_public_operators_on_generated_spaces(inst, seed):
+    assert_pair_norms_match(inst, seed)

@@ -1,13 +1,14 @@
 """The filtermax command line: exit codes, report formats, golden values
 on the worked instance, and byte determinism."""
 
+import dataclasses
 import json
 import os
 from pathlib import Path
 
 import pytest
 
-from filtermax import load_instance
+from filtermax import load_instance, verify
 from filtermax.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -117,6 +118,27 @@ def test_constants_invalid_instance(tmp_path, capsys):
     assert "field 'sigma1'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra,field",
+    [
+        ({"seed": "abc"}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": -4}, "seed"),
+        ({"product_weight": "false"}, "product_weight"),
+        ({"h1": [1, 1]}, "h1"),
+    ],
+)
+@pytest.mark.parametrize("command", ["verify", "constants"])
+def test_bad_bookkeeping_fields_are_invalid_instances(tmp_path, capsys, extra, field, command):
+    """Exit 4 with the path and the field named, not a traceback (exit 1)
+    or a usage error (exit 2)."""
+    bad = tmp_path / "bad.json"
+    good = {**DUAL_OVERFLOW, "p1": 2}
+    bad.write_text(json.dumps({**good, **extra}))
+    assert run(command, str(bad)) == 4
+    assert f"{bad}: field '{field}'" in capsys.readouterr().err
+
+
 def test_constants_infeasible_and_fallback(tmp_path, capsys):
     big = tmp_path / "big.json"
     assert run("gen", "--seed", "2", "--depth", "5", "--branching", "2", "--out", str(big)) == 0
@@ -154,6 +176,37 @@ def test_verify_usage_errors(tmp_path, capsys):
     assert run("verify") == 2
     assert run("verify", str(DATA / "worked4.json"), "--ensemble", "1", "2") == 2
     assert run("verify", "--ensemble", "1", "0") == 2
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--pairs", "0"], "--pairs must be at least 1"),
+        (["--pairs", "-3"], "--pairs must be at least 1"),
+        (["--tol", "-1"], "--tol must be finite and non-negative"),
+        (["--tol", "-0.0001"], "--tol must be finite and non-negative"),
+        (["--tol", "nan"], "--tol must be finite and non-negative"),
+        (["--tol", "inf"], "--tol must be finite and non-negative"),
+    ],
+)
+@pytest.mark.parametrize("source", ["ensemble", "file"])
+def test_verify_rejects_option_ranges(tmp_path, monkeypatch, capsys, flags, message, source):
+    """Out-of-range --pairs and --tol are usage errors: exit 2, no report and
+    no replay file, rather than a falsification (exit 1)."""
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "rows.csv"
+    target = ["--ensemble", "7", "2"] if source == "ensemble" else [str(DATA / "worked4.json")]
+    assert run("verify", *target, "--suite", "props", *flags, "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert list(tmp_path.glob("replay_*.json")) == []
+
+
+def test_verify_accepts_option_bounds(tmp_path):
+    out = tmp_path / "rows.csv"
+    flags = ["--suite", "thm14", "--pairs", "1", "--tol", "0", "--out", str(out)]
+    assert run("verify", str(DATA / "worked4.json"), *flags) == 0
+    assert out.read_text().count("thm14_") == 2
 
 
 def test_verify_missing_and_invalid(tmp_path, capsys):
@@ -196,14 +249,26 @@ def test_verify_json_format(tmp_path):
     assert all(p["status"] == "pass" for p in payload)
 
 
+def _break_first_row(monkeypatch, check):
+    """Make the first row of verify.<check> exceed its rhs, a genuine falsification."""
+    real = getattr(verify, check)
+
+    def broken(*args, **kwargs):
+        rows = real(*args, **kwargs)
+        rows = rows if isinstance(rows, list) else [rows]
+        return [dataclasses.replace(rows[0], lhs=rows[0].rhs + 1.0), *rows[1:]]
+
+    monkeypatch.setattr(verify, check, broken)
+
+
 def test_verify_falsification_writes_replay(tmp_path, monkeypatch, capsys):
-    """A negative tolerance turns tight passes into failures, exercising
-    the falsification path: exit 1 plus a replay instance."""
+    """A check whose lhs exceeds its rhs exercises the falsification path:
+    exit 1 plus a replay instance."""
     monkeypatch.chdir(tmp_path)
+    _break_first_row(monkeypatch, "check_properties")
+    _break_first_row(monkeypatch, "check_sparse")
     out = tmp_path / "rows.csv"
-    code = run(
-        "verify", "--ensemble", "7", "2", "--suite", "props", "--tol", "-0.999", "--out", str(out)
-    )
+    code = run("verify", "--ensemble", "7", "2", "--suite", "props", "--out", str(out))
     assert code == 1
     err = capsys.readouterr().err
     assert "falsified" in err
@@ -212,9 +277,7 @@ def test_verify_falsification_writes_replay(tmp_path, monkeypatch, capsys):
     replayed = load_instance(str(replays[0]))
     assert replayed.seed in (7, 8)
     # the single-instance path reports without a replay file
-    code = run(
-        "verify", str(DATA / "worked4.json"), "--suite", "sparse", "--tol", "-0.5"
-    )
+    code = run("verify", str(DATA / "worked4.json"), "--suite", "sparse")
     assert code == 1
     assert "falsified" in capsys.readouterr().err
     assert sorted(tmp_path.glob("replay_*.json")) == replays

@@ -6,14 +6,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import filtermax.operators
+import filtermax.space
 from filtermax import (
+    Exponents,
     FilteredSpace,
+    a_p_constant,
+    b_p_constant,
     bilinear_maximal,
+    build_level_sets,
+    check_thm12,
+    check_thm14,
+    check_thm15,
     cond_exp,
+    gen_instance,
+    gen_space,
+    level_products,
     lp_norm,
     maximal,
+    norm_ratio,
+    proof_coefficients,
     tailed_bilinear_maximal,
     tailed_maximal,
+    verify_embedding,
+    weighted_cond_exp,
     weighted_maximal,
 )
 
@@ -141,3 +157,117 @@ def test_appending_duplicate_finest_level_changes_nothing(quad):
     assert np.array_equal(
         weighted_maximal(quad, f, sigma), weighted_maximal(extended, f, sigma)
     )
+
+
+# ---- validation at the public boundary ----------------------------------------
+
+_INST = gen_instance(3, depth=3)  # eight points, levels 0..3
+_SP = _INST.space
+_OK = np.ones(8)
+_SHORT = np.ones(7)
+_NAN = np.where(np.arange(8) == 2, np.nan, 1.0)
+_ZERO = np.where(np.arange(8) == 0, 0.0, 1.0)
+_SHAPE = "function must have shape (8,), got (7,)"
+_FINITE = "function values must be finite"
+_SIGMA = "sigma must be strictly positive"
+_EXPS = Exponents(2.0, 3.0)
+
+# (call, message): every public entry point, one bad input, or two to pin the order
+BAD_INPUTS = {
+    "cond_exp level": (lambda: cond_exp(_SP, _OK, 4), "level 4 outside 0..3"),
+    "cond_exp level before f": (lambda: cond_exp(_SP, _SHORT, -1), "level -1 outside 0..3"),
+    "cond_exp nan": (lambda: cond_exp(_SP, _NAN, 1), _FINITE),
+    "level_products f before g": (lambda: level_products(_SP, _SHORT, _NAN), _SHAPE),
+    "level_products g": (lambda: level_products(_SP, _OK, _NAN), _FINITE),
+    "maximal shape": (lambda: maximal(_SP, _SHORT), _SHAPE),
+    "bilinear_maximal f before g": (lambda: bilinear_maximal(_SP, _NAN, _SHORT), _FINITE),
+    "bilinear_maximal g": (lambda: bilinear_maximal(_SP, _OK, _SHORT), _SHAPE),
+    "tailed_maximal level": (lambda: tailed_maximal(_SP, 99, _OK), "level 99 outside 0..3"),
+    "tailed_bilinear level before f": (
+        lambda: tailed_bilinear_maximal(_SP, 4, _SHORT, _OK), "level 4 outside 0..3"
+    ),
+    "tailed_bilinear g": (lambda: tailed_bilinear_maximal(_SP, 1, _OK, _NAN), _FINITE),
+    "weighted_maximal f before sigma": (lambda: weighted_maximal(_SP, _NAN, _ZERO), _FINITE),
+    "weighted_maximal sigma": (lambda: weighted_maximal(_SP, _OK, _ZERO), _SIGMA),
+    "weighted_maximal sigma shape": (lambda: weighted_maximal(_SP, _OK, _SHORT), _SHAPE),
+    "weighted_maximal overflow": (
+        lambda: weighted_maximal(_SP, np.full(8, 1e200), np.full(8, 1e200)), _FINITE
+    ),
+    "weighted_cond_exp sigma before f, level": (lambda: weighted_cond_exp(_SP, _SHORT, -_OK, 9), _SIGMA),
+    "weighted_cond_exp f before level": (lambda: weighted_cond_exp(_SP, _SHORT, _OK, 9), _SHAPE),
+    "weighted_cond_exp level": (lambda: weighted_cond_exp(_SP, _OK, _OK, -1), "level -1 outside 0..3"),
+    "weighted_cond_exp level before overflow": (
+        lambda: weighted_cond_exp(_SP, np.full(8, 1e200), np.full(8, 1e200), 9), "level 9 outside 0..3"
+    ),
+    "a_p_constant omega1": (
+        lambda: a_p_constant(_SP, _OK, _ZERO, _OK, _EXPS), "omega1 must be strictly positive"
+    ),
+    "a_p_constant sigma1 overflow": (
+        lambda: a_p_constant(_SP, _OK, np.full(8, 1e-3), _OK, Exponents(1.001, 2.0)), _FINITE
+    ),
+    "b_p_constant v": (lambda: b_p_constant(_SP, _ZERO, _OK, _OK, _EXPS), "v must be strictly positive"),
+    "b_p_constant omega2 shape": (lambda: b_p_constant(_SP, _OK, _OK, _SHORT, _EXPS), _SHAPE),
+    "norm_ratio f1 before f2": (lambda: norm_ratio(_INST, _NAN, _SHORT), _FINITE),
+    "norm_ratio f2": (lambda: norm_ratio(_INST, _OK, _SHORT), _SHAPE),
+    "thm14 pairs in order": (
+        lambda: check_thm14(_INST, [("a", _OK, _OK), ("b", _OK, _NAN), ("c", _SHORT, _OK)]), _FINITE
+    ),
+    "thm15 first pair first": (lambda: check_thm15(_INST, [("a", _SHORT, _OK), ("b", _NAN, _OK)]), _SHAPE),
+    "thm12 pair": (lambda: check_thm12(_INST, [("a", _OK, _NAN)]), _FINITE),
+    "proof_coefficients sigma2 before v": (
+        lambda: proof_coefficients(_SP, _family(), _OK, _SHORT, _NAN, _EXPS), _SHAPE
+    ),
+    "proof_coefficients v": (lambda: proof_coefficients(_SP, _family(), _OK, _OK, _NAN, _EXPS), _FINITE),
+    "verify_embedding h2": (
+        lambda: verify_embedding(_INST.forest, _family(1.0), _OK, _SHORT, _OK, _OK, _EXPS), _SHAPE
+    ),
+    "verify_embedding omega2": (
+        lambda: verify_embedding(_INST.forest, _family(1.0), _OK, _OK, _OK, _ZERO, _EXPS),
+        "omega must be strictly positive",
+    ),
+}
+
+
+def _family(constant=None):
+    family = build_level_sets(_INST.forest, _INST.sigma1, _INST.sigma2)
+    return family if constant is None else family.with_constant(constant, certified=False)
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_public_entry_points_keep_their_error_messages(case):
+    call, message = BAD_INPUTS[case]
+    with np.errstate(all="ignore"), pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "call,count",
+    [
+        (lambda sp, f, g: bilinear_maximal(sp, f, g), 2),
+        (lambda sp, f, g: tailed_bilinear_maximal(sp, 2, f, g), 2),
+        (lambda sp, f, g: maximal(sp, f), 1),
+        (lambda sp, f, g: weighted_maximal(sp, f, g), 4),  # f, sigma, |f| and |f| sigma
+        (lambda sp, f, g: level_products(sp, f, g), 2),
+    ],
+    ids=["bilinear_maximal", "tailed_bilinear_maximal", "maximal", "weighted_maximal", "level_products"],
+)
+def test_operators_validate_each_input_once(monkeypatch, call, count):
+    """On a depth-5 space (six levels) an operator checks its inputs once, on
+    entry, and runs every level on the unchecked kernel: the count does not
+    grow with the levels."""
+    space = gen_space(1, depth=5, branching=2)
+    rng = np.random.default_rng(0)
+    f, g = np.exp(rng.standard_normal((2, space.n)))
+    want = call(space, f, g)
+    calls = []
+    real = filtermax.space.as_fn
+
+    def counting(sp, values):
+        calls.append(values)
+        return real(sp, values)
+
+    monkeypatch.setattr(filtermax.operators, "as_fn", counting)
+    monkeypatch.setattr(filtermax.space, "as_fn", counting)
+    assert np.array_equal(call(space, f, g), want)
+    assert len(calls) == count

@@ -152,6 +152,27 @@ def test_load_instance_errors(tmp_path):
     path.write_text(json.dumps({**base, "omega1": [1, 1, 1e3], "omega2": [1, 1, 1]}))
     with pytest.raises(ValidationError, match="field 'sigma1' .* is 0.0 at point 2"):
         load_instance(str(path))
+    # bookkeeping fields: a bad seed, a non-boolean product_weight, h1 without h2
+    good = {"masses": [1, 1], "levels": [[[0, 1]]], "p1": 2, "p2": 2}
+    good.update(v=[1, 1], omega1=[1, 1], omega2=[1, 1])
+    for extra, message in BAD_BOOKKEEPING:
+        path.write_text(json.dumps({**good, **extra}))
+        with pytest.raises(ValidationError, match=r"bad\.json: " + message):
+            load_instance(str(path))
+    path.write_text(json.dumps({**good, "seed": 0, "product_weight": False, "h1": [1, 0], "h2": [0, 1]}))
+    assert load_instance(str(path)).seed == 0
+
+
+BAD_BOOKKEEPING = [
+    ({"seed": "abc"}, r"field 'seed' must be a non-negative integer, got 'abc'"),
+    ({"seed": 1.5}, r"field 'seed' must be a non-negative integer, got 1\.5"),
+    ({"seed": -4}, r"field 'seed' must be a non-negative integer, got -4"),
+    ({"seed": True}, r"field 'seed' must be a non-negative integer, got True"),
+    ({"product_weight": "false"}, r"field 'product_weight' must be true or false, got 'false'"),
+    ({"product_weight": 1}, r"field 'product_weight' must be true or false, got 1"),
+    ({"h1": [1, 1]}, r"field 'h1' needs field 'h2' too"),
+    ({"h2": [1, 1]}, r"field 'h2' needs field 'h1' too"),
+]
 
 
 def test_product_weight_is_validated_on_load(tmp_path):
@@ -510,6 +531,28 @@ def test_suites_without_tail_checks_need_no_fallback():
     for suite in ("thm11", "thm15", "carleson", "all"):
         with pytest.raises(EnumerationBudgetError):
             run_instance_suite(big, suite, pair_count=1)
+
+
+@pytest.mark.parametrize("pair_count", [0, -1])
+def test_suite_runners_reject_pair_counts_below_one(flat, pair_count):
+    with pytest.raises(ValueError, match=f"pair_count must be at least 1, got {pair_count}"):
+        run_instance_suite(flat, "thm14", pair_count=pair_count)
+    with pytest.raises(ValueError, match=f"pair_count must be at least 1, got {pair_count}"):
+        run_ensemble(1, 2, suite="thm14", pair_count=pair_count)
+
+
+@pytest.mark.parametrize(
+    "check,theorem",
+    [(check_thm11_forward, "thm11_forward"), (check_thm14, "thm14_bound"), (check_thm15, "thm15_bound")],
+)
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_worst_pair_without_a_nonvanishing_pair_names_the_check(flat, check, theorem, count):
+    """A family whose every pair has ||f1|| ||f2|| = 0 (or no pair at all) is
+    a ValueError naming the check, not an assert."""
+    pairs = [(f"zero{t}", np.zeros(4), np.ones(4)) for t in range(count)]
+    with pytest.raises(ValueError) as info:
+        check(flat, pairs)
+    assert str(info.value) == f"{theorem}: no test pair has ||f1|| ||f2|| > 0 ({count} pairs given)"
 
 
 def test_run_ensemble_sorted_and_parallel_equal():
