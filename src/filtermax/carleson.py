@@ -17,8 +17,9 @@ tau in T_i (i = the forest's base level):
 
 `certify_carleson_constant` computes the smallest such A exhaustively:
 the tails {tau < inf} are exactly the unions of finest atoms, and it
-sweeps all of them in blocks (budgeted) — the embedding verifier refuses
-to run with an uncertified constant unless one is supplied explicitly.
+sweeps all of them through `stopping._sweep_tails` (refused past the atom
+budget) — the embedding verifier refuses to run with an uncertified
+constant unless one is supplied explicitly.
 Under the condition, for f_s = h_s with finite L^(p_s)(omega_s) norms,
 
     sum over Q of essinf_Q( E^sigma1(h1 sigma1^-1 | F_K1)
@@ -38,7 +39,7 @@ import numpy as np
 
 from .principal import PrincipalForest, _shells
 from .space import Exponents, FilteredSpace, Fn, _weighted_cond, _weighted_pair, as_fn, level_products
-from .stopping import StoppingTime, _tail_blocks, finest_mask, stopping_time_from_tail
+from .stopping import StoppingTime, _sweep_tails, finest_mask, stopping_time_from_tail
 from .weights import sigma_from_omega
 
 VARIANTS = ("node", "exit")
@@ -128,42 +129,35 @@ def certify_carleson_constant(
     sigma1: Fn,
     sigma2: Fn,
     exps: Exponents,
-    budget: int | None = None,
 ) -> tuple[CarlesonFamily, StoppingTime]:
     """Smallest A valid for every tau in T_i, by exhaustive tail enumeration.
 
-    Every nonempty tail (union of finest atoms) is evaluated, a block of
-    tails at a time.  Numerators add entry coefficients in entry order and
-    denominators add per-leaf mix integrals in leaf order, the order of a
-    per-tail sum, so A is the same float; the worst tail is the first
-    maximizer in ascending mask order.  Returns the certified family and
+    Every nonempty tail (union of finest atoms) is evaluated by
+    `_sweep_tails`, a block of tails at a time.  Numerators add entry
+    coefficients in entry order and denominators add per-leaf mix integrals
+    in leaf order, the order of a per-tail sum, so A is the same float; the
+    worst tail is the first maximizer in ascending mask order (a 0/0 tail
+    imposes no condition and is skipped).  Returns the certified family and
     the worst-case stopping time.
     """
     sigma1 = as_fn(space, sigma1)
     sigma2 = as_fn(space, sigma2)
-    blocks = _tail_blocks(space, family.base_level, budget)
     mix = _mix_density(space, sigma1, sigma2, exps)
     entry_masks = [finest_mask(space, e.points) for e in family.entries]
     coeffs = family.coefficients()
     # per-finest-atom mix integrals for fast tail sums
-    atom_mix = np.array(
-        [mix[atom].sum() for atom in space.atoms[space.last_level]]
-    )
-    best = 0.0
-    best_mask: int | None = None
-    for tails, _ in blocks:
+    atom_mix = np.array([mix[atom].sum() for atom in space.atoms[space.last_level]])
+
+    def ratios(tails: np.ndarray, _) -> np.ndarray:
         num = np.zeros(tails.size)
         for c, em in zip(coeffs, entry_masks):
             num += np.where((tails & em) == em, c, 0.0)
         den = np.zeros(tails.size)
         for a, am in enumerate(atom_mix):
             den += np.where(tails >> a & 1, am, 0.0)
-        ratio = num / den
-        k = int(np.argmax(ratio))
-        if ratio[k] > best or best_mask is None:
-            best = float(ratio[k])
-            best_mask = int(tails[k])
-    assert best_mask is not None
+        return num / den
+
+    best, best_mask = _sweep_tails(space, family.base_level, ratios)
     tau = stopping_time_from_tail(space, family.base_level, best_mask)
     return family.with_constant(best, certified=True), tau
 

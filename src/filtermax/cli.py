@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--tol", type=float, default=DEFAULT_REL_TOL, help="relative tolerance for pass/fail (finite, >= 0)"
     )
-    ver.add_argument("--jobs", type=int, default=1)
+    ver.add_argument("--jobs", type=int, default=1, help="worker processes (at least 1)")
     ver.add_argument("--fallback", action="store_true")
     ver.add_argument("--format", default="csv", choices=("csv", "json"))
     ver.add_argument("--out", help="write report here instead of stdout")
@@ -135,6 +135,9 @@ def _cmd_constants(args: argparse.Namespace) -> int:
             rec = compute_constant(
                 name, inst.space, inst.v, inst.omega1, inst.omega2, inst.exps, mode="heuristic"
             )
+        except ValueError as exc:  # a malformed FILTERMAX_ATOM_BUDGET, as in verify
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         records.append(rec)
     if args.format == "json":
         payload = [
@@ -162,6 +165,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     if args.pairs < 1:
         print(f"error: --pairs must be at least 1, got {args.pairs}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return EXIT_USAGE
     if not (math.isfinite(args.tol) and args.tol >= 0):
         print(f"error: --tol must be finite and non-negative, got {args.tol!r}", file=sys.stderr)

@@ -62,6 +62,16 @@ def _as_atom(atom: Iterable[int]) -> np.ndarray:
     return arr
 
 
+def _is_number(x, integral: bool = False) -> bool:
+    """Whether a raw mass is a real number, or (integral=True) a point index an
+    integer-valued one; booleans and strings are neither."""
+    if type(x) is int:  # the common case first: a tower lists every point at every level
+        return True
+    if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, float, np.integer, np.floating)):
+        return False
+    return not integral or float(x).is_integer()
+
+
 def validate(masses: Sequence[float], levels: Sequence[Sequence[Iterable[int]]]) -> ValidationReport:
     """Check raw (masses, levels) data; returns a report, never raises.
 
@@ -69,9 +79,15 @@ def validate(masses: Sequence[float], levels: Sequence[Sequence[Iterable[int]]])
     errors can point at the culprit.
     """
     out: list[Violation] = []
-    masses_arr = np.asarray(masses, dtype=float)
-    if masses_arr.ndim != 1 or masses_arr.size == 0:
+    raw = masses if isinstance(masses, np.ndarray) else np.asarray(masses, dtype=object)
+    if raw.ndim != 1 or raw.size == 0:
         return ValidationReport((Violation("masses", "need a non-empty 1-d list of point masses"),))
+    if raw.dtype.kind not in "iuf":
+        wrong = [(i, m) for i, m in enumerate(raw.tolist()) if not _is_number(m)]
+        if wrong:
+            i, m = wrong[0]
+            return ValidationReport((Violation(f"masses[{i}]", f"mass {m!r} is not a number"),))
+    masses_arr = raw.astype(float)
     n = masses_arr.size
     if not np.all(np.isfinite(masses_arr)):
         i = int(np.flatnonzero(~np.isfinite(masses_arr))[0])
@@ -86,6 +102,11 @@ def validate(masses: Sequence[float], levels: Sequence[Sequence[Iterable[int]]])
 
     parsed: list[list[np.ndarray]] = []
     for t, level in enumerate(levels):
+        wrong = [(a_idx, x) for a_idx, a in enumerate(level) for x in a if not _is_number(x, integral=True)]
+        if wrong:
+            a_idx, x = wrong[0]
+            out.append(Violation(f"level {t}, atom {a_idx}", f"point index {x!r} is not an integer"))
+            continue
         atoms = [_as_atom(a) for a in level]
         parsed.append(atoms)
         seen = np.zeros(n, dtype=np.int64)

@@ -11,12 +11,12 @@ stopping at level L is allowed from any origin, these are exactly the
 
 Exhaustive enumeration is exponential in the forest, so it is guarded by
 an atom budget (number of (level, atom) pairs at levels i..L, default 24,
-overridable via the FILTERMAX_ATOM_BUDGET environment variable).  Exact
-tail sweeps walk that power set in byte-capped numpy blocks
-(`_tail_blocks`).  For larger spaces `heuristic_sup_over_tau` searches a
-candidate family of stopping times and returns a certified lower bound
-for the supremum; it scores candidates in blocks of tails with the same
-objective the exact sweeps use.
+set only by the FILTERMAX_ATOM_BUDGET environment variable).  Every exact
+tail supremum walks that power set through one sweep, `_sweep_tails`, in
+byte-capped numpy blocks.  For larger spaces `heuristic_sup_over_tau`
+searches a candidate family of stopping times and returns a certified
+lower bound for the supremum; it scores candidates in blocks of tails with
+the same objective the exact sweeps use.
 """
 
 from __future__ import annotations
@@ -53,10 +53,10 @@ def enumeration_budget() -> int:
     return value
 
 
-def _check_budget(space: FilteredSpace, i: int, budget: int | None) -> None:
+def _check_budget(space: FilteredSpace, i: int) -> None:
     """Raise EnumerationBudgetError unless the T_i tails can be swept exactly:
-    at most `budget` atoms at levels i..L, and a tail mask that fits an int64."""
-    limit = enumeration_budget() if budget is None else budget
+    at most the budget's atoms at levels i..L, and a tail mask in an int64."""
+    limit = enumeration_budget()
     count = space.atom_count(from_level=i)
     if count > limit:
         raise EnumerationBudgetError(
@@ -176,16 +176,14 @@ def count_stopping_times(space: FilteredSpace, i: int = 0) -> int:
     return total
 
 
-def enumerate_stopping_times(
-    space: FilteredSpace, i: int = 0, budget: int | None = None
-) -> Iterator[StoppingTime]:
+def enumerate_stopping_times(space: FilteredSpace, i: int = 0) -> Iterator[StoppingTime]:
     """Yield every adapted tau >= i exactly once (including tau = infinity).
 
     Raises EnumerationBudgetError when the refinement forest at levels
     i..L exceeds the atom budget.
     """
     space._check_level(i)
-    _check_budget(space, i, budget)
+    _check_budget(space, i)
 
     def atom_options(level: int, a_idx: int) -> list[np.ndarray]:
         # assignments restricted to this atom, aligned with its point order
@@ -246,7 +244,7 @@ def mask_points(space: FilteredSpace, mask: int) -> np.ndarray:
     return np.sort(np.concatenate(parts))
 
 
-def enumerate_tail_masks(space: FilteredSpace, i: int = 0, budget: int | None = None) -> range:
+def enumerate_tail_masks(space: FilteredSpace, i: int = 0) -> range:
     """All distinct sets {tau < infinity} over tau in T_i, as finest-atom masks.
 
     Every union of finest atoms is a T_i tail (stop at level L on exactly
@@ -257,34 +255,41 @@ def enumerate_tail_masks(space: FilteredSpace, i: int = 0, budget: int | None = 
     `enumerate_stopping_times`; the exact sweeps take their tails from here.
     """
     space._check_level(i)
-    _check_budget(space, i, budget)
+    _check_budget(space, i)
     return range(1 << len(space.atoms[space.last_level]))
 
 
-def _tail_blocks(
-    space: FilteredSpace, i: int, budget: int | None
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The nonempty T_i tails of `enumerate_tail_masks` in blocks, for
-    batched exact sweeps.
+def _first_max(vals: np.ndarray) -> int:
+    """Row of a block's first maximal value, nan skipped, as a per-tail `>` picks it."""
+    return int(np.argmax(np.where(np.isnan(vals), -np.inf, vals)))
 
-    Enumerates (so checks the atom budget) when called, before any block
-    is built, then yields (tails, inside): an int64 array of consecutive
-    masks from 1 .. 2**leaves - 1 in ascending order, and the matching
-    rows x n boolean point membership.  The row count keeps one rows x n
-    float64 block within _BLOCK_BYTES (a block has at least one row, so a
-    space of more than _BLOCK_BYTES / 8 points exceeds it by that one row).
+
+def _sweep_tails(
+    space: FilteredSpace, i: int, objective: Callable[[np.ndarray, np.ndarray], np.ndarray]
+) -> tuple[float, int]:
+    """(max, first mask attaining it) of a tail objective over the nonempty
+    T_i tails of `enumerate_tail_masks`, which checks the atom budget first.
+
+    objective(tails, inside) scores a block: consecutive int64 masks in
+    ascending order and their rows x n boolean point membership, at most
+    _BLOCK_BYTES as float64 (or one row).  A block's first maximizer (nan
+    skipped) replaces the best only when strictly larger, as a per-tail `>`
+    picks it.  Raises ValueError when every value is nan (or -inf).
     """
-    masks = enumerate_tail_masks(space, i, budget)
+    masks = enumerate_tail_masks(space, i)
     leaf_of = space.atom_of[space.last_level]
     rows = max(1, _BLOCK_BYTES // (8 * space.n))
-
-    def blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for lo in range(1, len(masks), rows):
-            part = masks[lo : lo + rows]
-            tails = np.arange(part.start, part.stop, dtype=np.int64)
-            yield tails, (tails[:, None] >> leaf_of & 1).astype(bool)
-
-    return blocks()
+    best_val, best_mask = -np.inf, None
+    for lo in range(1, len(masks), rows):
+        part = masks[lo : lo + rows]
+        tails = np.arange(part.start, part.stop, dtype=np.int64)
+        vals = objective(tails, (tails[:, None] >> leaf_of & 1).astype(bool))
+        k = _first_max(vals)
+        if vals[k] > best_val:
+            best_val, best_mask = float(vals[k]), int(tails[k])
+    if best_mask is None:
+        raise ValueError(f"tail objective is nan (or -inf) on all {len(masks) - 1} nonempty T_{i} tails")
+    return best_val, best_mask
 
 
 def stopping_time_from_tail(space: FilteredSpace, i: int, tail) -> StoppingTime:
@@ -320,11 +325,6 @@ def _chain_rows(space: FilteredSpace, chains: Sequence[Sequence[tuple[int, int]]
         for t, a in chain:
             row[space.atoms[t][a]] = True
     return inside
-
-
-def _first_max(vals: np.ndarray) -> int:
-    """Row of a block's first maximal value, nan skipped, as a per-tail `>` picks it."""
-    return int(np.argmax(np.where(np.isnan(vals), -np.inf, vals)))
 
 
 def heuristic_sup_over_tau(

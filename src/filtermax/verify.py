@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Sequence
@@ -42,12 +43,7 @@ from .space import (
     space_to_dict,
     write_json,
 )
-from .stopping import (
-    EnumerationBudgetError,
-    _check_budget,
-    _tail_blocks,
-    heuristic_sup_over_tau,
-)
+from .stopping import EnumerationBudgetError, _check_budget, _sweep_tails, heuristic_sup_over_tau
 from .weights import WeightConstant, compute_constant, sigma_from_omega
 
 SUITES = ("thm11", "thm12", "thm14", "thm15", "sparse", "carleson", "props", "all")
@@ -293,6 +289,10 @@ def instance_from_dict(data: dict, where: str = "instance") -> Instance:
     if ("h1" in arrays) != ("h2" in arrays):
         given, missing = ("h1", "h2") if "h1" in arrays else ("h2", "h1")
         raise ValidationError(f"{where}: field {given!r} needs field {missing!r} too")
+    if "h1" in arrays and not np.any(_cond(space, arrays["h1"], 0) * _cond(space, arrays["h2"], 0) > 0):
+        raise ValidationError(
+            f"{where}: fields 'h1' and 'h2': E_0(h1) E_0(h2) vanishes everywhere, so no principal forest exists"
+        )
     bad = _bad_dual_weight(arrays["omega1"], arrays["omega2"], exps)
     if bad is not None:
         raise ValidationError(f"{where}: {bad}")
@@ -479,25 +479,27 @@ def check_thm11_converse(inst: Instance, mode: str = "exact") -> CheckResult:
     )
 
 
-def _tail_ratios(inst: Instance) -> tuple[float, float, int | None]:
+def _tail_ratios(inst: Instance) -> tuple[float, float, int]:
     """Per nonempty T_0 tail E: restricted and full norm ratios of the pair
     (sigma1 1_E, sigma2 1_E).  Returns both maxima and the first mask
     attaining the full one; raises EnumerationBudgetError when the tails
     cannot be swept exactly.
 
-    Sweeps `_tail_blocks` through `_pair_norms`.  The S sweep sums in
-    another order, which keeps thm12_attain an independent check of it.
+    `_sweep_tails` scores each block through `_pair_norms` and keeps the
+    full maximum; the restricted maximum is taken per block, in mask order.
+    The S sweep sums in another order, which keeps thm12_attain an
+    independent check of it.
     """
     best_restricted = -np.inf
-    best_full = -np.inf
-    arg_f: int | None = None
-    for tails, inside in _tail_blocks(inst.space, 0, None):
+
+    def full_ratios(tails: np.ndarray, inside: np.ndarray) -> np.ndarray:
+        nonlocal best_restricted
         chi = inside.astype(float)
         nums, dens, restricted = _pair_norms(inst, chi, chi, inside)
         best_restricted = max(best_restricted, *(num / den for num, den in zip(restricted, dens)))
-        for mask, num, den in zip(tails, nums, dens):
-            if num / den > best_full:
-                best_full, arg_f = num / den, int(mask)
+        return np.array(nums) / np.array(dens)
+
+    best_full, arg_f = _sweep_tails(inst.space, 0, full_ratios)
     return best_restricted, best_full, arg_f
 
 
@@ -859,7 +861,7 @@ def run_instance_suite(
     mode = "exact"
     if suite in _TAIL_SUITES:
         try:
-            _check_budget(inst.space, 0, None)
+            _check_budget(inst.space, 0)
         except EnumerationBudgetError:
             if not fallback:
                 raise
@@ -901,18 +903,20 @@ def run_ensemble(
     """Run a suite over `count` instances with seeds master_seed + t.
 
     Rows come back sorted by (seed, theorem); with jobs > 1 the instances
-    are processed in a process pool, which cannot change the output.
+    are processed in a process pool of at most min(jobs, count, CPUs)
+    workers, which cannot change the output.
     """
     _check_suite_args(suite, pair_count)
     args = [
         (master_seed + t, suite, depth, branching, model, p1, p2, pair_count, fallback)
         for t in range(count)
     ]
-    if jobs > 1 and count > 1:
+    workers = min(jobs, count, os.cpu_count() or 1)
+    if workers > 1:
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_ensemble_worker, args, chunksize=max(1, count // (4 * jobs))))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_ensemble_worker, args, chunksize=max(1, count // (4 * workers))))
     else:
         chunks = [_ensemble_worker(a) for a in args]
     rows = [row for chunk in chunks for row in chunk]

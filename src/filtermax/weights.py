@@ -14,9 +14,9 @@ Tail suprema run over T_0 — on a finite tower the T_i tail families are
 nested decreasingly in i, so the i = 0 supremum is the binding one.
 Each tail constant has one objective, a function of a block of tails.
 Exact mode evaluates it on every achievable tail, i.e. every union of
-finest atoms, in byte-capped blocks (budgeted); heuristic mode evaluates
-it on the candidate blocks of the stopping-time search and yields a
-certified lower bound.
+finest atoms, through the sweep `stopping._sweep_tails` (refused past the
+atom budget); heuristic mode evaluates it on the candidate blocks of the
+stopping-time search and yields a certified lower bound.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .operators import _level_max
 from .space import Exponents, FilteredSpace, Fn, _cond, _positive, _row_cond_exp, as_fn
 from .space import cond_exp  # noqa: F401  (bench/tests expects this module to bind it)
-from .stopping import _first_max, _tail_blocks, heuristic_sup_over_tau, stopping_time_from_tail
+from .stopping import _check_budget, _sweep_tails, heuristic_sup_over_tau, stopping_time_from_tail
 
 EXACT = "exact"
 HEURISTIC = "heuristic"
@@ -133,44 +133,33 @@ def _sup_over_tails(
     block_objective: Callable[[np.ndarray, _RowCond], np.ndarray],
     guide: tuple[Fn, Fn],
     mode: str,
-    budget: int | None,
 ) -> WeightConstant:
     """Maximize an objective of the tail point set over T_0 tails.
 
     block_objective(chi, cond) takes a rows x n 0/1 indicator block of
     nonempty tails and the row-batched conditional expectation, and returns
-    one value per row.  Both modes score tails through the one objective
-    built from it: exact mode on every block of `_tail_blocks`, heuristic
-    mode on the candidate blocks of `heuristic_sup_over_tau`.  Either way
-    the witness is the first maximizing tail (nan values are skipped), as a
-    per-tail loop would pick it: in ascending mask order for the sweep, in
-    candidate order for the search.
+    one value per row.  Exact mode scores every tail with it through
+    `_sweep_tails`, heuristic mode the candidate blocks of
+    `heuristic_sup_over_tau`.  Either way the witness is the first
+    maximizing tail (nan values are skipped), as a per-tail loop would pick
+    it: in ascending mask order for the sweep, in candidate order for the
+    search.
     """
     if mode not in (EXACT, HEURISTIC):
         raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
-    blocks = _tail_blocks(space, 0, budget) if mode == EXACT else None
-    # the matmul kernel holds a points x atoms matrix per level, linear in the
-    # points under the atom budget but quadratic past it, where the search runs;
-    # the bincount kernel holds none
-    cond = _row_cond_exp(space) if blocks is not None else _cond
-
-    def objective(inside: np.ndarray) -> np.ndarray:
-        return block_objective(inside.astype(float), cond)
-
-    if blocks is None:
-        value, tau = heuristic_sup_over_tau(space, 0, objective, guide=guide)
+    if mode == HEURISTIC:
+        # the bincount kernel holds no points x atoms matrix, so the search
+        # stays linear in the points past the atom budget
+        value, tau = heuristic_sup_over_tau(
+            space, 0, lambda inside: block_objective(inside.astype(float), _cond), guide=guide
+        )
         return WeightConstant(name, value, "lower-bound", _tau_witness(tau))
-    best_val = -np.inf
-    best_mask: int | None = None
-    for tails, inside in blocks:
-        vals = objective(inside)
-        k = _first_max(vals)
-        if vals[k] > best_val:
-            best_val = float(vals[k])
-            best_mask = int(tails[k])
-    assert best_mask is not None
-    tau = stopping_time_from_tail(space, 0, best_mask)
-    return WeightConstant(name, best_val, EXACT, _tau_witness(tau))
+    # the matmul kernel holds a points x atoms matrix per level, which grows
+    # with the square of the points past the budget: refuse before building it
+    _check_budget(space, 0)
+    cond = _row_cond_exp(space)
+    value, mask = _sweep_tails(space, 0, lambda tails, inside: block_objective(inside.astype(float), cond))
+    return WeightConstant(name, value, EXACT, _tau_witness(stopping_time_from_tail(space, 0, mask)))
 
 
 def rh_constant(
@@ -179,7 +168,6 @@ def rh_constant(
     omega2: Fn,
     exps: Exponents,
     mode: str = EXACT,
-    budget: int | None = None,
 ) -> WeightConstant:
     """Reverse-Hölder constant of (sigma1, sigma2):
 
@@ -199,7 +187,7 @@ def rh_constant(
     def block_objective(chi: np.ndarray, cond: _RowCond) -> np.ndarray:
         return (chi @ w1) ** a1 * (chi @ w2) ** a2 / (chi @ mix)
 
-    return _sup_over_tails(space, "RH", block_objective, (sigma1, sigma2), mode, budget)
+    return _sup_over_tails(space, "RH", block_objective, (sigma1, sigma2), mode)
 
 
 def s_p_constant(
@@ -209,7 +197,6 @@ def s_p_constant(
     omega2: Fn,
     exps: Exponents,
     mode: str = EXACT,
-    budget: int | None = None,
 ) -> WeightConstant:
     """Testing constant over indicator inputs localized to stopping tails:
 
@@ -232,7 +219,7 @@ def s_p_constant(
         den = (chi @ w1) ** a1 * (chi @ w2) ** a2
         return (num / den) ** (1.0 / p)
 
-    return _sup_over_tails(space, "S", block_objective, (sigma1, sigma2), mode, budget)
+    return _sup_over_tails(space, "S", block_objective, (sigma1, sigma2), mode)
 
 
 def w_infty_constant(
@@ -241,7 +228,6 @@ def w_infty_constant(
     omega2: Fn,
     exps: Exponents,
     mode: str = EXACT,
-    budget: int | None = None,
 ) -> WeightConstant:
     """Two-weight maximal-product constant:
 
@@ -260,7 +246,7 @@ def w_infty_constant(
         m2 = _level_max(space, cond, 0, chi * sigma2)
         return (m1**a1 * m2**a2 * chi) @ space.masses / (chi @ mix)
 
-    return _sup_over_tails(space, "Winf", block_objective, (sigma1, sigma2), mode, budget)
+    return _sup_over_tails(space, "Winf", block_objective, (sigma1, sigma2), mode)
 
 
 ALL_CONSTANTS = ("a", "rh", "s", "b", "winf")
@@ -274,7 +260,6 @@ def compute_constant(
     omega2: Fn,
     exps: Exponents,
     mode: str = EXACT,
-    budget: int | None = None,
 ) -> WeightConstant:
     """Dispatch by short name ("a", "rh", "s", "b", "winf")."""
     key = name.lower()
@@ -283,9 +268,9 @@ def compute_constant(
     if key == "b":
         return b_p_constant(space, v, omega1, omega2, exps)
     if key == "rh":
-        return rh_constant(space, omega1, omega2, exps, mode=mode, budget=budget)
+        return rh_constant(space, omega1, omega2, exps, mode=mode)
     if key == "s":
-        return s_p_constant(space, v, omega1, omega2, exps, mode=mode, budget=budget)
+        return s_p_constant(space, v, omega1, omega2, exps, mode=mode)
     if key == "winf":
-        return w_infty_constant(space, omega1, omega2, exps, mode=mode, budget=budget)
+        return w_infty_constant(space, omega1, omega2, exps, mode=mode)
     raise ValueError(f"unknown constant {name!r}; expected one of {ALL_CONSTANTS}")

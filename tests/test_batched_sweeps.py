@@ -46,13 +46,21 @@ from filtermax import (
     space_from_dict,
 )
 from filtermax.space import _cond
-from filtermax.stopping import _BLOCK_BYTES, _tail_blocks
+from filtermax.stopping import _BLOCK_BYTES, _sweep_tails
 from filtermax.verify import _pair_norms, _tail_ratios, norm_ratio
 from filtermax.weights import _sup_over_tails
 
 REL_TOL = 1e-12
 BUDGET = 64  # generated towers of 10 finest atoms can hold up to 40 atoms
 FIXTURES = ["quad", "pair", "chain", "mixed6", "lumpy5"]
+
+
+@pytest.fixture(autouse=True, scope="module")
+def atom_budget():
+    """Every exact sweep in this module runs under FILTERMAX_ATOM_BUDGET=BUDGET."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("FILTERMAX_ATOM_BUDGET", str(BUDGET))
+        yield
 
 
 # ---- the scalar reference ----------------------------------------------------
@@ -90,7 +98,7 @@ def scalar_tail_values(space, v, omega1, omega2, exps):
     """{name: {mask: value}} over every nonempty tail, one tail at a time."""
     objectives = scalar_objectives(space, v, omega1, omega2, exps)
     out = {name: {} for name in objectives}
-    for mask in enumerate_tail_masks(space, 0, budget=BUDGET):
+    for mask in enumerate_tail_masks(space, 0):
         if mask == 0:
             continue
         pts = mask_points(space, mask)
@@ -108,7 +116,7 @@ def scalar_carleson(space, family, sigma1, sigma2, exps):
     atom_mix = np.array([mix[atom].sum() for atom in space.atoms[space.last_level]])
     best = 0.0
     best_mask = None
-    for mask in enumerate_tail_masks(space, family.base_level, budget=BUDGET):
+    for mask in enumerate_tail_masks(space, family.base_level):
         if mask == 0:
             continue
         num = sum(c for c, em in zip(coeffs, entry_masks) if em & mask == em)
@@ -151,7 +159,7 @@ def assert_constants_match(space, v, omega1, omega2, exps):
     for name, values in ref.items():
         best_mask = max(values, key=lambda m: (values[m], -m))  # first maximizer
         best = values[best_mask]
-        got = compute_constant(name, space, v, omega1, omega2, exps, mode="exact", budget=BUDGET)
+        got = compute_constant(name, space, v, omega1, omega2, exps, mode="exact")
         assert got.mode == "exact"
         assert abs(got.value - best) <= REL_TOL * abs(best), name
         witness_mask = finest_mask(space, got.witness["tail"])
@@ -167,9 +175,7 @@ def assert_carleson_matches(inst):
         family = proof_coefficients(inst.space, family, inst.sigma1, inst.sigma2, inst.v, inst.exps)
         if not family.entries:
             continue
-        certified, worst = certify_carleson_constant(
-            inst.space, family, inst.sigma1, inst.sigma2, inst.exps, budget=BUDGET
-        )
+        certified, worst = certify_carleson_constant(inst.space, family, inst.sigma1, inst.sigma2, inst.exps)
         want_a, want_mask = scalar_carleson(inst.space, family, inst.sigma1, inst.sigma2, inst.exps)
         assert certified.carleson_A == want_a, variant
         assert finest_mask(inst.space, worst.tail_set()) == want_mask, variant
@@ -277,9 +283,7 @@ def test_tail_ratios_equal_scalar_on_generated_instances(shape):
 @settings(max_examples=25, deadline=None)
 @given(small_instances())
 def test_tail_ratios_equal_scalar_on_generated_spaces(inst):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("FILTERMAX_ATOM_BUDGET", str(BUDGET))
-        assert _tail_ratios(inst) == scalar_tail_ratios(inst)
+    assert _tail_ratios(inst) == scalar_tail_ratios(inst)
 
 
 @pytest.mark.parametrize("name", [*FIXTURES, "generated"])
@@ -422,7 +426,7 @@ def assert_search_matches_reference(space, v, omega1, omega2, exps, exact=None):
 
 def exact_constants(space, v, omega1, omega2, exps):
     return {
-        name: compute_constant(name, space, v, omega1, omega2, exps, mode="exact", budget=BUDGET).value
+        name: compute_constant(name, space, v, omega1, omega2, exps, mode="exact").value
         for name in ("rh", "s", "winf")
     }
 
@@ -461,26 +465,48 @@ def test_search_matches_reference_on_generated_spaces(inst):
     assert_search_matches_reference(inst.space, *weights, inst.exps, exact)
 
 
-# ---- blocks ------------------------------------------------------------------
+# ---- the sweep's blocks ---------------------------------------------------------
+
+
+class StopSweep(Exception):
+    """Ends a sweep from inside its objective."""
+
+
+def recorder(blocks, limit=None):
+    """A tail objective that appends each (tails, inside) block it gets to
+    `blocks` and scores every tail 0; it raises StopSweep on block `limit`."""
+
+    def objective(tails, inside):
+        blocks.append((tails, inside))
+        if len(blocks) == limit:
+            raise StopSweep
+        return np.zeros(tails.size)
+
+    return objective
 
 
 def test_blocks_cover_the_power_set_in_order(mixed6, lumpy5):
     for space in (mixed6, lumpy5):
         leaves = len(space.atoms[space.last_level])
-        tails, insides = zip(*_tail_blocks(space, 0, None))
+        blocks = []
+        assert _sweep_tails(space, 0, recorder(blocks)) == (0.0, 1)  # all tied: the first tail
+        tails, insides = zip(*blocks)
         assert np.concatenate(tails).tolist() == list(range(1, 2**leaves))
         for block_tails, inside in zip(tails, insides):
             for mask, row in zip(block_tails, inside):
                 assert np.flatnonzero(row).tolist() == mask_points(space, int(mask)).tolist()
 
 
-def test_blocks_slice_the_lazy_tail_enumeration():
+def test_blocks_slice_the_lazy_tail_enumeration(monkeypatch):
     # 40 finest atoms: 2**40 tails, swept block by block, never materialised
+    monkeypatch.setenv("FILTERMAX_ATOM_BUDGET", "41")
     space = FilteredSpace(np.ones(40), [[list(range(40))], [[x] for x in range(40)]])
-    masks = enumerate_tail_masks(space, 0, 41)
+    masks = enumerate_tail_masks(space, 0)
     assert isinstance(masks, range) and len(masks) == 1 << 40
-    blocks = _tail_blocks(space, 0, 41)
-    first, second = next(blocks)[0], next(blocks)[0]
+    blocks = []
+    with pytest.raises(StopSweep):
+        _sweep_tails(space, 0, recorder(blocks, limit=2))
+    (first, _), (second, _) = blocks
     assert first.tolist() + second.tolist() == list(masks[1 : 1 + first.size + second.size])
 
 
@@ -503,12 +529,12 @@ def wide_points():
 def test_blocks_stay_under_the_byte_cap_on_wide_points(wide_points):
     space = wide_points
     n = space.n
-    rows = 0
-    for tails, inside in _tail_blocks(space, 0, None):
+    blocks = []
+    _sweep_tails(space, 0, recorder(blocks))
+    for tails, inside in blocks:
         assert inside.shape == (tails.size, n)
         assert inside.astype(float).nbytes <= _BLOCK_BYTES
-        rows += tails.size
-    assert rows == 15
+    assert sum(tails.size for tails, _ in blocks) == 15
     rng = np.random.default_rng(5)
     v, omega1, omega2 = random_weights(rng, n)
     exps = Exponents(2.0, 2.0)
@@ -520,13 +546,40 @@ def test_blocks_stay_under_the_byte_cap_on_wide_points(wide_points):
 
 def test_blocks_check_the_budget_before_building(monkeypatch, quad):
     monkeypatch.setenv("FILTERMAX_ATOM_BUDGET", "3")
+    blocks = []
     with pytest.raises(EnumerationBudgetError):
-        _tail_blocks(quad, 0, None)
-    assert len(list(_tail_blocks(quad, 0, 7))) == 1
+        _sweep_tails(quad, 0, recorder(blocks))
+    assert blocks == []  # refused before the first objective call
+    monkeypatch.setenv("FILTERMAX_ATOM_BUDGET", "7")
+    _sweep_tails(quad, 0, recorder(blocks))
+    assert len(blocks) == 1
     # past 62 finest atoms a tail no longer fits an int64 mask
+    monkeypatch.setenv("FILTERMAX_ATOM_BUDGET", "1000")
     wide = FilteredSpace(np.ones(63), [[list(range(63))], [[x] for x in range(63)]])
     with pytest.raises(EnumerationBudgetError, match="62-bit"):
-        _tail_blocks(wide, 0, 1000)
+        _sweep_tails(wide, 0, recorder(blocks))
+    assert len(blocks) == 1
+
+
+def test_exact_constants_refuse_before_building_the_row_kernel(monkeypatch, quad):
+    def row_kernel(space):
+        raise AssertionError("points x atoms matrices built past the atom budget")
+
+    monkeypatch.setattr("filtermax.weights._row_cond_exp", row_kernel)
+    monkeypatch.setenv("FILTERMAX_ATOM_BUDGET", "3")
+    one = np.ones(quad.n)
+    for name in ("rh", "s", "winf"):
+        with pytest.raises(EnumerationBudgetError):
+            compute_constant(name, quad, one, one, one, Exponents(2.0, 2.0))
+
+
+@pytest.mark.parametrize("name", ["quad", "wide_points"])
+def test_sweep_of_an_all_nan_objective_raises(name, request):
+    space = request.getfixturevalue(name)
+    with pytest.raises(ValueError, match="nan"):
+        _sweep_tails(space, 0, lambda tails, inside: np.full(tails.size, np.nan))
+    with pytest.raises(ValueError, match="nan"):
+        _sup_over_tails(space, "T", lambda chi, cond: np.full(chi.shape[0], np.nan), None, "exact")
 
 
 def test_carleson_keeps_the_first_worst_tail_across_blocks(wide_points):
@@ -554,16 +607,16 @@ def test_exact_sweep_keeps_the_first_maximizer_across_blocks(name, request):
         size = chi.sum(axis=1)
         return np.where(size == space.n, np.nan, size)
 
-    c = _sup_over_tails(space, "T", tied, None, "exact", None)
+    c = _sup_over_tails(space, "T", tied, None, "exact")
     assert finest_mask(space, c.witness["tail"]) == 1
     # nan is skipped, as a per-tail `>` skips it: the first 3-leaf tail wins
-    c = _sup_over_tails(space, "T", full_tail_nan, None, "exact", None)
+    c = _sup_over_tails(space, "T", full_tail_nan, None, "exact")
     assert finest_mask(space, c.witness["tail"]) == 7
     # the search too, whether a block is one slice (quad) or one per tail
     # (wide_points): the full stop comes first, then adding leaves to a half
-    c = _sup_over_tails(space, "T", tied, None, "heuristic", None)
+    c = _sup_over_tails(space, "T", tied, None, "heuristic")
     assert c.witness["tau"] == [0] * space.n
-    c = _sup_over_tails(space, "T", full_tail_nan, None, "heuristic", None)
+    c = _sup_over_tails(space, "T", full_tail_nan, None, "heuristic")
     assert finest_mask(space, c.witness["tail"]) == 7
 
 

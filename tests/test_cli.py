@@ -139,6 +139,18 @@ def test_bad_bookkeeping_fields_are_invalid_instances(tmp_path, capsys, extra, f
     assert f"{bad}: field '{field}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+@pytest.mark.parametrize("command", ["verify", "constants"])
+def test_malformed_atom_budget_is_a_usage_error(tmp_path, monkeypatch, capsys, value, command):
+    """A FILTERMAX_ATOM_BUDGET that is not a positive integer: exit 2 and no
+    report, not a traceback (exit 1, which means falsification)."""
+    monkeypatch.setenv("FILTERMAX_ATOM_BUDGET", value)
+    out = tmp_path / "report.csv"
+    assert run(command, str(DATA / "worked4.json"), "--out", str(out)) == 2
+    assert "error: FILTERMAX_ATOM_BUDGET must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_constants_infeasible_and_fallback(tmp_path, capsys):
     big = tmp_path / "big.json"
     assert run("gen", "--seed", "2", "--depth", "5", "--branching", "2", "--out", str(big)) == 0
@@ -187,6 +199,8 @@ def test_verify_usage_errors(tmp_path, capsys):
         (["--tol", "-0.0001"], "--tol must be finite and non-negative"),
         (["--tol", "nan"], "--tol must be finite and non-negative"),
         (["--tol", "inf"], "--tol must be finite and non-negative"),
+        (["--jobs", "0"], "--jobs must be at least 1"),
+        (["--jobs", "-2"], "--jobs must be at least 1"),
     ],
 )
 @pytest.mark.parametrize("source", ["ensemble", "file"])
@@ -219,6 +233,17 @@ def test_verify_missing_and_invalid(tmp_path, capsys):
     assert "field 'sigma1'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite", ["sparse", "carleson", "all"])
+def test_verify_rejects_vanishing_test_functions(tmp_path, capsys, suite):
+    """h1 = h2 = 0 leaves no occupied shell for the default forest: invalid
+    instance data (exit 4) naming the file and both fields, not a usage error."""
+    data = json.loads((DATA / "worked4.json").read_text())
+    bad = tmp_path / "zero_h.json"
+    bad.write_text(json.dumps({**data, "h1": [0.0] * 4, "h2": [0.0] * 4}))
+    assert run("verify", str(bad), "--suite", suite) == 4
+    assert f"{bad}: fields 'h1' and 'h2'" in capsys.readouterr().err
+
+
 def test_verify_infeasible_suggests_fallback(tmp_path, capsys):
     big = tmp_path / "big.json"
     run("gen", "--seed", "2", "--depth", "5", "--branching", "2", "--out", str(big))
@@ -240,6 +265,17 @@ def test_verify_ensemble_byte_determinism(tmp_path):
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_verify_jobs_beyond_the_count(tmp_path):
+    """--jobs 3 on two instances starts at most two workers and writes the
+    bytes of --jobs 1."""
+    outs = []
+    for jobs in ("1", "3"):
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert run("verify", "--ensemble", "3", "2", "--suite", "thm14", "--jobs", jobs, "--out", str(out)) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_verify_json_format(tmp_path):

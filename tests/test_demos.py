@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package in src/."""
+"""Every demo script, and README's quick start, runs to completion against
+the package in src/."""
 
 import os
 import subprocess
@@ -9,14 +10,24 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = ROOT / "README.md"
 
 
 def test_demos_present():
     assert len(DEMOS) == 5
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def readme_quick_start() -> str:
+    """The Python block of README's Quick start section."""
+    section = README.read_text().split("## Quick start", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+@pytest.mark.parametrize("demo", [*DEMOS, README], ids=lambda path: path.name)
 def test_demo_runs(demo, tmp_path):
+    if demo == README:
+        demo = tmp_path / "quick_start.py"
+        demo.write_text(readme_quick_start())
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(

@@ -67,6 +67,35 @@ def test_validate_rejects_bad_partitions():
     assert "empty atom" in str(report)
 
 
+@pytest.mark.parametrize(
+    "masses,levels,where,message",
+    [
+        ([0.25] * 4, [[[0, 1, 2, 3]], [[0.9, 1], [2, 3.7]]], "level 1, atom 0", "point index 0.9 is not an integer"),
+        ([0.25] * 4, [[[0, 1, 2, 3]], [[0, 1], [2, 3.7]]], "level 1, atom 1", "point index 3.7 is not an integer"),
+        ([0.25] * 4, [[[0, 1, 2, 3]], [[0, "1"], [2, 3]]], "level 1, atom 0", "point index '1' is not an integer"),
+        ([0.25] * 4, [[[0, True, 2, 3]]], "level 0, atom 0", "point index True is not an integer"),
+        ([0.25] * 4, [[[0, 1, 2, float("nan")]]], "level 0, atom 0", "point index nan is not an integer"),
+        ([0.25] * 4, [[[0, 1, 2, None]]], "level 0, atom 0", "point index None is not an integer"),
+        ([0.25, "0.25", 0.25, 0.25], [[[0, 1, 2, 3]]], "masses[1]", "mass '0.25' is not a number"),
+        ([True, 0.25, 0.25, 0.25], [[[0, 1, 2, 3]]], "masses[0]", "mass True is not a number"),
+        ([0.25, 0.25, None, 0.25], [[[0, 1, 2, 3]]], "masses[2]", "mass None is not a number"),
+        (np.array([True, False]), [[[0, 1]]], "masses[0]", "mass True is not a number"),
+    ],
+)
+def test_validate_rejects_values_that_are_not_numbers(masses, levels, where, message):
+    report = validate(masses, levels)
+    assert str(report) == f"{where}: {message}"
+    with pytest.raises(ValidationError, match="not a"):
+        FilteredSpace(masses, levels)
+
+
+def test_validate_accepts_integer_valued_numbers():
+    masses = np.array([1, 2, 1, 2])  # integer masses
+    space = FilteredSpace(masses, [[[0, 1, 2, 3]], [[0, np.int64(1)], [2.0, 3]]])
+    assert [a.tolist() for a in space.atoms[1]] == [[0, 1], [2, 3]]
+    assert space.masses.tolist() == [1.0, 2.0, 1.0, 2.0]
+
+
 def test_validate_rejects_non_refining_tower():
     report = validate([1.0] * 4, [[[0, 1], [2, 3]], [[0, 2], [1], [3]]])
     assert not report.ok

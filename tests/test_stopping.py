@@ -201,8 +201,11 @@ def test_budget_enforced(monkeypatch, quad):
         enumerate_tail_masks(quad, 2)
     monkeypatch.setenv("FILTERMAX_ATOM_BUDGET", "4")
     assert len(enumerate_tail_masks(quad, 2)) == 16
-    # explicit budget argument overrides the environment
-    assert len(enumerate_tail_masks(quad, 0, budget=24)) == 16
+    # the whole tower holds 7 atoms
+    with pytest.raises(EnumerationBudgetError):
+        enumerate_tail_masks(quad, 0)
+    monkeypatch.setenv("FILTERMAX_ATOM_BUDGET", "7")
+    assert len(enumerate_tail_masks(quad, 0)) == 16
 
 
 # ---- heuristic search -----------------------------------------------------------

@@ -1,8 +1,10 @@
 """Instance generation, theorem checkers on a fully hand-checkable
 instance, the norm estimator, suite/ensemble runners, and report formats."""
 
+import concurrent.futures
 import json
 import math
+import os
 import pickle
 from collections import Counter
 
@@ -159,6 +161,11 @@ def test_load_instance_errors(tmp_path):
         path.write_text(json.dumps({**good, **extra}))
         with pytest.raises(ValidationError, match=r"bad\.json: " + message):
             load_instance(str(path))
+    # point indices and masses that are not numbers, and test functions with no forest
+    for extra, message in BAD_DATA:
+        path.write_text(json.dumps({**good, **extra}))
+        with pytest.raises(ValidationError, match=r"bad\.json: " + message):
+            load_instance(str(path))
     path.write_text(json.dumps({**good, "seed": 0, "product_weight": False, "h1": [1, 0], "h2": [0, 1]}))
     assert load_instance(str(path)).seed == 0
 
@@ -172,6 +179,17 @@ BAD_BOOKKEEPING = [
     ({"product_weight": 1}, r"field 'product_weight' must be true or false, got 1"),
     ({"h1": [1, 1]}, r"field 'h1' needs field 'h2' too"),
     ({"h2": [1, 1]}, r"field 'h2' needs field 'h1' too"),
+]
+
+BAD_DATA = [
+    ({"levels": [[[0, 1]], [[0.9], [1]]]}, r"level 1, atom 0: point index 0\.9 is not an integer"),
+    ({"levels": [[[0, 1]], [[0], [1.5]]]}, r"level 1, atom 1: point index 1\.5 is not an integer"),
+    ({"levels": [[["0", 1]]]}, r"level 0, atom 0: point index '0' is not an integer"),
+    ({"levels": [[[0, True]]]}, r"level 0, atom 0: point index True is not an integer"),
+    ({"masses": [1, "1"]}, r"masses\[1\]: mass '1' is not a number"),
+    ({"masses": [False, 1]}, r"masses\[0\]: mass False is not a number"),
+    ({"h1": [0, 0], "h2": [0, 0]}, r"fields 'h1' and 'h2': E_0\(h1\) E_0\(h2\) vanishes everywhere"),
+    ({"h1": [1, 1], "h2": [0, 0]}, r"fields 'h1' and 'h2': E_0\(h1\) E_0\(h2\) vanishes everywhere"),
 ]
 
 
@@ -562,6 +580,42 @@ def test_run_ensemble_sorted_and_parallel_equal():
     keys = [(r.seed, r.theorem) for r in seq]
     assert keys == sorted(keys)
     assert {r.seed for r in seq} == {100, 101, 102, 103}
+
+
+@pytest.mark.parametrize(
+    "jobs,count,cpus,workers",
+    [
+        (100000, 2, 64, 2),
+        (100000, 50, 4, 4),
+        (3, 50, 64, 3),
+        (4, 1, 64, None),
+        (8, 50, None, None),
+        (1, 50, 64, None),
+    ],
+)
+def test_run_ensemble_caps_the_pool(monkeypatch, jobs, count, cpus, workers):
+    """The pool gets min(jobs, count, CPUs) workers, and is not started below
+    two.  A fake executor records max_workers, so no process is started."""
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args, chunksize=1):
+            return map(fn, args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(filtermax.verify, "_ensemble_worker", lambda args: [])
+    assert run_ensemble(0, count, suite="thm14", jobs=jobs) == []
+    assert started == ([] if workers is None else [workers])
 
 
 # ---- report formats ----------------------------------------------------------------
