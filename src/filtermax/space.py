@@ -13,7 +13,8 @@ are unions of points, passed around as sorted integer index arrays or
 boolean masks.
 
 Public functions check their inputs once, on entry (`as_fn`, the level).
-The loops inside the package then take conditional expectations on the
+`cond_exp` also takes a (k, n) block of functions, checked once.  The
+loops inside the package then take conditional expectations on the
 unchecked kernel `_cond`, which averages one function or every row of a
 (k, n) block, bit for bit as `cond_exp` does; `_weighted_cond` is its
 weighted form and `_row_cond_exp` the matmul kernel of the exact sweeps.
@@ -67,9 +68,20 @@ def _is_number(x, integral: bool = False) -> bool:
     integer-valued one; booleans and strings are neither."""
     if type(x) is int:  # the common case first: a tower lists every point at every level
         return True
+    if type(x) is float and not integral:  # then masses and weights read from JSON
+        return True
     if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, float, np.integer, np.floating)):
         return False
     return not integral or float(x).is_integer()
+
+
+def _non_number(values) -> tuple[int, object] | None:
+    """(index, entry) of the first entry of a raw 1-d list that is not a real
+    number, else None; other shapes are left to the shape checks."""
+    raw = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+    if raw.ndim != 1 or raw.dtype.kind in "iuf":
+        return None
+    return next(((i, x) for i, x in enumerate(raw.tolist()) if not _is_number(x)), None)
 
 
 def validate(masses: Sequence[float], levels: Sequence[Sequence[Iterable[int]]]) -> ValidationReport:
@@ -82,11 +94,10 @@ def validate(masses: Sequence[float], levels: Sequence[Sequence[Iterable[int]]])
     raw = masses if isinstance(masses, np.ndarray) else np.asarray(masses, dtype=object)
     if raw.ndim != 1 or raw.size == 0:
         return ValidationReport((Violation("masses", "need a non-empty 1-d list of point masses"),))
-    if raw.dtype.kind not in "iuf":
-        wrong = [(i, m) for i, m in enumerate(raw.tolist()) if not _is_number(m)]
-        if wrong:
-            i, m = wrong[0]
-            return ValidationReport((Violation(f"masses[{i}]", f"mass {m!r} is not a number"),))
+    wrong = _non_number(raw)
+    if wrong is not None:
+        i, m = wrong
+        return ValidationReport((Violation(f"masses[{i}]", f"mass {m!r} is not a number"),))
     masses_arr = raw.astype(float)
     n = masses_arr.size
     if not np.all(np.isfinite(masses_arr)):
@@ -278,10 +289,22 @@ def integrate(space: FilteredSpace, f: Fn, subset=None) -> float:
     return float(np.dot(f[idx], space.masses[idx]))
 
 
+def _as_block(space: FilteredSpace, values: np.ndarray) -> np.ndarray:
+    """Check a (k, n) block of functions once: its width, then finiteness."""
+    if values.shape[1] != space.n:
+        raise ValueError(f"block must have shape (k, {space.n}), got {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("function values must be finite")
+    return values
+
+
 def cond_exp(space: FilteredSpace, f: Fn, level: int) -> Fn:
-    """Conditional expectation E(f | F_level): atom-wise mass average."""
+    """Conditional expectation E(f | F_level): atom-wise mass average, of one
+    function or of every row of a (k, n) block (row r bit for bit as `cond_exp`
+    of row r).  A block is checked once, as a whole."""
     space._check_level(level)
-    return _cond(space, as_fn(space, f), level)
+    arr = np.asarray(f, dtype=float)
+    return _cond(space, _as_block(space, arr) if arr.ndim == 2 else as_fn(space, arr), level)
 
 
 def _cond(space: FilteredSpace, f: np.ndarray, level: int) -> np.ndarray:

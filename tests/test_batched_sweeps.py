@@ -4,10 +4,12 @@ per-tail scalar loops they replace.
 The references below walk `enumerate_tail_masks` one tail at a time with
 one `mask_points` and one operator call per tail, exactly as the library
 did before its sweeps were blocked, and `reference_search` is the
-heuristic search as it was before it scored candidates in blocks.  The
-batched RH/S/Winf values sum in a different order, so they must agree to
-REL_TOL; the Carleson sums and thm12's tail-indicator ratios keep the
-scalar order and must agree bit for bit.
+heuristic search as it was before it scored candidates in blocks;
+`reference_properties` is the operators' self-test one draw at a time.
+The batched RH/S/Winf values sum in a different order, so they must
+agree to REL_TOL; the Carleson sums, thm12's tail-indicator ratios and
+the self-test's residuals keep the scalar order and must agree bit for
+bit.
 """
 
 import dataclasses
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from filtermax import (
     CarlesonEntry,
     CarlesonFamily,
+    CheckResult,
     EnumerationBudgetError,
     Exponents,
     FilteredSpace,
@@ -28,6 +31,7 @@ from filtermax import (
     bilinear_maximal,
     build_level_sets,
     certify_carleson_constant,
+    check_properties,
     check_thm12,
     compute_constant,
     cond_exp,
@@ -44,10 +48,11 @@ from filtermax import (
     proof_coefficients,
     sigma_from_omega,
     space_from_dict,
+    weighted_maximal,
 )
 from filtermax.space import _cond
 from filtermax.stopping import _BLOCK_BYTES, _sweep_tails
-from filtermax.verify import _pair_norms, _tail_ratios, norm_ratio
+from filtermax.verify import _PROPERTY_TOLS, _pair_norms, _property_residuals, _tail_ratios, norm_ratio
 from filtermax.weights import _sup_over_tails
 
 REL_TOL = 1e-12
@@ -303,6 +308,20 @@ def test_row_cond_exp_is_cond_exp_of_each_row(name, request):
             assert one.shape == row.shape and one.tobytes() == want.tobytes()
         assert _cond(space, rows[:1], level).tobytes() == got[:1].tobytes()
         assert _cond(space, rows[:0], level).shape == (0, space.n)
+        # the public entry point takes the same block, checked once
+        assert cond_exp(space, rows, level).tobytes() == got.tobytes()
+        assert cond_exp(space, rows[:0], level).shape == (0, space.n)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 9, 16, 20, 33, 40, 64])
+def test_row_sums_are_the_rows_1d_sums(k):
+    """On a C-contiguous float64 block, sum(axis=1) adds each row as its 1-d
+    .sum() does, for short rows and for rows past numpy's pairwise unroll."""
+    rng = np.random.default_rng(k)
+    for n in [*range(1, 17), 31, 32, 127, 128, 129, 300]:
+        block = rng.standard_normal((k, n)) * np.exp(4.0 * rng.standard_normal((k, n)))
+        sums = block.sum(axis=1)
+        assert [sums[r] for r in range(k)] == [block[r].sum() for r in range(k)], n
 
 
 def test_thm12_attain_catches_a_wrong_s(monkeypatch):
@@ -596,6 +615,22 @@ def test_carleson_keeps_the_first_worst_tail_across_blocks(wide_points):
         assert finest_mask(space, worst.tail_set()) == want_mask == (1 if coeff == 0 else 4)
 
 
+def test_carleson_sums_entries_in_entry_order(quad):
+    """Nested entries with coefficients 1, 2^-53, 2^-53 on the full tail: in
+    entry order they add to 1.0, in reverse order to 1 + 2^-52, so A pins the
+    order of the per-tail sum."""
+    one = np.ones(quad.n)
+    entries = tuple(
+        CarlesonEntry(0, 0, 0, np.array(pts), 0.0) for pts in ([0, 1, 2, 3], [0, 1], [0])
+    )
+    family = CarlesonFamily("node", 0, entries).with_coefficients([1.0, 2.0**-53, 2.0**-53])
+    exps = Exponents(2.0, 2.0)
+    certified, worst = certify_carleson_constant(quad, family, one, one, exps)
+    want_a, want_mask = scalar_carleson(quad, family, one, one, exps)
+    assert certified.carleson_A == want_a == 1.0  # the full tail, mix integral 1.0
+    assert finest_mask(quad, worst.tail_set()) == want_mask == 15
+
+
 @pytest.mark.parametrize("name", ["quad", "wide_points"])
 def test_exact_sweep_keeps_the_first_maximizer_across_blocks(name, request):
     space = request.getfixturevalue(name)
@@ -673,3 +708,112 @@ def test_pair_norms_equal_the_public_operators_on_generated_instances(shape):
 @given(small_instances(), st.integers(0, 2**32 - 1))
 def test_pair_norms_equal_the_public_operators_on_generated_spaces(inst, seed):
     assert_pair_norms_match(inst, seed)
+
+
+# ---- the batched self-test -----------------------------------------------------
+
+
+def reference_properties(inst, draws=20, seed=None):
+    """check_properties one draw at a time through the public `cond_exp`,
+    `weighted_maximal`, `lp_norm`, `maximal` and `bilinear_maximal`, as the
+    self-test ran before its draws were blocked.  Returns the per-draw
+    residuals (name -> (draws,) array) and the six rows."""
+    space, exps = inst.space, inst.exps
+    base = inst.seed if seed is None else seed
+    rng = np.random.default_rng(np.random.SeedSequence(base or 0, spawn_key=(4,)))
+    n = space.n
+    res = {name: [] for name in _PROPERTY_TOLS}
+    for _ in range(draws):
+        f = rng.standard_normal(n) * np.exp(rng.standard_normal(n))
+        g = np.exp(0.8 * rng.standard_normal(n))
+        h = np.exp(0.8 * rng.standard_normal(n))
+        i = int(rng.integers(0, space.n_levels))
+        j = int(rng.integers(0, space.n_levels))
+        lhs = cond_exp(space, cond_exp(space, f, j), i)
+        rhs = cond_exp(space, f, min(i, j))
+        scale = float(np.max(np.abs(rhs))) or 1.0
+        res["prop_tower"].append(float(np.max(np.abs(lhs - rhs))) / scale)
+
+        a1, a2 = exps.p / exps.p1, exps.p / exps.p2
+        mix = cond_exp(space, g**a1 * h**a2, i)
+        split = cond_exp(space, g, i) ** a1 * cond_exp(space, h, i) ** a2
+        res["prop_cond_holder"].append(float(np.max((mix - split) / split)))
+
+        jl = np.exp(cond_exp(space, np.log(g), i))
+        je = cond_exp(space, g, i)
+        res["prop_jensen_log"].append(float(np.max((jl - je) / je)))
+
+        p_doob = float(rng.uniform(1.1, 4.0))
+        mw = weighted_maximal(space, f, g)
+        num = lp_norm(space, mw, g, p_doob)
+        den = (p_doob / (p_doob - 1.0)) * lp_norm(space, f, g, p_doob)
+        res["prop_doob"].append(num / den - 1.0)
+
+        m1 = maximal(space, f)
+        mbil = bilinear_maximal(space, f, f)
+        sq_scale = float(np.max(mbil)) or 1.0
+        res["prop_square"].append(float(np.max(np.abs(m1 * m1 - mbil))) / sq_scale)
+
+    rh = inst.constant("rh", "heuristic")
+    seed_out = -1 if inst.seed is None else inst.seed
+    rows = []
+    for name, values in res.items():
+        worst = 0.0
+        for value in values:
+            worst = max(worst, value)
+        rows.append(
+            CheckResult(name, worst, 0.0, abs_tol=_PROPERTY_TOLS[name], seed=seed_out, detail={"draws": draws})
+        )
+    rows.append(CheckResult("prop_rh_ge1", 1.0, rh.value, seed=seed_out, detail={"RH_lower_bound": rh.value}))
+    return {name: np.array(values, dtype=float) for name, values in res.items()}, rows
+
+
+def assert_properties_match(inst, draws=20, seed=None):
+    want, want_rows = reference_properties(inst, draws, seed)
+    got = _property_residuals(inst, draws, seed)
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].shape == (draws,), name
+        assert got[name].tolist() == want[name].tolist(), name
+    assert check_properties(inst, draws, seed) == want_rows
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_properties_equal_the_per_draw_loop_on_fixtures(name, request):
+    space = request.getfixturevalue(name)
+    rng = np.random.default_rng(29)
+    for seed, exps in enumerate((Exponents(2.0, 2.0), Exponents(1.5, 3.0), Exponents(1.3, 7.0))):
+        v, omega1, omega2 = random_weights(rng, space.n)
+        assert_properties_match(Instance(space, v, omega1, omega2, exps, False), seed=seed)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        dict(depth=3),
+        dict(depth=2, branching=4),
+        dict(depth=5, model="product", p1=2.5, p2=2.5),
+        dict(depth=2, branching=3, model="power:1.5"),
+        dict(depth=1, p1=1.3, p2=7.0),
+        dict(depth=3, p1=1.3, p2=7.0),
+    ],
+)
+def test_properties_equal_the_per_draw_loop_on_generated_instances(shape):
+    for seed in range(3):
+        assert_properties_match(gen_instance(seed, **shape))
+
+
+@pytest.mark.parametrize("draws", [0, 1, 40])
+def test_properties_equal_the_per_draw_loop_for_any_draw_count(draws):
+    inst = gen_instance(5, depth=3)
+    assert_properties_match(inst, draws)
+    rows = check_properties(inst, draws)
+    assert [r.theorem for r in rows[:5]] == list(_PROPERTY_TOLS) and rows[5].theorem == "prop_rh_ge1"
+    if draws == 0:
+        assert all(r.lhs == 0.0 and r.detail == {"draws": 0} for r in rows[:5])
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_instances(), st.integers(0, 2**32 - 1))
+def test_properties_equal_the_per_draw_loop_on_generated_spaces(inst, seed):
+    assert_properties_match(inst, seed=seed)

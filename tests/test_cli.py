@@ -126,6 +126,9 @@ def test_constants_invalid_instance(tmp_path, capsys):
         ({"seed": -4}, "seed"),
         ({"product_weight": "false"}, "product_weight"),
         ({"h1": [1, 1]}, "h1"),
+        ({"v": ["1", True]}, "v"),
+        ({"omega2": [1, "2.5"]}, "omega2"),
+        ({"p1": "2"}, "p1"),
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "constants"])

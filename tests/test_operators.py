@@ -177,6 +177,15 @@ BAD_INPUTS = {
     "cond_exp level": (lambda: cond_exp(_SP, _OK, 4), "level 4 outside 0..3"),
     "cond_exp level before f": (lambda: cond_exp(_SP, _SHORT, -1), "level -1 outside 0..3"),
     "cond_exp nan": (lambda: cond_exp(_SP, _NAN, 1), _FINITE),
+    "cond_exp block level before block": (lambda: cond_exp(_SP, np.ones((2, 7)), 4), "level 4 outside 0..3"),
+    "cond_exp block width": (
+        lambda: cond_exp(_SP, np.ones((2, 7)), 1), "block must have shape (k, 8), got (2, 7)"
+    ),
+    "cond_exp block width before nan": (
+        lambda: cond_exp(_SP, np.full((2, 7), np.nan), 1), "block must have shape (k, 8), got (2, 7)"
+    ),
+    "cond_exp block nan": (lambda: cond_exp(_SP, np.stack([_OK, _NAN]), 1), _FINITE),
+    "cond_exp 3-d": (lambda: cond_exp(_SP, np.ones((1, 2, 8)), 1), "function must have shape (8,), got (1, 2, 8)"),
     "level_products f before g": (lambda: level_products(_SP, _SHORT, _NAN), _SHAPE),
     "level_products g": (lambda: level_products(_SP, _OK, _NAN), _FINITE),
     "maximal shape": (lambda: maximal(_SP, _SHORT), _SHAPE),

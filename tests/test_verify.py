@@ -190,6 +190,16 @@ BAD_DATA = [
     ({"masses": [False, 1]}, r"masses\[0\]: mass False is not a number"),
     ({"h1": [0, 0], "h2": [0, 0]}, r"fields 'h1' and 'h2': E_0\(h1\) E_0\(h2\) vanishes everywhere"),
     ({"h1": [1, 1], "h2": [0, 0]}, r"fields 'h1' and 'h2': E_0\(h1\) E_0\(h2\) vanishes everywhere"),
+    # weights, test functions and exponents that are not numbers, or not floats
+    ({"v": ["1", True]}, r"field 'v'\[0\]: '1' is not a number"),
+    ({"omega1": [1, False]}, r"field 'omega1'\[1\]: False is not a number"),
+    ({"omega2": [1, "2.5"]}, r"field 'omega2'\[1\]: '2\.5' is not a number"),
+    ({"h1": [1, None], "h2": [1, 1]}, r"field 'h1'\[1\]: None is not a number"),
+    ({"h1": [1, 1], "h2": [[1], 1]}, r"field 'h2'\[0\]: \[1\] is not a number"),
+    ({"p1": "2"}, r"field 'p1' must be a number, got '2'"),
+    ({"p2": True}, r"field 'p2' must be a number, got True"),
+    ({"v": [10**400, 1]}, r"field 'v': int too large to convert to float"),
+    ({"p1": 10**400}, r"field 'p1': int too large to convert to float"),
 ]
 
 
