@@ -27,11 +27,7 @@ from .principal import (
     PrincipalSet,
     PropertyReport,
     build_principal_forest,
-    dump_forest,
     forest_cover,
-    forest_from_dict,
-    forest_to_dict,
-    load_forest,
     occupied_shells,
     shell_index,
     sparse_bound,
@@ -46,10 +42,8 @@ from .space import (
     Violation,
     as_fn,
     cond_exp,
-    dump_space,
     integrate,
     level_products,
-    load_space,
     space_from_dict,
     space_to_dict,
     validate,

@@ -40,8 +40,7 @@ from typing import Iterator
 import numpy as np
 
 from .operators import _level_max, tailed_bilinear_maximal
-from .space import FilteredSpace, Fn, ValidationError, _cond, as_fn, level_products
-from .space import read_json, write_json
+from .space import FilteredSpace, Fn, _cond, as_fn, level_products
 
 _NO_SHELL = np.iinfo(np.int64).min  # shell of a zero product
 
@@ -326,63 +325,3 @@ def sparse_domination_report(forest: PrincipalForest) -> DominationReport:
         localization_gap=gap,
     )
 
-
-# ---- serialization ---------------------------------------------------------
-
-
-def forest_to_dict(forest: PrincipalForest) -> dict:
-    def node_dict(node: PrincipalSet) -> dict:
-        return {
-            "points": node.points.tolist(),
-            "k1": node.k1,
-            "k2": node.k2,
-            "generation": node.generation,
-            "exit": node.exit_points.tolist(),
-            "children": [node_dict(c) for c in node.children],
-        }
-
-    return {
-        "base_level": forest.base_level,
-        "base_k": forest.base_k,
-        "omega0": forest.omega0.tolist(),
-        "h1": forest.h1.tolist(),
-        "h2": forest.h2.tolist(),
-        "root": node_dict(forest.root),
-    }
-
-
-def forest_from_dict(space: FilteredSpace, data: dict) -> PrincipalForest:
-    """Rebuild from the defining data and verify the stored structure matches."""
-    forest = build_principal_forest(
-        space, data["base_level"], data["base_k"], data["omega0"], data["h1"], data["h2"]
-    )
-    if forest is None:
-        raise ValueError("stored forest has an empty P0 on this space")
-
-    def check(node: PrincipalSet, stored: dict, path: str) -> None:
-        if (
-            node.points.tolist() != stored["points"]
-            or node.k1 != stored["k1"]
-            or node.k2 != stored["k2"]
-            or node.exit_points.tolist() != stored["exit"]
-            or len(node.children) != len(stored["children"])
-        ):
-            raise ValueError(f"stored forest disagrees with reconstruction at {path}")
-        for idx, (child, schild) in enumerate(zip(node.children, stored["children"])):
-            check(child, schild, f"{path}.children[{idx}]")
-
-    check(forest.root, data["root"], "root")
-    return forest
-
-
-def dump_forest(forest: PrincipalForest, path: str) -> None:
-    write_json(path, forest_to_dict(forest))
-
-
-def load_forest(space: FilteredSpace, path: str) -> PrincipalForest:
-    """Rebuild a stored forest; a malformed file raises ValidationError naming the path."""
-    data = read_json(path)
-    try:
-        return forest_from_dict(space, data)
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"{path}: malformed forest data ({exc!r})") from exc

@@ -22,7 +22,6 @@ weighted form and `_row_cond_exp` the matmul kernel of the exact sweeps.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -75,6 +74,16 @@ def _is_number(x, integral: bool = False) -> bool:
     return not integral or float(x).is_integer()
 
 
+def _first_overflow(values, convert) -> int:
+    """Index of the first value that `convert` raises OverflowError on (one must)."""
+    for i, x in enumerate(values):
+        try:
+            convert(x)
+        except OverflowError:
+            return i
+    raise AssertionError("no value overflows")
+
+
 def _non_number(values) -> tuple[int, object] | None:
     """(index, entry) of the first entry of a raw 1-d list that is not a real
     number, else None; other shapes are left to the shape checks."""
@@ -98,7 +107,11 @@ def validate(masses: Sequence[float], levels: Sequence[Sequence[Iterable[int]]])
     if wrong is not None:
         i, m = wrong
         return ValidationReport((Violation(f"masses[{i}]", f"mass {m!r} is not a number"),))
-    masses_arr = raw.astype(float)
+    try:
+        masses_arr = raw.astype(float)
+    except OverflowError:  # an integer beyond float range
+        i = _first_overflow(raw.tolist(), float)
+        return ValidationReport((Violation(f"masses[{i}]", "mass does not fit in a float"),))
     n = masses_arr.size
     if not np.all(np.isfinite(masses_arr)):
         i = int(np.flatnonzero(~np.isfinite(masses_arr))[0])
@@ -118,7 +131,12 @@ def validate(masses: Sequence[float], levels: Sequence[Sequence[Iterable[int]]])
             a_idx, x = wrong[0]
             out.append(Violation(f"level {t}, atom {a_idx}", f"point index {x!r} is not an integer"))
             continue
-        atoms = [_as_atom(a) for a in level]
+        try:
+            atoms = [_as_atom(a) for a in level]
+        except OverflowError:  # an index beyond int64
+            a_idx = _first_overflow(level, _as_atom)
+            out.append(Violation(f"level {t}, atom {a_idx}", f"point index out of range 0..{n - 1}"))
+            continue
         parsed.append(atoms)
         seen = np.zeros(n, dtype=np.int64)
         bad = False
@@ -431,27 +449,3 @@ def space_from_dict(data: dict, where: str = "space") -> FilteredSpace:
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
 
-
-def read_json(path: str):
-    """Parse a JSON file; malformed JSON raises ValidationError naming the path."""
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
-
-
-def write_json(path: str, data) -> None:
-    """Write one JSON document followed by a newline."""
-    with open(path, "w") as fh:
-        json.dump(data, fh)
-        fh.write("\n")
-
-
-def load_space(path: str) -> FilteredSpace:
-    """Load a space from a JSON file; errors carry the file path."""
-    return space_from_dict(read_json(path), where=path)
-
-
-def dump_space(space: FilteredSpace, path: str) -> None:
-    write_json(path, space_to_dict(space))

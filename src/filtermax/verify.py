@@ -41,10 +41,8 @@ from .space import (
     _non_number,
     as_fn,
     cond_exp,
-    read_json,
     space_from_dict,
     space_to_dict,
-    write_json,
 )
 from .stopping import EnumerationBudgetError, _check_budget, _sweep_tails, heuristic_sup_over_tau
 from .weights import WeightConstant, compute_constant, sigma_from_omega
@@ -53,6 +51,7 @@ SUITES = ("thm11", "thm12", "thm14", "thm15", "sparse", "carleson", "props", "al
 _TAIL_SUITES = ("thm11", "thm12", "thm15", "carleson", "all")  # suites with a tail sweep
 DEFAULT_REL_TOL = 1e-9
 IDENTITY_TOL = 1e-12
+MAX_POINTS = 65536  # points in the largest space `gen_space` builds
 Pairs = Sequence[tuple[str, Fn, Fn]]  # named test pairs (name, f1, f2)
 
 
@@ -97,6 +96,20 @@ class Instance:
     def forest(self) -> PrincipalForest:
         """The default principal forest (see `default_forest`), built once."""
         return default_forest(self)
+
+    @cached_property
+    def _scores(self) -> dict[tuple, tuple[list[float], list[float]]]:
+        return {}
+
+    def pair_scores(self, pairs: Pairs) -> tuple[list[float], list[float]]:
+        """Per test pair, ||M(f1 sigma1, f2 sigma2)||_{L^p(v)} and
+        ||f1||_{p1,sigma1} ||f2||_{p2,sigma2} (see `_pair_norms`), computed once
+        per family, keyed by the pairs' names and array bytes."""
+        F1, F2 = _pair_block(self, pairs)
+        key = (tuple(name for name, _, _ in pairs), F1.tobytes(), F2.tobytes())
+        if key not in self._scores:
+            self._scores[key] = _pair_norms(self, F1, F2)[:2]
+        return self._scores[key]
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,15 +160,15 @@ def _parse_model(model: str) -> tuple[str, float | None]:
     return name, (float(param) if param else None)
 
 
-def gen_space(seed: int, depth: int, branching: int, max_points: int = 65536) -> FilteredSpace:
+def gen_space(seed: int, depth: int, branching: int) -> FilteredSpace:
     """Regular branching tower over [0, 1): branching^depth points in
     contiguous blocks, masses drawn positive and normalized to total 1."""
     if depth < 1 or branching < 2:
         raise ValueError("need depth >= 1 and branching >= 2")
     n = branching**depth
-    if n > max_points:
+    if n > MAX_POINTS:
         raise ValueError(
-            f"atom budget exceeded: branching^depth = {n} points (limit {max_points})"
+            f"atom budget exceeded: branching^depth = {n} points (limit {MAX_POINTS})"
         )
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     masses = rng.uniform(0.5, 1.5, size=n)
@@ -174,7 +187,6 @@ def gen_instance(
     model: str = "lognormal",
     p1: float = 2.0,
     p2: float = 2.0,
-    max_points: int = 65536,
 ) -> Instance:
     """Deterministic-in-seed random instance.
 
@@ -185,7 +197,7 @@ def gen_instance(
     """
     name, param = _parse_model(model)
     exps = Exponents(p1, p2)
-    space = gen_space(seed, depth, branching, max_points=max_points)
+    space = gen_space(seed, depth, branching)
     n = space.n
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     # extreme parameters overflow or underflow; the check below reports it
@@ -341,11 +353,20 @@ def instance_from_dict(data: dict, where: str = "instance") -> Instance:
 
 
 def load_instance(path: str) -> Instance:
-    return instance_from_dict(read_json(path), where=path)
+    """Load an instance file; malformed JSON raises ValidationError naming the path."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
+    return instance_from_dict(data, where=path)
 
 
 def dump_instance(inst: Instance, path: str) -> None:
-    write_json(path, instance_to_dict(inst))
+    """Write the instance as one JSON document followed by a newline."""
+    with open(path, "w") as fh:
+        json.dump(instance_to_dict(inst), fh)
+        fh.write("\n")
 
 
 # ---- evaluation family -------------------------------------------------------
@@ -424,21 +445,19 @@ def _indicator_ratio(inst: Instance, pts) -> float:
     return num / den
 
 
-def _worst_pair(inst: Instance, pairs: Pairs, const: float, check: str) -> tuple[str, float, float]:
-    """The pair with the largest lhs / rhs for the bound lhs <= const * den,
-    as (name, lhs, rhs); the first such pair wins ties.  Raises ValueError
-    naming the check when no pair has a nonvanishing denominator."""
-    nums, dens, _ = _pair_norms(inst, *_pair_block(inst, pairs))
-    worst: tuple[float, str, float, float] | None = None
-    for (name, _, _), num, den in zip(pairs, nums, dens):
-        if den == 0.0:
-            continue
-        rhs = const * den
-        if worst is None or num / rhs > worst[0]:
-            worst = (num / rhs, name, num, rhs)
-    if worst is None:
-        raise ValueError(f"{check}: no test pair has ||f1|| ||f2|| > 0 ({len(pairs)} pairs given)")
-    return worst[1:]
+def _bound_row(
+    inst: Instance, pairs: Pairs, theorem: str, const: float, constants: dict, mode: str = "exact"
+) -> CheckResult:
+    """The row of the bound ||M(f1 sigma1, f2 sigma2)|| <= const ||f1|| ||f2|| at
+    the pair with the largest lhs / rhs (the first such pair wins ties), with
+    detail pair, `constants` and const.  Raises ValueError naming the check
+    when no pair has a nonvanishing denominator."""
+    nums, dens = inst.pair_scores(pairs)
+    sides = [(name, num, const * den) for (name, _, _), num, den in zip(pairs, nums, dens) if den != 0.0]
+    if not sides:
+        raise ValueError(f"{theorem}: no test pair has ||f1|| ||f2|| > 0 ({len(pairs)} pairs given)")
+    name, lhs, rhs = max(sides, key=lambda side: side[1] / side[2])
+    return CheckResult(theorem, lhs, rhs, mode, _row_seed(inst), detail={"pair": name, **constants, "const": const})
 
 
 def _row_seed(inst: Instance) -> int:
@@ -469,14 +488,7 @@ def check_thm11_forward(inst: Instance, pairs: Pairs | None = None) -> CheckResu
         * a_const.value ** (exps.q_prime / exps.p)
     )
     pairs = evaluation_pairs(inst, 5) if pairs is None else pairs
-    name, lhs, rhs = _worst_pair(inst, pairs, const, "thm11_forward")
-    return CheckResult(
-        theorem="thm11_forward",
-        lhs=lhs,
-        rhs=rhs,
-        seed=_row_seed(inst),
-        detail={"pair": name, "A": a_const.value, "const": const},
-    )
+    return _bound_row(inst, pairs, "thm11_forward", const, {"A": a_const.value})
 
 
 def check_thm11_converse(inst: Instance, mode: str = "exact") -> CheckResult:
@@ -544,7 +556,7 @@ def check_thm12(inst: Instance, pairs: Pairs | None = None, mode: str = "exact")
     out: list[CheckResult] = []
 
     pairs = evaluation_pairs(inst, 5) if pairs is None else pairs
-    nums, dens, _ = _pair_norms(inst, *_pair_block(inst, pairs))
+    nums, dens = inst.pair_scores(pairs)
     ratios = [(name, num / den) for (name, _, _), num, den in zip(pairs, nums, dens) if den != 0.0]
 
     ratios.append(("s_witness_tail", _indicator_ratio(inst, s_const.witness["tail"])))
@@ -594,7 +606,6 @@ def check_thm14(inst: Instance, pairs: Pairs | None = None) -> list[CheckResult]
     """Exp-log bound 32 (2e)^(1/p) p1' p2' [B]^(1/p), plus the substitution
     identity ||f_s sigma_s||_{p_s, omega_s} = ||f_s||_{p_s, sigma_s}."""
     exps = inst.exps
-    seed = _row_seed(inst)
     b_const = inst.constant("b")
     const = (
         32.0 * (2.0 * math.e) ** (1.0 / exps.p) * exps.p1_prime * exps.p2_prime * b_const.value ** (1.0 / exps.p)
@@ -607,21 +618,14 @@ def check_thm14(inst: Instance, pairs: Pairs | None = None) -> list[CheckResult]
         n_omega = _row_norms(inst.space, _as_block(inst.space, F * sigma), omega, p_s)
         for a, b in zip(n_sigma, n_omega):
             ident = max(ident, abs(a - b) / max(a, b, 1e-300))
-    name, lhs, rhs = _worst_pair(inst, pairs, const, "thm14_bound")
     return [
-        CheckResult(
-            theorem="thm14_bound",
-            lhs=lhs,
-            rhs=rhs,
-            seed=seed,
-            detail={"pair": name, "B": b_const.value, "const": const},
-        ),
+        _bound_row(inst, pairs, "thm14_bound", const, {"B": b_const.value}),
         CheckResult(
             theorem="thm14_subst",
             lhs=ident,
             rhs=0.0,
             abs_tol=IDENTITY_TOL,
-            seed=seed,
+            seed=_row_seed(inst),
             detail={"pairs": len(pairs)},
         ),
     ]
@@ -630,7 +634,6 @@ def check_thm14(inst: Instance, pairs: Pairs | None = None) -> list[CheckResult]
 def check_thm15(inst: Instance, pairs: Pairs | None = None, mode: str = "exact") -> CheckResult:
     """Mixed bound 32 * 2^(1/p) p1' p2' [A]^(1/p) [Winf]^(1/p) on every pair."""
     exps = inst.exps
-    seed = _row_seed(inst)
     a_const = inst.constant("a")
     winf = inst.constant("winf", mode)
     const = (
@@ -641,15 +644,7 @@ def check_thm15(inst: Instance, pairs: Pairs | None = None, mode: str = "exact")
         * (a_const.value * winf.value) ** (1.0 / exps.p)
     )
     pairs = evaluation_pairs(inst, 5) if pairs is None else pairs
-    name, lhs, rhs = _worst_pair(inst, pairs, const, "thm15_bound")
-    return CheckResult(
-        theorem="thm15_bound",
-        lhs=lhs,
-        rhs=rhs,
-        mode=winf.mode,
-        seed=seed,
-        detail={"pair": name, "A": a_const.value, "Winf": winf.value, "const": const},
-    )
+    return _bound_row(inst, pairs, "thm15_bound", const, {"A": a_const.value, "Winf": winf.value}, winf.mode)
 
 
 # ---- sparse / Carleson per-instance checks -----------------------------------

@@ -63,6 +63,14 @@ def sigma_from_omega(omega: Fn, p_s: float) -> Fn:
     return omega ** (-1.0 / (p_s - 1.0))
 
 
+def _duals(space: FilteredSpace, omega1: Fn, omega2: Fn, exps: Exponents) -> tuple[Fn, Fn]:
+    """(sigma1, sigma2) of strictly positive omegas, checked finite: p_s near 1
+    overflows them."""
+    sigma1 = sigma_from_omega(_positive(space, omega1, "omega1"), exps.p1)
+    sigma2 = sigma_from_omega(_positive(space, omega2, "omega2"), exps.p2)
+    return as_fn(space, sigma1), as_fn(space, sigma2)
+
+
 def _tau_witness(tau) -> dict:
     # stop levels as ints with None for "never" keeps the record JSON-clean
     levels = [int(x) if np.isfinite(x) else None for x in tau.levels]
@@ -87,9 +95,7 @@ def _atom_max(space: FilteredSpace, density: Callable[[int], Fn], name: str) -> 
 def a_p_constant(space: FilteredSpace, v: Fn, omega1: Fn, omega2: Fn, exps: Exponents) -> WeightConstant:
     """max over levels and atoms of E(v) E(sigma1)^(p/p1') E(sigma2)^(p/p2')."""
     v = _positive(space, v, "v")
-    sigma1 = sigma_from_omega(_positive(space, omega1, "omega1"), exps.p1)
-    sigma2 = sigma_from_omega(_positive(space, omega2, "omega2"), exps.p2)
-    sigma1, sigma2 = as_fn(space, sigma1), as_fn(space, sigma2)  # overflow for p_s near 1
+    sigma1, sigma2 = _duals(space, omega1, omega2, exps)
     p = exps.p
     e1, e2 = p / exps.p1_prime, p / exps.p2_prime
 
@@ -107,11 +113,9 @@ def b_p_constant(space: FilteredSpace, v: Fn, omega1: Fn, omega2: Fn, exps: Expo
     """max over levels and atoms of
     E(v) E(sigma1)^p E(sigma2)^p / exp E(log(sigma1^(p/p1) sigma2^(p/p2)))."""
     v = _positive(space, v, "v")
-    sigma1 = sigma_from_omega(_positive(space, omega1, "omega1"), exps.p1)
-    sigma2 = sigma_from_omega(_positive(space, omega2, "omega2"), exps.p2)
+    sigma1, sigma2 = _duals(space, omega1, omega2, exps)
     p = exps.p
-    log_mix = np.log(sigma1 ** (p / exps.p1) * sigma2 ** (p / exps.p2))
-    sigma1, sigma2, log_mix = as_fn(space, sigma1), as_fn(space, sigma2), as_fn(space, log_mix)
+    log_mix = as_fn(space, np.log(sigma1 ** (p / exps.p1) * sigma2 ** (p / exps.p2)))
 
     def density(level: int) -> Fn:
         return (
@@ -177,8 +181,7 @@ def rh_constant(
     Always >= 1 (Hölder with exponents p1/p, p2/p gives the reverse bound),
     with equality when sigma1 is proportional to sigma2.
     """
-    sigma1 = sigma_from_omega(_positive(space, omega1, "omega1"), exps.p1)
-    sigma2 = sigma_from_omega(_positive(space, omega2, "omega2"), exps.p2)
+    sigma1, sigma2 = _duals(space, omega1, omega2, exps)
     a1, a2 = exps.p / exps.p1, exps.p / exps.p2
     w1 = sigma1 * space.masses
     w2 = sigma2 * space.masses
@@ -205,8 +208,7 @@ def s_p_constant(
           / [ sigma1(E)^(p/p1) sigma2(E)^(p/p2) ] )^(1/p).
     """
     v = _positive(space, v, "v")
-    sigma1 = sigma_from_omega(_positive(space, omega1, "omega1"), exps.p1)
-    sigma2 = sigma_from_omega(_positive(space, omega2, "omega2"), exps.p2)
+    sigma1, sigma2 = _duals(space, omega1, omega2, exps)
     p = exps.p
     a1, a2 = p / exps.p1, p / exps.p2
     w1 = sigma1 * space.masses
@@ -236,8 +238,7 @@ def w_infty_constant(
 
     At least 1 whenever the finest level separates points.
     """
-    sigma1 = sigma_from_omega(_positive(space, omega1, "omega1"), exps.p1)
-    sigma2 = sigma_from_omega(_positive(space, omega2, "omega2"), exps.p2)
+    sigma1, sigma2 = _duals(space, omega1, omega2, exps)
     a1, a2 = exps.p / exps.p1, exps.p / exps.p2
     mix = sigma1**a1 * sigma2**a2 * space.masses
 

@@ -142,6 +142,24 @@ def test_bad_bookkeeping_fields_are_invalid_instances(tmp_path, capsys, extra, f
     assert f"{bad}: field '{field}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "space,where",
+    [
+        ({"masses": [10**400, 1]}, "masses[0]: mass does not fit in a float"),
+        ({"levels": [[[0, 1]], [[0], [1, 10**30]]]}, "level 1, atom 1: point index out of range 0..1"),
+    ],
+)
+@pytest.mark.parametrize("command", ["verify", "constants"])
+def test_values_beyond_machine_range_are_invalid_instances(tmp_path, capsys, space, where, command):
+    """An integer mass beyond float range or a point index beyond int64 is
+    invalid instance data (exit 4), not an OverflowError (exit 1)."""
+    bad = tmp_path / "bad.json"
+    good = {**DUAL_OVERFLOW, "p1": 2}
+    bad.write_text(json.dumps({**good, **space}))
+    assert run(command, str(bad)) == 4
+    assert f"{bad}: {where}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-3"])
 @pytest.mark.parametrize("command", ["verify", "constants"])
 def test_malformed_atom_budget_is_a_usage_error(tmp_path, monkeypatch, capsys, value, command):

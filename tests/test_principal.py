@@ -1,5 +1,5 @@
 """Principal-set forests: the worked four-point example, the structural
-properties P.1-P.5, doubling, sparse domination, and serialization."""
+properties P.1-P.5, doubling, and sparse domination."""
 
 import math
 import sys
@@ -11,13 +11,8 @@ import pytest
 from filtermax import (
     DominationReport,
     FilteredSpace,
-    ValidationError,
     build_principal_forest,
-    dump_forest,
     forest_cover,
-    forest_from_dict,
-    forest_to_dict,
-    load_forest,
     occupied_shells,
     shell_index,
     sparse_bound,
@@ -187,45 +182,6 @@ def test_restricting_omega0(quad):
     assert forest is not None
     assert forest.root.points.tolist() == [2, 3]
     assert forest.root.k1 == 1
-
-
-# ---- serialization ----------------------------------------------------------------
-
-
-def test_forest_round_trip(worked, tmp_path):
-    data = forest_to_dict(worked)
-    clone = forest_from_dict(worked.space, data)
-    assert clone.base_k == worked.base_k
-    assert clone.n_nodes == worked.n_nodes
-    assert clone.root.exit_points.tolist() == worked.root.exit_points.tolist()
-    path = tmp_path / "forest.json"
-    dump_forest(worked, str(path))
-    again = load_forest(worked.space, str(path))
-    assert forest_to_dict(again) == data
-
-
-def test_forest_from_dict_detects_corruption(worked):
-    data = forest_to_dict(worked)
-    data["root"]["k2"] = 3
-    with pytest.raises(ValueError, match="root"):
-        forest_from_dict(worked.space, data)
-
-
-def test_load_forest_malformed_json(quad, tmp_path):
-    path = tmp_path / "broken.json"
-    path.write_text('{"base_level": 0,')
-    with pytest.raises(ValidationError) as err:
-        load_forest(quad, str(path))
-    assert str(err.value).startswith(f"{path}:1: invalid JSON")
-
-
-def test_load_forest_missing_fields(quad, tmp_path):
-    path = tmp_path / "empty.json"
-    path.write_text("{}")
-    with pytest.raises(ValidationError) as err:
-        load_forest(quad, str(path))
-    assert str(err.value).startswith(f"{path}: ")
-    assert "base_level" in str(err.value)
 
 
 # ---- randomized structural check ---------------------------------------------------

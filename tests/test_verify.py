@@ -123,6 +123,15 @@ def test_instance_round_trip(tmp_path, flat):
     assert json.loads(path.read_text())  # plain JSON on disk
 
 
+def test_load_instance_bad_json(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"masses": [1, 2')
+    with pytest.raises(ValidationError) as err:
+        load_instance(str(path))
+    assert "broken.json:1" in str(err.value)
+    assert "invalid JSON" in str(err.value)
+
+
 def test_load_instance_errors(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -517,6 +526,31 @@ def test_suite_computes_each_constant_and_the_forest_once(monkeypatch):
     run_instance_suite(inst, "all")
     assert builds == shells * 2
     assert set(constants.values()) == {2}
+
+
+@pytest.mark.parametrize("model", ["lognormal", "product"])
+def test_suite_scores_the_test_pairs_once(monkeypatch, model):
+    """thm11_forward, thm12, thm14 and thm15 share one scoring of the five
+    test pairs; the tail sweeps and indicator pairs score their own rows."""
+    inst = gen_instance(0, depth=3, model=model)
+    norms = filtermax.verify._pair_norms
+    blocks = []
+
+    def counted_norms(inst, F1, F2, inside=None):
+        if inside is None:
+            blocks.append(F1.shape[0])
+        return norms(inst, F1, F2, inside)
+
+    monkeypatch.setattr(filtermax.verify, "_pair_norms", counted_norms)
+    run_instance_suite(inst, "all")
+    assert blocks.count(5) == 1
+    # explicit pairs with other names or values get their own scores
+    pairs = evaluation_pairs(inst, 5)
+    renamed = [(f"other{t}", f1, f2) for t, (_, f1, f2) in enumerate(pairs)]
+    scaled = [(name, 2.0 * f1, f2) for name, f1, f2 in pairs]
+    for family in (pairs, pairs, renamed, scaled):
+        check_thm14(inst, family)
+    assert blocks.count(5) == 4
 
 
 def test_fallback_suite_decides_the_tail_mode_once(monkeypatch):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from filtermax import (
+    ALL_CONSTANTS,
     Exponents,
     a_p_constant,
     b_p_constant,
@@ -163,6 +164,18 @@ def test_weights_must_be_positive(quad):
         rh_constant(quad, bad, one, P22)
     with pytest.raises(ValueError):
         s_p_constant(quad, one, one, bad, P22)
+
+
+@pytest.mark.parametrize("mode", ["exact", "heuristic"])
+@pytest.mark.parametrize("name", ALL_CONSTANTS)
+def test_dual_weights_that_overflow_are_not_finite(quad, name, mode):
+    """sigma1 = (1e-4)^(-100) overflows at p1 = 1.01: every constant, in both
+    modes, rejects it as not finite, not as a nan objective on every tail."""
+    one = ones(quad)
+    omega1 = np.array([1e-4, 1.0, 1.0, 1.0])
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as info:
+        compute_constant(name, quad, one, omega1, one, Exponents(1.01, 2.0), mode=mode)
+    assert str(info.value) == "function values must be finite"
 
 
 def test_rh_every_tail_ratio_at_least_one(mixed6):
