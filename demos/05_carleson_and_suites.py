@@ -57,9 +57,10 @@ for e in family.entries:
     print(f"entry: node {e.node_index}, level {e.k1}, shell exponent "
           f"{e.level_exp}, points {e.points.tolist()}, a = {e.coefficient}")
 
-# Certification enumerates every achievable tail and takes the largest
-# ratio of coefficient mass to dual-weight mass; afterwards the family
-# carries an exact Carleson constant.
+# Certification takes the largest ratio of coefficient mass to dual-weight
+# mass over all achievable tails; the largest sits on a union of entries,
+# so only those are scored.  Afterwards the family carries an exact
+# Carleson constant.
 family, worst = certify_carleson_constant(space, family, sigma1, sigma2, exps)
 print(f"certified Carleson constant A = {family.carleson_A:.6f} "
       f"(worst tail {worst.tail_set().tolist()})")

@@ -15,11 +15,12 @@ tau in T_i (i = the forest's base level):
     sum of a_Q over Q contained in {tau < inf}
         <= A * integral over {tau < inf} of sigma1^(p/p1) sigma2^(p/p2) dmu.
 
-`certify_carleson_constant` computes the smallest such A exhaustively:
-the tails {tau < inf} are exactly the unions of finest atoms, and it
-sweeps all of them through `stopping._sweep_tails` (refused past the atom
-budget) — the embedding verifier refuses to run with an uncertified
-constant unless one is supplied explicitly.
+`certify_carleson_constant` computes the smallest such A exactly: the
+tails {tau < inf} are the unions of finest atoms, and shrinking one to the
+union of the entries inside it keeps the left side and can only lower the
+right, so it scores unions of entries only (checking the atom budget as an
+exhaustive sweep did).  The embedding verifier refuses to run with an
+uncertified constant unless one is supplied explicitly.
 Under the condition, for f_s = h_s with finite L^(p_s)(omega_s) norms,
 
     sum over Q of essinf_Q( E^sigma1(h1 sigma1^-1 | F_K1)
@@ -39,7 +40,7 @@ import numpy as np
 
 from .principal import PrincipalForest, _shells
 from .space import Exponents, FilteredSpace, Fn, _weighted_cond, _weighted_pair, as_fn, level_products
-from .stopping import StoppingTime, _sweep_tails, finest_mask, stopping_time_from_tail
+from .stopping import StoppingTime, _check_budget, _first_max, finest_mask, stopping_time_from_tail
 from .weights import sigma_from_omega
 
 VARIANTS = ("node", "exit")
@@ -92,8 +93,12 @@ def build_level_sets(
     sigma2 = as_fn(space, sigma2)
     if np.any(sigma1 <= 0) or np.any(sigma2 <= 0):
         raise ValueError("sigma weights must be strictly positive")
+    return _level_sets(forest, level_products(space, sigma1, sigma2), variant)
+
+
+def _level_sets(forest: PrincipalForest, prods: list[Fn], variant: str) -> CarlesonFamily:
+    """`build_level_sets` from the level products E_j(sigma1) E_j(sigma2)."""
     entries: list[CarlesonEntry] = []
-    prods = level_products(space, sigma1, sigma2)
     for node_index, node in enumerate(forest.nodes()):
         base = node.points if variant == "node" else node.exit_points
         if base.size == 0:
@@ -111,7 +116,11 @@ def proof_coefficients(
 ) -> CarlesonFamily:
     """a_Q = integral over Q of (E_K1(sigma1) E_K1(sigma2))^p v dmu."""
     prods = level_products(space, sigma1, sigma2)
-    v = as_fn(space, v)
+    return _proof_coefficients(space, family, prods, as_fn(space, v), exps)
+
+
+def _proof_coefficients(space: FilteredSpace, family: CarlesonFamily, prods: list[Fn], v: Fn, exps: Exponents):
+    """`proof_coefficients` from the level products E_j(sigma1) E_j(sigma2)."""
     coeffs = []
     for entry in family.entries:
         w = prods[entry.k1][entry.points]
@@ -130,36 +139,44 @@ def certify_carleson_constant(
     sigma2: Fn,
     exps: Exponents,
 ) -> tuple[CarlesonFamily, StoppingTime]:
-    """Smallest A valid for every tau in T_i, by exhaustive tail enumeration.
-
-    Every nonempty tail (union of finest atoms) is evaluated by
-    `_sweep_tails`, a block of tails at a time.  Numerators add entry
-    coefficients in entry order and denominators add per-leaf mix integrals
-    in leaf order, the order of a per-tail sum, so A is the same float; the
-    worst tail is the first maximizer in ascending mask order (a 0/0 tail
-    imposes no condition and is skipped).  Returns the certified family and
-    the worst-case stopping time.
-    """
+    """Smallest A valid for every tau in T_i: the largest ratio over the nonempty
+    tails (unions of finest atoms).  Shrinking a tail to the union of the entries
+    inside it (to one of its leaves if none) keeps the numerator's float and can
+    only lower the denominator's, a sum of nonnegative per-leaf mix integrals
+    (float addition is monotone), so with nonnegative coefficients the first
+    maximizer in ascending mask order is such a union or leaf.  Those are scored
+    in ascending mask order, numerators in entry order and denominators in leaf
+    order as a per-tail sum adds them, so A and the worst tail are an exhaustive
+    sweep's (a 0/0 tail is skipped: it imposes no condition).  Returns the
+    certified family and the worst-case stopping time."""
     sigma1 = as_fn(space, sigma1)
     sigma2 = as_fn(space, sigma2)
     mix = _mix_density(space, sigma1, sigma2, exps)
     entry_masks = [finest_mask(space, e.points) for e in family.entries]
     coeffs = family.coefficients()
+    if not np.all(coeffs >= 0):
+        raise ValueError("coefficients must be nonnegative")
+    i = family.base_level
+    _check_budget(space, i)
+    leaves = space.atoms[space.last_level]
     # per-finest-atom mix integrals for fast tail sums
-    atom_mix = np.array([mix[atom].sum() for atom in space.atoms[space.last_level]])
-
-    def ratios(tails: np.ndarray, _) -> np.ndarray:
-        num = np.zeros(tails.size)
-        for c, em in zip(coeffs, entry_masks):
-            num += np.where((tails & em) == em, c, 0.0)
-        den = np.zeros(tails.size)
-        for a, am in enumerate(atom_mix):
-            den += np.where(tails >> a & 1, am, 0.0)
-        return num / den
-
-    best, best_mask = _sweep_tails(space, family.base_level, ratios)
-    tau = stopping_time_from_tail(space, family.base_level, best_mask)
-    return family.with_constant(best, certified=True), tau
+    atom_mix = np.array([mix[atom].sum() for atom in leaves])
+    unions = np.zeros(1, dtype=np.int64)  # then every union of entries, ascending
+    for em in entry_masks:
+        unions = np.union1d(unions, unions | em)
+    tails = np.union1d(unions[1:], np.int64(1) << np.arange(len(leaves), dtype=np.int64))  # and single leaves
+    num = np.zeros(tails.size)
+    for c, em in zip(coeffs, entry_masks):
+        num += np.where((tails & em) == em, c, 0.0)
+    den = np.zeros(tails.size)
+    for a, am in enumerate(atom_mix):
+        den += np.where(tails >> a & 1, am, 0.0)
+    ratios = num / den
+    k = _first_max(ratios)
+    if np.isnan(ratios[k]):  # every leaf's mix underflowed to 0; worded as the sweep words it
+        raise ValueError(f"tail objective is nan (or -inf) on all {(1 << len(leaves)) - 1} nonempty T_{i} tails")
+    tau = stopping_time_from_tail(space, i, int(tails[k]))
+    return family.with_constant(float(ratios[k]), certified=True), tau
 
 
 @dataclass(frozen=True)

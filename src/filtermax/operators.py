@@ -5,8 +5,8 @@ on a finite tower the conditional expectations are constant outside the
 window, so nothing is lost by truncating.
 
 Each public operator checks its level and arrays once, on entry, and then
-takes every level's conditional expectation on the unchecked kernel
-`space._cond` (or `space._weighted_cond`).
+takes the maximum over levels on atoms, of the unchecked kernel
+`space._atom_cond`, and reads it at the points once.
 """
 
 from __future__ import annotations
@@ -15,20 +15,29 @@ from typing import Callable
 
 import numpy as np
 
-from .space import FilteredSpace, Fn, _cond, _weighted_cond, _weighted_pair, as_fn
+from .space import FilteredSpace, Fn, _atom_cond, _to_points, _weighted_pair, as_fn
 from .space import cond_exp  # noqa: F401  (bench/tests expects this module to bind it)
 
 
-def _level_max(space: FilteredSpace, cond: Callable, start: int, f: Fn, g: Fn | None = None) -> Fn:
-    """max over levels j >= start of |cond(space, f, j)|, or of |cond(space, f, j) cond(space, g, j)|
-    when g is given.  cond returns a fresh array, made absolute in place: a second array per
-    level made the batched S sweep about a quarter slower."""
-    out = cond(space, f, start) if g is None else cond(space, f, start) * cond(space, g, start)
-    np.abs(out, out=out)
+def _level_max(
+    space: FilteredSpace, start: int, f: Fn, g: Fn | None = None, means=_atom_cond, to_points=_to_points
+) -> Fn:
+    """max over levels j >= start of |E_j(f)|, or of |E_j(f) E_j(g)|, at every point.
+    means(space, f, j) returns E_j(f) per atom, (atoms_j,) or (k, atoms_j), fresh and
+    made absolute in place (a copy per level slowed the S sweep by a quarter).  The
+    maximum runs top-down on atoms, cur = max(cur[..., parent_j], term_j), on the
+    values a per-point maximum takes, so every bit is the same; `to_points` reads it
+    at the points once, in its kernel's layout (the bincount kernel's C order)."""
+
+    def term(j: int) -> np.ndarray:
+        out = means(space, f, j) if g is None else means(space, f, j) * means(space, g, j)
+        return np.abs(out, out=out)
+
+    cur = term(start)
     for level in range(start + 1, space.n_levels):
-        term = cond(space, f, level) if g is None else cond(space, f, level) * cond(space, g, level)
-        np.maximum(out, np.abs(term, out=term), out=out)
-    return out
+        t = term(level)
+        cur = np.maximum(cur[..., space.parents[level]], t, out=t)
+    return to_points(space, cur, space.last_level)
 
 
 def maximal(space: FilteredSpace, f: Fn) -> Fn:
@@ -44,13 +53,13 @@ def bilinear_maximal(space: FilteredSpace, f: Fn, g: Fn) -> Fn:
 def tailed_bilinear_maximal(space: FilteredSpace, i: int, f: Fn, g: Fn) -> Fn:
     """Tail version: max over levels j >= i only."""
     space._check_level(i)
-    return _level_max(space, _cond, i, as_fn(space, f), as_fn(space, g))
+    return _level_max(space, i, as_fn(space, f), as_fn(space, g))
 
 
 def tailed_maximal(space: FilteredSpace, i: int, f: Fn) -> Fn:
     """max over levels j >= i of |E(f | F_j)|."""
     space._check_level(i)
-    return _level_max(space, _cond, i, as_fn(space, f))
+    return _level_max(space, i, as_fn(space, f))
 
 
 def weighted_maximal(space: FilteredSpace, f: Fn, sigma: Fn) -> Fn:
@@ -62,7 +71,7 @@ def weighted_maximal(space: FilteredSpace, f: Fn, sigma: Fn) -> Fn:
     for every p in (1, inf).
     """
     f_sigma, sigma = _weighted_pair(space, np.abs(as_fn(space, f)), sigma)
-    return _level_max(space, lambda s, h, level: _weighted_cond(s, h, sigma, level), 0, f_sigma)
+    return _level_max(space, 0, f_sigma, means=lambda s, h, j: _atom_cond(s, h, j) / _atom_cond(s, sigma, j))
 
 
 def lp_norm(space: FilteredSpace, f: Fn, weight: Fn, p: float, subset=None) -> float:

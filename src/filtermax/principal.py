@@ -256,7 +256,7 @@ def verify_properties(forest: PrincipalForest) -> PropertyReport:
         cover = 2.0 * _cond(space, exit_ind, node.k1) - 1.0
         p3_margin = min(p3_margin, float(cover[node.points].min()))
         chi = space.indicator(node.points)
-        tail_max = _level_max(space, _cond, forest.base_level, forest.h1 * chi, forest.h2 * chi)
+        tail_max = _level_max(space, forest.base_level, forest.h1 * chi, forest.h2 * chi)
         if node.exit_points.size:
             # (cap - sup) / cap with cap = 4^(K2+1), without forming cap (it overflows
             # above K2 = 510); scaling by a power of two is exact, so the float is the same

@@ -16,8 +16,9 @@ Public functions check their inputs once, on entry (`as_fn`, the level).
 `cond_exp` also takes a (k, n) block of functions, checked once.  The
 loops inside the package then take conditional expectations on the
 unchecked kernel `_cond`, which averages one function or every row of a
-(k, n) block, bit for bit as `cond_exp` does; `_weighted_cond` is its
-weighted form and `_row_cond_exp` the matmul kernel of the exact sweeps.
+(k, n) block, bit for bit as `cond_exp` does, from the means per atom of
+`_atom_cond`; `_weighted_cond` is its weighted form and `_row_cond_exp` the
+matmul kernel of the exact sweeps.
 """
 
 from __future__ import annotations
@@ -209,6 +210,11 @@ class FilteredSpace:
             am = np.array([self.masses[a].sum() for a in level_atoms])
             am.setflags(write=False)
             self.atom_mass.append(am)
+        # parents[t][a]: the level t-1 atom holding atom a of level t (none at level 0)
+        self.parents: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        for t in range(1, len(self.atoms)):
+            self.parents.append(self.atom_of[t - 1][[atom[0] for atom in self.atoms[t]]])
+            self.parents[t].setflags(write=False)
         self.total_mass: float = float(self.masses.sum())
 
     # ---- basic structure -------------------------------------------------
@@ -230,8 +236,7 @@ class FilteredSpace:
         self._check_level(level)
         if level == self.last_level:
             return []
-        atom = self.atoms[level][atom_index]
-        return sorted(set(int(i) for i in self.atom_of[level + 1][atom]))
+        return np.flatnonzero(self.parents[level + 1] == atom_index).tolist()
 
     def atom_count(self, from_level: int = 0) -> int:
         """Number of (level, atom) pairs at levels from_level..L."""
@@ -265,15 +270,11 @@ class FilteredSpace:
         return out
 
     def is_level_measurable(self, level: int, subset) -> bool:
-        """True when the set is a union of level-`level` atoms."""
-        idx = self.as_subset(subset)
-        mask = np.zeros(self.n, dtype=bool)
-        mask[idx] = True
+        """True when the set is a union of level-`level` atoms: every atom it
+        meets holds as many of its points as the atom has."""
         labels = self.atom_of[level]
-        for a_idx in np.unique(labels[idx]):
-            if not mask[self.atoms[level][a_idx]].all():
-                return False
-        return True
+        hits = np.bincount(labels[self.as_subset(subset)], minlength=len(self.atoms[level]))
+        return bool(np.all((hits == 0) | (hits == np.bincount(labels))))
 
     # ---- measure ---------------------------------------------------------
 
@@ -325,18 +326,32 @@ def cond_exp(space: FilteredSpace, f: Fn, level: int) -> Fn:
     return _cond(space, _as_block(space, arr) if arr.ndim == 2 else as_fn(space, arr), level)
 
 
-def _cond(space: FilteredSpace, f: np.ndarray, level: int) -> np.ndarray:
-    """`cond_exp` of one function or of every row of a (k, n) block, unchecked:
-    adds each point's mass-weighted value into its atom in point order, divides
-    by the atom mass and reads every point's atom back.  Row r of a block adds
-    into its own atoms r*atoms .. (r+1)*atoms - 1, so it sums as a 1-d call does."""
+def _atom_cond(space: FilteredSpace, f: np.ndarray, level: int, density: Fn | None = None) -> np.ndarray:
+    """Atom means of one function, (atoms,), or of every row of a (k, n) block,
+    (k, atoms), unchecked: adds each point's value times its mass (or `density`)
+    into its atom in point order and divides by the atom mass.  Row r of a block
+    adds into its own bins r*atoms .. (r+1)*atoms - 1, so it sums as a 1-d call
+    does.  A 0/1 block with density sigma * masses gives E(block sigma) bit for bit."""
     mass = space.atom_mass[level]
     labels = space.atom_of[level]
-    if f.ndim == 2:
-        labels = (labels + mass.size * np.arange(f.shape[0])[:, None]).ravel()
-        mass = np.tile(mass, f.shape[0])
-    sums = np.bincount(labels, weights=(f * space.masses).ravel(), minlength=mass.size)
-    return (sums / mass)[labels].reshape(f.shape)
+    weights = f * (space.masses if density is None else density)
+    if f.ndim == 1:
+        return np.bincount(labels, weights=weights, minlength=mass.size) / mass
+    labels = (labels + mass.size * np.arange(len(f))[:, None]).ravel()
+    sums = np.bincount(labels, weights=weights.ravel(), minlength=mass.size * len(f))
+    return sums.reshape(len(f), mass.size) / mass
+
+
+def _to_points(space: FilteredSpace, values: np.ndarray, level: int) -> np.ndarray:
+    """Atom values, (atoms,) or (k, atoms), read at every point in C order, on
+    which `sum(axis=1)` adds each row as its 1-d sum does."""
+    labels = space.atom_of[level]
+    return values[labels] if values.ndim == 1 else values.take(labels, axis=1)
+
+
+def _cond(space: FilteredSpace, f: np.ndarray, level: int) -> np.ndarray:
+    """`cond_exp` of one function or of every row of a (k, n) block, unchecked."""
+    return _to_points(space, _atom_cond(space, f, level), level)
 
 
 def level_products(space: FilteredSpace, f: Fn, g: Fn) -> list[Fn]:
@@ -346,25 +361,28 @@ def level_products(space: FilteredSpace, f: Fn, g: Fn) -> list[Fn]:
     return [_cond(space, f, j) * _cond(space, g, j) for j in range(space.n_levels)]
 
 
-def _row_cond_exp(space: FilteredSpace) -> Callable[[FilteredSpace, np.ndarray, int], np.ndarray]:
-    """Row-batched conditional expectation for the exact tail sweeps.
-
-    Builds one points x atoms aggregation matrix per level and returns
-    cond(space, rows, level), called like `cond_exp`, on every row of a (k, n) block.
-    The matrices live only as long as the returned function: the caller's
-    sweep builds them, nothing is cached on the space.
-    """
-    onehots = []
+def _row_cond_exp(space: FilteredSpace, density: Fn) -> Callable[[FilteredSpace, np.ndarray, int], np.ndarray]:
+    """Row-batched atom means for the exact tail sweeps, called like `_atom_cond`:
+    one points x atoms matrix per level holds density[x] at (x, atom of x), and
+    means(space, rows, level) = (rows @ matrix) / atom masses.  On a 0/1 block and
+    density sigma * masses, BLAS forms exactly the products of (block sigma masses)
+    @ 0/1 matrix on the same shapes (on other blocks it may fuse a product into its
+    sum).  The matrices live only as long as the returned function."""
+    mats = []
     for labels, atom_mass in zip(space.atom_of, space.atom_mass):
-        onehot = np.zeros((space.n, atom_mass.size))
-        onehot[np.arange(space.n), labels] = 1.0
-        onehots.append(onehot)
+        mat = np.zeros((space.n, atom_mass.size))
+        mat[np.arange(space.n), labels] = density
+        mats.append(mat)
 
-    def cond(_: FilteredSpace, rows: np.ndarray, level: int) -> np.ndarray:
-        sums = (rows * space.masses) @ onehots[level]
-        return (sums / space.atom_mass[level])[:, space.atom_of[level]]
+    def means(_: FilteredSpace, rows: np.ndarray, level: int) -> np.ndarray:
+        return (rows @ mats[level]) / space.atom_mass[level]
 
-    return cond
+    return means
+
+
+def _to_points_by_index(space: FilteredSpace, values: np.ndarray, level: int) -> np.ndarray:
+    """values[:, labels], Fortran-ordered: the exact objectives' `@` rounds otherwise in C order."""
+    return values[:, space.atom_of[level]]
 
 
 def weighted_cond_exp(space: FilteredSpace, f: Fn, sigma: Fn, level: int) -> Fn:

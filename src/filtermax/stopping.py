@@ -11,9 +11,9 @@ stopping at level L is allowed from any origin, these are exactly the
 
 Exhaustive enumeration is exponential in the forest, so it is guarded by
 an atom budget (number of (level, atom) pairs at levels i..L, default 24,
-set only by the FILTERMAX_ATOM_BUDGET environment variable).  Every exact
-tail supremum walks that power set through one sweep, `_sweep_tails`, in
-byte-capped numpy blocks.  For larger spaces `heuristic_sup_over_tau`
+set only by the FILTERMAX_ATOM_BUDGET environment variable).  The exact
+RH, S, Winf and thm12 suprema walk that power set through one sweep,
+`_sweep_tails`, in byte-capped numpy blocks.  For larger spaces `heuristic_sup_over_tau`
 searches a candidate family of stopping times and returns a certified
 lower bound for the supremum; it scores candidates in blocks of tails with
 the same objective the exact sweeps use.
@@ -222,26 +222,15 @@ def enumerate_stopping_times(space: FilteredSpace, i: int = 0) -> Iterator[Stopp
 
 def finest_mask(space: FilteredSpace, subset) -> int:
     """Bit mask over level-L atoms for a measurable point set."""
-    idx = space.as_subset(subset)
-    mask = 0
-    for a_idx in np.unique(space.atom_of[space.last_level][idx]):
-        atom = space.atoms[space.last_level][a_idx]
-        if not np.isin(atom, idx, assume_unique=True).all():
-            raise ValueError("set is not measurable at the finest level")
-        mask |= 1 << int(a_idx)
-    return mask
+    if not space.is_level_measurable(space.last_level, subset):
+        raise ValueError("set is not measurable at the finest level")
+    return sum(1 << a for a in np.unique(space.atom_of[space.last_level][space.as_subset(subset)]).tolist())
 
 
 def mask_points(space: FilteredSpace, mask: int) -> np.ndarray:
     """Sorted point indices of a finest-atom bit mask."""
-    parts = [
-        space.atoms[space.last_level][a]
-        for a in range(len(space.atoms[space.last_level]))
-        if mask >> a & 1
-    ]
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.sort(np.concatenate(parts))
+    bits = [mask >> a & 1 for a in range(len(space.atoms[space.last_level]))]
+    return np.flatnonzero(np.array(bits, dtype=bool)[space.atom_of[space.last_level]])
 
 
 def enumerate_tail_masks(space: FilteredSpace, i: int = 0) -> range:
@@ -410,13 +399,9 @@ def heuristic_sup_over_tau(
             if t < space.last_level:  # refine into children
                 moves.append(rest + [(t + 1, c) for c in space.children(t, a)])
             if t > i:  # merge into the parent atom, absorbing siblings
-                parent = int(space.atom_of[t - 1][space.atoms[t][a][0]])
-                p_atom = space.atoms[t - 1][parent]
-                keep = [
-                    (tt, aa)
-                    for tt, aa in rest
-                    if not np.isin(space.atoms[tt][aa], p_atom, assume_unique=True).any()
-                ]
+                parent = int(space.parents[t][a])
+                # an atom disjoint from (t, a) meets the parent only inside it
+                keep = [(tt, aa) for tt, aa in rest if space.atom_of[t - 1][space.atoms[tt][aa][0]] != parent]
                 moves.append(keep + [(t - 1, parent)])
         for t in range(i, space.n_levels):  # add a disjoint atom
             for a_idx, atom in enumerate(space.atoms[t]):

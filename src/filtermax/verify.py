@@ -36,11 +36,13 @@ from .space import (
     Fn,
     ValidationError,
     _as_block,
+    _atom_cond,
     _cond,
     _is_number,
     _non_number,
     as_fn,
     cond_exp,
+    level_products,
     space_from_dict,
     space_to_dict,
 )
@@ -400,9 +402,10 @@ def _pair_norms(
     bit as `bilinear_maximal` and `lp_norm`, each norm rooted as a Python float.
     A full row sums as `sum(axis=1)`, which on a C-contiguous block adds each row
     as its 1-d `.sum()` does; a restricted sum compresses its row first, since
-    zeros in place of the points outside would change the pairwise grouping."""
+    zeros in place of the points outside would change the pairwise grouping; rows
+    with as many points inside compress into one C-contiguous block together."""
     exps, masses = inst.exps, inst.space.masses
-    m = _level_max(inst.space, _cond, 0, F1 * inst.sigma1, F2 * inst.sigma2)
+    m = _level_max(inst.space, 0, F1 * inst.sigma1, F2 * inst.sigma2)
     dens_m = m**exps.p * inst.v * masses
     nums = _roots(dens_m.sum(axis=1), exps.p)
     n1 = _row_norms(inst.space, F1, inst.sigma1, exps.p1)
@@ -410,7 +413,12 @@ def _pair_norms(
     dens = [a * b for a, b in zip(n1, n2)]
     if inside is None:
         return nums, dens, nums
-    return nums, dens, _roots([dm[r].sum() for dm, r in zip(dens_m, inside)], exps.p)
+    counts = inside.sum(axis=1)
+    totals = np.empty(len(counts))
+    for count in np.unique(counts):
+        rows = np.flatnonzero(counts == count)
+        totals[rows] = dens_m[rows][inside[rows]].reshape(rows.size, count).sum(axis=1)
+    return nums, dens, _roots(totals, exps.p)
 
 
 def _roots(totals, p: float) -> list[float]:
@@ -709,16 +717,15 @@ def check_sparse(inst: Instance) -> list[CheckResult]:
 
 
 def check_carleson(inst: Instance) -> list[CheckResult]:
-    """Embedding with proof-style coefficients and an exhaustively
-    certified Carleson constant, in both shell variants."""
+    """Embedding with proof-style coefficients and an exactly certified
+    Carleson constant, in both shell variants."""
     seed = _row_seed(inst)
     forest = inst.forest
+    prods = level_products(inst.space, inst.sigma1, inst.sigma2)  # shared by both variants
     out = []
     for variant in ("node", "exit"):
-        family = _carleson.build_level_sets(forest, inst.sigma1, inst.sigma2, variant=variant)
-        family = _carleson.proof_coefficients(
-            inst.space, family, inst.sigma1, inst.sigma2, inst.v, inst.exps
-        )
+        family = _carleson._level_sets(forest, prods, variant)
+        family = _carleson._proof_coefficients(inst.space, family, prods, inst.v, inst.exps)
         family, worst_tau = _carleson.certify_carleson_constant(
             inst.space, family, inst.sigma1, inst.sigma2, inst.exps
         )
@@ -804,11 +811,11 @@ def _property_residuals(inst: Instance, draws: int = 20, seed: int | None = None
         totals = (np.abs(block) ** np.array(P)[:, None] * G * space.masses).sum(axis=1)
         return [float(t) ** (1.0 / p) for t, p in zip(totals, P)]
 
-    mw = _level_max(space, lambda s, h, t: _cond(s, h, t) / _cond(s, G, t), 0, np.abs(F) * G)
+    mw = _level_max(space, 0, np.abs(F) * G, means=lambda s, h, t: _atom_cond(s, h, t) / _atom_cond(s, G, t))
     doob = [num / ((p / (p - 1.0)) * den) - 1.0 for num, den, p in zip(lp_norms(mw), lp_norms(F), P)]
 
-    m1 = _level_max(space, _cond, 0, F)
-    mbil = _level_max(space, _cond, 0, F, F)
+    m1 = _level_max(space, 0, F)
+    mbil = _level_max(space, 0, F, F)
     return {
         "prop_tower": scaled(np.abs(tower_lhs - tower_rhs), np.abs(tower_rhs)),
         "prop_cond_holder": ((mix - split) / split).max(axis=1),
@@ -894,7 +901,7 @@ def run_instance_suite(
     The tail mode is decided once, for suites with a tail check: exact
     when the atom budget allows the sweep, else, with fallback=True,
     heuristic (lower-bound) rows and no carleson rows, since certification
-    is exhaustive-only; without fallback EnumerationBudgetError is raised.
+    keeps the budget check; without fallback EnumerationBudgetError is raised.
     The run starts from a fresh copy of `inst`, so each weight constant
     and the default forest are computed once per call, whatever earlier
     calls computed.

@@ -27,7 +27,8 @@ from typing import Callable
 import numpy as np
 
 from .operators import _level_max
-from .space import Exponents, FilteredSpace, Fn, _cond, _positive, _row_cond_exp, as_fn
+from .space import Exponents, FilteredSpace, Fn, _atom_cond, _cond, _positive, _row_cond_exp, _to_points
+from .space import _to_points_by_index, as_fn
 from .space import cond_exp  # noqa: F401  (bench/tests expects this module to bind it)
 from .stopping import _check_budget, _sweep_tails, heuristic_sup_over_tau, stopping_time_from_tail
 
@@ -128,41 +129,38 @@ def b_p_constant(space: FilteredSpace, v: Fn, omega1: Fn, omega2: Fn, exps: Expo
     return _atom_max(space, density, "B")
 
 
-_RowCond = Callable[[FilteredSpace, np.ndarray, int], np.ndarray]
-
-
 def _sup_over_tails(
-    space: FilteredSpace,
-    name: str,
-    block_objective: Callable[[np.ndarray, _RowCond], np.ndarray],
-    guide: tuple[Fn, Fn],
-    mode: str,
+    space: FilteredSpace, name: str, block_objective: Callable, guide: tuple[Fn, Fn] | None, mode: str, densities=()
 ) -> WeightConstant:
     """Maximize an objective of the tail point set over T_0 tails.
 
-    block_objective(chi, cond) takes a rows x n 0/1 indicator block of
-    nonempty tails and the row-batched conditional expectation, and returns
-    one value per row.  Exact mode scores every tail with it through
-    `_sweep_tails`, heuristic mode the candidate blocks of
-    `heuristic_sup_over_tau`.  Either way the witness is the first
-    maximizing tail (nan values are skipped), as a per-tail loop would pick
-    it: in ascending mask order for the sweep, in candidate order for the
-    search.
+    block_objective(chi, kernel) scores a rows x n 0/1 block of nonempty tails,
+    one value per row, given a kernel (means, to_points): means[s](space, chi, j)
+    are the (k, atoms) level-j means of chi times densities[s] over mu (sigma_s *
+    masses gives E(chi sigma_s | F_j)), and to_points reads atom values at
+    the points in the kernel's layout.  Exact mode scores every tail through
+    `_sweep_tails` on the matmul kernel, each density folded into its
+    matrices; heuristic mode scores the candidate blocks of
+    `heuristic_sup_over_tau` on the bincount kernel.  Either way the witness
+    is the first maximizing tail (nan values are skipped), as a per-tail loop
+    would pick it: in ascending mask order for the sweep, in candidate order
+    for the search.
     """
     if mode not in (EXACT, HEURISTIC):
         raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
     if mode == HEURISTIC:
         # the bincount kernel holds no points x atoms matrix, so the search
         # stays linear in the points past the atom budget
+        kernel = tuple(lambda s, rows, t, d=d: _atom_cond(s, rows, t, d) for d in densities), _to_points
         value, tau = heuristic_sup_over_tau(
-            space, 0, lambda inside: block_objective(inside.astype(float), _cond), guide=guide
+            space, 0, lambda inside: block_objective(inside.astype(float), kernel), guide=guide
         )
         return WeightConstant(name, value, "lower-bound", _tau_witness(tau))
-    # the matmul kernel holds a points x atoms matrix per level, which grows
-    # with the square of the points past the budget: refuse before building it
+    # the matmul kernel holds points x atoms matrices, which grow with the
+    # square of the points past the budget: refuse before building them
     _check_budget(space, 0)
-    cond = _row_cond_exp(space)
-    value, mask = _sweep_tails(space, 0, lambda tails, inside: block_objective(inside.astype(float), cond))
+    kernel = tuple(_row_cond_exp(space, d) for d in densities), _to_points_by_index
+    value, mask = _sweep_tails(space, 0, lambda tails, inside: block_objective(inside.astype(float), kernel))
     return WeightConstant(name, value, EXACT, _tau_witness(stopping_time_from_tail(space, 0, mask)))
 
 
@@ -187,7 +185,7 @@ def rh_constant(
     w2 = sigma2 * space.masses
     mix = sigma1**a1 * sigma2**a2 * space.masses
 
-    def block_objective(chi: np.ndarray, cond: _RowCond) -> np.ndarray:
+    def block_objective(chi: np.ndarray, kernel: tuple) -> np.ndarray:
         return (chi @ w1) ** a1 * (chi @ w2) ** a2 / (chi @ mix)
 
     return _sup_over_tails(space, "RH", block_objective, (sigma1, sigma2), mode)
@@ -215,13 +213,14 @@ def s_p_constant(
     w2 = sigma2 * space.masses
     v_mass = v * space.masses
 
-    def block_objective(chi: np.ndarray, cond: _RowCond) -> np.ndarray:
-        m = _level_max(space, cond, 0, chi * sigma1, chi * sigma2)
+    def block_objective(chi: np.ndarray, kernel: tuple) -> np.ndarray:
+        (mean1, mean2), to_points = kernel
+        m = _level_max(space, 0, chi, means=lambda s, h, t: mean1(s, h, t) * mean2(s, h, t), to_points=to_points)
         num = (m**p * chi) @ v_mass
         den = (chi @ w1) ** a1 * (chi @ w2) ** a2
         return (num / den) ** (1.0 / p)
 
-    return _sup_over_tails(space, "S", block_objective, (sigma1, sigma2), mode)
+    return _sup_over_tails(space, "S", block_objective, (sigma1, sigma2), mode, (w1, w2))
 
 
 def w_infty_constant(
@@ -242,12 +241,14 @@ def w_infty_constant(
     a1, a2 = exps.p / exps.p1, exps.p / exps.p2
     mix = sigma1**a1 * sigma2**a2 * space.masses
 
-    def block_objective(chi: np.ndarray, cond: _RowCond) -> np.ndarray:
-        m1 = _level_max(space, cond, 0, chi * sigma1)
-        m2 = _level_max(space, cond, 0, chi * sigma2)
+    def block_objective(chi: np.ndarray, kernel: tuple) -> np.ndarray:
+        (mean1, mean2), to_points = kernel
+        m1 = _level_max(space, 0, chi, means=mean1, to_points=to_points)
+        m2 = _level_max(space, 0, chi, means=mean2, to_points=to_points)
         return (m1**a1 * m2**a2 * chi) @ space.masses / (chi @ mix)
 
-    return _sup_over_tails(space, "Winf", block_objective, (sigma1, sigma2), mode)
+    densities = (sigma1 * space.masses, sigma2 * space.masses)
+    return _sup_over_tails(space, "Winf", block_objective, (sigma1, sigma2), mode, densities)
 
 
 ALL_CONSTANTS = ("a", "rh", "s", "b", "winf")

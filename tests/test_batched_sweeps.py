@@ -13,6 +13,7 @@ bit.
 """
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from filtermax import (
     gen_instance,
     is_adapted,
     level_products,
+    load_instance,
     lp_norm,
     mask_points,
     maximal,
@@ -50,11 +52,13 @@ from filtermax import (
     space_from_dict,
     weighted_maximal,
 )
-from filtermax.space import _cond
-from filtermax.stopping import _BLOCK_BYTES, _sweep_tails
+from filtermax.operators import _level_max
+from filtermax.space import _atom_cond, _cond, _row_cond_exp, _to_points_by_index
+from filtermax.stopping import _BLOCK_BYTES, _sweep_tails, heuristic_sup_over_tau
 from filtermax.verify import _PROPERTY_TOLS, _pair_norms, _property_residuals, _tail_ratios, norm_ratio
 from filtermax.weights import _sup_over_tails
 
+DATA = Path(__file__).parent / "data"
 REL_TOL = 1e-12
 BUDGET = 64  # generated towers of 10 finest atoms can hold up to 40 atoms
 FIXTURES = ["quad", "pair", "chain", "mixed6", "lumpy5"]
@@ -631,6 +635,101 @@ def test_carleson_sums_entries_in_entry_order(quad):
     assert finest_mask(quad, worst.tail_set()) == want_mask == 15
 
 
+def union_family(space, point_sets, coeffs):
+    """A family of entries on the given point sets with the given coefficients."""
+    entries = tuple(CarlesonEntry(0, 0, 0, np.array(pts, dtype=np.int64), 0.0) for pts in point_sets)
+    return CarlesonFamily("node", 0, entries).with_coefficients(coeffs)
+
+
+def assert_certified_as_scalar(space, family, sigma1, sigma2, exps):
+    certified, worst = certify_carleson_constant(space, family, sigma1, sigma2, exps)
+    want_a, want_mask = scalar_carleson(space, family, sigma1, sigma2, exps)
+    assert certified.carleson_A == want_a and certified.certified
+    assert finest_mask(space, worst.tail_set()) == want_mask
+    return want_a, want_mask
+
+
+def test_carleson_unions_of_nested_and_repeated_entries(quad, lumpy5):
+    exps = Exponents(2.0, 2.0)
+    one = np.ones(quad.n)
+    sigma1 = np.array([3.0, 1.0, 0.5, 2.0])
+    point_sets = [[0, 1, 2, 3], [0, 1], [0, 1], [0], [2], [2]]
+    for coeffs in ([1.0, 0.5, 0.5, 2.0, 1.0, 1.0], [0.0, 0.0, 0.0, 1.0, 0.0, 1.0], [4.0, 0, 0, 0, 0, 0]):
+        for s1 in (one, sigma1):
+            assert_certified_as_scalar(quad, union_family(quad, point_sets, coeffs), s1, one, exps)
+    # lumpy5's leaves {0, 1}, {2}, {3, 4}: entries are unions of them
+    point_sets = [[0, 1, 2, 3, 4], [0, 1], [0, 1, 2], [3, 4], [0, 1]]
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        coeffs = rng.choice([0.0, 1.0, 2.0, rng.uniform(0, 3)], size=len(point_sets))
+        sigma1, sigma2 = np.exp(rng.standard_normal((2, lumpy5.n)))
+        assert_certified_as_scalar(lumpy5, union_family(lumpy5, point_sets, coeffs), sigma1, sigma2, exps)
+
+
+@pytest.mark.parametrize("name", [*FIXTURES, "generated"])
+def test_carleson_unions_with_more_entries_than_leaves(name, request):
+    """Random unions of leaves, more of them than leaves, with coefficients
+    drawn so that ties between unions happen."""
+    space = gen_instance(5, depth=3).space if name == "generated" else request.getfixturevalue(name)
+    leaves = space.atoms[space.last_level]
+    rng = np.random.default_rng(47)
+    for trial in range(12):
+        sets = []
+        for _ in range(len(leaves) + 1 + trial % 4):
+            picked = rng.random(len(leaves)) < 0.4
+            picked[rng.integers(len(leaves))] = True  # nonempty
+            sets.append(np.concatenate([leaves[a] for a in np.flatnonzero(picked)]).tolist())
+        coeffs = rng.choice([0.0, 1.0, 0.5, rng.uniform(0, 2)], size=len(sets))
+        sigma1, sigma2 = np.exp(rng.standard_normal((2, space.n)))
+        exps = Exponents(float(rng.uniform(1.2, 4.0)), float(rng.uniform(1.2, 4.0)))
+        assert_certified_as_scalar(space, union_family(space, sets, coeffs), sigma1, sigma2, exps)
+
+
+@pytest.mark.parametrize("name", ["quad", "mixed6", "lumpy5"])
+def test_carleson_with_a_zero_constant_keeps_the_first_tail(name, request):
+    """A = 0 (all coefficients zero, or no entries): every tail ties, and the
+    first one, leaf 0 alone, is the worst tail as in the sweep; an entry with
+    no points lies in every tail and scores on single leaves."""
+    space = request.getfixturevalue(name)
+    one = np.ones(space.n)
+    exps = Exponents(2.0, 2.0)
+    leaves = space.atoms[space.last_level]
+    full = np.arange(space.n).tolist()
+    for sets, coeffs in (([], []), ([full, leaves[-1].tolist()], [0.0, 0.0])):
+        assert assert_certified_as_scalar(space, union_family(space, sets, coeffs), one, one, exps) == (0.0, 1)
+    weights = np.linspace(1.0, 2.0, space.n)
+    a, mask = assert_certified_as_scalar(space, union_family(space, [[]], [1.0]), weights, one, exps)
+    assert a > 0 and bin(mask).count("1") == 1  # 1 / (the lightest leaf's mix)
+    assert_certified_as_scalar(space, union_family(space, [[], leaves[-1].tolist()], [1.0, 3.0]), weights, one, exps)
+
+
+def test_carleson_certification_never_sweeps_the_tails(monkeypatch):
+    """Certification scores unions of entries, so it runs with the sweep
+    disabled, and still refuses a space past the atom budget."""
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("certify_carleson_constant swept the tails")
+
+    for module in ("stopping", "weights", "carleson", "verify"):
+        monkeypatch.setattr(f"filtermax.{module}._sweep_tails", no_sweep, raising=False)
+    inst = gen_instance(2, depth=3)
+    forest = default_forest(inst)
+    family = build_level_sets(forest, inst.sigma1, inst.sigma2)
+    family = proof_coefficients(inst.space, family, inst.sigma1, inst.sigma2, inst.v, inst.exps)
+    certified, _ = certify_carleson_constant(inst.space, family, inst.sigma1, inst.sigma2, inst.exps)
+    assert certified.certified
+    monkeypatch.setenv("FILTERMAX_ATOM_BUDGET", "3")
+    with pytest.raises(EnumerationBudgetError):
+        certify_carleson_constant(inst.space, family, inst.sigma1, inst.sigma2, inst.exps)
+
+
+def test_carleson_certification_rejects_negative_coefficients(quad):
+    entry = CarlesonEntry(0, 0, 0, np.array([0, 1]), -1.0)
+    one = np.ones(quad.n)
+    with pytest.raises(ValueError, match="nonnegative"):
+        certify_carleson_constant(quad, CarlesonFamily("node", 0, (entry,)), one, one, Exponents(2.0, 2.0))
+
+
 @pytest.mark.parametrize("name", ["quad", "wide_points"])
 def test_exact_sweep_keeps_the_first_maximizer_across_blocks(name, request):
     space = request.getfixturevalue(name)
@@ -653,6 +752,163 @@ def test_exact_sweep_keeps_the_first_maximizer_across_blocks(name, request):
     assert c.witness["tau"] == [0] * space.n
     c = _sup_over_tails(space, "T", full_tail_nan, None, "heuristic")
     assert finest_mask(space, c.witness["tail"]) == 7
+
+
+# ---- level maxima on atoms ------------------------------------------------------
+#
+# The kernels and the per-point level maximum as they were before the maximum
+# ran on atoms: every level read back at the points, the maximum taken there.
+
+
+def point_cond(space, f, level):
+    """The bincount kernel reading each level back at the points (C order)."""
+    mass = space.atom_mass[level]
+    labels = space.atom_of[level]
+    if f.ndim == 2:
+        labels = (labels + mass.size * np.arange(f.shape[0])[:, None]).ravel()
+        mass = np.tile(mass, f.shape[0])
+    sums = np.bincount(labels, weights=(f * space.masses).ravel(), minlength=mass.size)
+    return (sums / mass)[labels].reshape(f.shape)
+
+
+def point_row_cond_exp(space):
+    """The matmul kernel of the exact sweeps, without a density folded in."""
+    onehots = []
+    for labels, atom_mass in zip(space.atom_of, space.atom_mass):
+        onehot = np.zeros((space.n, atom_mass.size))
+        onehot[np.arange(space.n), labels] = 1.0
+        onehots.append(onehot)
+
+    def cond(_, rows, level):
+        sums = (rows * space.masses) @ onehots[level]
+        return (sums / space.atom_mass[level])[:, space.atom_of[level]]
+
+    return cond
+
+
+def point_level_max(space, cond, start, f, g=None):
+    """max over levels j >= start of |cond(f)|, or |cond(f) cond(g)|, per point."""
+    out = cond(space, f, start) if g is None else cond(space, f, start) * cond(space, g, start)
+    np.abs(out, out=out)
+    for level in range(start + 1, space.n_levels):
+        term = cond(space, f, level) if g is None else cond(space, f, level) * cond(space, g, level)
+        np.maximum(out, np.abs(term, out=term), out=out)
+    return out
+
+
+def point_objectives(space, v, omega1, omega2, exps):
+    """The S and Winf block objectives on the per-point maximum, fed chi * sigma."""
+    sigma1 = sigma_from_omega(omega1, exps.p1)
+    sigma2 = sigma_from_omega(omega2, exps.p2)
+    p = exps.p
+    a1, a2 = p / exps.p1, p / exps.p2
+    w1, w2 = sigma1 * space.masses, sigma2 * space.masses
+    v_mass = v * space.masses
+    mix = sigma1**a1 * sigma2**a2 * space.masses
+
+    def s(chi, cond):
+        m = point_level_max(space, cond, 0, chi * sigma1, chi * sigma2)
+        return (((m**p * chi) @ v_mass) / ((chi @ w1) ** a1 * (chi @ w2) ** a2)) ** (1.0 / p)
+
+    def winf(chi, cond):
+        m1 = point_level_max(space, cond, 0, chi * sigma1)
+        m2 = point_level_max(space, cond, 0, chi * sigma2)
+        return (m1**a1 * m2**a2 * chi) @ space.masses / (chi @ mix)
+
+    return {"s": s, "winf": winf}, (sigma1, sigma2)
+
+
+def level_max_space(name, request):
+    if name == "generated":
+        return gen_instance(3, depth=2, branching=3).space
+    if name == "worked4":
+        return load_instance(str(DATA / "worked4.json")).space
+    return request.getfixturevalue(name)
+
+
+def assert_same_block(got, want):
+    """Equal bits in the same layout, which decides how later reductions round.
+    The layout is the strides of the axes longer than one, the ones numpy's
+    contiguity flags read: a one-row product of the per-point matmul kernel was
+    a fresh array, its atom-level counterpart an indexed one, and only the
+    stride of that single row differs (the S and Winf test below runs one-row
+    blocks through the objectives)."""
+    assert got.shape == want.shape
+    if got.size == 0:  # nothing to lay out
+        return
+    assert [(n, st) for n, st in zip(got.shape, got.strides) if n > 1] == [
+        (n, st) for n, st in zip(want.shape, want.strides) if n > 1
+    ]
+    assert got.flags.c_contiguous == want.flags.c_contiguous
+    assert got.flags.f_contiguous == want.flags.f_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+LEVEL_MAX_SPACES = [*FIXTURES, "worked4", "generated"]
+
+
+@pytest.mark.parametrize("name", LEVEL_MAX_SPACES)
+def test_atom_level_max_equals_the_point_max(name, request):
+    """Bincount kernel and the weighted ratio of two means, from every start
+    level, on one function and on blocks of 0, 1, 2 and 9 rows."""
+    space = level_max_space(name, request)
+    rng = np.random.default_rng(31)
+    for k in (None, 0, 1, 2, 9):
+        shape = (space.n,) if k is None else (k, space.n)
+        f = rng.standard_normal(shape) * np.exp(rng.standard_normal(shape))
+        g = np.exp(rng.standard_normal(shape))
+        fg = np.abs(f) * g
+        for start in range(space.n_levels):
+            assert_same_block(_level_max(space, start, f), point_level_max(space, point_cond, start, f))
+            assert_same_block(_level_max(space, start, f, g), point_level_max(space, point_cond, start, f, g))
+            got = _level_max(space, start, fg, means=lambda s, h, j: _atom_cond(s, h, j) / _atom_cond(s, g, j))
+            want = point_level_max(space, lambda s, h, j: point_cond(s, h, j) / point_cond(s, g, j), start, fg)
+            assert_same_block(got, want)
+
+
+@pytest.mark.parametrize("name", [*LEVEL_MAX_SPACES, "wide_points"])
+def test_atom_level_max_on_the_matmul_kernel_equals_the_point_max(name, request):
+    """The matmul kernel with sigma * masses folded in, on 0/1 blocks, equals the
+    plain kernel on the block times sigma (folding is exact only there: BLAS
+    may fuse a product into its sum, so a product of two floats must not
+    round).  wide_points gives one-row blocks of 65536 points."""
+    space = level_max_space(name, request)
+    rng = np.random.default_rng(37)
+    sigma1, sigma2 = np.exp(rng.standard_normal((2, space.n)))
+    point = point_row_cond_exp(space)
+    mean1, mean2 = (_row_cond_exp(space, sigma * space.masses) for sigma in (sigma1, sigma2))
+    for k in (0, 1, 2) if name == "wide_points" else (0, 1, 2, 9):
+        chi = (rng.random((k, space.n)) < 0.5).astype(float)
+        for start in range(space.n_levels):
+            product = lambda s, h, j: mean1(s, h, j) * mean2(s, h, j)  # noqa: E731
+            got = _level_max(space, start, chi, means=product, to_points=_to_points_by_index)
+            assert_same_block(got, point_level_max(space, point, start, chi * sigma1, chi * sigma2))
+            for sigma, mean in ((sigma1, mean1), (sigma2, mean2)):
+                got = _level_max(space, start, chi, means=mean, to_points=_to_points_by_index)
+                assert_same_block(got, point_level_max(space, point, start, chi * sigma))
+
+
+@pytest.mark.parametrize("name", [*LEVEL_MAX_SPACES, "wide_points"])
+def test_s_and_winf_keep_the_point_max_bits(name, request):
+    """Exact S and Winf equal a sweep of the per-point objectives bit for bit,
+    value and witness; heuristic S and Winf equal the search run on them."""
+    space = level_max_space(name, request)
+    rng = np.random.default_rng(41)
+    for exps in (Exponents(2.0, 2.0), Exponents(1.5, 3.0)):
+        v, omega1, omega2 = random_weights(rng, space.n)
+        objectives, guide = point_objectives(space, v, omega1, omega2, exps)
+        point = point_row_cond_exp(space)
+        for key, objective in objectives.items():
+            got = compute_constant(key, space, v, omega1, omega2, exps, mode="exact")
+            value, mask = _sweep_tails(space, 0, lambda tails, inside: objective(inside.astype(float), point))
+            assert got.value == value
+            assert finest_mask(space, got.witness["tail"]) == mask
+            got = compute_constant(key, space, v, omega1, omega2, exps, mode="heuristic")
+            value, tau = heuristic_sup_over_tau(
+                space, 0, lambda inside: objective(inside.astype(float), point_cond), guide=guide
+            )
+            assert got.value == value
+            assert got.witness["tail"] == tau.tail_set().tolist()
 
 
 # ---- the block pair norms ------------------------------------------------------

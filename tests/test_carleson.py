@@ -1,5 +1,5 @@
 """Carleson families on a worked four-point forest: shell decomposition,
-proof coefficients, exhaustive certification, and the embedding bound."""
+proof coefficients, exact certification, and the embedding bound."""
 
 import math
 

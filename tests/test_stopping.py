@@ -160,6 +160,29 @@ def test_finest_mask_round_trip(mixed6):
     assert mask_points(mixed6, 0).size == 0
 
 
+@pytest.mark.parametrize("name", ["quad", "chain", "mixed6", "lumpy5"])
+def test_finest_mask_matches_the_leaf_loop(name, request):
+    """The leaf counts against the leaf sizes give the mask a per-leaf
+    membership loop gives, and the same error for a set cutting a leaf."""
+    space = request.getfixturevalue(name)
+    leaves = space.atoms[space.last_level]
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        subset = np.flatnonzero(rng.random(space.n) < 0.5)
+        inside = np.zeros(space.n, dtype=bool)
+        inside[subset] = True
+        touched = [a for a, leaf in enumerate(leaves) if inside[leaf].any()]
+        if all(inside[leaves[a]].all() for a in touched):
+            assert finest_mask(space, subset) == sum(1 << a for a in touched)
+            assert finest_mask(space, inside) == finest_mask(space, subset)
+        else:
+            with pytest.raises(ValueError, match="not measurable at the finest level"):
+                finest_mask(space, subset)
+    if name == "lumpy5":  # point 0 alone cuts the leaf {0, 1}
+        with pytest.raises(ValueError, match="not measurable at the finest level"):
+            finest_mask(space, [0, 2])
+
+
 def test_stopping_time_from_tail(quad):
     for mask in enumerate_tail_masks(quad, 0):
         if mask == 0:
