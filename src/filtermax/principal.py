@@ -34,7 +34,7 @@ truncated pair agrees on P0 with the tailed operator of (h1, h2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -101,6 +101,8 @@ class PrincipalForest:
     h1: Fn
     h2: Fn
     root: PrincipalSet
+    # level_products(space, h1, h2), the E_t(h1) E_t(h2) the forest was cut from
+    prods: tuple[Fn, ...] = field(repr=False, compare=False)
 
     def nodes(self) -> list[PrincipalSet]:
         return list(self.root)
@@ -111,11 +113,13 @@ class PrincipalForest:
 
 
 def build_principal_forest(
-    space: FilteredSpace, i: int, k: int, omega0, h1: Fn, h2: Fn
+    space: FilteredSpace, i: int, k: int, omega0, h1: Fn, h2: Fn, *, _prods: list[Fn] | None = None
 ) -> PrincipalForest | None:
     """Grow the forest; returns None when P0 is empty.
 
     h1, h2 must be nonnegative; omega0 must be level-i measurable.
+    `_prods` is for `forest_cover`, which hands over the level products of
+    (h1, h2) it already computed, so that a cover computes them once.
     """
     space._check_level(i)
     h1 = as_fn(space, h1)
@@ -125,8 +129,9 @@ def build_principal_forest(
     omega0 = space.as_subset(omega0)
     if not space.is_level_measurable(i, omega0):
         raise ValueError(f"Omega0 must be a union of level-{i} atoms")
+    prods = level_products(space, h1, h2) if _prods is None else _prods
     # integer shells of the level products: 4^(k2+1) itself overflows for k2 >= 511
-    shells = [_shells(pr) for pr in level_products(space, h1, h2)]
+    shells = [_shells(pr) for pr in prods]
 
     p0_mask = np.zeros(space.n, dtype=bool)
     p0_mask[omega0] = shells[i][omega0] == k
@@ -159,22 +164,28 @@ def build_principal_forest(
 
     root = grow(np.flatnonzero(p0_mask), i, k, 1)
     return PrincipalForest(
-        space=space, base_level=i, base_k=k, omega0=omega0, h1=h1, h2=h2, root=root
+        space=space, base_level=i, base_k=k, omega0=omega0, h1=h1, h2=h2, root=root, prods=tuple(prods)
     )
+
+
+def _occupied_shells(space: FilteredSpace, i: int, omega0, prods: list[Fn]) -> list[int]:
+    vals = prods[i][space.as_subset(omega0)]
+    return np.unique(_shells(vals[vals > 0])).tolist()
 
 
 def occupied_shells(space: FilteredSpace, i: int, omega0, h1: Fn, h2: Fn) -> list[int]:
     """Shell exponents k for which P0 is nonempty."""
-    vals = level_products(space, h1, h2)[i][space.as_subset(omega0)]
-    return np.unique(_shells(vals[vals > 0])).tolist()
+    return _occupied_shells(space, i, omega0, level_products(space, h1, h2))
 
 
 def forest_cover(space: FilteredSpace, i: int, omega0, h1: Fn, h2: Fn) -> list[PrincipalForest]:
     """One forest per occupied shell k; their P0's tile
-    Omega0 intersect {E_i(h1) E_i(h2) > 0}."""
+    Omega0 intersect {E_i(h1) E_i(h2) > 0}.  The level products are computed
+    once and shared by every forest of the cover."""
+    prods = level_products(space, h1, h2)
     forests = []
-    for k in occupied_shells(space, i, omega0, h1, h2):
-        forest = build_principal_forest(space, i, k, omega0, h1, h2)
+    for k in _occupied_shells(space, i, omega0, prods):
+        forest = build_principal_forest(space, i, k, omega0, h1, h2, _prods=prods)
         assert forest is not None, "occupied shell produced an empty P0"
         forests.append(forest)
     return forests
@@ -230,7 +241,7 @@ class PropertyReport:
 def verify_properties(forest: PrincipalForest) -> PropertyReport:
     """Evaluate P.1–P.5 and the doubling bound exactly on every node."""
     space = forest.space
-    prods = level_products(space, forest.h1, forest.h2)
+    prods = forest.prods
     root = forest.root
 
     # P.1: exit sets are pairwise disjoint and tile P0

@@ -13,10 +13,12 @@ Exhaustive enumeration is exponential in the forest, so it is guarded by
 an atom budget (number of (level, atom) pairs at levels i..L, default 24,
 set only by the FILTERMAX_ATOM_BUDGET environment variable).  The exact
 RH, S, Winf and thm12 suprema walk that power set through one sweep,
-`_sweep_tails`, in byte-capped numpy blocks.  For larger spaces `heuristic_sup_over_tau`
-searches a candidate family of stopping times and returns a certified
-lower bound for the supremum; it scores candidates in blocks of tails with
-the same objective the exact sweeps use.
+`_sweep_tails`, in numpy blocks of at most 128 KiB as float64 (1024 tails
+on 16 points), so that the S and Winf objectives' temporaries stay in a
+2 MiB L2 cache.  For larger spaces `heuristic_sup_over_tau` searches a
+candidate family of stopping times and returns a certified lower bound
+for the supremum; it scores candidates in blocks of tails with the same
+objective the exact sweeps use.
 """
 
 from __future__ import annotations
@@ -32,7 +34,13 @@ from .space import FilteredSpace, Fn, level_products
 
 DEFAULT_ATOM_BUDGET = 24
 _BUDGET_ENV = "FILTERMAX_ATOM_BUDGET"
-_BLOCK_BYTES = 512 * 1024  # cap on one rows x n float64 block of a batched tail sweep
+# Cap on one rows x n float64 block of a batched tail sweep.  The S and Winf
+# objectives keep about ten temporaries of a block's size alive (the 0/1 block,
+# per-level means and their product, the level maximum and its gather, m**p,
+# m**p * chi): at 128 KiB they fit a 2 MiB L2 together, at 512 KiB they spill
+# and those sweeps take about twice as long.  Values may move by ulps with the
+# cap, since BLAS rounds some rows of a block differently with its size.
+_BLOCK_BYTES = 128 * 1024
 _MAX_MASK_BITS = 62  # finest atoms a tail mask can hold in an int64
 
 
@@ -228,8 +236,12 @@ def finest_mask(space: FilteredSpace, subset) -> int:
 
 
 def mask_points(space: FilteredSpace, mask: int) -> np.ndarray:
-    """Sorted point indices of a finest-atom bit mask."""
-    bits = [mask >> a & 1 for a in range(len(space.atoms[space.last_level]))]
+    """Sorted point indices of a finest-atom bit mask; ValueError for a
+    negative mask or one with a bit at or past the number of finest atoms."""
+    leaves = len(space.atoms[space.last_level])
+    if not 0 <= mask < 1 << leaves:
+        raise ValueError(f"tail mask {mask} is not a set of the {leaves} finest atoms (0 <= mask < 2**{leaves})")
+    bits = [mask >> a & 1 for a in range(leaves)]
     return np.flatnonzero(np.array(bits, dtype=bool)[space.atom_of[space.last_level]])
 
 
@@ -246,6 +258,11 @@ def enumerate_tail_masks(space: FilteredSpace, i: int = 0) -> range:
     space._check_level(i)
     _check_budget(space, i)
     return range(1 << len(space.atoms[space.last_level]))
+
+
+def _block_rows(space: FilteredSpace) -> int:
+    """Tails per block: as many n-point float64 rows as fit _BLOCK_BYTES, at least one."""
+    return max(1, _BLOCK_BYTES // (8 * space.n))
 
 
 def _first_max(vals: np.ndarray) -> int:
@@ -267,7 +284,7 @@ def _sweep_tails(
     """
     masks = enumerate_tail_masks(space, i)
     leaf_of = space.atom_of[space.last_level]
-    rows = max(1, _BLOCK_BYTES // (8 * space.n))
+    rows = _block_rows(space)
     best_val, best_mask = -np.inf, None
     for lo in range(1, len(masks), rows):
         part = masks[lo : lo + rows]
@@ -285,8 +302,9 @@ def stopping_time_from_tail(space: FilteredSpace, i: int, tail) -> StoppingTime:
     """Canonical witness with the given tail: stop at the first level whose
     atom is contained in the tail.
 
-    `tail` is a finest-atom mask, index array, or boolean mask; it must be
-    an achievable T_i tail (a union of atoms at levels >= i), else ValueError.
+    `tail` is a finest-atom mask (checked as `mask_points` checks it), index
+    array, or boolean mask; it must be an achievable T_i tail (a union of
+    atoms at levels >= i), else ValueError.
     """
     space._check_level(i)
     pts = mask_points(space, int(tail)) if isinstance(tail, (int, np.integer)) else space.as_subset(tail)
@@ -346,7 +364,7 @@ def heuristic_sup_over_tau(
     # differently in another block (a 1-row matmul is a dot product), and a
     # tail re-scored higher would count as an improvement on itself
     scores = {np.packbits(np.zeros(space.n, dtype=bool)).tobytes(): np.nan}  # empty tails
-    rows = max(1, _BLOCK_BYTES // (8 * space.n))  # tails per call, as in an exact sweep block
+    rows = _block_rows(space)  # tails per call, as in an exact sweep block
 
     def winner(candidates: Sequence, tails: Callable[[Sequence], np.ndarray]) -> int | None:
         """Index of the block's first maximizer when it beats the best so far;

@@ -535,9 +535,10 @@ def test_blocks_slice_the_lazy_tail_enumeration(monkeypatch):
 
 @pytest.fixture(scope="module")
 def wide_points():
-    """4 finest atoms of 16384 points each: one row is already the whole cap,
-    so every block holds a single tail."""
-    n, per_leaf = 65536, 16384
+    """_BLOCK_BYTES // 8 points in 4 finest atoms: one row as float64 is the
+    whole cap, so every block holds a single tail."""
+    n = _BLOCK_BYTES // 8
+    per_leaf = n // 4
     data = {
         "masses": np.random.default_rng(3).uniform(0.5, 1.5, n).tolist(),
         "levels": [
@@ -565,6 +566,31 @@ def test_blocks_stay_under_the_byte_cap_on_wide_points(wide_points):
     best = max(ref.values())
     got = compute_constant("rh", space, v, omega1, omega2, exps)
     assert abs(got.value - best) <= REL_TOL * best
+
+
+@pytest.mark.parametrize("name", [*FIXTURES, "lognormal", "product"])
+def test_the_byte_cap_is_only_a_speed_setting(name, request, monkeypatch):
+    """Exact and heuristic RH, S and Winf agree within REL_TOL, with the same
+    witness tails, whether a block holds 16 KiB, the default cap or 512 KiB.
+    Not bit for bit: BLAS rounds some rows of a block differently with the
+    block's size.  The generated instances have 16 leaves, so the exact sweep
+    runs in 512, 64 and 16 blocks."""
+    if name in FIXTURES:
+        space = request.getfixturevalue(name)
+        v, omega1, omega2 = random_weights(np.random.default_rng(43), space.n)
+        exps = Exponents(1.5, 3.0)
+    else:
+        inst = gen_instance(5, depth=2, branching=4, model=name, p1=2.5, p2=2.5)
+        space, v, omega1, omega2, exps = inst.space, inst.v, inst.omega1, inst.omega2, inst.exps
+    seen = {}
+    for cap in (16 * 1024, _BLOCK_BYTES, 512 * 1024):
+        monkeypatch.setattr("filtermax.stopping._BLOCK_BYTES", cap)
+        for key in ("rh", "s", "winf"):
+            for mode in ("exact", "heuristic"):
+                got = compute_constant(key, space, v, omega1, omega2, exps, mode=mode)
+                first = seen.setdefault((key, mode), got)
+                assert got.value == pytest.approx(first.value, rel=REL_TOL, abs=0), (cap, key, mode)
+                assert got.witness["tail"] == first.witness["tail"], (cap, key, mode)
 
 
 def test_blocks_check_the_budget_before_building(monkeypatch, quad):
@@ -871,7 +897,7 @@ def test_atom_level_max_on_the_matmul_kernel_equals_the_point_max(name, request)
     """The matmul kernel with sigma * masses folded in, on 0/1 blocks, equals the
     plain kernel on the block times sigma (folding is exact only there: BLAS
     may fuse a product into its sum, so a product of two floats must not
-    round).  wide_points gives one-row blocks of 65536 points."""
+    round).  wide_points gives one-row blocks of _BLOCK_BYTES // 8 points."""
     space = level_max_space(name, request)
     rng = np.random.default_rng(37)
     sigma1, sigma2 = np.exp(rng.standard_normal((2, space.n)))

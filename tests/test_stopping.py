@@ -202,6 +202,23 @@ def test_stopping_time_from_tail_rejects_unachievable():
         stopping_time_from_tail(space, 0, [0])
 
 
+@pytest.mark.parametrize("mask", [-1, -16, 1 << 4, 1 << 7, 1 << 10, (1 << 4) | 1, np.int64(16)])
+def test_out_of_range_tail_masks_are_refused(quad, mask):
+    """A mask is a set of the 4 finest atoms: a negative one, or one with a bit
+    at or past bit 4, names no tail (it used to give [] or every point)."""
+    pattern = rf"tail mask {mask} is not a set of the 4 finest atoms"
+    with pytest.raises(ValueError, match=pattern):
+        mask_points(quad, mask)
+    with pytest.raises(ValueError, match=pattern):
+        stopping_time_from_tail(quad, 0, mask)
+
+
+def test_in_range_tail_masks_are_accepted(quad):
+    assert mask_points(quad, 0).tolist() == []
+    assert mask_points(quad, (1 << 4) - 1).tolist() == [0, 1, 2, 3]
+    assert stopping_time_from_tail(quad, 0, np.int64(15)).tail_set().tolist() == [0, 1, 2, 3]
+
+
 # ---- budget -------------------------------------------------------------------
 
 

@@ -553,6 +553,29 @@ def test_suite_scores_the_test_pairs_once(monkeypatch, model):
     assert blocks.count(5) == 4
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_suite_computes_the_forest_level_products_once(monkeypatch, seed):
+    """The forest's (h1, h2) level products are computed once per suite run:
+    the cover's shells, every forest's growth and the P.1–P.5 check share them
+    (4 depth-3 instances made 12 calls when each computed its own)."""
+    inst = gen_instance(seed, depth=3)
+    products = filtermax.principal.level_products
+    calls = []
+
+    def counted_products(space, f, g):
+        calls.append(space)
+        return products(space, f, g)
+
+    monkeypatch.setattr(filtermax.principal, "level_products", counted_products)
+    run_instance_suite(inst, "all")
+    assert len(calls) == 1
+    forest = default_forest(inst)
+    assert len(calls) == 2
+    want_prods = products(inst.space, forest.h1, forest.h2)
+    assert len(forest.prods) == len(want_prods) == inst.space.n_levels
+    assert all(np.array_equal(a, b) for a, b in zip(forest.prods, want_prods))
+
+
 def test_fallback_suite_decides_the_tail_mode_once(monkeypatch):
     inst = gen_instance(5, depth=5, model="product", p1=2.5, p2=2.5)
     constants, _ = _count_work(monkeypatch)
