@@ -175,6 +175,7 @@ def _occupied_shells(space: FilteredSpace, i: int, omega0, prods: list[Fn]) -> l
 
 def occupied_shells(space: FilteredSpace, i: int, omega0, h1: Fn, h2: Fn) -> list[int]:
     """Shell exponents k for which P0 is nonempty."""
+    space._check_level(i)
     return _occupied_shells(space, i, omega0, level_products(space, h1, h2))
 
 
@@ -182,6 +183,7 @@ def forest_cover(space: FilteredSpace, i: int, omega0, h1: Fn, h2: Fn) -> list[P
     """One forest per occupied shell k; their P0's tile
     Omega0 intersect {E_i(h1) E_i(h2) > 0}.  The level products are computed
     once and shared by every forest of the cover."""
+    space._check_level(i)
     prods = level_products(space, h1, h2)
     forests = []
     for k in _occupied_shells(space, i, omega0, prods):

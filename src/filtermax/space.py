@@ -58,11 +58,6 @@ class ValidationReport:
         return "; ".join(str(v) for v in self.violations)
 
 
-def _as_atom(atom: Iterable[int]) -> np.ndarray:
-    arr = np.asarray(sorted(int(i) for i in atom), dtype=np.int64)
-    return arr
-
-
 def _is_number(x, integral: bool = False) -> bool:
     """Whether a raw mass is a real number, or (integral=True) a point index an
     integer-valued one; booleans and strings are neither."""
@@ -94,25 +89,69 @@ def _non_number(values) -> tuple[int, object] | None:
     return next(((i, x) for i, x in enumerate(raw.tolist()) if not _is_number(x)), None)
 
 
-def validate(masses: Sequence[float], levels: Sequence[Sequence[Iterable[int]]]) -> ValidationReport:
-    """Check raw (masses, levels) data; returns a report, never raises.
+def _read_level(level, t: int, n: int) -> list[Violation] | tuple[list[np.ndarray], np.ndarray]:
+    """Violations of raw level t of a space of n points, else (its atoms, sorted
+    and read-only, and each point's atom).  A level stops at its first entry
+    that is not a list or not an integer; else every faulty atom is reported."""
+    points: list = []
+    ends: list[int] = []
+    try:
+        for a_idx, atom in enumerate(level):
+            try:
+                points.extend(atom)
+            except TypeError:
+                return [Violation(f"level {t}, atom {a_idx}", f"need a list of point indices, got {atom!r}")]
+            ends.append(len(points))
+    except TypeError:
+        return [Violation(f"level {t}", f"need a list of atoms, got {level!r}")]
+    if not all(type(x) is int for x in points):  # JSON towers hold ints; check and convert the rest
+        wrong = next(((i, x) for i, x in enumerate(points) if not _is_number(x, integral=True)), None)
+        if wrong is not None:
+            a_idx = int(np.searchsorted(ends, wrong[0], side="right"))
+            return [Violation(f"level {t}, atom {a_idx}", f"point index {wrong[1]!r} is not an integer")]
+        points = [int(x) for x in points]
+    try:
+        flat = np.array(points, dtype=np.int64)
+    except OverflowError:  # an index beyond int64
+        a_idx = int(np.searchsorted(ends, _first_overflow(points, np.int64), side="right"))
+        return [Violation(f"level {t}, atom {a_idx}", f"point index out of range 0..{n - 1}")]
+    sizes = np.diff([0, *ends])
+    ids = np.repeat(np.arange(sizes.size), sizes)
+    flat = flat[np.lexsort((flat, ids))]  # each atom's points in ascending order; ids stays as it was
+    # each atom's first fault of: empty, an index out of range, a repeated point
+    fault = np.full(sizes.size, "", dtype=object)
+    fault[ids[1:][(flat[1:] == flat[:-1]) & (ids[1:] == ids[:-1])]] = "repeated point inside atom"
+    fault[ids[(flat < 0) | (flat >= n)]] = f"point index out of range 0..{n - 1}"
+    fault[sizes == 0] = "empty atom"
+    faults = [Violation(f"level {t}, atom {a_idx}", m) for a_idx, m in enumerate(fault.tolist()) if m]
+    if faults:
+        return faults
+    seen = np.bincount(flat, minlength=n)
+    if np.any(seen != 1):
+        i = int(np.flatnonzero(seen != 1)[0])
+        kind = "missing from" if seen[i] == 0 else "covered twice by"
+        return [Violation(f"level {t}", f"point {i} is {kind} the partition")]
+    labels = np.empty(n, dtype=np.int64)
+    labels[flat] = ids
+    flat.setflags(write=False)
+    return [flat[s:e] for s, e in zip([0, *ends], ends)], labels
 
-    Violations name the first offending mass / level / atom so loader
-    errors can point at the culprit.
-    """
-    out: list[Violation] = []
+
+def _read(masses, levels) -> tuple[list[Violation], tuple[Fn, list[list[np.ndarray]], list[np.ndarray], list[np.ndarray]] | None]:
+    """The one reader of raw (masses, levels): its violations and, if none, the
+    float masses and per level the sorted atoms, point labels and parent atoms."""
     raw = masses if isinstance(masses, np.ndarray) else np.asarray(masses, dtype=object)
     if raw.ndim != 1 or raw.size == 0:
-        return ValidationReport((Violation("masses", "need a non-empty 1-d list of point masses"),))
+        return [Violation("masses", "need a non-empty 1-d list of point masses")], None
     wrong = _non_number(raw)
     if wrong is not None:
-        i, m = wrong
-        return ValidationReport((Violation(f"masses[{i}]", f"mass {m!r} is not a number"),))
+        return [Violation(f"masses[{wrong[0]}]", f"mass {wrong[1]!r} is not a number")], None
     try:
         masses_arr = raw.astype(float)
     except OverflowError:  # an integer beyond float range
         i = _first_overflow(raw.tolist(), float)
-        return ValidationReport((Violation(f"masses[{i}]", "mass does not fit in a float"),))
+        return [Violation(f"masses[{i}]", "mass does not fit in a float")], None
+    out: list[Violation] = []
     n = masses_arr.size
     if not np.all(np.isfinite(masses_arr)):
         i = int(np.flatnonzero(~np.isfinite(masses_arr))[0])
@@ -121,64 +160,38 @@ def validate(masses: Sequence[float], levels: Sequence[Sequence[Iterable[int]]])
         i = int(np.flatnonzero(masses_arr <= 0)[0])
         out.append(Violation(f"masses[{i}]", f"mass {float(masses_arr[i])!r} is not strictly positive"))
 
-    if len(levels) == 0:
-        out.append(Violation("levels", "need at least one partition level"))
-        return ValidationReport(tuple(out))
-
-    parsed: list[list[np.ndarray]] = []
-    for t, level in enumerate(levels):
-        wrong = [(a_idx, x) for a_idx, a in enumerate(level) for x in a if not _is_number(x, integral=True)]
-        if wrong:
-            a_idx, x = wrong[0]
-            out.append(Violation(f"level {t}, atom {a_idx}", f"point index {x!r} is not an integer"))
-            continue
-        try:
-            atoms = [_as_atom(a) for a in level]
-        except OverflowError:  # an index beyond int64
-            a_idx = _first_overflow(level, _as_atom)
-            out.append(Violation(f"level {t}, atom {a_idx}", f"point index out of range 0..{n - 1}"))
-            continue
-        parsed.append(atoms)
-        seen = np.zeros(n, dtype=np.int64)
-        bad = False
-        for a_idx, atom in enumerate(atoms):
-            if atom.size == 0:
-                out.append(Violation(f"level {t}, atom {a_idx}", "empty atom"))
-                bad = True
-                continue
-            if atom[0] < 0 or atom[-1] >= n:
-                out.append(Violation(f"level {t}, atom {a_idx}", f"point index out of range 0..{n - 1}"))
-                bad = True
-                continue
-            if np.unique(atom).size != atom.size:
-                out.append(Violation(f"level {t}, atom {a_idx}", "repeated point inside atom"))
-                bad = True
-                continue
-            seen[atom] += 1
-        if bad:
-            continue
-        if np.any(seen != 1):
-            i = int(np.flatnonzero(seen != 1)[0])
-            kind = "missing from" if seen[i] == 0 else "covered twice by"
-            out.append(Violation(f"level {t}", f"point {i} is {kind} the partition"))
-
+    try:
+        levels = list(levels)
+    except TypeError:
+        return [*out, Violation("levels", f"need a list of partition levels, got {levels!r}")], None
+    if not levels:
+        return [*out, Violation("levels", "need at least one partition level")], None
+    read = [_read_level(level, t, n) for t, level in enumerate(levels)]
+    out += [v for level in read if isinstance(level, list) for v in level]
     if out:
-        return ValidationReport(tuple(out))
+        return out, None
 
     # refinement: each atom of level t must sit inside one atom of level t-1
-    for t in range(1, len(parsed)):
-        parent_of = np.empty(n, dtype=np.int64)
-        for a_idx, atom in enumerate(parsed[t - 1]):
-            parent_of[atom] = a_idx
-        for a_idx, atom in enumerate(parsed[t]):
-            if np.unique(parent_of[atom]).size > 1:
-                out.append(
-                    Violation(
-                        f"level {t}, atom {a_idx}",
-                        f"atom {atom.tolist()} straddles more than one atom of level {t - 1}",
-                    )
-                )
-    return ValidationReport(tuple(out))
+    atoms, labels = [level[0] for level in read], [level[1] for level in read]
+    parents = [np.empty(0, dtype=np.int64)]
+    for t in range(1, len(read)):
+        parents.append(np.empty(len(atoms[t]), dtype=np.int64))
+        parents[t][labels[t]] = labels[t - 1]
+        for a_idx in np.unique(labels[t][labels[t - 1] != parents[t][labels[t]]]).tolist():
+            message = f"atom {atoms[t][a_idx].tolist()} straddles more than one atom of level {t - 1}"
+            out.append(Violation(f"level {t}, atom {a_idx}", message))
+    for arr in (masses_arr, *labels, *parents):
+        arr.setflags(write=False)
+    return out, (None if out else (masses_arr, atoms, labels, parents))
+
+
+def validate(masses: Sequence[float], levels: Sequence[Sequence[Iterable[int]]]) -> ValidationReport:
+    """Check raw (masses, levels) data; returns a report, never raises.
+
+    Violations name the first offending mass / level / atom so loader
+    errors can point at the culprit.
+    """
+    return ValidationReport(tuple(_read(masses, levels)[0]))
 
 
 class FilteredSpace:
@@ -190,31 +203,16 @@ class FilteredSpace:
     """
 
     def __init__(self, masses: Sequence[float], levels: Sequence[Sequence[Iterable[int]]]):
-        report = validate(masses, levels)
-        if not report.ok:
-            raise ValidationError(str(report))
-        self.masses: np.ndarray = np.asarray(masses, dtype=float).copy()
-        self.masses.setflags(write=False)
-        self.n: int = self.masses.size
-        self.atoms: list[list[np.ndarray]] = [[_as_atom(a) for a in level] for level in levels]
-        self.last_level: int = len(self.atoms) - 1
-        self.atom_of: list[np.ndarray] = []
-        self.atom_mass: list[np.ndarray] = []
-        for level_atoms in self.atoms:
-            labels = np.empty(self.n, dtype=np.int64)
-            for a_idx, atom in enumerate(level_atoms):
-                labels[atom] = a_idx
-                atom.setflags(write=False)
-            labels.setflags(write=False)
-            self.atom_of.append(labels)
-            am = np.array([self.masses[a].sum() for a in level_atoms])
-            am.setflags(write=False)
-            self.atom_mass.append(am)
+        violations, read = _read(masses, levels)
+        if violations:
+            raise ValidationError(str(ValidationReport(tuple(violations))))
         # parents[t][a]: the level t-1 atom holding atom a of level t (none at level 0)
-        self.parents: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-        for t in range(1, len(self.atoms)):
-            self.parents.append(self.atom_of[t - 1][[atom[0] for atom in self.atoms[t]]])
-            self.parents[t].setflags(write=False)
+        self.masses, self.atoms, self.atom_of, self.parents = read
+        self.n: int = self.masses.size
+        self.last_level: int = len(self.atoms) - 1
+        self.atom_mass: list[np.ndarray] = [np.array([self.masses[a].sum() for a in level]) for level in self.atoms]
+        for am in self.atom_mass:
+            am.setflags(write=False)
         self.total_mass: float = float(self.masses.sum())
 
     # ---- basic structure -------------------------------------------------

@@ -258,81 +258,89 @@ def _product_v(omega1: Fn, omega2: Fn, exps: Exponents) -> Fn:
     return omega1 ** (exps.p / exps.p1) * omega2 ** (exps.p / exps.p2)
 
 
+_FIELDS = {  # instance file fields past the space: name -> kind, in the order files list them
+    "v": "weight",
+    "omega1": "weight",
+    "omega2": "weight",
+    "p1": "exponent",
+    "p2": "exponent",
+    "product_weight": "bookkeeping",
+    "model": "bookkeeping",
+    "seed": "bookkeeping",
+    "h1": "test",
+    "h2": "test",
+}
+_BOOKKEEPING = {  # name -> (value when absent, test of a value, what the test asks)
+    "seed": (None, lambda x: x is None or (type(x) is int and x >= 0), "a non-negative integer"),
+    "product_weight": (False, lambda x: type(x) is bool, "true or false"),
+    "model": ("", lambda x: type(x) is str, "a string"),
+}
+
+
 def instance_to_dict(inst: Instance) -> dict:
     data = space_to_dict(inst.space)
-    data.update(
-        {
-            "v": inst.v.tolist(),
-            "omega1": inst.omega1.tolist(),
-            "omega2": inst.omega2.tolist(),
-            "p1": inst.exps.p1,
-            "p2": inst.exps.p2,
-            "product_weight": inst.product_weight,
-            "model": inst.model,
-        }
-    )
-    if inst.seed is not None:
-        data["seed"] = inst.seed
-    if inst.h1 is not None:
-        data["h1"] = inst.h1.tolist()
-    if inst.h2 is not None:
-        data["h2"] = inst.h2.tolist()
+    for key, kind in _FIELDS.items():
+        value = getattr(inst.exps if kind == "exponent" else inst, key)
+        if value is not None:  # no seed, or no test functions
+            data[key] = value.tolist() if isinstance(value, np.ndarray) else value
     return data
 
 
+def _load_field(space: FilteredSpace, data: dict, key: str, where: str):
+    """Field `key` of instance file data, read and checked as its kind asks:
+    test functions and bookkeeping fields may be absent."""
+    kind = _FIELDS[key]
+    if kind == "bookkeeping":
+        default, ok, wanted = _BOOKKEEPING[key]
+        value = data.get(key, default)
+        if not ok(value):
+            raise ValidationError(f"{where}: field {key!r} must be {wanted}, got {value!r}")
+        return value
+    if key not in data:
+        if kind == "test":
+            return None
+        raise ValidationError(f"{where}: missing {kind} field {key!r}")
+    if kind == "exponent" and not _is_number(data[key]):
+        raise ValidationError(f"{where}: field {key!r} must be a number, got {data[key]!r}")
+    wrong = None if kind == "exponent" else _non_number(data[key])
+    if wrong is not None:
+        raise ValidationError(f"{where}: field {key!r}[{wrong[0]}]: {wrong[1]!r} is not a number")
+    try:
+        value = float(data[key]) if kind == "exponent" else as_fn(space, data[key])
+    except (TypeError, ValueError, OverflowError) as exc:  # TypeError: an object, not a list
+        raise ValidationError(f"{where}: field {key!r}: {exc}") from exc
+    if kind == "weight" and np.any(value <= 0):
+        raise ValidationError(f"{where}: field {key!r} must be strictly positive")
+    if kind == "test" and np.any(value < 0):
+        raise ValidationError(f"{where}: field {key!r} must be nonnegative")
+    return value
+
+
 def instance_from_dict(data: dict, where: str = "instance") -> Instance:
+    """An instance from file data, each fault reported as a ValidationError
+    naming `where`: the first in the order read below."""
     space = space_from_dict(data, where=where)
-    p12 = []
-    for key in ("p1", "p2"):
-        if key not in data:
-            raise ValidationError(f"{where}: missing exponent field {key!r}")
-        if not _is_number(data[key]):
-            raise ValidationError(f"{where}: field {key!r} must be a number, got {data[key]!r}")
-        try:
-            p12.append(float(data[key]))
-        except OverflowError as exc:
-            raise ValidationError(f"{where}: field {key!r}: {exc}") from exc
+    p12 = [_load_field(space, data, key, where) for key in ("p1", "p2")]
     try:
         exps = Exponents(*p12)
     except ValueError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
-    arrays = {}
-    for key in ("v", "omega1", "omega2", "h1", "h2"):
-        weight = key[0] != "h"  # weights are required and positive, h1/h2 optional
-        if key not in data:
-            if weight:
-                raise ValidationError(f"{where}: missing weight field {key!r}")
-            continue
-        wrong = _non_number(data[key])
-        if wrong is not None:
-            raise ValidationError(f"{where}: field {key!r}[{wrong[0]}]: {wrong[1]!r} is not a number")
-        try:
-            arrays[key] = as_fn(space, data[key])
-        except (ValueError, OverflowError) as exc:
-            raise ValidationError(f"{where}: field {key!r}: {exc}") from exc
-        if weight and np.any(arrays[key] <= 0):
-            raise ValidationError(f"{where}: field {key!r} must be strictly positive")
-        if not weight and np.any(arrays[key] < 0):
-            raise ValidationError(f"{where}: field {key!r} must be nonnegative")
-    if ("h1" in arrays) != ("h2" in arrays):
-        given, missing = ("h1", "h2") if "h1" in arrays else ("h2", "h1")
+    fns = {key: _load_field(space, data, key, where) for key in ("v", "omega1", "omega2", "h1", "h2")}
+    h1, h2 = fns["h1"], fns["h2"]
+    if (h1 is None) != (h2 is None):
+        given, missing = ("h1", "h2") if h1 is not None else ("h2", "h1")
         raise ValidationError(f"{where}: field {given!r} needs field {missing!r} too")
-    if "h1" in arrays and not np.any(_cond(space, arrays["h1"], 0) * _cond(space, arrays["h2"], 0) > 0):
+    if h1 is not None and not np.any(_cond(space, h1, 0) * _cond(space, h2, 0) > 0):
         raise ValidationError(
             f"{where}: fields 'h1' and 'h2': E_0(h1) E_0(h2) vanishes everywhere, so no principal forest exists"
         )
-    bad = _bad_dual_weight(arrays["omega1"], arrays["omega2"], exps)
+    bad = _bad_dual_weight(fns["omega1"], fns["omega2"], exps)
     if bad is not None:
         raise ValidationError(f"{where}: {bad}")
-    seed = data.get("seed")
-    if seed is not None and (type(seed) is not int or seed < 0):
-        raise ValidationError(f"{where}: field 'seed' must be a non-negative integer, got {seed!r}")
-    product = data.get("product_weight", False)
-    if type(product) is not bool:
-        raise ValidationError(f"{where}: field 'product_weight' must be true or false, got {product!r}")
+    seed, product = (_load_field(space, data, key, where) for key in ("seed", "product_weight"))
     if product:
-        v = arrays["v"]
-        expected = _product_v(arrays["omega1"], arrays["omega2"], exps)
+        v = fns["v"]
+        expected = _product_v(fns["omega1"], fns["omega2"], exps)
         bad = np.flatnonzero(np.abs(v - expected) > DEFAULT_REL_TOL * expected)
         if bad.size:
             x = int(bad[0])
@@ -340,27 +348,20 @@ def instance_from_dict(data: dict, where: str = "instance") -> Instance:
                 f"{where}: product_weight is true but v[{x}] = {float(v[x])!r} differs from "
                 f"omega1^(p/p1) omega2^(p/p2) = {float(expected[x])!r}"
             )
-    return Instance(
-        space=space,
-        v=arrays["v"],
-        omega1=arrays["omega1"],
-        omega2=arrays["omega2"],
-        exps=exps,
-        product_weight=product,
-        seed=seed,
-        model=data.get("model", ""),
-        h1=arrays.get("h1"),
-        h2=arrays.get("h2"),
-    )
+    model = _load_field(space, data, "model", where)
+    return Instance(space=space, exps=exps, product_weight=product, seed=seed, model=model, **fns)
 
 
 def load_instance(path: str) -> Instance:
-    """Load an instance file; malformed JSON raises ValidationError naming the path."""
+    """Load an instance file; a file that is not JSON (or not UTF-8) raises
+    ValidationError naming the path."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, too long an integer, or too deeply nested
+        raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
     return instance_from_dict(data, where=path)
 
 

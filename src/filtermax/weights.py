@@ -27,10 +27,10 @@ from typing import Callable
 import numpy as np
 
 from .operators import _level_max
-from .space import Exponents, FilteredSpace, Fn, _atom_cond, _cond, _positive, _row_cond_exp, _to_points
+from .space import Exponents, FilteredSpace, Fn, _atom_cond, _positive, _row_cond_exp, _to_points
 from .space import _to_points_by_index, as_fn
 from .space import cond_exp  # noqa: F401  (bench/tests expects this module to bind it)
-from .stopping import _check_budget, _sweep_tails, heuristic_sup_over_tau, stopping_time_from_tail
+from .stopping import _check_budget, _first_max, _sweep_tails, heuristic_sup_over_tau, stopping_time_from_tail
 
 EXACT = "exact"
 HEURISTIC = "heuristic"
@@ -78,16 +78,14 @@ def _tau_witness(tau) -> dict:
     return {"origin": tau.origin, "tail": tau.tail_set().tolist(), "tau": levels}
 
 
-def _atom_max(space: FilteredSpace, density: Callable[[int], Fn], name: str) -> WeightConstant:
-    best_val = -np.inf
-    best: tuple[int, int] = (0, 0)
+def _atom_max(space: FilteredSpace, density: Callable[[int], np.ndarray], name: str) -> WeightConstant:
+    """The first maximum over levels 0..L of density(level), one value per atom."""
+    best_val, best = -np.inf, (0, 0)
     for level in range(space.n_levels):
         vals = density(level)
-        for a_idx, atom in enumerate(space.atoms[level]):
-            v = float(vals[atom[0]])
-            if v > best_val:
-                best_val = v
-                best = (level, a_idx)
+        a_idx = _first_max(vals)
+        if vals[a_idx] > best_val:
+            best_val, best = float(vals[a_idx]), (level, a_idx)
     level, a_idx = best
     witness = {"level": level, "atom": space.atoms[level][a_idx].tolist()}
     return WeightConstant(name, best_val, EXACT, witness)
@@ -100,11 +98,11 @@ def a_p_constant(space: FilteredSpace, v: Fn, omega1: Fn, omega2: Fn, exps: Expo
     p = exps.p
     e1, e2 = p / exps.p1_prime, p / exps.p2_prime
 
-    def density(level: int) -> Fn:
+    def density(level: int) -> np.ndarray:
         return (
-            _cond(space, v, level)
-            * _cond(space, sigma1, level) ** e1
-            * _cond(space, sigma2, level) ** e2
+            _atom_cond(space, v, level)
+            * _atom_cond(space, sigma1, level) ** e1
+            * _atom_cond(space, sigma2, level) ** e2
         )
 
     return _atom_max(space, density, "A")
@@ -118,12 +116,12 @@ def b_p_constant(space: FilteredSpace, v: Fn, omega1: Fn, omega2: Fn, exps: Expo
     p = exps.p
     log_mix = as_fn(space, np.log(sigma1 ** (p / exps.p1) * sigma2 ** (p / exps.p2)))
 
-    def density(level: int) -> Fn:
+    def density(level: int) -> np.ndarray:
         return (
-            _cond(space, v, level)
-            * _cond(space, sigma1, level) ** p
-            * _cond(space, sigma2, level) ** p
-            / np.exp(_cond(space, log_mix, level))
+            _atom_cond(space, v, level)
+            * _atom_cond(space, sigma1, level) ** p
+            * _atom_cond(space, sigma2, level) ** p
+            / np.exp(_atom_cond(space, log_mix, level))
         )
 
     return _atom_max(space, density, "B")

@@ -160,6 +160,54 @@ def test_values_beyond_machine_range_are_invalid_instances(tmp_path, capsys, spa
     assert f"{bad}: {where}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra,where",
+    [
+        ({"levels": None}, "levels: need a list of partition levels, got None"),
+        ({"levels": 2}, "levels: need a list of partition levels, got 2"),
+        ({"levels": True}, "levels: need a list of partition levels, got True"),
+        ({"levels": [[0, 1]]}, "level 0, atom 0: need a list of point indices, got 0"),
+        ({"levels": [[[0, 1]], 7]}, "level 1: need a list of atoms, got 7"),
+        ({"levels": [[[0, 1]], [[0], None]]}, "level 1, atom 1: need a list of point indices, got None"),
+        ({"v": {}}, "field 'v': "),
+        ({"omega1": {}}, "field 'omega1': "),
+        ({"h1": {"a": 1}, "h2": [1, 1]}, "field 'h1': "),
+    ],
+)
+@pytest.mark.parametrize("command", ["verify", "constants"])
+def test_malformed_shapes_are_invalid_instances(tmp_path, capsys, extra, where, command):
+    """A tower level or atom that is not a list, or a function field given as
+    an object, is invalid instance data (exit 4) with no report written, not a
+    TypeError (exit 1, which means falsification)."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**DUAL_OVERFLOW, "p1": 2, **extra}))
+    out = tmp_path / "report.csv"
+    assert run(command, str(bad), "--out", str(out)) == 4
+    assert f"{bad}: {where}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text,reason",
+    [
+        (b'{"masses": [1, 1], "model": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+        (b'{"masses": [1, 1], "seed": ' + b"9" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+        (b'{"masses": ' + b"[" * 100000 + b"]" * 100000 + b"}", "maximum recursion depth exceeded"),
+    ],
+)
+@pytest.mark.parametrize("command", ["verify", "constants"])
+def test_unreadable_file_is_an_invalid_instance(tmp_path, capsys, text, reason, command):
+    """A file that is not UTF-8, holds an integer literal past Python's digit
+    limit or nests past its recursion limit is invalid instance data (exit
+    4), not a traceback (exit 1) or a usage error (exit 2)."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    out = tmp_path / "report.csv"
+    assert run(command, str(bad), "--out", str(out)) == 4
+    assert f"{bad}: invalid JSON ({reason}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-3"])
 @pytest.mark.parametrize("command", ["verify", "constants"])
 def test_malformed_atom_budget_is_a_usage_error(tmp_path, monkeypatch, capsys, value, command):

@@ -167,6 +167,16 @@ def test_empty_shell_returns_none(quad):
     assert occupied_shells(quad, 0, np.arange(4), np.zeros(4), H) == []
 
 
+@pytest.mark.parametrize("level", [-1, 3])
+def test_occupied_shells_and_cover_check_the_level(quad, level):
+    """Level -1 must not read the finest level's shells, nor level 3 past the
+    last one raise IndexError: both give build_principal_forest's error."""
+    h = np.array([4.0, 1.0, 1.0, 1.0])
+    for build in (occupied_shells, forest_cover):
+        with pytest.raises(ValueError, match=f"level {level} outside 0..2"):
+            build(quad, level, range(4), h, h)
+
+
 def test_input_validation(quad):
     with pytest.raises(ValueError, match="nonnegative"):
         build_principal_forest(quad, 0, -2, np.arange(4), -H, H)

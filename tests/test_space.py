@@ -104,6 +104,61 @@ def test_validate_reports_values_beyond_machine_range(masses, levels, where, mes
         FilteredSpace(masses, levels)
 
 
+@pytest.mark.parametrize(
+    "levels,message",
+    [
+        (None, "levels: need a list of partition levels, got None"),
+        (3, "levels: need a list of partition levels, got 3"),
+        (True, "levels: need a list of partition levels, got True"),
+        ([[0, 1, 2, 3]], "level 0, atom 0: need a list of point indices, got 0"),
+        ([[[0, 1, 2, 3]], 7], "level 1: need a list of atoms, got 7"),
+        ([[[0, 1, 2, 3]], None], "level 1: need a list of atoms, got None"),
+        ([False, [[0, 1, 2, 3]]], "level 0: need a list of atoms, got False"),
+        ([[[0, 1, 2, 3]], [[0, 1], None]], "level 1, atom 1: need a list of point indices, got None"),
+        ([[[0, 1, 2, 3]], [True, [2, 3]]], "level 1, atom 0: need a list of point indices, got True"),
+        # a level that is a list but holds no atoms misses every point
+        ([[[0, 1, 2, 3]], []], "level 1: point 0 is missing from the partition"),
+    ],
+)
+def test_validate_rejects_levels_and_atoms_that_are_not_lists(levels, message):
+    """A tower whose levels, levels or atoms are not lists is a violation naming
+    where, not a TypeError."""
+    assert str(validate([0.25] * 4, levels)) == message
+    with pytest.raises(ValidationError) as err:
+        FilteredSpace([0.25] * 4, levels)
+    assert str(err.value) == message
+
+
+def test_validate_reports_every_faulty_atom_in_order():
+    levels = [[[0, 1, 2, 3]], [[], [0, 9], [1, 1], [2, 3], [-1, -1]], [[3, 2, 1, 0]], [[0, 2], [1, 3]]]
+    assert str(validate([0.25] * 4, levels)) == (
+        "level 1, atom 0: empty atom; level 1, atom 1: point index out of range 0..3; "
+        "level 1, atom 2: repeated point inside atom; level 1, atom 4: point index out of range 0..3"
+    )
+    levels = [[[0, 1], [2, 3]], [[0, 1, 2], [3]], [[3, 0], [1], [2]]]
+    assert str(validate([0.25] * 4, levels)) == (
+        "level 1, atom 0: atom [0, 1, 2] straddles more than one atom of level 0; "
+        "level 2, atom 0: atom [0, 3] straddles more than one atom of level 1"
+    )
+
+
+def test_the_space_keeps_the_tower_validate_read(mixed6):
+    """Atoms come sorted and read-only, labels and parents agree with them."""
+    space = FilteredSpace(mixed6.masses, [[[5, 4, 3, 2, 1, 0]], [[1, 0], [4, 2, 3], [5]], [[i] for i in range(6)]])
+    assert [[a.tolist() for a in level] for level in space.atoms] == [
+        [a.tolist() for a in level] for level in mixed6.atoms
+    ]
+    for t, level in enumerate(space.atoms):
+        for a_idx, atom in enumerate(level):
+            assert not atom.flags.writeable
+            assert (space.atom_of[t][atom] == a_idx).all()
+            if t:
+                assert (space.atom_of[t - 1][atom] == space.parents[t][a_idx]).all()
+    assert space.parents[1].tolist() == [0, 0, 0] and space.parents[2].tolist() == [0, 0, 1, 1, 1, 2]
+    for arr in (space.masses, *space.atom_of, *space.parents, *space.atom_mass):
+        assert not arr.flags.writeable
+
+
 def test_validate_accepts_integer_valued_numbers():
     masses = np.array([1, 2, 1, 2])  # integer masses
     space = FilteredSpace(masses, [[[0, 1, 2, 3]], [[0, np.int64(1)], [2.0, 3]]])

@@ -2,14 +2,20 @@
 instance, the norm estimator, suite/ensemble runners, and report formats."""
 
 import concurrent.futures
+import copy
+import functools
 import json
 import math
+import operator
 import os
 import pickle
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import filtermax.principal
 import filtermax.verify
@@ -186,9 +192,123 @@ BAD_BOOKKEEPING = [
     ({"seed": True}, r"field 'seed' must be a non-negative integer, got True"),
     ({"product_weight": "false"}, r"field 'product_weight' must be true or false, got 'false'"),
     ({"product_weight": 1}, r"field 'product_weight' must be true or false, got 1"),
+    ({"model": 5}, r"field 'model' must be a string, got 5"),
+    ({"model": {}}, r"field 'model' must be a string, got \{\}"),
     ({"h1": [1, 1]}, r"field 'h1' needs field 'h2' too"),
     ({"h2": [1, 1]}, r"field 'h2' needs field 'h1' too"),
 ]
+
+def test_instance_files_keep_their_key_order(tmp_path):
+    path = tmp_path / "inst.json"
+    dump_instance(gen_instance(3, depth=1), str(path))
+    keys = ["masses", "levels", "v", "omega1", "omega2", "p1", "p2", "product_weight", "model", "seed"]
+    assert list(json.loads(path.read_text())) == keys
+    data = {**json.loads(path.read_text()), "h1": [1, 0], "h2": [1, 1]}
+    path.write_text(json.dumps(data))
+    dump_instance(load_instance(str(path)), str(path))
+    assert list(json.loads(path.read_text())) == keys + ["h1", "h2"]
+
+
+@pytest.mark.parametrize(
+    "faults,message",
+    [
+        ({"p1": "2", "p2": True, "v": {}}, r"field 'p1' must be a number"),
+        ({"p2": True, "v": {}}, r"field 'p2' must be a number"),
+        ({"p1": 1, "v": {}}, r"p1 must lie in \(1, inf\)"),
+        ({"v": [0, 1], "omega1": "x", "h1": [-1, 1]}, r"field 'v' must be strictly positive"),
+        ({"omega1": "x", "omega2": {}, "h1": [-1, 1]}, r"field 'omega1': could not convert"),
+        ({"omega2": {}, "h1": [-1, 1]}, r"field 'omega2': float\(\) argument"),
+        ({"h1": [-1, 1], "h2": None}, r"field 'h1' must be nonnegative"),
+        ({"h1": [1, 1], "seed": -1}, r"field 'h1' needs field 'h2' too"),
+        ({"seed": -1, "product_weight": 1, "model": 5}, r"field 'seed' must be"),
+        ({"product_weight": 1, "model": 5}, r"field 'product_weight' must be"),
+        ({"product_weight": True, "v": [1, 2], "model": 5}, r"product_weight is true but v\[1\] = 2\.0"),
+    ],
+)
+def test_load_instance_reports_the_first_fault_in_field_order(tmp_path, faults, message):
+    """With several faults, loading reports the first in the order p1, p2,
+    the pair, v, omega1, omega2, h1, h2, then seed, product_weight, model."""
+    good = {"masses": [1, 1], "levels": [[[0, 1]]], "p1": 2, "p2": 2, "v": [1, 1], "omega1": [1, 1], "omega2": [1, 1]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**good, **faults}))
+    with pytest.raises(ValidationError, match=r"^" + str(path) + ": " + message):
+        load_instance(str(path))
+
+
+MALFORMED_SHAPES = [
+    ({"levels": None}, r"levels: need a list of partition levels, got None"),
+    ({"levels": 3}, r"levels: need a list of partition levels, got 3"),
+    ({"levels": False}, r"levels: need a list of partition levels, got False"),
+    ({"levels": [[0, 1]]}, r"level 0, atom 0: need a list of point indices, got 0"),
+    ({"levels": [[[0, 1]], 7]}, r"level 1: need a list of atoms, got 7"),
+    ({"levels": [[[0, 1]], [None, [1]]]}, r"level 1, atom 0: need a list of point indices, got None"),
+    ({"levels": [[[0, 1]], []]}, r"level 1: point 0 is missing from the partition"),
+    ({"v": {}}, r"field 'v': float\(\) argument must be a string or a real number, not 'dict'"),
+    ({"omega1": {"a": 1}}, r"field 'omega1': float\(\) argument .* not 'dict'"),
+    ({"omega2": {}}, r"field 'omega2': float\(\) argument .* not 'dict'"),
+    ({"h1": {}, "h2": [1, 1]}, r"field 'h1': float\(\) argument .* not 'dict'"),
+    ({"h1": [1, 1], "h2": {}}, r"field 'h2': float\(\) argument .* not 'dict'"),
+]
+
+
+@pytest.mark.parametrize("extra,message", MALFORMED_SHAPES)
+def test_load_instance_rejects_malformed_shapes(tmp_path, extra, message):
+    """Levels, atoms and fields of the wrong JSON type are ValidationErrors
+    naming the path and where, not TypeErrors."""
+    good = {"masses": [1, 1], "levels": [[[0, 1]]], "p1": 2, "p2": 2, "v": [1, 1], "omega1": [1, 1], "omega2": [1, 1]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**good, **extra}))
+    with pytest.raises(ValidationError, match=r"^" + str(path) + ": " + message + "$"):
+        load_instance(str(path))
+
+
+def test_load_instance_rejects_undecodable_files(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"masses": [1], "levels": [[[0]]], "model": "caf\u00e9"}'.encode("latin-1"))
+    with pytest.raises(ValidationError, match=r"^" + str(path) + r": invalid JSON \('utf-8' codec can't decode"):
+        load_instance(str(path))
+
+
+def _json_nodes(x, path=()):
+    """Paths to every node of a JSON value below its root."""
+    items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _json_nodes(value, path + (key,))
+
+
+LOADER_BASES = [
+    json.loads((Path(__file__).parent / "data" / "worked4.json").read_text()),
+    filtermax.verify.instance_to_dict(gen_instance(3, depth=2, model="product")),
+    filtermax.verify.instance_to_dict(gen_instance(4, depth=3, branching=3)),
+]
+JSON_VALUES = [None, True, False, 0, 1, -1, 2.5, 1e30, 10**400, "", "x", "1", [], {}, [0], [1, 2], [[0]], [None], {"a": 1}]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_the_loader_raises_only_validation_errors(tmp_path, data):
+    """Replace or delete up to three nodes of a valid instance file: the file
+    either loads or raises ValidationError prefixed with its path, never
+    another exception."""
+    doc = copy.deepcopy(data.draw(st.sampled_from(LOADER_BASES)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        nodes = list(_json_nodes(doc))
+        if not nodes:
+            break
+        path = data.draw(st.sampled_from(nodes))
+        holder = functools.reduce(operator.getitem, path[:-1], doc)
+        if data.draw(st.integers(0, 4)) == 0:
+            del holder[path[-1]]
+        else:
+            holder[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(JSON_VALUES)))
+    file = tmp_path / "mutated.json"
+    file.write_text(json.dumps(doc))
+    try:
+        load_instance(str(file))
+    except ValidationError as exc:
+        assert str(exc).startswith(f"{file}:")
+
 
 BAD_DATA = [
     ({"levels": [[[0, 1]], [[0.9], [1]]]}, r"level 1, atom 0: point index 0\.9 is not an integer"),
