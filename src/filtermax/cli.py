@@ -24,6 +24,7 @@ from .stopping import EnumerationBudgetError
 from .verify import (
     DEFAULT_REL_TOL,
     SUITES,
+    Instance,
     dump_instance,
     gen_instance,
     load_instance,
@@ -41,6 +42,31 @@ EXIT_IO = 3
 EXIT_INVALID = 4
 EXIT_INFEASIBLE = 5
 
+_GEN_FLAGS = {  # `gen_instance` keyword -> its flag's options, shared by `gen` and `verify`
+    "depth": {"type": int, "default": 2},
+    "branching": {"type": int, "default": 2},
+    "model": {"default": "lognormal", "help": "lognormal[:s] | power[:a] | product[:s]"},
+    "p1": {"type": float, "default": 2.0},
+    "p2": {"type": float, "default": 2.0},
+}
+
+
+class _Failure(Exception):
+    """A command's error: `main` prints "error: <message>" and returns the code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+def _add_gen_flags(parser: argparse.ArgumentParser) -> None:
+    for key, options in _GEN_FLAGS.items():
+        parser.add_argument(f"--{key}", **options)
+
+
+def _gen_kwargs(args: argparse.Namespace) -> dict:
+    return {key: getattr(args, key) for key in _GEN_FLAGS}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="filtermax", description=__doc__.splitlines()[0])
@@ -48,12 +74,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a random instance")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--depth", type=int, default=2)
-    gen.add_argument("--branching", type=int, default=2)
-    gen.add_argument("--model", default="lognormal", help="lognormal[:s] | power[:a] | product[:s]")
-    gen.add_argument("--p1", type=float, default=2.0)
-    gen.add_argument("--p2", type=float, default=2.0)
+    _add_gen_flags(gen)
     gen.add_argument("--out", required=True, help="output JSON path")
+    gen.set_defaults(run=_cmd_gen)
 
     cons = sub.add_parser("constants", help="weight characteristics of an instance")
     cons.add_argument("instance", help="instance JSON path")
@@ -62,16 +85,13 @@ def _build_parser() -> argparse.ArgumentParser:
     cons.add_argument("--fallback", action="store_true", help="degrade to heuristic when enumeration is infeasible")
     cons.add_argument("--format", default="csv", choices=("csv", "json"))
     cons.add_argument("--out", help="write report here instead of stdout")
+    cons.set_defaults(run=_cmd_constants)
 
     ver = sub.add_parser("verify", help="check the weighted inequalities")
     ver.add_argument("instance", nargs="?", help="instance JSON path")
     ver.add_argument("--ensemble", nargs=2, type=int, metavar=("SEED", "COUNT"), help="generate COUNT instances from a master seed")
     ver.add_argument("--suite", default="all", choices=SUITES)
-    ver.add_argument("--depth", type=int, default=2)
-    ver.add_argument("--branching", type=int, default=2)
-    ver.add_argument("--model", default="lognormal")
-    ver.add_argument("--p1", type=float, default=2.0)
-    ver.add_argument("--p2", type=float, default=2.0)
+    _add_gen_flags(ver)
     ver.add_argument("--pairs", type=int, default=5, help="random test pairs per instance (at least 1)")
     ver.add_argument(
         "--tol", type=float, default=DEFAULT_REL_TOL, help="relative tolerance for pass/fail (finite, >= 0)"
@@ -80,30 +100,37 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--fallback", action="store_true")
     ver.add_argument("--format", default="csv", choices=("csv", "json"))
     ver.add_argument("--out", help="write report here instead of stdout")
+    ver.set_defaults(run=_cmd_verify)
     return parser
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+def _load(path: str) -> Instance:
+    try:
+        return load_instance(path)
+    except OSError as exc:
+        raise _Failure(EXIT_IO, f"cannot read {path}: {exc}") from exc
+    except ValidationError as exc:
+        raise _Failure(EXIT_INVALID, f"invalid instance: {exc}") from exc
+
+
+def _write(path: str | None, text: str) -> None:
+    """Write a report to `path`, or to stdout when there is none."""
+    try:
+        if path is None:
+            sys.stdout.write(text)
+        else:
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise _Failure(EXIT_IO, f"cannot write {path}: {exc}") from exc
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        inst = gen_instance(
-            args.seed, depth=args.depth, branching=args.branching, model=args.model, p1=args.p1, p2=args.p2
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    inst = gen_instance(args.seed, **_gen_kwargs(args))
     try:
         dump_instance(inst, args.out)
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise _Failure(EXIT_IO, f"cannot write {args.out}: {exc}") from exc
     space = inst.space
     print(
         f"wrote {args.out}: {space.n} points, levels 0..{space.last_level}, "
@@ -113,31 +140,17 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:
-    try:
-        inst = load_instance(args.instance)
-    except OSError as exc:
-        print(f"error: cannot read {args.instance}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValidationError as exc:
-        print(f"error: invalid instance: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    inst = _load(args.instance)
     names = ALL_CONSTANTS if args.which == "all" else (args.which,)
+    weights = (inst.space, inst.v, inst.omega1, inst.omega2, inst.exps)
     records = []
     for name in names:
         try:
-            rec = compute_constant(
-                name, inst.space, inst.v, inst.omega1, inst.omega2, inst.exps, mode=args.mode
-            )
+            rec = compute_constant(name, *weights, mode=args.mode)
         except EnumerationBudgetError as exc:
             if not args.fallback:
-                print(f"error: [{name}] {exc}", file=sys.stderr)
-                return EXIT_INFEASIBLE
-            rec = compute_constant(
-                name, inst.space, inst.v, inst.omega1, inst.omega2, inst.exps, mode="heuristic"
-            )
-        except ValueError as exc:  # a malformed FILTERMAX_ATOM_BUDGET, as in verify
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+                raise _Failure(EXIT_INFEASIBLE, f"[{name}] {exc}") from exc
+            rec = compute_constant(name, *weights, mode="heuristic")
         records.append(rec)
     if args.format == "json":
         payload = [
@@ -151,71 +164,36 @@ def _cmd_constants(args: argparse.Namespace) -> int:
         for r in records:
             writer.writerow([r.name, repr(r.value), r.mode, json.dumps(r.witness)])
         text = buf.getvalue()
-    try:
-        _write_text(args.out, text)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write(args.out, text)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if (args.instance is None) == (args.ensemble is None):
-        print("error: give an instance path or --ensemble SEED COUNT (not both)", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Failure(EXIT_USAGE, "give an instance path or --ensemble SEED COUNT (not both)")
     if args.pairs < 1:
-        print(f"error: --pairs must be at least 1, got {args.pairs}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Failure(EXIT_USAGE, f"--pairs must be at least 1, got {args.pairs}")
     if args.jobs < 1:
-        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Failure(EXIT_USAGE, f"--jobs must be at least 1, got {args.jobs}")
     if not (math.isfinite(args.tol) and args.tol >= 0):
-        print(f"error: --tol must be finite and non-negative, got {args.tol!r}", file=sys.stderr)
-        return EXIT_USAGE
-    replay_instance = None
+        raise _Failure(EXIT_USAGE, f"--tol must be finite and non-negative, got {args.tol!r}")
     try:
         if args.ensemble is not None:
             master, count = args.ensemble
             if count < 1:
-                print("error: ensemble COUNT must be positive", file=sys.stderr)
-                return EXIT_USAGE
+                raise _Failure(EXIT_USAGE, "ensemble COUNT must be positive")
             rows = run_ensemble(
-                master,
-                count,
-                suite=args.suite,
-                depth=args.depth,
-                branching=args.branching,
-                model=args.model,
-                p1=args.p1,
-                p2=args.p2,
-                pair_count=args.pairs,
-                fallback=args.fallback,
-                jobs=args.jobs,
+                master, count, suite=args.suite, pair_count=args.pairs, fallback=args.fallback, jobs=args.jobs,
+                **_gen_kwargs(args),
             )
         else:
-            try:
-                inst = load_instance(args.instance)
-            except OSError as exc:
-                print(f"error: cannot read {args.instance}: {exc}", file=sys.stderr)
-                return EXIT_IO
-            except ValidationError as exc:
-                print(f"error: invalid instance: {exc}", file=sys.stderr)
-                return EXIT_INVALID
+            inst = _load(args.instance)
             rows = run_instance_suite(inst, args.suite, pair_count=args.pairs, fallback=args.fallback)
     except EnumerationBudgetError as exc:
-        print(f"error: {exc} (use --fallback)", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Failure(EXIT_INFEASIBLE, f"{exc} (use --fallback)") from exc
 
     rows = [replace(r, rel_tol=args.tol) for r in rows]
-    text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
-    try:
-        _write_text(args.out, text)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write(args.out, rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows))
 
     failures = [r for r in rows if r.hard_failure]
     indeterminate = sum(1 for r in rows if r.status == "indeterminate")
@@ -227,17 +205,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if failures:
         worst = failures[0]
         if args.ensemble is not None:
-            replay_instance = gen_instance(
-                worst.seed,
-                depth=args.depth,
-                branching=args.branching,
-                model=args.model,
-                p1=args.p1,
-                p2=args.p2,
-            )
             replay_path = f"replay_{worst.seed}.json"
             try:
-                dump_instance(replay_instance, replay_path)
+                dump_instance(gen_instance(worst.seed, **_gen_kwargs(args)), replay_path)
                 print(f"falsified: {worst.theorem} at seed {worst.seed}; instance written to {replay_path}", file=sys.stderr)
             except OSError:
                 print(f"falsified: {worst.theorem} at seed {worst.seed}", file=sys.stderr)
@@ -248,16 +218,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "gen":
-        return _cmd_gen(args)
-    if args.command == "constants":
-        return _cmd_constants(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_USAGE
+    args = _build_parser().parse_args(argv)
+    try:
+        return args.run(args)
+    except _Failure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
+    except ValueError as exc:  # bad generator flags, a malformed FILTERMAX_ATOM_BUDGET, data a check refuses
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -268,16 +268,21 @@ class FilteredSpace:
         return out
 
     def is_level_measurable(self, level: int, subset) -> bool:
-        """True when the set is a union of level-`level` atoms: every atom it
-        meets holds as many of its points as the atom has."""
-        labels = self.atom_of[level]
-        hits = np.bincount(labels[self.as_subset(subset)], minlength=len(self.atoms[level]))
-        return bool(np.all((hits == 0) | (hits == np.bincount(labels))))
+        """True when the set is a union of level-`level` atoms."""
+        return not _cut_atoms(self, level, self.indicator(subset)).size
 
     # ---- measure ---------------------------------------------------------
 
     def measure(self, subset) -> float:
         return float(self.masses[self.as_subset(subset)].sum())
+
+
+def _cut_atoms(space: FilteredSpace, level: int, inside: np.ndarray) -> np.ndarray:
+    """Ascending indices of the level atoms that the point set `inside` (a
+    boolean or 0/1 mask) meets without holding all of their points."""
+    labels = space.atom_of[level]
+    hits = np.bincount(labels, weights=inside, minlength=len(space.atoms[level]))
+    return np.flatnonzero((hits != 0) & (hits != np.bincount(labels)))
 
 
 def as_fn(space: FilteredSpace, values) -> Fn:

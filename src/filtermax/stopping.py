@@ -30,7 +30,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .space import FilteredSpace, Fn, level_products
+from .space import FilteredSpace, Fn, _cut_atoms, level_products
 
 DEFAULT_ATOM_BUDGET = 24
 _BUDGET_ENV = "FILTERMAX_ATOM_BUDGET"
@@ -42,6 +42,8 @@ _BUDGET_ENV = "FILTERMAX_ATOM_BUDGET"
 # cap, since BLAS rounds some rows of a block differently with its size.
 _BLOCK_BYTES = 128 * 1024
 _MAX_MASK_BITS = 62  # finest atoms a tail mask can hold in an int64
+_THRESHOLD_COUNT = 32  # geometric grid of first-hit thresholds in the heuristic search
+_MAX_ROUNDS = 40  # hill-climbing rounds of the heuristic search
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -123,13 +125,9 @@ def adaptedness_violation(space: FilteredSpace, tau: StoppingTime) -> str | None
     if np.any(lv[finite] < tau.origin) or np.any(lv[finite] > space.last_level):
         return f"finite stopping levels must lie in {tau.origin}..{space.last_level}"
     for j in range(tau.origin, space.n_levels):
-        hit = lv == j
-        if not hit.any():
-            continue
-        for a_idx in np.unique(space.atom_of[j][hit]):
-            atom = space.atoms[j][a_idx]
-            if not np.all(hit[atom]):
-                return f"{{tau = {j}}} cuts level-{j} atom {atom.tolist()}"
+        cut = _cut_atoms(space, j, lv == j)
+        if cut.size:
+            return f"{{tau = {j}}} cuts level-{j} atom {space.atoms[j][cut[0]].tolist()}"
     return None
 
 
@@ -152,9 +150,7 @@ def first_hit(space: FilteredSpace, i: int, conditions: Sequence[np.ndarray]) ->
         cond = np.asarray(conditions[j], dtype=bool)
         if cond.shape != (space.n,):
             raise ValueError(f"condition at level {j} must have shape ({space.n},)")
-        labels = space.atom_of[j]
-        hits = np.bincount(labels, weights=cond)  # points of each atom where cond holds
-        mixed = np.flatnonzero((hits != 0) & (hits != np.bincount(labels)))
+        mixed = _cut_atoms(space, j, cond)
         if mixed.size:
             atom = space.atoms[j][mixed[0]]
             raise ValueError(f"condition at level {j} is not constant on atom {atom.tolist()}")
@@ -339,8 +335,6 @@ def heuristic_sup_over_tau(
     i: int,
     objective: Callable[[np.ndarray], np.ndarray],
     guide: tuple[Fn, Fn] | None = None,
-    threshold_count: int = 32,
-    max_rounds: int = 40,
 ) -> tuple[float, StoppingTime]:
     """Lower-bound search for the sup over tau in T_i of a tail objective.
 
@@ -396,7 +390,7 @@ def heuristic_sup_over_tau(
         values = np.unique(np.concatenate([pr[pr > 0] for pr in prods]))
         if values.size:
             lo, hi = float(values[0]), float(values[-1])
-            grid = np.geomspace(lo, hi, num=threshold_count) if hi > lo else np.array([lo])
+            grid = np.geomspace(lo, hi, num=_THRESHOLD_COUNT) if hi > lo else np.array([lo])
             thresholds = np.unique(np.concatenate([grid, values * (1.0 - 1e-9), values]))
             # the first hit of {prods[j] > thr}, j >= i, stops exactly on {reach > thr}
             reach = np.max(prods[i:], axis=0)
@@ -408,7 +402,7 @@ def heuristic_sup_over_tau(
 
     assert chain is not None
     # greedy improvement on the antichain
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         moves: list[list[tuple[int, int]]] = []
         covered = _chain_rows(space, [chain])[0]
         for idx, (t, a) in enumerate(chain):

@@ -162,9 +162,9 @@ def _parse_model(model: str) -> tuple[str, float | None]:
     return name, (float(param) if param else None)
 
 
-def gen_space(seed: int, depth: int, branching: int) -> FilteredSpace:
-    """Regular branching tower over [0, 1): branching^depth points in
-    contiguous blocks, masses drawn positive and normalized to total 1."""
+def _tower(depth: int, branching: int) -> list[list[list[int]]]:
+    """Levels of the regular branching tower on branching^depth points,
+    each atom a contiguous block."""
     if depth < 1 or branching < 2:
         raise ValueError("need depth >= 1 and branching >= 2")
     n = branching**depth
@@ -172,13 +172,20 @@ def gen_space(seed: int, depth: int, branching: int) -> FilteredSpace:
         raise ValueError(
             f"atom budget exceeded: branching^depth = {n} points (limit {MAX_POINTS})"
         )
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    masses = rng.uniform(0.5, 1.5, size=n)
-    masses /= masses.sum()
     levels = []
     for t in range(depth + 1):
         block = branching ** (depth - t)
         levels.append([list(range(a * block, (a + 1) * block)) for a in range(branching**t)])
+    return levels
+
+
+def gen_space(seed: int, depth: int, branching: int) -> FilteredSpace:
+    """Regular branching tower over [0, 1): branching^depth points in
+    contiguous blocks, masses drawn positive and normalized to total 1."""
+    levels = _tower(depth, branching)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    masses = rng.uniform(0.5, 1.5, size=len(levels[-1]))  # one point per finest atom
+    masses /= masses.sum()
     return FilteredSpace(masses, levels)
 
 
@@ -199,15 +206,17 @@ def gen_instance(
     """
     name, param = _parse_model(model)
     exps = Exponents(p1, p2)
-    space = gen_space(seed, depth, branching)
+    if name == "power":  # uniform masses on the same tower
+        levels = _tower(depth, branching)
+        space = FilteredSpace(np.full(len(levels[-1]), 1.0 / len(levels[-1])), levels)
+    else:
+        space = gen_space(seed, depth, branching)
     n = space.n
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     # extreme parameters overflow or underflow; the check below reports it
     with np.errstate(all="ignore"):
         if name == "power":
             a = 1.0 if param is None else param
-            masses = np.full(n, 1.0 / n)
-            space = FilteredSpace(masses, [[atom.tolist() for atom in lv] for lv in space.atoms])
             x = (np.arange(n) + 0.5) / n
             omega1 = x**a
             omega2 = (1.0 - x) ** a
@@ -942,26 +951,21 @@ def run_ensemble(
     master_seed: int,
     count: int,
     suite: str = "all",
-    depth: int = 2,
-    branching: int = 2,
-    model: str = "lognormal",
-    p1: float = 2.0,
-    p2: float = 2.0,
     pair_count: int = 5,
     fallback: bool = False,
     jobs: int = 1,
+    **gen,
 ) -> list[CheckResult]:
     """Run a suite over `count` instances with seeds master_seed + t.
 
-    Rows come back sorted by (seed, theorem); with jobs > 1 the instances
-    are processed in a process pool of at most min(jobs, count, CPUs)
-    workers, which cannot change the output.
+    `gen` holds the keywords forwarded to `gen_instance` (depth, branching,
+    model, p1, p2), which supplies the defaults of those left out.  Rows
+    come back sorted by (seed, theorem); with jobs > 1 the instances are
+    processed in a process pool of at most min(jobs, count, CPUs) workers,
+    which cannot change the output.
     """
     _check_suite_args(suite, pair_count)
-    args = [
-        (master_seed + t, suite, depth, branching, model, p1, p2, pair_count, fallback)
-        for t in range(count)
-    ]
+    args = [(master_seed + t, gen, suite, pair_count, fallback) for t in range(count)]
     workers = min(jobs, count, os.cpu_count() or 1)
     if workers > 1:
         import concurrent.futures
@@ -976,9 +980,8 @@ def run_ensemble(
 
 
 def _ensemble_worker(args: tuple) -> list[CheckResult]:
-    seed, suite, depth, branching, model, p1, p2, pair_count, fallback = args
-    inst = gen_instance(seed, depth=depth, branching=branching, model=model, p1=p1, p2=p2)
-    return run_instance_suite(inst, suite, pair_count=pair_count, fallback=fallback)
+    seed, gen, suite, pair_count, fallback = args
+    return run_instance_suite(gen_instance(seed, **gen), suite, pair_count=pair_count, fallback=fallback)
 
 
 # ---- reports -----------------------------------------------------------------

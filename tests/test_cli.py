@@ -91,9 +91,17 @@ def test_constants_json_and_selection(tmp_path):
     assert tail and all(isinstance(pt, int) and 0 <= pt < 4 for pt in tail)
 
 
-def test_constants_missing_file(capsys):
+def test_constants_missing_file(tmp_path, capsys):
     assert run("constants", "/nonexistent/inst.json") == 3
-    assert "cannot read" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read /nonexistent/inst.json: [Errno 2] ")
+    assert err.count("\n") == 1
+    # an unwritable report is an I/O error too
+    out = tmp_path / "no" / "c.csv"
+    assert run("constants", str(DATA / "worked4.json"), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: [Errno 2] ")
+    assert err.count("\n") == 1
 
 
 # p1 near 1: the dual weight omega1^(-1/(p1 - 1)) = omega1^(-1000) overflows at point 1
@@ -112,7 +120,7 @@ def test_constants_invalid_instance(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"masses": [1, -1], "levels": [[[0, 1]]]}')
     assert run("constants", str(bad)) == 4
-    assert "invalid instance" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: invalid instance: {bad}: masses[1]: mass -1.0 is not strictly positive\n"
     bad.write_text(json.dumps(DUAL_OVERFLOW))
     assert run("constants", str(bad)) == 4
     assert "field 'sigma1'" in capsys.readouterr().err
@@ -253,6 +261,18 @@ def test_verify_full_suite_on_worked_instance(capsys):
     assert "0 fail" in err and "0 indeterminate" in err
 
 
+@pytest.mark.parametrize("command", ["gen", "verify"])
+def test_help_lists_the_generator_flags(capsys, command):
+    """gen and verify take the same generator flags, with the same help."""
+    with pytest.raises(SystemExit) as info:
+        run(command, "--help")
+    assert info.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())  # whatever the terminal width
+    assert "--model MODEL lognormal[:s] | power[:a] | product[:s]" in out
+    for flag in ("--depth DEPTH", "--branching BRANCHING", "--p1 P1", "--p2 P2"):
+        assert flag in out
+
+
 def test_verify_usage_errors(tmp_path, capsys):
     assert run("verify") == 2
     assert run("verify", str(DATA / "worked4.json"), "--ensemble", "1", "2") == 2
@@ -294,9 +314,19 @@ def test_verify_accepts_option_bounds(tmp_path):
 
 def test_verify_missing_and_invalid(tmp_path, capsys):
     assert run("verify", "/nonexistent.json") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read /nonexistent.json: [Errno 2] ")
+    assert err.count("\n") == 1
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2")
     assert run("verify", str(bad)) == 4
+    assert capsys.readouterr().err.startswith(f"error: invalid instance: {bad}:1: invalid JSON (")
+    # an unwritable report exits 3 before the summary line
+    out = tmp_path / "no" / "rows.csv"
+    assert run("verify", str(DATA / "worked4.json"), "--suite", "props", "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: [Errno 2] ")
+    assert err.count("\n") == 1
     bad.write_text(json.dumps(DUAL_OVERFLOW))
     assert run("verify", str(bad)) == 4
     assert "field 'sigma1'" in capsys.readouterr().err

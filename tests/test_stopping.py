@@ -3,6 +3,8 @@ tail-set machinery, the enumeration budget, and the heuristic search."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filtermax import (
     EnumerationBudgetError,
@@ -21,6 +23,7 @@ from filtermax import (
     mask_points,
     stopping_time_from_tail,
 )
+from filtermax import stopping
 from filtermax.stopping import DEFAULT_ATOM_BUDGET
 
 from conftest import brute_force_stopping_times
@@ -306,7 +309,7 @@ def test_first_hit_tail_is_the_reach_above_the_threshold(name, request):
 
 
 @pytest.mark.parametrize("i", [0, 1])
-def test_heuristic_scores_each_candidate_block_in_one_call(mixed6, i):
+def test_heuristic_scores_each_candidate_block_in_one_call(mixed6, i, monkeypatch):
     profile = np.exp(np.random.default_rng(29).standard_normal(6))
     blocks = []
 
@@ -315,7 +318,8 @@ def test_heuristic_scores_each_candidate_block_in_one_call(mixed6, i):
         chi = inside.astype(float)
         return chi @ (profile * mixed6.masses) / (chi @ mixed6.masses) ** 0.5
 
-    heuristic_sup_over_tau(mixed6, i, objective, max_rounds=0)
+    monkeypatch.setattr(stopping, "_MAX_ROUNDS", 0)
+    heuristic_sup_over_tau(mixed6, i, objective)
     # the opening family: the full stop and every single-atom stop, each
     # distinct tail once (the level-1 atom {5} is also a level-2 atom)
     assert len(blocks) == 1
@@ -323,11 +327,12 @@ def test_heuristic_scores_each_candidate_block_in_one_call(mixed6, i):
     assert {tuple(np.flatnonzero(row)) for row in blocks[0]} == want
     assert len(blocks[0]) == len(want)
     blocks.clear()
-    heuristic_sup_over_tau(mixed6, i, objective, guide=(profile, profile), max_rounds=0)
+    heuristic_sup_over_tau(mixed6, i, objective, guide=(profile, profile))
     assert len(blocks) == 2  # opening family, then every threshold
     for rounds in (1, 3, 40):
         blocks.clear()
-        heuristic_sup_over_tau(mixed6, i, objective, guide=(profile, profile), max_rounds=rounds)
+        monkeypatch.setattr(stopping, "_MAX_ROUNDS", rounds)
+        heuristic_sup_over_tau(mixed6, i, objective, guide=(profile, profile))
         assert len(blocks) <= 2 + rounds
         # no tail is scored twice, and no empty one at all
         rows = [row.tobytes() for block in blocks for row in block if row.any()]
@@ -339,3 +344,126 @@ def test_enumeration_yields_before_materializing(quad):
     gen = enumerate_stopping_times(quad, 0)
     first = next(gen)
     assert is_adapted(quad, first)
+
+
+# ---- one atom-membership test ------------------------------------------------------
+#
+# `is_level_measurable`, `first_hit` and `adaptedness_violation` ask the same
+# question, "does this point set meet a level-j atom without holding all of
+# it?", through `space._cut_atoms`.  The references are the three loops they
+# replaced, as they were written before.
+
+
+def reference_is_level_measurable(space, level, subset):
+    labels = space.atom_of[level]
+    hits = np.bincount(labels[space.as_subset(subset)], minlength=len(space.atoms[level]))
+    return bool(np.all((hits == 0) | (hits == np.bincount(labels))))
+
+
+def reference_first_hit(space, i, conditions):
+    space._check_level(i)
+    if len(conditions) != space.n_levels:
+        raise ValueError(f"need one condition per level (expected {space.n_levels})")
+    levels = np.full(space.n, np.inf)
+    for j in range(i, space.n_levels):
+        cond = np.asarray(conditions[j], dtype=bool)
+        if cond.shape != (space.n,):
+            raise ValueError(f"condition at level {j} must have shape ({space.n},)")
+        labels = space.atom_of[j]
+        hits = np.bincount(labels, weights=cond)  # points of each atom where cond holds
+        mixed = np.flatnonzero((hits != 0) & (hits != np.bincount(labels)))
+        if mixed.size:
+            atom = space.atoms[j][mixed[0]]
+            raise ValueError(f"condition at level {j} is not constant on atom {atom.tolist()}")
+        levels[np.isinf(levels) & cond] = j
+    return StoppingTime(levels, origin=i)
+
+
+def reference_adaptedness_violation(space, tau):
+    lv = tau.levels
+    if lv.shape != (space.n,):
+        return f"levels must have shape ({space.n},)"
+    finite = np.isfinite(lv)
+    if np.any(lv[finite] != np.round(lv[finite])):
+        return "finite stopping levels must be integers"
+    if np.any(lv[finite] < tau.origin) or np.any(lv[finite] > space.last_level):
+        return f"finite stopping levels must lie in {tau.origin}..{space.last_level}"
+    for j in range(tau.origin, space.n_levels):
+        hit = lv == j
+        if not hit.any():
+            continue
+        for a_idx in np.unique(space.atom_of[j][hit]):
+            atom = space.atoms[j][a_idx]
+            if not np.all(hit[atom]):
+                return f"{{tau = {j}}} cuts level-{j} atom {atom.tolist()}"
+    return None
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+@st.composite
+def towers(draw):
+    """Irregular towers of 1-9 points: each coarser level merges contiguous
+    runs of the level below, then a permutation scatters the points, so
+    atoms need not be contiguous or sorted by their first point."""
+    n = draw(st.integers(1, 9))
+    atoms = [[x] for x in range(n)]
+    levels = [atoms]
+    for _ in range(draw(st.integers(0, 3))):
+        cuts = draw(st.lists(st.booleans(), min_size=len(atoms) - 1, max_size=len(atoms) - 1))
+        merged = [list(atoms[0])]
+        for atom, cut in zip(atoms[1:], cuts):
+            if cut:
+                merged.append(list(atom))
+            else:
+                merged[-1].extend(atom)
+        atoms = merged
+        levels.insert(0, atoms)
+    perm = draw(st.permutations(range(n)))
+    return FilteredSpace(np.ones(n), [[[perm[x] for x in atom] for atom in level] for level in levels])
+
+
+def atom_unions(draw, space, level):
+    """A random union of level atoms with, at times, one point flipped."""
+    keep = draw(st.lists(st.booleans(), min_size=len(space.atoms[level]), max_size=len(space.atoms[level])))
+    mask = np.asarray(keep)[space.atom_of[level]]
+    if draw(st.booleans()):
+        mask[draw(st.integers(0, space.n - 1))] ^= True
+    return mask
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_atom_membership_matches_the_replaced_loops(data):
+    space = data.draw(towers())
+    draw = data.draw
+    for level in range(space.n_levels):
+        if draw(st.booleans()):
+            mask = atom_unions(draw, space, level)
+        else:
+            mask = np.asarray(draw(st.lists(st.booleans(), min_size=space.n, max_size=space.n)))
+        for subset in (mask, np.flatnonzero(mask), np.flatnonzero(mask).tolist()):
+            assert space.is_level_measurable(level, subset) == reference_is_level_measurable(space, level, subset)
+    i = draw(st.integers(0, space.last_level))
+    conditions = [atom_unions(draw, space, j) for j in range(space.n_levels)]
+    got, want = outcome(first_hit, space, i, conditions), outcome(reference_first_hit, space, i, conditions)
+    assert got == want
+    # a random level per point, or one per atom of a random level (adapted
+    # until a point is moved)
+    t = draw(st.integers(i, space.last_level))
+    options = [*range(i, space.n_levels), np.inf]
+    if draw(st.booleans()):
+        levels = np.array([draw(st.sampled_from(options)) for _ in range(space.n)], dtype=float)
+    else:
+        per_atom = [draw(st.sampled_from(options[t - i :])) for _ in space.atoms[t]]
+        levels = np.asarray(per_atom, dtype=float)[space.atom_of[t]]
+        if draw(st.booleans()):
+            levels[draw(st.integers(0, space.n - 1))] = draw(st.sampled_from(options))
+    tau = StoppingTime(levels, origin=i)
+    assert adaptedness_violation(space, tau) == reference_adaptedness_violation(space, tau)

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import filtermax.principal
+import filtermax.space
 import filtermax.verify
 from filtermax import (
     CSV_HEADER,
@@ -88,6 +89,21 @@ def test_gen_space_structure_and_determinism():
         gen_space(0, depth=40, branching=2)
     with pytest.raises(ValueError):
         gen_space(0, depth=0, branching=2)
+
+
+@pytest.mark.parametrize("shape", [{"depth": 3}, {"depth": 2, "branching": 3}])
+def test_power_instance_reads_its_tower_once(monkeypatch, shape):
+    """The power model builds gen_space's tower with uniform masses, reading
+    the raw tower once."""
+    reads = []
+    read = filtermax.space._read
+    monkeypatch.setattr(filtermax.space, "_read", lambda *raw: reads.append(1) or read(*raw))
+    inst = gen_instance(3, model="power", **shape)
+    assert len(reads) == 1
+    n = inst.space.n
+    assert np.array_equal(inst.space.masses, np.full(n, 1.0 / n))
+    tower = gen_space(3, **{"branching": 2, **shape}).atoms
+    assert [[a.tolist() for a in level] for level in inst.space.atoms] == [[a.tolist() for a in level] for level in tower]
 
 
 def test_gen_instance_models():
@@ -767,6 +783,22 @@ def test_run_ensemble_sorted_and_parallel_equal():
     keys = [(r.seed, r.theorem) for r in seq]
     assert keys == sorted(keys)
     assert {r.seed for r in seq} == {100, 101, 102, 103}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "gen",
+    [
+        {"depth": 2, "branching": 3, "model": "power:1.5", "p1": 1.5, "p2": 3.0},
+        {"model": "product"},  # the rest from gen_instance's defaults
+    ],
+)
+def test_run_ensemble_forwards_generator_keywords(jobs, gen):
+    """The generator keywords reach gen_instance unchanged: the rows are those
+    of one suite run per generated instance."""
+    rows = run_ensemble(40, 3, suite="thm14", pair_count=2, jobs=jobs, **gen)
+    want = [row for seed in (40, 41, 42) for row in run_instance_suite(gen_instance(seed, **gen), "thm14", pair_count=2)]
+    assert rows == sorted(want, key=lambda r: (r.seed, r.theorem))
 
 
 @pytest.mark.parametrize(
