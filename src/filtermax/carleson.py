@@ -40,7 +40,7 @@ import numpy as np
 
 from .principal import PrincipalForest, _shells
 from .space import Exponents, FilteredSpace, Fn, _weighted_cond, _weighted_pair, as_fn, level_products
-from .stopping import StoppingTime, _check_budget, _first_max, finest_mask, stopping_time_from_tail
+from .stopping import StoppingTime, _block_max, _check_budget, finest_mask, stopping_time_from_tail
 from .weights import sigma_from_omega
 
 VARIANTS = ("node", "exit")
@@ -171,12 +171,11 @@ def certify_carleson_constant(
     den = np.zeros(tails.size)
     for a, am in enumerate(atom_mix):
         den += np.where(tails >> a & 1, am, 0.0)
-    ratios = num / den
-    k = _first_max(ratios)
-    if np.isnan(ratios[k]):  # every leaf's mix underflowed to 0; worded as the sweep words it
+    best, found = _block_max([(0, num / den)])
+    if found is None:  # every leaf's mix underflowed to 0; worded as the sweep words it
         raise ValueError(f"tail objective is nan (or -inf) on all {(1 << len(leaves)) - 1} nonempty T_{i} tails")
-    tau = stopping_time_from_tail(space, i, int(tails[k]))
-    return family.with_constant(float(ratios[k]), certified=True), tau
+    tau = stopping_time_from_tail(space, i, int(tails[found[1]]))
+    return family.with_constant(best, certified=True), tau
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,11 @@ window, so nothing is lost by truncating.
 
 Each public operator checks its level and arrays once, on entry, and then
 takes the maximum over levels on atoms, of the unchecked kernel
-`space._atom_cond`, and reads it at the points once.
+`space._atom_cond` (or any means of its contract), and reads it at the
+points once, in C order.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -19,15 +18,13 @@ from .space import FilteredSpace, Fn, _atom_cond, _to_points, _weighted_pair, as
 from .space import cond_exp  # noqa: F401  (bench/tests expects this module to bind it)
 
 
-def _level_max(
-    space: FilteredSpace, start: int, f: Fn, g: Fn | None = None, means=_atom_cond, to_points=_to_points
-) -> Fn:
+def _level_max(space: FilteredSpace, start: int, f: Fn, g: Fn | None = None, means=_atom_cond) -> Fn:
     """max over levels j >= start of |E_j(f)|, or of |E_j(f) E_j(g)|, at every point.
     means(space, f, j) returns E_j(f) per atom, (atoms_j,) or (k, atoms_j), fresh and
     made absolute in place (a copy per level slowed the S sweep by a quarter).  The
     maximum runs top-down on atoms, cur = max(cur[..., parent_j], term_j), on the
-    values a per-point maximum takes, so every bit is the same; `to_points` reads it
-    at the points once, in its kernel's layout (the bincount kernel's C order)."""
+    values a per-point maximum takes, so every bit is the same, and is read at the
+    points once, in C order, whichever kernel took the means."""
 
     def term(j: int) -> np.ndarray:
         out = means(space, f, j) if g is None else means(space, f, j) * means(space, g, j)
@@ -37,7 +34,7 @@ def _level_max(
     for level in range(start + 1, space.n_levels):
         t = term(level)
         cur = np.maximum(cur[..., space.parents[level]], t, out=t)
-    return to_points(space, cur, space.last_level)
+    return _to_points(space, cur, space.last_level)
 
 
 def maximal(space: FilteredSpace, f: Fn) -> Fn:

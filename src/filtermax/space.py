@@ -16,19 +16,21 @@ Public functions check their inputs once, on entry (`as_fn`, the level).
 `cond_exp` also takes a (k, n) block of functions, checked once.  The
 loops inside the package then take conditional expectations on the
 unchecked kernel `_cond`, which averages one function or every row of a
-(k, n) block, bit for bit as `cond_exp` does, from the means per atom of
-`_atom_cond`; `_weighted_cond` is its weighted form and `_row_cond_exp` the
-matmul kernel of the exact sweeps.
+(k, n) block, bit for bit as `cond_exp` does, from the atom means of
+`_atom_cond`, (atoms,) or (k, atoms): the one means contract, which the
+exact sweeps' matmul means in `weights` keep too; `_to_points` reads atom
+values at the points in C order.  `_weighted_cond` is the weighted form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 Fn = np.ndarray
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float64
 
 
 class ValidationError(ValueError):
@@ -159,6 +161,13 @@ def _read(masses, levels) -> tuple[list[Violation], tuple[Fn, list[list[np.ndarr
     elif np.any(masses_arr <= 0):
         i = int(np.flatnonzero(masses_arr <= 0)[0])
         out.append(Violation(f"masses[{i}]", f"mass {float(masses_arr[i])!r} is not strictly positive"))
+    elif np.any(masses_arr < _TINY):  # a subnormal mass loses bits in every average it enters
+        i = int(np.flatnonzero(masses_arr < _TINY)[0])
+        out.append(Violation(f"masses[{i}]", f"mass {float(masses_arr[i])!r} is subnormal (below {_TINY!r})"))
+    else:
+        with np.errstate(over="ignore"):
+            if not np.isfinite(masses_arr.sum()):
+                out.append(Violation("masses", "total mass overflows a float"))
 
     try:
         levels = list(levels)
@@ -214,6 +223,8 @@ class FilteredSpace:
         for am in self.atom_mass:
             am.setflags(write=False)
         self.total_mass: float = float(self.masses.sum())
+        # levels whose atoms are the single points in order, which `_to_points` reads as they are
+        self._point_levels = frozenset(t for t, lab in enumerate(self.atom_of) if np.array_equal(lab, np.arange(self.n)))
 
     # ---- basic structure -------------------------------------------------
 
@@ -269,6 +280,7 @@ class FilteredSpace:
 
     def is_level_measurable(self, level: int, subset) -> bool:
         """True when the set is a union of level-`level` atoms."""
+        self._check_level(level)
         return not _cut_atoms(self, level, self.indicator(subset)).size
 
     # ---- measure ---------------------------------------------------------
@@ -346,8 +358,10 @@ def _atom_cond(space: FilteredSpace, f: np.ndarray, level: int, density: Fn | No
 
 
 def _to_points(space: FilteredSpace, values: np.ndarray, level: int) -> np.ndarray:
-    """Atom values, (atoms,) or (k, atoms), read at every point in C order, on
-    which `sum(axis=1)` adds each row as its 1-d sum does."""
+    """Fresh C-ordered atom values, (atoms,) or (k, atoms), read at every point in
+    C order, on which `sum(axis=1)` adds each row as its 1-d sum does."""
+    if level in space._point_levels:  # single points in order: a gather would copy them unchanged
+        return values
     labels = space.atom_of[level]
     return values[labels] if values.ndim == 1 else values.take(labels, axis=1)
 
@@ -362,30 +376,6 @@ def level_products(space: FilteredSpace, f: Fn, g: Fn) -> list[Fn]:
     and the heuristic first-hit guides are all cut from these products."""
     f, g = as_fn(space, f), as_fn(space, g)
     return [_cond(space, f, j) * _cond(space, g, j) for j in range(space.n_levels)]
-
-
-def _row_cond_exp(space: FilteredSpace, density: Fn) -> Callable[[FilteredSpace, np.ndarray, int], np.ndarray]:
-    """Row-batched atom means for the exact tail sweeps, called like `_atom_cond`:
-    one points x atoms matrix per level holds density[x] at (x, atom of x), and
-    means(space, rows, level) = (rows @ matrix) / atom masses.  On a 0/1 block and
-    density sigma * masses, BLAS forms exactly the products of (block sigma masses)
-    @ 0/1 matrix on the same shapes (on other blocks it may fuse a product into its
-    sum).  The matrices live only as long as the returned function."""
-    mats = []
-    for labels, atom_mass in zip(space.atom_of, space.atom_mass):
-        mat = np.zeros((space.n, atom_mass.size))
-        mat[np.arange(space.n), labels] = density
-        mats.append(mat)
-
-    def means(_: FilteredSpace, rows: np.ndarray, level: int) -> np.ndarray:
-        return (rows @ mats[level]) / space.atom_mass[level]
-
-    return means
-
-
-def _to_points_by_index(space: FilteredSpace, values: np.ndarray, level: int) -> np.ndarray:
-    """values[:, labels], Fortran-ordered: the exact objectives' `@` rounds otherwise in C order."""
-    return values[:, space.atom_of[level]]
 
 
 def weighted_cond_exp(space: FilteredSpace, f: Fn, sigma: Fn, level: int) -> Fn:

@@ -17,8 +17,9 @@ RH, S, Winf and thm12 suprema walk that power set through one sweep,
 on 16 points), so that the S and Winf objectives' temporaries stay in a
 2 MiB L2 cache.  For larger spaces `heuristic_sup_over_tau` searches a
 candidate family of stopping times and returns a certified lower bound
-for the supremum; it scores candidates in blocks of tails with the same
-objective the exact sweeps use.
+for the supremum.  The sweep and the search take one objective contract,
+objective(inside) -> values for a k x n boolean block of tails, and keep
+the first maximizer through one loop, `_block_max`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -261,37 +262,35 @@ def _block_rows(space: FilteredSpace) -> int:
     return max(1, _BLOCK_BYTES // (8 * space.n))
 
 
-def _first_max(vals: np.ndarray) -> int:
-    """Row of a block's first maximal value, nan skipped, as a per-tail `>` picks it."""
-    return int(np.argmax(np.where(np.isnan(vals), -np.inf, vals)))
+def _block_max(blocks: Iterable[tuple[int, np.ndarray]], best: float = -np.inf) -> tuple[float, tuple | None]:
+    """The one first-maximizer loop: (value, (tag, row)) of the first maximum over
+    blocks (tag, values), nan skipped, if it beats `best`, else (best, None); a
+    block's first maximizer wins only when strictly larger, as a per-value `>`."""
+    found = None
+    for tag, vals in blocks:
+        k = int(np.argmax(np.where(np.isnan(vals), -np.inf, vals)))
+        if vals[k] > best:
+            best, found = float(vals[k]), (tag, k)
+    return best, found
 
 
-def _sweep_tails(
-    space: FilteredSpace, i: int, objective: Callable[[np.ndarray, np.ndarray], np.ndarray]
-) -> tuple[float, int]:
-    """(max, first mask attaining it) of a tail objective over the nonempty
-    T_i tails of `enumerate_tail_masks`, which checks the atom budget first.
-
-    objective(tails, inside) scores a block: consecutive int64 masks in
-    ascending order and their rows x n boolean point membership, at most
-    _BLOCK_BYTES as float64 (or one row).  A block's first maximizer (nan
-    skipped) replaces the best only when strictly larger, as a per-tail `>`
-    picks it.  Raises ValueError when every value is nan (or -inf).
-    """
+def _sweep_tails(space: FilteredSpace, i: int, objective: Callable[[np.ndarray], np.ndarray]) -> tuple[float, int]:
+    """(max, first mask attaining it) of objective(inside) over the nonempty T_i
+    tails of `enumerate_tail_masks`, which checks the atom budget first: blocks
+    of consecutive masks in ascending order as rows x n boolean points, at most
+    _BLOCK_BYTES as float64 (or one row).  ValueError if every value is nan."""
     masks = enumerate_tail_masks(space, i)
     leaf_of = space.atom_of[space.last_level]
     rows = _block_rows(space)
-    best_val, best_mask = -np.inf, None
-    for lo in range(1, len(masks), rows):
-        part = masks[lo : lo + rows]
-        tails = np.arange(part.start, part.stop, dtype=np.int64)
-        vals = objective(tails, (tails[:, None] >> leaf_of & 1).astype(bool))
-        k = _first_max(vals)
-        if vals[k] > best_val:
-            best_val, best_mask = float(vals[k]), int(tails[k])
-    if best_mask is None:
+
+    def block(lo: int) -> np.ndarray:
+        tails = np.arange(lo, min(lo + rows, len(masks)), dtype=np.int64)
+        return objective((tails[:, None] >> leaf_of & 1).astype(bool))
+
+    best_val, found = _block_max((lo, block(lo)) for lo in range(1, len(masks), rows))
+    if found is None:
         raise ValueError(f"tail objective is nan (or -inf) on all {len(masks) - 1} nonempty T_{i} tails")
-    return best_val, best_mask
+    return best_val, found[0] + found[1]
 
 
 def stopping_time_from_tail(space: FilteredSpace, i: int, tail) -> StoppingTime:
@@ -330,6 +329,22 @@ def _chain_rows(space: FilteredSpace, chains: Sequence[Sequence[tuple[int, int]]
     return inside
 
 
+def _first_scores(space: FilteredSpace, objective: Callable) -> Callable[[np.ndarray], np.ndarray]:
+    """The objective with each tail's first value kept (a 1-row matmul rounds as a
+    dot product, and a tail re-scored higher would improve on itself): a block's
+    new nonempty tails go to it in one call, one row each; empty tails are nan."""
+    scores = {np.packbits(np.zeros(space.n, dtype=bool)).tobytes(): np.nan}
+
+    def scored(inside: np.ndarray) -> np.ndarray:
+        keys = [np.packbits(row).tobytes() for row in inside]
+        fresh = {key: r for r, key in enumerate(keys) if key not in scores}  # a row of each new tail
+        if fresh:
+            scores.update(zip(fresh, np.asarray(objective(inside[list(fresh.values())]), dtype=float)))
+        return np.array([scores[key] for key in keys])
+
+    return scored
+
+
 def heuristic_sup_over_tau(
     space: FilteredSpace,
     i: int,
@@ -339,43 +354,29 @@ def heuristic_sup_over_tau(
     """Lower-bound search for the sup over tau in T_i of a tail objective.
 
     objective(inside) maps a k x n boolean block of tails {tau < inf} to k
-    values.  It is called once per candidate block: the full stop tau = i
-    and every single-atom stop; the first-hit times of level-product
-    thresholds (when a guide pair of positive weights is supplied); the
-    moves of each round of greedy hill climbing on the antichain of stopped
-    atoms (refine / merge / drop / add).  A block whose rows as float64
-    would pass _BLOCK_BYTES is scored in slices of that size, as an exact
-    sweep is, so memory stays linear in the points.  A block's first
-    maximizer (nan skipped) replaces the best only when strictly larger.
-    Every candidate is a genuine adapted stopping time, so the result never
-    exceeds the true supremum.  Each distinct nonempty tail is scored once,
-    in the first block that holds it; empty tails are not scored.
+    values, as in `_sweep_tails`; it scores each distinct nonempty tail once
+    (`_first_scores`), per candidate block: the full stop tau = i and every
+    single-atom stop; the first-hit times of level-product thresholds (when a
+    guide pair of positive weights is supplied); the moves of each round of
+    greedy hill climbing on the antichain of stopped atoms (refine / merge /
+    drop / add).  A block is scored in slices of an exact sweep's block, so
+    memory stays linear in the points, and its first maximizer is kept as
+    `_block_max` keeps it.  Every candidate is an adapted stopping time, so
+    the result never exceeds the true supremum.
     """
     space._check_level(i)
     best_val = -np.inf
     chain: list[tuple[int, int]] | None = None
-    # one value per tail, the first one scored: a block kernel may round a row
-    # differently in another block (a 1-row matmul is a dot product), and a
-    # tail re-scored higher would count as an improvement on itself
-    scores = {np.packbits(np.zeros(space.n, dtype=bool)).tobytes(): np.nan}  # empty tails
+    scored = _first_scores(space, objective)
     rows = _block_rows(space)  # tails per call, as in an exact sweep block
 
     def winner(candidates: Sequence, tails: Callable[[Sequence], np.ndarray]) -> int | None:
-        """Index of the block's first maximizer when it beats the best so far;
+        """Index of the candidates' first maximizer if it beats the best so far;
         tails(part) is the boolean block of a slice of the candidates."""
         nonlocal best_val
-        found = None
-        for lo in range(0, len(candidates), rows):
-            inside = tails(candidates[lo : lo + rows])
-            keys = [np.packbits(row).tobytes() for row in inside]
-            fresh = {key: r for r, key in enumerate(keys) if key not in scores}  # a row of each new tail
-            if fresh:
-                scores.update(zip(fresh, np.asarray(objective(inside[list(fresh.values())]), dtype=float)))
-            vals = np.array([scores[key] for key in keys])
-            k = _first_max(vals)
-            if vals[k] > best_val:
-                best_val, found = float(vals[k]), lo + k
-        return found
+        slices = ((lo, scored(tails(candidates[lo : lo + rows]))) for lo in range(0, len(candidates), rows))
+        best_val, found = _block_max(slices, best_val)
+        return None if found is None else found[0] + found[1]
 
     # full stop and single-atom stops
     opening = [[(i, a) for a in range(len(space.atoms[i]))]]

@@ -37,7 +37,6 @@ from .space import (
     ValidationError,
     _as_block,
     _atom_cond,
-    _cond,
     _is_number,
     _non_number,
     as_fn,
@@ -50,7 +49,6 @@ from .stopping import EnumerationBudgetError, _check_budget, _sweep_tails, heuri
 from .weights import WeightConstant, compute_constant, sigma_from_omega
 
 SUITES = ("thm11", "thm12", "thm14", "thm15", "sparse", "carleson", "props", "all")
-_TAIL_SUITES = ("thm11", "thm12", "thm15", "carleson", "all")  # suites with a tail sweep
 DEFAULT_REL_TOL = 1e-9
 IDENTITY_TOL = 1e-12
 MAX_POINTS = 65536  # points in the largest space `gen_space` builds
@@ -339,10 +337,16 @@ def instance_from_dict(data: dict, where: str = "instance") -> Instance:
     if (h1 is None) != (h2 is None):
         given, missing = ("h1", "h2") if h1 is not None else ("h2", "h1")
         raise ValidationError(f"{where}: field {given!r} needs field {missing!r} too")
-    if h1 is not None and not np.any(_cond(space, h1, 0) * _cond(space, h2, 0) > 0):
-        raise ValidationError(
-            f"{where}: fields 'h1' and 'h2': E_0(h1) E_0(h2) vanishes everywhere, so no principal forest exists"
-        )
+    if h1 is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            prods = np.array(level_products(space, h1, h2))
+        if not np.all(np.isfinite(prods)):
+            j, x = np.argwhere(~np.isfinite(prods))[0].tolist()  # the first level, then the first point
+            raise ValidationError(f"{where}: fields 'h1' and 'h2': E_{j}(h1) E_{j}(h2) overflows at point {x}")
+        if not np.any(prods[0] > 0):
+            raise ValidationError(
+                f"{where}: fields 'h1' and 'h2': E_0(h1) E_0(h2) vanishes everywhere, so no principal forest exists"
+            )
     bad = _bad_dual_weight(fns["omega1"], fns["omega2"], exps)
     if bad is not None:
         raise ValidationError(f"{where}: {bad}")
@@ -546,7 +550,7 @@ def _tail_ratios(inst: Instance) -> tuple[float, float, int]:
     """
     best_restricted = -np.inf
 
-    def full_ratios(tails: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    def full_ratios(inside: np.ndarray) -> np.ndarray:
         nonlocal best_restricted
         chi = inside.astype(float)
         nums, dens, restricted = _pair_norms(inst, chi, chi, inside)
@@ -908,10 +912,10 @@ def run_instance_suite(
 ) -> list[CheckResult]:
     """All rows for one instance.
 
-    The tail mode is decided once, for suites with a tail check: exact
-    when the atom budget allows the sweep, else, with fallback=True,
-    heuristic (lower-bound) rows and no carleson rows, since certification
-    keeps the budget check; without fallback EnumerationBudgetError is raised.
+    The tail mode is exact unless fallback=True and the atom budget refuses
+    the sweep: then it is heuristic (lower-bound) rows and no carleson rows,
+    since certification keeps the budget check.  Without fallback the first
+    exact sweep raises EnumerationBudgetError.
     The run starts from a fresh copy of `inst`, so each weight constant
     and the default forest are computed once per call, whatever earlier
     calls computed.
@@ -919,12 +923,10 @@ def run_instance_suite(
     _check_suite_args(suite, pair_count)
     inst = replace(inst)
     mode = "exact"
-    if suite in _TAIL_SUITES:
+    if fallback:  # without it the exact sweeps raise EnumerationBudgetError themselves
         try:
             _check_budget(inst.space, 0)
         except EnumerationBudgetError:
-            if not fallback:
-                raise
             mode = "heuristic"
     pairs = evaluation_pairs(inst, pair_count)
     rows: list[CheckResult] = []

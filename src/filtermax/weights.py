@@ -12,11 +12,12 @@ weights and a Hölder pair (p1, p2):
 The dual weights sigma_s = omega_s^{-1/(p_s - 1)} are derived internally.
 Tail suprema run over T_0 — on a finite tower the T_i tail families are
 nested decreasingly in i, so the i = 0 supremum is the binding one.
-Each tail constant has one objective, a function of a block of tails.
-Exact mode evaluates it on every achievable tail, i.e. every union of
-finest atoms, through the sweep `stopping._sweep_tails` (refused past the
-atom budget); heuristic mode evaluates it on the candidate blocks of the
-stopping-time search and yields a certified lower bound.
+Each tail constant has one objective of a block of tails and its level
+means; the mode picks only the means and the maximizer.  Exact mode evaluates
+it on every union of finest atoms through `stopping._sweep_tails` on the
+matmul means `_row_cond_exp` (refused past the atom budget); heuristic mode
+on the stopping-time search's candidates on the bincount means
+`space._atom_cond`, which yields a certified lower bound.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ from typing import Callable
 import numpy as np
 
 from .operators import _level_max
-from .space import Exponents, FilteredSpace, Fn, _atom_cond, _positive, _row_cond_exp, _to_points
-from .space import _to_points_by_index, as_fn
+from .space import Exponents, FilteredSpace, Fn, _atom_cond, _positive, as_fn
 from .space import cond_exp  # noqa: F401  (bench/tests expects this module to bind it)
-from .stopping import _check_budget, _first_max, _sweep_tails, heuristic_sup_over_tau, stopping_time_from_tail
+from .stopping import _block_max, _check_budget, _sweep_tails, heuristic_sup_over_tau, stopping_time_from_tail
 
 EXACT = "exact"
 HEURISTIC = "heuristic"
@@ -80,13 +80,8 @@ def _tau_witness(tau) -> dict:
 
 def _atom_max(space: FilteredSpace, density: Callable[[int], np.ndarray], name: str) -> WeightConstant:
     """The first maximum over levels 0..L of density(level), one value per atom."""
-    best_val, best = -np.inf, (0, 0)
-    for level in range(space.n_levels):
-        vals = density(level)
-        a_idx = _first_max(vals)
-        if vals[a_idx] > best_val:
-            best_val, best = float(vals[a_idx]), (level, a_idx)
-    level, a_idx = best
+    best_val, found = _block_max((level, density(level)) for level in range(space.n_levels))
+    level, a_idx = found or (0, 0)
     witness = {"level": level, "atom": space.atoms[level][a_idx].tolist()}
     return WeightConstant(name, best_val, EXACT, witness)
 
@@ -127,38 +122,53 @@ def b_p_constant(space: FilteredSpace, v: Fn, omega1: Fn, omega2: Fn, exps: Expo
     return _atom_max(space, density, "B")
 
 
+def _row_cond_exp(space: FilteredSpace, density: Fn) -> Callable[[FilteredSpace, np.ndarray, int], np.ndarray]:
+    """The exact sweeps' means, called like `_atom_cond`: (rows @ matrix) / atom
+    masses, the level's points x atoms matrix holding density[x] at (x, atom of x).
+    On a 0/1 block and density sigma * masses, BLAS forms exactly the products of
+    (block sigma masses) @ 0/1 matrix (elsewhere it may fuse a product into a sum)."""
+    mats = []
+    for labels, atom_mass in zip(space.atom_of, space.atom_mass):
+        mat = np.zeros((space.n, atom_mass.size))
+        mat[np.arange(space.n), labels] = density
+        mats.append(mat)
+
+    def means(_: FilteredSpace, rows: np.ndarray, level: int) -> np.ndarray:
+        return (rows @ mats[level]) / space.atom_mass[level]
+
+    return means
+
+
 def _sup_over_tails(
     space: FilteredSpace, name: str, block_objective: Callable, guide: tuple[Fn, Fn] | None, mode: str, densities=()
 ) -> WeightConstant:
     """Maximize an objective of the tail point set over T_0 tails.
 
-    block_objective(chi, kernel) scores a rows x n 0/1 block of nonempty tails,
-    one value per row, given a kernel (means, to_points): means[s](space, chi, j)
-    are the (k, atoms) level-j means of chi times densities[s] over mu (sigma_s *
-    masses gives E(chi sigma_s | F_j)), and to_points reads atom values at
-    the points in the kernel's layout.  Exact mode scores every tail through
-    `_sweep_tails` on the matmul kernel, each density folded into its
-    matrices; heuristic mode scores the candidate blocks of
-    `heuristic_sup_over_tau` on the bincount kernel.  Either way the witness
-    is the first maximizing tail (nan values are skipped), as a per-tail loop
-    would pick it: in ascending mask order for the sweep, in candidate order
-    for the search.
+    block_objective(chi, means) scores a rows x n 0/1 block of nonempty tails,
+    one value per row: means[s](space, chi, j) are the (k, atoms) level-j means
+    of chi times densities[s] over mu (sigma_s * masses gives E(chi sigma_s |
+    F_j)).  The mode picks only the means and the maximizer: `_sweep_tails` on the
+    matmul means, or the `heuristic_sup_over_tau` candidates on the bincount
+    means, which hold no points x atoms matrix, so the search stays linear in
+    the points past the atom budget.  The witness is the first maximizing tail
+    (nan skipped): in ascending mask order, or in candidate order.
     """
     if mode not in (EXACT, HEURISTIC):
         raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
+    if mode == EXACT:
+        # the matrices grow with the square of the points past the budget: refuse before building them
+        _check_budget(space, 0)
+        means = tuple(_row_cond_exp(space, d) for d in densities)
+    else:
+        means = tuple(lambda s, rows, t, d=d: _atom_cond(s, rows, t, d) for d in densities)
+
+    def objective(inside: np.ndarray) -> np.ndarray:
+        return block_objective(inside.astype(float), means)
+
     if mode == HEURISTIC:
-        # the bincount kernel holds no points x atoms matrix, so the search
-        # stays linear in the points past the atom budget
-        kernel = tuple(lambda s, rows, t, d=d: _atom_cond(s, rows, t, d) for d in densities), _to_points
-        value, tau = heuristic_sup_over_tau(
-            space, 0, lambda inside: block_objective(inside.astype(float), kernel), guide=guide
-        )
+        value, tau = heuristic_sup_over_tau(space, 0, objective, guide=guide)
         return WeightConstant(name, value, "lower-bound", _tau_witness(tau))
-    # the matmul kernel holds points x atoms matrices, which grow with the
-    # square of the points past the budget: refuse before building them
-    _check_budget(space, 0)
-    kernel = tuple(_row_cond_exp(space, d) for d in densities), _to_points_by_index
-    value, mask = _sweep_tails(space, 0, lambda tails, inside: block_objective(inside.astype(float), kernel))
+    value, mask = _sweep_tails(space, 0, objective)
     return WeightConstant(name, value, EXACT, _tau_witness(stopping_time_from_tail(space, 0, mask)))
 
 
@@ -183,7 +193,7 @@ def rh_constant(
     w2 = sigma2 * space.masses
     mix = sigma1**a1 * sigma2**a2 * space.masses
 
-    def block_objective(chi: np.ndarray, kernel: tuple) -> np.ndarray:
+    def block_objective(chi: np.ndarray, means: tuple) -> np.ndarray:
         return (chi @ w1) ** a1 * (chi @ w2) ** a2 / (chi @ mix)
 
     return _sup_over_tails(space, "RH", block_objective, (sigma1, sigma2), mode)
@@ -211,9 +221,9 @@ def s_p_constant(
     w2 = sigma2 * space.masses
     v_mass = v * space.masses
 
-    def block_objective(chi: np.ndarray, kernel: tuple) -> np.ndarray:
-        (mean1, mean2), to_points = kernel
-        m = _level_max(space, 0, chi, means=lambda s, h, t: mean1(s, h, t) * mean2(s, h, t), to_points=to_points)
+    def block_objective(chi: np.ndarray, means: tuple) -> np.ndarray:
+        mean1, mean2 = means
+        m = _level_max(space, 0, chi, means=lambda s, h, t: mean1(s, h, t) * mean2(s, h, t))
         num = (m**p * chi) @ v_mass
         den = (chi @ w1) ** a1 * (chi @ w2) ** a2
         return (num / den) ** (1.0 / p)
@@ -239,10 +249,10 @@ def w_infty_constant(
     a1, a2 = exps.p / exps.p1, exps.p / exps.p2
     mix = sigma1**a1 * sigma2**a2 * space.masses
 
-    def block_objective(chi: np.ndarray, kernel: tuple) -> np.ndarray:
-        (mean1, mean2), to_points = kernel
-        m1 = _level_max(space, 0, chi, means=mean1, to_points=to_points)
-        m2 = _level_max(space, 0, chi, means=mean2, to_points=to_points)
+    def block_objective(chi: np.ndarray, means: tuple) -> np.ndarray:
+        mean1, mean2 = means
+        m1 = _level_max(space, 0, chi, means=mean1)
+        m2 = _level_max(space, 0, chi, means=mean2)
         return (m1**a1 * m2**a2 * chi) @ space.masses / (chi @ mix)
 
     densities = (sigma1 * space.masses, sigma2 * space.masses)

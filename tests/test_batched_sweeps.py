@@ -53,10 +53,10 @@ from filtermax import (
     weighted_maximal,
 )
 from filtermax.operators import _level_max
-from filtermax.space import _atom_cond, _cond, _row_cond_exp, _to_points_by_index
+from filtermax.space import _atom_cond, _cond
 from filtermax.stopping import _BLOCK_BYTES, _sweep_tails, heuristic_sup_over_tau
 from filtermax.verify import _PROPERTY_TOLS, _pair_norms, _property_residuals, _tail_ratios, norm_ratio
-from filtermax.weights import _sup_over_tails
+from filtermax.weights import _row_cond_exp, _sup_over_tails
 
 DATA = Path(__file__).parent / "data"
 REL_TOL = 1e-12
@@ -495,15 +495,19 @@ class StopSweep(Exception):
     """Ends a sweep from inside its objective."""
 
 
-def recorder(blocks, limit=None):
-    """A tail objective that appends each (tails, inside) block it gets to
-    `blocks` and scores every tail 0; it raises StopSweep on block `limit`."""
+def recorder(space, blocks, limit=None):
+    """A tail objective that appends each block it gets to `blocks`, as (masks,
+    inside) with each row's finest-atom mask read from its leaf bits (the
+    first point of each finest atom), and scores every tail 0; it raises
+    StopSweep on block `limit`."""
+    firsts = np.array([atom[0] for atom in space.atoms[space.last_level]])
 
-    def objective(tails, inside):
-        blocks.append((tails, inside))
+    def objective(inside):
+        masks = np.array([sum(1 << int(a) for a in np.flatnonzero(row[firsts])) for row in inside], dtype=np.int64)
+        blocks.append((masks, inside))
         if len(blocks) == limit:
             raise StopSweep
-        return np.zeros(tails.size)
+        return np.zeros(len(inside))
 
     return objective
 
@@ -512,12 +516,42 @@ def test_blocks_cover_the_power_set_in_order(mixed6, lumpy5):
     for space in (mixed6, lumpy5):
         leaves = len(space.atoms[space.last_level])
         blocks = []
-        assert _sweep_tails(space, 0, recorder(blocks)) == (0.0, 1)  # all tied: the first tail
+        assert _sweep_tails(space, 0, recorder(space, blocks)) == (0.0, 1)  # all tied: the first tail
         tails, insides = zip(*blocks)
         assert np.concatenate(tails).tolist() == list(range(1, 2**leaves))
         for block_tails, inside in zip(tails, insides):
             for mask, row in zip(block_tails, inside):
                 assert np.flatnonzero(row).tolist() == mask_points(space, int(mask)).tolist()
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_sweep_and_search_take_one_objective(name, request):
+    """One callable of a boolean tail block runs unchanged in the exact sweep
+    and in the search: the sweep keeps the first maximizer of a per-tail loop,
+    and the search, which scores every single-atom stop, lands between the best
+    leaf and the sweep on a tail it scored."""
+    space = request.getfixturevalue(name)
+    mass_w = np.exp(np.random.default_rng(47).standard_normal(space.n)) * space.masses
+
+    def objective(inside):  # the weight's mean over each tail; each row sums as its 1-d sum
+        assert inside.dtype == bool and inside.ndim == 2 and inside.shape[1] == space.n
+        return np.where(inside, mass_w, 0.0).sum(axis=1) / np.where(inside, space.masses, 0.0).sum(axis=1)
+
+    def score(points):
+        row = np.zeros((1, space.n), dtype=bool)
+        row[0, points] = True
+        return objective(row)[0]
+
+    leaves = len(space.atoms[space.last_level])
+    want_val, want_mask = -np.inf, None
+    for mask in range(1, 2**leaves):
+        val = score(mask_points(space, mask))
+        if val > want_val:
+            want_val, want_mask = val, mask
+    assert _sweep_tails(space, 0, objective) == (want_val, want_mask)
+    found, tau = heuristic_sup_over_tau(space, 0, objective)
+    assert max(score(leaf) for leaf in space.atoms[space.last_level]) <= found <= want_val
+    assert score(tau.tail_set()) == found
 
 
 def test_blocks_slice_the_lazy_tail_enumeration(monkeypatch):
@@ -528,7 +562,7 @@ def test_blocks_slice_the_lazy_tail_enumeration(monkeypatch):
     assert isinstance(masks, range) and len(masks) == 1 << 40
     blocks = []
     with pytest.raises(StopSweep):
-        _sweep_tails(space, 0, recorder(blocks, limit=2))
+        _sweep_tails(space, 0, recorder(space, blocks, limit=2))
     (first, _), (second, _) = blocks
     assert first.tolist() + second.tolist() == list(masks[1 : 1 + first.size + second.size])
 
@@ -554,7 +588,7 @@ def test_blocks_stay_under_the_byte_cap_on_wide_points(wide_points):
     space = wide_points
     n = space.n
     blocks = []
-    _sweep_tails(space, 0, recorder(blocks))
+    _sweep_tails(space, 0, recorder(space, blocks))
     for tails, inside in blocks:
         assert inside.shape == (tails.size, n)
         assert inside.astype(float).nbytes <= _BLOCK_BYTES
@@ -597,16 +631,16 @@ def test_blocks_check_the_budget_before_building(monkeypatch, quad):
     monkeypatch.setenv("FILTERMAX_ATOM_BUDGET", "3")
     blocks = []
     with pytest.raises(EnumerationBudgetError):
-        _sweep_tails(quad, 0, recorder(blocks))
+        _sweep_tails(quad, 0, recorder(quad, blocks))
     assert blocks == []  # refused before the first objective call
     monkeypatch.setenv("FILTERMAX_ATOM_BUDGET", "7")
-    _sweep_tails(quad, 0, recorder(blocks))
+    _sweep_tails(quad, 0, recorder(quad, blocks))
     assert len(blocks) == 1
     # past 62 finest atoms a tail no longer fits an int64 mask
     monkeypatch.setenv("FILTERMAX_ATOM_BUDGET", "1000")
     wide = FilteredSpace(np.ones(63), [[list(range(63))], [[x] for x in range(63)]])
     with pytest.raises(EnumerationBudgetError, match="62-bit"):
-        _sweep_tails(wide, 0, recorder(blocks))
+        _sweep_tails(wide, 0, recorder(wide, blocks))
     assert len(blocks) == 1
 
 
@@ -626,7 +660,7 @@ def test_exact_constants_refuse_before_building_the_row_kernel(monkeypatch, quad
 def test_sweep_of_an_all_nan_objective_raises(name, request):
     space = request.getfixturevalue(name)
     with pytest.raises(ValueError, match="nan"):
-        _sweep_tails(space, 0, lambda tails, inside: np.full(tails.size, np.nan))
+        _sweep_tails(space, 0, lambda inside: np.full(len(inside), np.nan))
     with pytest.raises(ValueError, match="nan"):
         _sup_over_tails(space, "T", lambda chi, cond: np.full(chi.shape[0], np.nan), None, "exact")
 
@@ -897,7 +931,12 @@ def test_atom_level_max_on_the_matmul_kernel_equals_the_point_max(name, request)
     """The matmul kernel with sigma * masses folded in, on 0/1 blocks, equals the
     plain kernel on the block times sigma (folding is exact only there: BLAS
     may fuse a product into its sum, so a product of two floats must not
-    round).  wide_points gives one-row blocks of _BLOCK_BYTES // 8 points."""
+    round).  wide_points gives one-row blocks of _BLOCK_BYTES // 8 points.
+    The atom-level maximum is read at the points in C order on either kernel;
+    the per-point matmul kernel read its levels back in Fortran order, which
+    no objective's `@` sees (it multiplies by the C-ordered block first, and
+    numpy returns C order for mixed layouts; the S and Winf test below sweeps
+    that kernel), so its maximum is compared in C order."""
     space = level_max_space(name, request)
     rng = np.random.default_rng(37)
     sigma1, sigma2 = np.exp(rng.standard_normal((2, space.n)))
@@ -907,11 +946,15 @@ def test_atom_level_max_on_the_matmul_kernel_equals_the_point_max(name, request)
         chi = (rng.random((k, space.n)) < 0.5).astype(float)
         for start in range(space.n_levels):
             product = lambda s, h, j: mean1(s, h, j) * mean2(s, h, j)  # noqa: E731
-            got = _level_max(space, start, chi, means=product, to_points=_to_points_by_index)
-            assert_same_block(got, point_level_max(space, point, start, chi * sigma1, chi * sigma2))
+            got = _level_max(space, start, chi, means=product)
+            want = point_level_max(space, point, start, chi * sigma1, chi * sigma2)
+            assert_same_block(got, np.ascontiguousarray(want))
+            assert_same_block(got * chi, want * chi)  # the objectives' first product
             for sigma, mean in ((sigma1, mean1), (sigma2, mean2)):
-                got = _level_max(space, start, chi, means=mean, to_points=_to_points_by_index)
-                assert_same_block(got, point_level_max(space, point, start, chi * sigma))
+                got = _level_max(space, start, chi, means=mean)
+                want = point_level_max(space, point, start, chi * sigma)
+                assert_same_block(got, np.ascontiguousarray(want))
+                assert_same_block(got * chi, want * chi)
 
 
 @pytest.mark.parametrize("name", [*LEVEL_MAX_SPACES, "wide_points"])
@@ -926,7 +969,7 @@ def test_s_and_winf_keep_the_point_max_bits(name, request):
         point = point_row_cond_exp(space)
         for key, objective in objectives.items():
             got = compute_constant(key, space, v, omega1, omega2, exps, mode="exact")
-            value, mask = _sweep_tails(space, 0, lambda tails, inside: objective(inside.astype(float), point))
+            value, mask = _sweep_tails(space, 0, lambda inside: objective(inside.astype(float), point))
             assert got.value == value
             assert finest_mask(space, got.witness["tail"]) == mask
             got = compute_constant(key, space, v, omega1, omega2, exps, mode="heuristic")

@@ -4,6 +4,7 @@ on the worked instance, and byte determinism."""
 import dataclasses
 import json
 import os
+import warnings
 from pathlib import Path
 
 import pytest
@@ -341,6 +342,28 @@ def test_verify_rejects_vanishing_test_functions(tmp_path, capsys, suite):
     bad.write_text(json.dumps({**data, "h1": [0.0] * 4, "h2": [0.0] * 4}))
     assert run("verify", str(bad), "--suite", suite) == 4
     assert f"{bad}: fields 'h1' and 'h2'" in capsys.readouterr().err
+
+
+DEGENERATE = [
+    ({"h1": [1e200, 1, 1, 1], "h2": [1e200, 1, 1, 1]}, "fields 'h1' and 'h2': E_0(h1) E_0(h2) overflows at point 0"),
+    ({"masses": [1e-320, 1, 1, 1]}, "masses[0]: mass 1e-320 is subnormal"),
+    ({"masses": [1e308, 1e308, 1, 1]}, "masses: total mass overflows a float"),
+]
+
+
+@pytest.mark.parametrize("extra, message", DEGENERATE, ids=["h_products", "subnormal_mass", "total_mass"])
+def test_degenerate_instances_fail_at_load(tmp_path, capsys, extra, message):
+    """Level products past float range, a subnormal mass and an infinite total
+    mass on the four-point dyadic tower: invalid instance data (exit 4) naming
+    the fields or the mass, for every command and suite, with no warning."""
+    data = json.loads((DATA / "worked4.json").read_text())
+    bad = tmp_path / "degenerate.json"
+    bad.write_text(json.dumps({**data, **extra}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (("constants",), *(("verify", "--suite", suite) for suite in verify.SUITES)):
+            assert run(argv[0], str(bad), *argv[1:]) == 4, argv
+            assert f"{bad}: {message}" in capsys.readouterr().err
 
 
 def test_verify_infeasible_suggests_fallback(tmp_path, capsys):

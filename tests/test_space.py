@@ -20,6 +20,7 @@ from filtermax import (
     validate,
     weighted_cond_exp,
 )
+from filtermax.space import Violation
 
 
 # ---- validate -----------------------------------------------------------------
@@ -44,6 +45,21 @@ def test_validate_rejects_nonfinite_mass():
     report = validate([1.0, float("nan")], [[[0, 1]]])
     assert not report.ok
     assert "not finite" in str(report)
+
+
+def test_validate_rejects_subnormal_masses_and_an_overflowing_total():
+    """A subnormal mass loses bits in every mean it enters, and an infinite total
+    mass leaves no finite average; both are named at load, the smallest normal
+    mass passes."""
+    levels = [[[0, 1, 2, 3]], [[0, 1], [2, 3]], [[0], [1], [2], [3]]]
+    report = validate([1.0, 1e-320, 1.0, 1.0], levels)
+    assert str(report) == "masses[1]: mass 1e-320 is subnormal (below 2.2250738585072014e-308)"
+    assert validate([np.finfo(float).tiny, 1.0, 1.0, 1.0], levels).ok
+    assert validate([1e308, 1e308, 1.0, 1.0], levels).violations == (
+        Violation("masses", "total mass overflows a float"),
+    )
+    with pytest.raises(ValidationError, match=r"masses\[0\]: mass 5e-324 is subnormal"):
+        FilteredSpace([5e-324, 1.0], [[[0, 1]]])
 
 
 def test_validate_rejects_bad_partitions():
@@ -209,6 +225,12 @@ def test_subsets_and_measure(quad):
     assert quad.is_level_measurable(2, [0])
     with pytest.raises(ValueError):
         quad.as_subset(np.array([True, False]))
+
+
+def test_is_level_measurable_checks_its_level(quad):
+    for level in (-1, -3, 3):
+        with pytest.raises(ValueError, match=rf"^level {level} outside 0\.\.2$"):
+            quad.is_level_measurable(level, [0])
 
 
 def test_as_fn_shapes(quad):

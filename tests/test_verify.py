@@ -335,6 +335,12 @@ BAD_DATA = [
     ({"masses": [False, 1]}, r"masses\[0\]: mass False is not a number"),
     ({"h1": [0, 0], "h2": [0, 0]}, r"fields 'h1' and 'h2': E_0\(h1\) E_0\(h2\) vanishes everywhere"),
     ({"h1": [1, 1], "h2": [0, 0]}, r"fields 'h1' and 'h2': E_0\(h1\) E_0\(h2\) vanishes everywhere"),
+    # level products past float range, named by level and point
+    ({"h1": [1e200, 1], "h2": [1e200, 1]}, r"fields 'h1' and 'h2': E_0\(h1\) E_0\(h2\) overflows at point 0$"),
+    (
+        {"levels": [[[0, 1]], [[0], [1]]], "h1": [0, 2e154], "h2": [0, 2e154]},
+        r"fields 'h1' and 'h2': E_1\(h1\) E_1\(h2\) overflows at point 1$",
+    ),
     # weights, test functions and exponents that are not numbers, or not floats
     ({"v": ["1", True]}, r"field 'v'\[0\]: '1' is not a number"),
     ({"omega1": [1, False]}, r"field 'omega1'\[1\]: False is not a number"),
