@@ -218,13 +218,17 @@ def test_unreadable_file_is_an_invalid_instance(tmp_path, capsys, text, reason, 
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-3"])
-@pytest.mark.parametrize("command", ["verify", "constants"])
+@pytest.mark.parametrize(
+    "command",
+    ["verify", "constants", pytest.param("verify --suite thm14 --fallback", id="verify-thm14-fallback")],
+)
 def test_malformed_atom_budget_is_a_usage_error(tmp_path, monkeypatch, capsys, value, command):
     """A FILTERMAX_ATOM_BUDGET that is not a positive integer: exit 2 and no
-    report, not a traceback (exit 1, which means falsification)."""
+    report, not a traceback (exit 1, which means falsification).  Under
+    --fallback every suite reads the budget, thm14 (no tail check) too."""
     monkeypatch.setenv("FILTERMAX_ATOM_BUDGET", value)
     out = tmp_path / "report.csv"
-    assert run(command, str(DATA / "worked4.json"), "--out", str(out)) == 2
+    assert run(*command.split(), str(DATA / "worked4.json"), "--out", str(out)) == 2
     assert "error: FILTERMAX_ATOM_BUDGET must be" in capsys.readouterr().err
     assert not out.exists()
 
