@@ -6,34 +6,35 @@ window, so nothing is lost by truncating.
 
 Each public operator checks its level and arrays once, on entry, and then
 takes the maximum over levels on atoms, of the unchecked kernel
-`space._atom_cond` (or any means of its contract), and reads it at the
-points once, in C order.
+`space._level_means` (or any means of its contract: every level's atom
+means from `start` down, in one call), and reads it at the points once,
+in C order.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-from .space import FilteredSpace, Fn, _atom_cond, _to_points, _weighted_pair, as_fn
+from .space import FilteredSpace, Fn, _level_means, _to_points, _weighted_pair, as_fn
 from .space import cond_exp  # noqa: F401  (bench/tests expects this module to bind it)
 
 
-def _level_max(space: FilteredSpace, start: int, f: Fn, g: Fn | None = None, means=_atom_cond) -> Fn:
+def _level_max(space: FilteredSpace, start: int, f: Fn, g: Fn | None = None, means=_level_means) -> Fn:
     """max over levels j >= start of |E_j(f)|, or of |E_j(f) E_j(g)|, at every point.
-    means(space, f, j) returns E_j(f) per atom, (atoms_j,) or (k, atoms_j), fresh and
-    made absolute in place (a copy per level slowed the S sweep by a quarter).  The
-    maximum runs top-down on atoms, cur = max(cur[..., parent_j], term_j), on the
-    values a per-point maximum takes, so every bit is the same, and is read at the
-    points once, in C order, whichever kernel took the means."""
-
-    def term(j: int) -> np.ndarray:
-        out = means(space, f, j) if g is None else means(space, f, j) * means(space, g, j)
-        return np.abs(out, out=out)
-
-    cur = term(start)
-    for level in range(start + 1, space.n_levels):
-        t = term(level)
-        cur = np.maximum(cur[..., space.parents[level]], t, out=t)
+    means(space, f, start) returns E_j(f) per atom for j = start..L, (atoms_j,) or
+    (k, atoms_j) each, fresh and made absolute in place (a copy per level slowed the
+    S sweep by a quarter).  The maximum runs top-down on atoms, cur =
+    max(cur[..., parent_j], term_j), on the values a per-point maximum takes, so
+    every bit is the same, and is read at the points once, in C order, whichever
+    kernel took the means."""
+    terms = means(space, f, start)
+    if g is not None:
+        terms = [np.multiply(a, b, out=a) for a, b in zip(terms, means(space, g, start))]
+    cur = np.abs(terms[0], out=terms[0])
+    for level, t in enumerate(terms[1:], start + 1):
+        cur = np.maximum(cur[..., space.parents[level]], np.abs(t, out=t), out=t)
     return _to_points(space, cur, space.last_level)
 
 
@@ -68,7 +69,13 @@ def weighted_maximal(space: FilteredSpace, f: Fn, sigma: Fn) -> Fn:
     for every p in (1, inf).
     """
     f_sigma, sigma = _weighted_pair(space, np.abs(as_fn(space, f)), sigma)
-    return _level_max(space, 0, f_sigma, means=lambda s, h, j: _atom_cond(s, h, j) / _atom_cond(s, sigma, j))
+    return _level_max(space, 0, f_sigma, means=_ratio_means(sigma))
+
+
+def _ratio_means(sigma: np.ndarray) -> Callable[[FilteredSpace, np.ndarray, int], list[np.ndarray]]:
+    """The means of `weighted_maximal`, for `_level_max`: E_j(h) / E_j(sigma) per
+    atom, sigma one function or one per row of h."""
+    return lambda s, h, start: [a / b for a, b in zip(_level_means(s, h, start), _level_means(s, sigma, start))]
 
 
 def lp_norm(space: FilteredSpace, f: Fn, weight: Fn, p: float, subset=None) -> float:

@@ -17,9 +17,14 @@ Public functions check their inputs once, on entry (`as_fn`, the level).
 loops inside the package then take conditional expectations on the
 unchecked kernel `_cond`, which averages one function or every row of a
 (k, n) block, bit for bit as `cond_exp` does, from the atom means of
-`_atom_cond`, (atoms,) or (k, atoms): the one means contract, which the
-exact sweeps' matmul means in `weights` keep too; `_to_points` reads atom
-values at the points in C order.  `_weighted_cond` is the weighted form.
+`_atom_cond`, (atoms,) or (k, atoms); `_to_points` reads atom values at
+the points in C order.  `_weighted_cond` is the weighted form.  A loop
+over levels takes them all from `_level_means`: the atom means of every
+level from a start level down, in one list, bit for bit as `_atom_cond`
+gives them level by level, from one bincount per run of rows (each level
+and each row has its own bins).  That list is the means contract of the
+level maxima in `operators`, which the exact sweeps' matmul means in
+`weights` keep too.
 """
 
 from __future__ import annotations
@@ -31,6 +36,11 @@ import numpy as np
 
 Fn = np.ndarray
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float64
+# Bins per bincount of `_level_means` (rows x levels x points), so that its
+# temporaries stay at 64 KiB: one bincount over a whole 16-row search slice of a
+# 1024-point, 11-level tower (180224 bins, 1.4 MiB temporaries) made heuristic
+# `constants` about 45% slower than per-level bincounts, in fresh pages.
+_MEANS_BINS = 8192
 
 
 class ValidationError(ValueError):
@@ -225,6 +235,7 @@ class FilteredSpace:
         self.total_mass: float = float(self.masses.sum())
         # levels whose atoms are the single points in order, which `_to_points` reads as they are
         self._point_levels = frozenset(t for t, lab in enumerate(self.atom_of) if np.array_equal(lab, np.arange(self.n)))
+        self._bins: dict = {}  # `_level_bins` by start level
 
     # ---- basic structure -------------------------------------------------
 
@@ -357,6 +368,38 @@ def _atom_cond(space: FilteredSpace, f: np.ndarray, level: int, density: Fn | No
     return sums.reshape(len(f), mass.size) / mass
 
 
+def _level_bins(space: FilteredSpace, start: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """`_level_means`' bins from `start`, cached: bins[r, j - start, x] is row r's
+    bin for point x at level j, r * A + (atoms of levels start..j-1) + its atom,
+    A the atoms of levels start..L, for as many rows as fit _MEANS_BINS (or one);
+    and level j's bins in row 0, (lo, hi)."""
+    cached = space._bins.get(start)
+    if cached is None:
+        ends = np.cumsum([0, *(mass.size for mass in space.atom_mass[start:])])
+        labels = np.stack(space.atom_of[start:]) + ends[:-1, None]
+        bins = labels + (np.arange(max(1, _MEANS_BINS // labels.size)) * ends[-1])[:, None, None]
+        bins.setflags(write=False)
+        cached = space._bins[start] = bins, list(zip(ends[:-1].tolist(), ends[1:].tolist()))
+    return cached
+
+
+def _level_means(space: FilteredSpace, f: np.ndarray, start: int = 0, density: Fn | None = None) -> list[np.ndarray]:
+    """`_atom_cond` of levels start..L at once, unchecked: element j - start holds
+    the level-j atom means, (atoms_j,) or (k, atoms_j), fresh.  One bincount sums
+    every level of a run of rows (`_level_bins`): row r of level j adds into its
+    own bins, each bin its points' products in point order, so every mean is
+    `_atom_cond`'s bit for bit."""
+    bins, bounds = _level_bins(space, start)
+    block = (f * (space.masses if density is None else density)).reshape(-1, space.n)
+    rows, levels = bins.shape[:2]
+    parts = [block[lo : lo + rows] for lo in range(0, max(len(block), 1), rows)]  # a 0-row block is one run
+    sums = [np.bincount(bins[: len(part)].ravel(), weights=np.repeat(part, levels, axis=0).ravel()) for part in parts]
+    sums = sums[0] if len(sums) == 1 else np.concatenate(sums)
+    if f.ndim == 2:
+        sums = sums.reshape(len(block), bounds[-1][1])
+    return [sums[..., lo:hi] / mass for (lo, hi), mass in zip(bounds, space.atom_mass[start:])]
+
+
 def _to_points(space: FilteredSpace, values: np.ndarray, level: int) -> np.ndarray:
     """Fresh C-ordered atom values, (atoms,) or (k, atoms), read at every point in
     C order, on which `sum(axis=1)` adds each row as its 1-d sum does."""
@@ -375,7 +418,10 @@ def level_products(space: FilteredSpace, f: Fn, g: Fn) -> list[Fn]:
     """E(f | F_j) E(g | F_j) for j = 0..L: principal sets, Carleson level sets
     and the heuristic first-hit guides are all cut from these products."""
     f, g = as_fn(space, f), as_fn(space, g)
-    return [_cond(space, f, j) * _cond(space, g, j) for j in range(space.n_levels)]
+    return [
+        _to_points(space, mf, j) * _to_points(space, mg, j)
+        for j, (mf, mg) in enumerate(zip(_level_means(space, f), _level_means(space, g)))
+    ]
 
 
 def weighted_cond_exp(space: FilteredSpace, f: Fn, sigma: Fn, level: int) -> Fn:

@@ -19,7 +19,11 @@ on 16 points), so that the S and Winf objectives' temporaries stay in a
 candidate family of stopping times and returns a certified lower bound
 for the supremum.  The sweep and the search take one objective contract,
 objective(inside) -> values for a k x n boolean block of tails, and keep
-the first maximizer through one loop, `_block_max`.
+the first maximizer through one loop, `_block_max`.  The search keys each
+candidate tail by its finest atoms, a Python int of any width (an
+antichain's key is the sum of its atoms' keys, a threshold's comes from one
+packbits of its leaves), so its memo compares ints and builds boolean rows
+for new tails only.
 """
 
 from __future__ import annotations
@@ -307,9 +311,9 @@ def stopping_time_from_tail(space: FilteredSpace, i: int, tail) -> StoppingTime:
     inside[pts] = True
     levels = np.full(space.n, np.inf)
     for j in range(i, space.n_levels):
-        for atom in space.atoms[j]:
-            if np.isinf(levels[atom[0]]) and inside[atom].all():
-                levels[atom] = j
+        labels = space.atom_of[j]
+        full = np.bincount(labels, weights=inside, minlength=len(space.atoms[j])) == np.bincount(labels)
+        levels[full[labels] & np.isinf(levels)] = j  # an atom inside a stopped one is stopped whole
     tau = StoppingTime(levels, origin=i)
     if not np.array_equal(tau.tail_mask(), inside):
         raise ValueError("tail is not achievable by any stopping time in T_i")
@@ -319,27 +323,47 @@ def stopping_time_from_tail(space: FilteredSpace, i: int, tail) -> StoppingTime:
 # ---- heuristic search ------------------------------------------------------
 
 
-def _chain_rows(space: FilteredSpace, chains: Sequence[Sequence[tuple[int, int]]]) -> np.ndarray:
-    """The tails {tau < inf} of antichains of stopped atoms (level, atom index),
-    as a k x n boolean block."""
-    inside = np.zeros((len(chains), space.n), dtype=bool)
-    for row, chain in zip(inside, chains):
-        for t, a in chain:
-            row[space.atoms[t][a]] = True
-    return inside
+def _atom_keys(space: FilteredSpace) -> list[list[int]]:
+    """Each atom's tail key, keys[t][a]: the finest-atom mask (as `finest_mask`,
+    a Python int of any width) of atom a of level t, summed up from its children."""
+    keys = [[1 << a for a in range(len(space.atoms[space.last_level]))]]
+    for t in range(space.last_level, 0, -1):
+        up = [0] * len(space.atoms[t - 1])
+        for a, parent in enumerate(space.parents[t].tolist()):
+            up[parent] += keys[0][a]
+        keys.insert(0, up)
+    return keys
 
 
-def _first_scores(space: FilteredSpace, objective: Callable) -> Callable[[np.ndarray], np.ndarray]:
-    """The objective with each tail's first value kept (a 1-row matmul rounds as a
-    dot product, and a tail re-scored higher would improve on itself): a block's
-    new nonempty tails go to it in one call, one row each; empty tails are nan."""
-    scores = {np.packbits(np.zeros(space.n, dtype=bool)).tobytes(): np.nan}
+def _packed_keys(leaf_bits: np.ndarray) -> list[int]:
+    """The keys of the rows of a k x leaves boolean block (bit a of row r's key is
+    leaf_bits[r, a]), from one packbits."""
+    packed = np.packbits(leaf_bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
-    def scored(inside: np.ndarray) -> np.ndarray:
-        keys = [np.packbits(row).tobytes() for row in inside]
-        fresh = {key: r for r, key in enumerate(keys) if key not in scores}  # a row of each new tail
+
+def _key_rows(space: FilteredSpace, keys: Sequence[int]) -> np.ndarray:
+    """The tails with the given finest-atom keys, as a C-ordered k x n boolean
+    block (an objective's `@` may round a Fortran-ordered block differently)."""
+    leaves = len(space.atoms[space.last_level])
+    width = (leaves + 7) // 8
+    packed = np.frombuffer(b"".join(key.to_bytes(width, "little") for key in keys), dtype=np.uint8)
+    bits = np.unpackbits(packed.reshape(len(keys), width), axis=1, count=leaves, bitorder="little")
+    return bits.view(bool).take(space.atom_of[space.last_level], axis=1)
+
+
+def _first_scores(space: FilteredSpace, objective: Callable) -> Callable[[Sequence[int]], np.ndarray]:
+    """The objective by tail keys, with each tail's first value kept (a 1-row
+    matmul rounds as a dot product, and a tail re-scored higher would improve on
+    itself): a slice's new nonempty tails go to it in one call, one row each in
+    order of first appearance, built from their keys only; the empty tail (key 0)
+    is nan."""
+    scores = {0: np.nan}
+
+    def scored(keys: Sequence[int]) -> np.ndarray:
+        fresh = [key for key in dict.fromkeys(keys) if key not in scores]
         if fresh:
-            scores.update(zip(fresh, np.asarray(objective(inside[list(fresh.values())]), dtype=float)))
+            scores.update(zip(fresh, np.asarray(objective(_key_rows(space, fresh)), dtype=float)))
         return np.array([scores[key] for key in keys])
 
     return scored
@@ -359,29 +383,37 @@ def heuristic_sup_over_tau(
     single-atom stop; the first-hit times of level-product thresholds (when a
     guide pair of positive weights is supplied); the moves of each round of
     greedy hill climbing on the antichain of stopped atoms (refine / merge /
-    drop / add).  A block is scored in slices of an exact sweep's block, so
-    memory stays linear in the points, and its first maximizer is kept as
+    drop / add).  A candidate is keyed by its finest atoms (`_atom_keys`;
+    a threshold's from one packbits of its leaves), so only new tails become
+    rows.  A block is scored in slices of an exact sweep's block, so memory
+    stays linear in the points, and its first maximizer is kept as
     `_block_max` keeps it.  Every candidate is an adapted stopping time, so
-    the result never exceeds the true supremum.
+    the result never exceeds the true supremum.  ValueError if the objective
+    is nan (or -inf) on every opening and threshold candidate.
     """
     space._check_level(i)
     best_val = -np.inf
     chain: list[tuple[int, int]] | None = None
     scored = _first_scores(space, objective)
     rows = _block_rows(space)  # tails per call, as in an exact sweep block
+    atom_keys = _atom_keys(space)
 
-    def winner(candidates: Sequence, tails: Callable[[Sequence], np.ndarray]) -> int | None:
+    def chain_keys(chains: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
+        return [sum(atom_keys[t][a] for t, a in c) for c in chains]  # the atoms are disjoint
+
+    def winner(candidates: Sequence, keys: Callable[[Sequence], list[int]]) -> int | None:
         """Index of the candidates' first maximizer if it beats the best so far;
-        tails(part) is the boolean block of a slice of the candidates."""
+        keys(part) are the tail keys of a slice of the candidates."""
         nonlocal best_val
-        slices = ((lo, scored(tails(candidates[lo : lo + rows]))) for lo in range(0, len(candidates), rows))
+        slices = ((lo, scored(keys(candidates[lo : lo + rows]))) for lo in range(0, len(candidates), rows))
         best_val, found = _block_max(slices, best_val)
         return None if found is None else found[0] + found[1]
 
     # full stop and single-atom stops
     opening = [[(i, a) for a in range(len(space.atoms[i]))]]
     opening += [[(t, a)] for t in range(i, space.n_levels) for a in range(len(space.atoms[t]))]
-    k = winner(opening, lambda part: _chain_rows(space, part))
+    tried = len(opening)
+    k = winner(opening, chain_keys)
     if k is not None:
         chain = opening[k]
 
@@ -393,19 +425,22 @@ def heuristic_sup_over_tau(
             lo, hi = float(values[0]), float(values[-1])
             grid = np.geomspace(lo, hi, num=_THRESHOLD_COUNT) if hi > lo else np.array([lo])
             thresholds = np.unique(np.concatenate([grid, values * (1.0 - 1e-9), values]))
-            # the first hit of {prods[j] > thr}, j >= i, stops exactly on {reach > thr}
-            reach = np.max(prods[i:], axis=0)
-            k = winner(thresholds, lambda part: reach > part[:, None])
+            tried += len(thresholds)
+            # the first hit of {prods[j] > thr}, j >= i, stops exactly on {reach > thr},
+            # a union of finest atoms, read at each one's first point
+            reach = np.max(prods[i:], axis=0)[[atom[0] for atom in space.atoms[space.last_level]]]
+            k = winner(thresholds, lambda part: _packed_keys(reach > part[:, None]))
             if k is not None:
                 stop = first_hit(space, i, [pr > thresholds[k] for pr in prods]).levels
                 hit = np.flatnonzero(np.isfinite(stop)).tolist()
                 chain = sorted({(int(stop[x]), int(space.atom_of[int(stop[x])][x])) for x in hit})
 
-    assert chain is not None
+    if chain is None:
+        raise ValueError(f"tail objective is nan (or -inf) on all {tried} T_{i} search candidates")
     # greedy improvement on the antichain
     for _ in range(_MAX_ROUNDS):
         moves: list[list[tuple[int, int]]] = []
-        covered = _chain_rows(space, [chain])[0]
+        covered = sum(atom_keys[t][a] for t, a in chain)
         for idx, (t, a) in enumerate(chain):
             rest = chain[:idx] + chain[idx + 1 :]
             moves.append(rest)  # drop
@@ -414,14 +449,14 @@ def heuristic_sup_over_tau(
             if t > i:  # merge into the parent atom, absorbing siblings
                 parent = int(space.parents[t][a])
                 # an atom disjoint from (t, a) meets the parent only inside it
-                keep = [(tt, aa) for tt, aa in rest if space.atom_of[t - 1][space.atoms[tt][aa][0]] != parent]
+                keep = [(tt, aa) for tt, aa in rest if not atom_keys[tt][aa] & atom_keys[t - 1][parent]]
                 moves.append(keep + [(t - 1, parent)])
         for t in range(i, space.n_levels):  # add a disjoint atom
-            for a_idx, atom in enumerate(space.atoms[t]):
-                if not covered[atom].any():
+            for a_idx, key in enumerate(atom_keys[t]):
+                if not key & covered:
                     moves.append(chain + [(t, a_idx)])
         moves = [sorted(set(move)) for move in moves]
-        k = winner(moves, lambda part: _chain_rows(space, part))
+        k = winner(moves, chain_keys)
         if k is None:
             break
         chain = moves[k]

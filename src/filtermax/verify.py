@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import carleson as _carleson
-from .operators import _level_max
+from .operators import _level_max, _ratio_means
 from .principal import (
     PrincipalForest,
     forest_cover,
@@ -36,7 +36,6 @@ from .space import (
     Fn,
     ValidationError,
     _as_block,
-    _atom_cond,
     _is_number,
     _non_number,
     as_fn,
@@ -825,7 +824,7 @@ def _property_residuals(inst: Instance, draws: int = 20, seed: int | None = None
         totals = (np.abs(block) ** np.array(P)[:, None] * G * space.masses).sum(axis=1)
         return [float(t) ** (1.0 / p) for t, p in zip(totals, P)]
 
-    mw = _level_max(space, 0, np.abs(F) * G, means=lambda s, h, t: _atom_cond(s, h, t) / _atom_cond(s, G, t))
+    mw = _level_max(space, 0, np.abs(F) * G, means=_ratio_means(G))
     doob = [num / ((p / (p - 1.0)) * den) - 1.0 for num, den, p in zip(lp_norms(mw), lp_norms(F), P)]
 
     m1 = _level_max(space, 0, F)

@@ -13,11 +13,16 @@ The dual weights sigma_s = omega_s^{-1/(p_s - 1)} are derived internally.
 Tail suprema run over T_0 — on a finite tower the T_i tail families are
 nested decreasingly in i, so the i = 0 supremum is the binding one.
 Each tail constant has one objective of a block of tails and its level
-means; the mode picks only the means and the maximizer.  Exact mode evaluates
-it on every union of finest atoms through `stopping._sweep_tails` on the
-matmul means `_row_cond_exp` (refused past the atom budget); heuristic mode
-on the stopping-time search's candidates on the bincount means
-`space._atom_cond`, which yields a certified lower bound.
+means; the mode picks only the means and the maximizer.  Both means take
+every level from a start level down in one call (`operators._level_max`'s
+contract).  Exact mode evaluates the objective on every union of finest
+atoms through `stopping._sweep_tails` on the matmul means `_row_cond_exp`
+(one product per level; refused past the atom budget); heuristic mode on
+the stopping-time search's candidates on the one-bincount means
+`space._level_means`, which yields a certified lower bound.  A and B take
+each weight's means of every level from one `_level_means` call too.  The
+dual weights must come out finite and strictly positive, else ValueError
+naming sigma1 or sigma2.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .operators import _level_max
-from .space import Exponents, FilteredSpace, Fn, _atom_cond, _positive, as_fn
+from .space import Exponents, FilteredSpace, Fn, _level_means, _positive, as_fn
 from .space import cond_exp  # noqa: F401  (bench/tests expects this module to bind it)
 from .stopping import _block_max, _check_budget, _sweep_tails, heuristic_sup_over_tau, stopping_time_from_tail
 
@@ -65,11 +70,11 @@ def sigma_from_omega(omega: Fn, p_s: float) -> Fn:
 
 
 def _duals(space: FilteredSpace, omega1: Fn, omega2: Fn, exps: Exponents) -> tuple[Fn, Fn]:
-    """(sigma1, sigma2) of strictly positive omegas, checked finite: p_s near 1
-    overflows them."""
+    """(sigma1, sigma2) of strictly positive omegas, checked finite and strictly
+    positive: p_s near 1 overflows them or underflows them to 0."""
     sigma1 = sigma_from_omega(_positive(space, omega1, "omega1"), exps.p1)
     sigma2 = sigma_from_omega(_positive(space, omega2, "omega2"), exps.p2)
-    return as_fn(space, sigma1), as_fn(space, sigma2)
+    return _positive(space, sigma1, "sigma1"), _positive(space, sigma2, "sigma2")
 
 
 def _tau_witness(tau) -> dict:
@@ -93,12 +98,10 @@ def a_p_constant(space: FilteredSpace, v: Fn, omega1: Fn, omega2: Fn, exps: Expo
     p = exps.p
     e1, e2 = p / exps.p1_prime, p / exps.p2_prime
 
+    mv, m1, m2 = (_level_means(space, w) for w in (v, sigma1, sigma2))
+
     def density(level: int) -> np.ndarray:
-        return (
-            _atom_cond(space, v, level)
-            * _atom_cond(space, sigma1, level) ** e1
-            * _atom_cond(space, sigma2, level) ** e2
-        )
+        return mv[level] * m1[level] ** e1 * m2[level] ** e2
 
     return _atom_max(space, density, "A")
 
@@ -111,30 +114,29 @@ def b_p_constant(space: FilteredSpace, v: Fn, omega1: Fn, omega2: Fn, exps: Expo
     p = exps.p
     log_mix = as_fn(space, np.log(sigma1 ** (p / exps.p1) * sigma2 ** (p / exps.p2)))
 
+    mv, m1, m2, mlog = (_level_means(space, w) for w in (v, sigma1, sigma2, log_mix))
+
     def density(level: int) -> np.ndarray:
-        return (
-            _atom_cond(space, v, level)
-            * _atom_cond(space, sigma1, level) ** p
-            * _atom_cond(space, sigma2, level) ** p
-            / np.exp(_atom_cond(space, log_mix, level))
-        )
+        return mv[level] * m1[level] ** p * m2[level] ** p / np.exp(mlog[level])
 
     return _atom_max(space, density, "B")
 
 
-def _row_cond_exp(space: FilteredSpace, density: Fn) -> Callable[[FilteredSpace, np.ndarray, int], np.ndarray]:
-    """The exact sweeps' means, called like `_atom_cond`: (rows @ matrix) / atom
-    masses, the level's points x atoms matrix holding density[x] at (x, atom of x).
-    On a 0/1 block and density sigma * masses, BLAS forms exactly the products of
-    (block sigma masses) @ 0/1 matrix (elsewhere it may fuse a product into a sum)."""
+def _row_cond_exp(space: FilteredSpace, density: Fn) -> Callable[[FilteredSpace, np.ndarray, int], list[np.ndarray]]:
+    """The exact sweeps' means, called like `_level_means`: per level j >= start,
+    (rows @ matrix_j) / atom masses, the level's points x atoms matrix holding
+    density[x] at (x, atom of x); one product per level, since BLAS may round a
+    wider product differently.  On a 0/1 block and density sigma * masses, BLAS
+    forms exactly the products of (block sigma masses) @ 0/1 matrix (elsewhere it
+    may fuse a product into a sum)."""
     mats = []
     for labels, atom_mass in zip(space.atom_of, space.atom_mass):
         mat = np.zeros((space.n, atom_mass.size))
         mat[np.arange(space.n), labels] = density
         mats.append(mat)
 
-    def means(_: FilteredSpace, rows: np.ndarray, level: int) -> np.ndarray:
-        return (rows @ mats[level]) / space.atom_mass[level]
+    def means(_: FilteredSpace, rows: np.ndarray, start: int) -> list[np.ndarray]:
+        return [(rows @ mat) / mass for mat, mass in zip(mats[start:], space.atom_mass[start:])]
 
     return means
 
@@ -145,9 +147,9 @@ def _sup_over_tails(
     """Maximize an objective of the tail point set over T_0 tails.
 
     block_objective(chi, means) scores a rows x n 0/1 block of nonempty tails,
-    one value per row: means[s](space, chi, j) are the (k, atoms) level-j means
-    of chi times densities[s] over mu (sigma_s * masses gives E(chi sigma_s |
-    F_j)).  The mode picks only the means and the maximizer: `_sweep_tails` on the
+    one value per row: means[s](space, chi, start) lists the (k, atoms_j) level-j
+    means of chi times densities[s] over mu for j = start..L (sigma_s * masses
+    gives E(chi sigma_s | F_j)), the contract of `_level_max`'s means.  The mode picks only the means and the maximizer: `_sweep_tails` on the
     matmul means, or the `heuristic_sup_over_tau` candidates on the bincount
     means, which hold no points x atoms matrix, so the search stays linear in
     the points past the atom budget.  The witness is the first maximizing tail
@@ -160,7 +162,7 @@ def _sup_over_tails(
         _check_budget(space, 0)
         means = tuple(_row_cond_exp(space, d) for d in densities)
     else:
-        means = tuple(lambda s, rows, t, d=d: _atom_cond(s, rows, t, d) for d in densities)
+        means = tuple(lambda s, rows, start, d=d: _level_means(s, rows, start, d) for d in densities)
 
     def objective(inside: np.ndarray) -> np.ndarray:
         return block_objective(inside.astype(float), means)
@@ -223,7 +225,11 @@ def s_p_constant(
 
     def block_objective(chi: np.ndarray, means: tuple) -> np.ndarray:
         mean1, mean2 = means
-        m = _level_max(space, 0, chi, means=lambda s, h, t: mean1(s, h, t) * mean2(s, h, t))
+
+        def product(s: FilteredSpace, h: np.ndarray, start: int) -> list[np.ndarray]:
+            return [a * b for a, b in zip(mean1(s, h, start), mean2(s, h, start))]
+
+        m = _level_max(space, 0, chi, means=product)
         num = (m**p * chi) @ v_mass
         den = (chi @ w1) ** a1 * (chi @ w2) ** a2
         return (num / den) ** (1.0 / p)

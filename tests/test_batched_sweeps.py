@@ -53,8 +53,8 @@ from filtermax import (
     weighted_maximal,
 )
 from filtermax.operators import _level_max
-from filtermax.space import _atom_cond, _cond
-from filtermax.stopping import _BLOCK_BYTES, _sweep_tails, heuristic_sup_over_tau
+from filtermax.space import _atom_cond, _cond, _level_means
+from filtermax.stopping import _BLOCK_BYTES, _atom_keys, _key_rows, _sweep_tails, heuristic_sup_over_tau
 from filtermax.verify import _PROPERTY_TOLS, _pair_norms, _property_residuals, _tail_ratios, norm_ratio
 from filtermax.weights import _row_cond_exp, _sup_over_tails
 
@@ -665,6 +665,26 @@ def test_sweep_of_an_all_nan_objective_raises(name, request):
         _sup_over_tails(space, "T", lambda chi, cond: np.full(chi.shape[0], np.nan), None, "exact")
 
 
+@pytest.mark.parametrize("name", ["quad", "wide_points"])
+def test_search_of_an_all_nan_objective_raises(name, request):
+    """The search words it as the sweep does, counting its candidates: the full
+    stop and the 7 single-atom stops, then the thresholds of a guide."""
+    space = request.getfixturevalue(name)
+    nan = lambda inside: np.full(len(inside), np.nan)  # noqa: E731
+    with pytest.raises(ValueError, match=r"^tail objective is nan \(or -inf\) on all 8 T_0 search candidates$"):
+        heuristic_sup_over_tau(space, 0, nan)
+    with pytest.raises(ValueError, match=r"^tail objective is nan \(or -inf\) on all 7 T_1 search candidates$"):
+        heuristic_sup_over_tau(space, 1, lambda inside: np.full(len(inside), -np.inf))
+    guide = tuple(np.exp(np.random.default_rng(53).standard_normal((2, space.n))))
+    prods = level_products(space, *guide)
+    values = np.unique(np.concatenate(prods))
+    thresholds = np.unique(np.concatenate([np.geomspace(values[0], values[-1], 32), values * (1.0 - 1e-9), values]))
+    with pytest.raises(ValueError, match=rf"on all {8 + thresholds.size} T_0 search candidates$"):
+        heuristic_sup_over_tau(space, 0, nan, guide=guide)
+    with pytest.raises(ValueError, match="T_0 search candidates"):
+        _sup_over_tails(space, "T", lambda chi, cond: np.full(chi.shape[0], np.nan), guide, "heuristic")
+
+
 def test_carleson_keeps_the_first_worst_tail_across_blocks(wide_points):
     space = wide_points
     one = np.ones(space.n)
@@ -921,7 +941,8 @@ def test_atom_level_max_equals_the_point_max(name, request):
         for start in range(space.n_levels):
             assert_same_block(_level_max(space, start, f), point_level_max(space, point_cond, start, f))
             assert_same_block(_level_max(space, start, f, g), point_level_max(space, point_cond, start, f, g))
-            got = _level_max(space, start, fg, means=lambda s, h, j: _atom_cond(s, h, j) / _atom_cond(s, g, j))
+            ratio = lambda s, h, i: [a / b for a, b in zip(_level_means(s, h, i), _level_means(s, g, i))]  # noqa: E731
+            got = _level_max(space, start, fg, means=ratio)
             want = point_level_max(space, lambda s, h, j: point_cond(s, h, j) / point_cond(s, g, j), start, fg)
             assert_same_block(got, want)
 
@@ -945,7 +966,7 @@ def test_atom_level_max_on_the_matmul_kernel_equals_the_point_max(name, request)
     for k in (0, 1, 2) if name == "wide_points" else (0, 1, 2, 9):
         chi = (rng.random((k, space.n)) < 0.5).astype(float)
         for start in range(space.n_levels):
-            product = lambda s, h, j: mean1(s, h, j) * mean2(s, h, j)  # noqa: E731
+            product = lambda s, h, i: [a * b for a, b in zip(mean1(s, h, i), mean2(s, h, i))]  # noqa: E731
             got = _level_max(space, start, chi, means=product)
             want = point_level_max(space, point, start, chi * sigma1, chi * sigma2)
             assert_same_block(got, np.ascontiguousarray(want))
@@ -978,6 +999,175 @@ def test_s_and_winf_keep_the_point_max_bits(name, request):
             )
             assert got.value == value
             assert got.witness["tail"] == tau.tail_set().tolist()
+
+
+# ---- every level's means in one bincount ------------------------------------------
+
+
+@pytest.mark.parametrize("name", [*LEVEL_MAX_SPACES, "wide_points"])
+def test_level_means_are_atom_cond_of_each_level(name, request):
+    """One bincount for every level from each start equals `_atom_cond` level by
+    level, bit for bit and fresh and C-ordered, with and without a density, on
+    one function and on blocks of 0, 1, 2 and 9 rows."""
+    space = level_max_space(name, request)
+    rng = np.random.default_rng(59)
+    density = np.exp(rng.standard_normal(space.n)) * space.masses
+    for k in (None, 0, 1, 2, 9):
+        shape = (space.n,) if k is None else (k, space.n)
+        f = rng.standard_normal(shape) * np.exp(3.0 * rng.standard_normal(shape))
+        for d in (None, density):
+            for start in range(space.n_levels):
+                got = _level_means(space, f, start, d)
+                assert len(got) == space.n_levels - start
+                for level, means in enumerate(got, start):
+                    assert_same_block(means, _atom_cond(space, f, level, d))
+                    assert means.flags.c_contiguous and means.flags.owndata
+
+
+# ---- the search's memo ------------------------------------------------------------
+#
+# The search keys each candidate by its finest atoms and builds rows for new
+# tails only.  `packbits_search` is the search as it was before: a boolean row
+# for every candidate, keyed by the packed bits of its points.
+
+
+def packbits_search(space, i, objective, guide=None, rows=None):
+    """The search with a row per candidate and a packed-points memo."""
+    rows = max(1, _BLOCK_BYTES // (8 * space.n)) if rows is None else rows
+    scores = {np.packbits(np.zeros(space.n, dtype=bool)).tobytes(): np.nan}
+
+    def scored(inside):
+        keys = [np.packbits(row).tobytes() for row in inside]
+        fresh = {key: r for r, key in enumerate(keys) if key not in scores}
+        if fresh:
+            scores.update(zip(fresh, np.asarray(objective(inside[list(fresh.values())]), dtype=float)))
+        return np.array([scores[key] for key in keys])
+
+    def chain_rows(chains):
+        inside = np.zeros((len(chains), space.n), dtype=bool)
+        for row, chain in zip(inside, chains):
+            for t, a in chain:
+                row[space.atoms[t][a]] = True
+        return inside
+
+    best = [-np.inf]
+
+    def winner(candidates, tails):
+        found = None
+        for lo in range(0, len(candidates), rows):
+            vals = scored(tails(candidates[lo : lo + rows]))
+            k = int(np.argmax(np.where(np.isnan(vals), -np.inf, vals)))
+            if vals[k] > best[0]:
+                best[0], found = float(vals[k]), lo + k
+        return found
+
+    opening = [[(i, a) for a in range(len(space.atoms[i]))]]
+    opening += [[(t, a)] for t in range(i, space.n_levels) for a in range(len(space.atoms[t]))]
+    k = winner(opening, chain_rows)
+    chain = None if k is None else opening[k]
+    if guide is not None:
+        prods = level_products(space, *guide)
+        values = np.unique(np.concatenate([pr[pr > 0] for pr in prods]))
+        if values.size:
+            lo, hi = float(values[0]), float(values[-1])
+            grid = np.geomspace(lo, hi, num=32) if hi > lo else np.array([lo])
+            thresholds = np.unique(np.concatenate([grid, values * (1.0 - 1e-9), values]))
+            reach = np.max(prods[i:], axis=0)
+            k = winner(thresholds, lambda part: reach > part[:, None])
+            if k is not None:
+                stop = first_hit(space, i, [pr > thresholds[k] for pr in prods]).levels
+                hit = np.flatnonzero(np.isfinite(stop)).tolist()
+                chain = sorted({(int(stop[x]), int(space.atom_of[int(stop[x])][x])) for x in hit})
+    for _ in range(40):
+        moves = []
+        covered = chain_rows([chain])[0]
+        for idx, (t, a) in enumerate(chain):
+            rest = chain[:idx] + chain[idx + 1 :]
+            moves.append(rest)
+            if t < space.last_level:
+                moves.append(rest + [(t + 1, c) for c in space.children(t, a)])
+            if t > i:
+                parent = int(space.parents[t][a])
+                keep = [(tt, aa) for tt, aa in rest if space.atom_of[t - 1][space.atoms[tt][aa][0]] != parent]
+                moves.append(keep + [(t - 1, parent)])
+        for t in range(i, space.n_levels):
+            for a_idx, atom in enumerate(space.atoms[t]):
+                if not covered[atom].any():
+                    moves.append(chain + [(t, a_idx)])
+        moves = [sorted(set(move)) for move in moves]
+        k = winner(moves, chain_rows)
+        if k is None:
+            break
+        chain = moves[k]
+    return best[0], tau_from_antichain(space, i, chain)
+
+
+def recording(objective, blocks):
+    def record(inside):
+        blocks.append(inside.copy(order="K"))
+        return objective(inside)
+
+    return record
+
+
+def assert_search_sends_the_packbits_blocks(space, v, omega1, omega2, exps, origins=(0,)):
+    """Under both memos the RH, S and Winf objectives (and their guide, or none)
+    see the same blocks, rows and layout, and the searches agree on value and tau."""
+    captured = []
+
+    def capture(space, i, objective, guide=None):
+        captured.append((objective, guide))
+        return heuristic_sup_over_tau(space, i, objective, guide)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("filtermax.weights.heuristic_sup_over_tau", capture)
+        for name in ("rh", "s", "winf"):
+            compute_constant(name, space, v, omega1, omega2, exps, mode="heuristic")
+    assert len(captured) == 3
+    for objective, guide in captured:
+        for i in origins:
+            for g in (guide, None):
+                got, want = [], []
+                value, tau = heuristic_sup_over_tau(space, i, recording(objective, got), g)
+                assert (value, tau) == packbits_search(space, i, recording(objective, want), g)
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
+                    assert_same_block(a, b)
+                    assert a.dtype == b.dtype == bool
+
+
+@pytest.mark.parametrize("name", LEVEL_MAX_SPACES)
+def test_search_sends_the_packbits_blocks_on_fixtures(name, request):
+    space = level_max_space(name, request)
+    rng = np.random.default_rng(61)
+    for exps in (Exponents(2.0, 2.0), Exponents(1.5, 3.0)):
+        weights = random_weights(rng, space.n)
+        assert_search_sends_the_packbits_blocks(space, *weights, exps, origins=range(space.n_levels))
+
+
+def test_search_sends_the_packbits_blocks_on_deep_product_instances():
+    for seed in range(2):
+        inst = gen_instance(seed, depth=5, model="product", p1=2.5, p2=2.5)
+        assert_search_sends_the_packbits_blocks(inst.space, inst.v, inst.omega1, inst.omega2, inst.exps, (0, 2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_instances())
+def test_search_sends_the_packbits_blocks_on_generated_spaces(inst):
+    assert_search_sends_the_packbits_blocks(inst.space, inst.v, inst.omega1, inst.omega2, inst.exps)
+
+
+def test_search_memo_keys_are_finest_masks(mixed6, lumpy5):
+    """An atom's key is the finest mask of its points; a key's row is its tail."""
+    for space in (mixed6, lumpy5):
+        keys = _atom_keys(space)
+        for t, level in enumerate(space.atoms):
+            assert keys[t] == [finest_mask(space, atom) for atom in level]
+        masks = list(range(1 << len(space.atoms[space.last_level])))
+        rows = _key_rows(space, masks)
+        assert rows.flags.c_contiguous and rows.dtype == bool
+        assert [np.flatnonzero(row).tolist() for row in rows] == [mask_points(space, m).tolist() for m in masks]
+        assert _key_rows(space, []).shape == (0, space.n)
 
 
 # ---- the block pair norms ------------------------------------------------------

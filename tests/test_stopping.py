@@ -346,6 +346,23 @@ def test_enumeration_yields_before_materializing(quad):
     assert is_adapted(quad, first)
 
 
+@pytest.mark.parametrize("name", ["quad", "pair", "chain", "mixed6", "lumpy5"])
+def test_stopping_time_from_tail_matches_the_per_atom_loop(name, request):
+    """Every point set and every mask from every origin: the same witness, or
+    the same ValueError (lumpy5's half atoms are no tail; masks out of range)."""
+    space = request.getfixturevalue(name)
+    leaves = len(space.atoms[space.last_level])
+    for i in range(space.n_levels):
+        for bits in range(1 << space.n):
+            subset = [x for x in range(space.n) if bits >> x & 1]
+            want = outcome(reference_stopping_time_from_tail, space, i, subset)
+            assert outcome(stopping_time_from_tail, space, i, subset) == want
+            assert outcome(stopping_time_from_tail, space, i, np.asarray(subset, dtype=int)) == want
+        for mask in range(-1, (1 << leaves) + 1):
+            want = outcome(reference_stopping_time_from_tail, space, i, mask)
+            assert outcome(stopping_time_from_tail, space, i, mask) == want
+
+
 # ---- one atom-membership test ------------------------------------------------------
 #
 # `is_level_measurable`, `first_hit` and `adaptedness_violation` ask the same
@@ -397,6 +414,22 @@ def reference_adaptedness_violation(space, tau):
             if not np.all(hit[atom]):
                 return f"{{tau = {j}}} cuts level-{j} atom {atom.tolist()}"
     return None
+
+
+def reference_stopping_time_from_tail(space, i, tail):
+    space._check_level(i)
+    pts = mask_points(space, int(tail)) if isinstance(tail, (int, np.integer)) else space.as_subset(tail)
+    inside = np.zeros(space.n, dtype=bool)
+    inside[pts] = True
+    levels = np.full(space.n, np.inf)
+    for j in range(i, space.n_levels):
+        for atom in space.atoms[j]:
+            if np.isinf(levels[atom[0]]) and inside[atom].all():
+                levels[atom] = j
+    tau = StoppingTime(levels, origin=i)
+    if not np.array_equal(tau.tail_mask(), inside):
+        raise ValueError("tail is not achievable by any stopping time in T_i")
+    return tau
 
 
 def outcome(fn, *args):
@@ -467,3 +500,5 @@ def test_atom_membership_matches_the_replaced_loops(data):
             levels[draw(st.integers(0, space.n - 1))] = draw(st.sampled_from(options))
     tau = StoppingTime(levels, origin=i)
     assert adaptedness_violation(space, tau) == reference_adaptedness_violation(space, tau)
+    tail = atom_unions(draw, space, t)
+    assert outcome(stopping_time_from_tail, space, i, tail) == outcome(reference_stopping_time_from_tail, space, i, tail)

@@ -13,6 +13,7 @@ from filtermax import (
     a_p_constant,
     b_p_constant,
     compute_constant,
+    gen_instance,
     rh_constant,
     s_p_constant,
     sigma_from_omega,
@@ -176,6 +177,21 @@ def test_dual_weights_that_overflow_are_not_finite(quad, name, mode):
     with np.errstate(over="ignore"), pytest.raises(ValueError) as info:
         compute_constant(name, quad, one, omega1, one, Exponents(1.01, 2.0), mode=mode)
     assert str(info.value) == "function values must be finite"
+
+
+@pytest.mark.parametrize("mode", ["exact", "heuristic"])
+@pytest.mark.parametrize("name", ALL_CONSTANTS)
+def test_dual_weights_that_underflow_are_not_positive(name, mode):
+    """omega = 1e300 at p_s = 1.5 gives sigma_s = 1e-600, which underflows to 0:
+    every constant, in both modes, names the dual weight, instead of an
+    AssertionError (or a nan objective on every tail) from the search."""
+    space = gen_instance(1, depth=2).space
+    one, huge = np.ones(space.n), np.full(space.n, 1e300)
+    exps = Exponents(1.5, 1.5)
+    for omega1, omega2, culprit in ((huge, huge, "sigma1"), (one, huge, "sigma2")):
+        with pytest.raises(ValueError) as info:
+            compute_constant(name, space, one, omega1, omega2, exps, mode=mode)
+        assert str(info.value) == f"{culprit} must be strictly positive"
 
 
 def test_rh_every_tail_ratio_at_least_one(mixed6):
