@@ -8,7 +8,9 @@ Each public operator checks its level and arrays once, on entry, and then
 takes the maximum over levels on atoms, of the unchecked kernel
 `space._level_means` (or any means of its contract: every level's atom
 means from `start` down, in one call), and reads it at the points once,
-in C order.
+in C order.  The maximum itself, on the finest atoms (`_leaf_max`), also
+serves the exact weight sweeps, whose level means come from subset-sum
+tables.
 """
 
 from __future__ import annotations
@@ -24,18 +26,24 @@ from .space import cond_exp  # noqa: F401  (bench/tests expects this module to b
 def _level_max(space: FilteredSpace, start: int, f: Fn, g: Fn | None = None, means=_level_means) -> Fn:
     """max over levels j >= start of |E_j(f)|, or of |E_j(f) E_j(g)|, at every point.
     means(space, f, start) returns E_j(f) per atom for j = start..L, (atoms_j,) or
-    (k, atoms_j) each, fresh and made absolute in place (a copy per level slowed the
-    S sweep by a quarter).  The maximum runs top-down on atoms, cur =
-    max(cur[..., parent_j], term_j), on the values a per-point maximum takes, so
-    every bit is the same, and is read at the points once, in C order, whichever
-    kernel took the means."""
+    (k, atoms_j) each, fresh, and each level is made absolute in place (a copy per
+    level slowed the S sweep by a quarter).  The maximum is read at the points
+    once, in C order, whichever kernel took the means."""
     terms = means(space, f, start)
     if g is not None:
         terms = [np.multiply(a, b, out=a) for a, b in zip(terms, means(space, g, start))]
-    cur = np.abs(terms[0], out=terms[0])
+    return _to_points(space, _leaf_max(space, start, [np.abs(t, out=t) for t in terms]), space.last_level)
+
+
+def _leaf_max(space: FilteredSpace, start: int, terms: list[np.ndarray]) -> np.ndarray:
+    """max over levels j >= start of terms[j - start] on the finest atoms, terms
+    being fresh level-j atom values, updated in place.  The maximum runs top-down,
+    cur = max(cur[..., parent_j], term_j), on the values a per-point maximum takes,
+    so every bit is the same."""
+    cur = terms[0]
     for level, t in enumerate(terms[1:], start + 1):
-        cur = np.maximum(cur[..., space.parents[level]], np.abs(t, out=t), out=t)
-    return _to_points(space, cur, space.last_level)
+        cur = np.maximum(cur[..., space.parents[level]], t, out=t)
+    return cur
 
 
 def maximal(space: FilteredSpace, f: Fn) -> Fn:

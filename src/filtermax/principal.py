@@ -43,6 +43,7 @@ from .operators import _level_max, tailed_bilinear_maximal
 from .space import FilteredSpace, Fn, _cond, as_fn, level_products
 
 _NO_SHELL = np.iinfo(np.int64).min  # shell of a zero product
+MAX_K2 = 510  # the largest K2 whose sparse-bound term 16 * 4^(K2-1) = 2^(2 K2 + 2) is a finite float
 
 
 def shell_index(x: float, base: float = 4.0) -> int:
@@ -194,9 +195,12 @@ def forest_cover(space: FilteredSpace, i: int, omega0, h1: Fn, h2: Fn) -> list[P
 
 
 def sparse_bound(forest: PrincipalForest) -> Fn:
-    """16 * sum over nodes of 4^(K2-1) 1_{E(P)} — zero off P0."""
+    """16 * sum over nodes of 4^(K2-1) 1_{E(P)} — zero off P0.  ValueError naming
+    K2 when a node with exit points has K2 > MAX_K2, whose term overflows a float."""
     out = np.zeros(forest.space.n)
     for node in forest.root:
+        if node.k2 > MAX_K2 and node.exit_points.size:
+            raise ValueError(f"sparse bound 16 * 4^(K2-1) overflows a float at a node with K2 = {node.k2} > {MAX_K2}")
         out[node.exit_points] += 16.0 * 4.0 ** (node.k2 - 1)
     return out
 
@@ -307,8 +311,9 @@ class DominationReport:
 
     @property
     def scale(self) -> float:
-        """Tolerance scale: the largest finite bound entry, at least 1.  A node
-        with K2 >= 511 has an infinite bound, which must not excuse every point."""
+        """Tolerance scale: the largest finite bound entry, at least 1.  An
+        infinite entry (`sparse_bound` refuses to make one) must not excuse every
+        point."""
         finite = self.bound[np.isfinite(self.bound)]
         return max(float(np.max(finite, initial=0.0)), 1.0)
 

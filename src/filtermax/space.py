@@ -23,8 +23,8 @@ over levels takes them all from `_level_means`: the atom means of every
 level from a start level down, in one list, bit for bit as `_atom_cond`
 gives them level by level, from one bincount per run of rows (each level
 and each row has its own bins).  That list is the means contract of the
-level maxima in `operators`, which the exact sweeps' matmul means in
-`weights` keep too.
+level maxima in `operators`; the exact sweeps in `weights` take their means
+from subset-sum tables on the finest atoms instead.
 """
 
 from __future__ import annotations
@@ -236,6 +236,7 @@ class FilteredSpace:
         # levels whose atoms are the single points in order, which `_to_points` reads as they are
         self._point_levels = frozenset(t for t, lab in enumerate(self.atom_of) if np.array_equal(lab, np.arange(self.n)))
         self._bins: dict = {}  # `_level_bins` by start level
+        self._layouts: dict = {}  # `stopping._tail_layout` by low bits
 
     # ---- basic structure -------------------------------------------------
 
@@ -326,12 +327,11 @@ def _positive(space: FilteredSpace, w, name: str) -> Fn:
 
 
 def integrate(space: FilteredSpace, f: Fn, subset=None) -> float:
-    """Integral of f dmu, optionally restricted to a point set."""
+    """Integral of f dmu, optionally restricted to a point set: numpy's sum of
+    the products, in its fixed order (not a BLAS dot)."""
     f = as_fn(space, f)
-    if subset is None:
-        return float(np.dot(f, space.masses))
-    idx = space.as_subset(subset)
-    return float(np.dot(f[idx], space.masses[idx]))
+    idx = slice(None) if subset is None else space.as_subset(subset)
+    return float((f[idx] * space.masses[idx]).sum())
 
 
 def _as_block(space: FilteredSpace, values: np.ndarray) -> np.ndarray:

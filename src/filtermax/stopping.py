@@ -13,13 +13,17 @@ Exhaustive enumeration is exponential in the forest, so it is guarded by
 an atom budget (number of (level, atom) pairs at levels i..L, default 24,
 set only by the FILTERMAX_ATOM_BUDGET environment variable).  The exact
 RH, S, Winf and thm12 suprema walk that power set through one sweep,
-`_sweep_tails`, in numpy blocks of at most 128 KiB as float64 (1024 tails
-on 16 points), so that the S and Winf objectives' temporaries stay in a
-2 MiB L2 cache.  For larger spaces `heuristic_sup_over_tau` searches a
-candidate family of stopping times and returns a certified lower bound
-for the supremum.  The sweep and the search take one objective contract,
-objective(inside) -> values for a k x n boolean block of tails, and keep
-the first maximizer through one loop, `_block_max`.  The search keys each
+`_sweep_tails`, in blocks of 2**b consecutive masks aligned on 2**b, at
+most 128 KiB as n-point float64 rows (1024 tails on 16 points): within a
+block the low b finest atoms run through every pattern and the others stay
+fixed, which lets the exact weight constants read every sum over a tail
+from subset-sum tables (`weights._TailTables`).  For larger spaces
+`heuristic_sup_over_tau` searches a candidate family of stopping times and
+returns a certified lower bound for the supremum.  The sweep and the
+search take one objective contract, objective(inside) -> values for a
+k x n boolean block of tails (the sweep's `read` may hand the objective
+another view of the block), and keep the first maximizer through one
+loop, `_block_max`.  The search keys each
 candidate tail by its finest atoms, a Python int of any width (an
 antichain's key is the sum of its atoms' keys, a threshold's comes from one
 packbits of its leaves), so its memo compares ints and builds boolean rows
@@ -43,8 +47,9 @@ _BUDGET_ENV = "FILTERMAX_ATOM_BUDGET"
 # objectives keep about ten temporaries of a block's size alive (the 0/1 block,
 # per-level means and their product, the level maximum and its gather, m**p,
 # m**p * chi): at 128 KiB they fit a 2 MiB L2 together, at 512 KiB they spill
-# and those sweeps take about twice as long.  Values may move by ulps with the
-# cap, since BLAS rounds some rows of a block differently with its size.
+# and those sweeps take about twice as long.  Exact S and Winf may move by ulps
+# with the cap: their last row sum is a BLAS product over a block of another
+# size, and the cap sets where a sum over a tail splits into low and high leaves.
 _BLOCK_BYTES = 128 * 1024
 _MAX_MASK_BITS = 62  # finest atoms a tail mask can hold in an int64
 _THRESHOLD_COUNT = 32  # geometric grid of first-hit thresholds in the heuristic search
@@ -266,6 +271,36 @@ def _block_rows(space: FilteredSpace) -> int:
     return max(1, _BLOCK_BYTES // (8 * space.n))
 
 
+def _low_bits(space: FilteredSpace) -> int:
+    """b of the exact sweep's blocks: the largest b with 2**b <= `_block_rows`, at
+    most the number of finest atoms."""
+    return min(_block_rows(space).bit_length() - 1, len(space.atoms[space.last_level]))
+
+
+def _tail_layout(space: FilteredSpace) -> tuple[int, np.ndarray, np.ndarray, list[int]]:
+    """The exact sweep's layout of a block, cached on the space by b (`_low_bits`):
+    b; the b x 2**b 0/1 patterns of the low b finest atoms (column r holds the
+    bits of r); each finest atom's atom at every coarser level, as a leaves x C
+    0/1 matrix whose columns are the atoms of levels 0..L-1 in order, then one
+    column for the whole tail; and the first column of each of those levels,
+    then C - 1."""
+    bits = _low_bits(space)
+    cached = space._layouts.get(bits)
+    if cached is None:
+        leaves = len(space.atoms[space.last_level])
+        patterns = (np.arange(1 << bits) >> np.arange(bits)[:, None] & 1).astype(float)
+        firsts = [int(atom[0]) for atom in space.atoms[space.last_level]]
+        starts = np.cumsum([0, *(len(level) for level in space.atoms[:-1])]).tolist()
+        onehot = np.zeros((leaves, starts[-1] + 1))
+        for start, labels in zip(starts, space.atom_of[:-1]):
+            onehot[np.arange(leaves), start + labels[firsts]] = 1.0
+        onehot[:, -1] = 1.0
+        for arr in (patterns, onehot):
+            arr.setflags(write=False)
+        cached = space._layouts[bits] = bits, patterns, onehot, starts
+    return cached
+
+
 def _block_max(blocks: Iterable[tuple[int, np.ndarray]], best: float = -np.inf) -> tuple[float, tuple | None]:
     """The one first-maximizer loop: (value, (tag, row)) of the first maximum over
     blocks (tag, values), nan skipped, if it beats `best`, else (best, None); a
@@ -278,20 +313,34 @@ def _block_max(blocks: Iterable[tuple[int, np.ndarray]], best: float = -np.inf) 
     return best, found
 
 
-def _sweep_tails(space: FilteredSpace, i: int, objective: Callable[[np.ndarray], np.ndarray]) -> tuple[float, int]:
-    """(max, first mask attaining it) of objective(inside) over the nonempty T_i
-    tails of `enumerate_tail_masks`, which checks the atom budget first: blocks
-    of consecutive masks in ascending order as rows x n boolean points, at most
-    _BLOCK_BYTES as float64 (or one row).  ValueError if every value is nan."""
+def _point_block(space: FilteredSpace, lo: int, hi: int) -> np.ndarray:
+    """The tails of masks lo..hi-1 as a (hi - lo) x n boolean block of points."""
+    tails = np.arange(lo, hi, dtype=np.int64)
+    return (tails[:, None] >> space.atom_of[space.last_level] & 1).astype(bool)
+
+
+def _sweep_tails(
+    space: FilteredSpace, i: int, objective: Callable, read: Callable[[int, int], object] | None = None
+) -> tuple[float, int]:
+    """(max, first mask attaining it) of objective(block) over the nonempty T_i
+    tails of `enumerate_tail_masks`, which checks the atom budget first.  The
+    masks go in ascending order, in blocks of 2**b aligned on 2**b (b of
+    `_low_bits`), the first from mask 1: within a block the low b finest atoms
+    run through every pattern and the others stay fixed.  read(lo, hi) makes the
+    block of masks lo..hi-1, by default `_point_block`, at most _BLOCK_BYTES as
+    float64 (or one row).  ValueError if every value is nan."""
     masks = enumerate_tail_masks(space, i)
-    leaf_of = space.atom_of[space.last_level]
-    rows = _block_rows(space)
+    width = 1 << _low_bits(space)
+    read = read or (lambda lo, hi: _point_block(space, lo, hi))
 
-    def block(lo: int) -> np.ndarray:
-        tails = np.arange(lo, min(lo + rows, len(masks)), dtype=np.int64)
-        return objective((tails[:, None] >> leaf_of & 1).astype(bool))
+    def blocks() -> Iterator[tuple[int, np.ndarray]]:
+        lo = 1
+        while lo < len(masks):
+            hi = (lo | (width - 1)) + 1  # the end of lo's aligned block
+            yield lo, objective(read(lo, hi))
+            lo = hi
 
-    best_val, found = _block_max((lo, block(lo)) for lo in range(1, len(masks), rows))
+    best_val, found = _block_max(blocks())
     if found is None:
         raise ValueError(f"tail objective is nan (or -inf) on all {len(masks) - 1} nonempty T_{i} tails")
     return best_val, found[0] + found[1]

@@ -25,6 +25,7 @@ import numpy as np
 from . import carleson as _carleson
 from .operators import _level_max, _ratio_means
 from .principal import (
+    MAX_K2,
     PrincipalForest,
     forest_cover,
     sparse_domination_report,
@@ -342,6 +343,12 @@ def instance_from_dict(data: dict, where: str = "instance") -> Instance:
         if not np.all(np.isfinite(prods)):
             j, x = np.argwhere(~np.isfinite(prods))[0].tolist()  # the first level, then the first point
             raise ValidationError(f"{where}: fields 'h1' and 'h2': E_{j}(h1) E_{j}(h2) overflows at point {x}")
+        if np.any(prods > 4.0**MAX_K2):  # a principal set of shell K2 > MAX_K2 has an infinite sparse bound
+            j, x = np.argwhere(prods > 4.0**MAX_K2)[0].tolist()
+            raise ValidationError(
+                f"{where}: fields 'h1' and 'h2': E_{j}(h1) E_{j}(h2) exceeds 4^{MAX_K2} at point {x}, "
+                "so its sparse bound 16 * 4^(K2-1) overflows a float"
+            )
         if not np.any(prods[0] > 0):
             raise ValidationError(
                 f"{where}: fields 'h1' and 'h2': E_0(h1) E_0(h2) vanishes everywhere, so no principal forest exists"

@@ -12,30 +12,42 @@ weights and a Hölder pair (p1, p2):
 The dual weights sigma_s = omega_s^{-1/(p_s - 1)} are derived internally.
 Tail suprema run over T_0 — on a finite tower the T_i tail families are
 nested decreasingly in i, so the i = 0 supremum is the binding one.
-Each tail constant has one objective of a block of tails and its level
-means; the mode picks only the means and the maximizer.  Both means take
-every level from a start level down in one call (`operators._level_max`'s
-contract).  Exact mode evaluates the objective on every union of finest
-atoms through `stopping._sweep_tails` on the matmul means `_row_cond_exp`
-(one product per level; refused past the atom budget); heuristic mode on
-the stopping-time search's candidates on the one-bincount means
-`space._level_means`, which yields a certified lower bound.  A and B take
-each weight's means of every level from one `_level_means` call too.  The
-dual weights must come out finite and strictly positive, else ValueError
-naming sigma1 or sigma2.
+Each tail constant has one objective of a `_Tails` view of a block of
+tails: its 0/1 rows, each tail's sums of the constant's densities, their
+level means and level maxima; the mode picks only the view and the
+maximizer.  Exact mode evaluates the objective on every union of finest
+atoms through `stopping._sweep_tails` (refused past the atom budget), on
+the finest atoms ("leaves"), on which everything the objectives compute is
+constant: every sum over a tail is a subset-sum table's entry for its low
+leaves plus the fixed high leaves' sum (`_TailTables`), so no BLAS call
+forms one; only the S and Winf objectives' last weighted row sum is a
+matrix-vector product.  Heuristic mode scores the stopping-time search's
+candidates at the points (`_PointTails`: `chi @ d` totals and the
+one-bincount means `space._level_means`), which yields a certified lower
+bound.  A and B take each weight's means of every level from one
+`_level_means` call.  The dual weights must come out finite and strictly
+positive, else ValueError naming sigma1 or sigma2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .operators import _level_max
-from .space import Exponents, FilteredSpace, Fn, _level_means, _positive, as_fn
+from .operators import _leaf_max
+from .space import Exponents, FilteredSpace, Fn, _level_means, _positive, _to_points, as_fn
 from .space import cond_exp  # noqa: F401  (bench/tests expects this module to bind it)
-from .stopping import _block_max, _check_budget, _sweep_tails, heuristic_sup_over_tau, stopping_time_from_tail
+from .stopping import (
+    _block_max,
+    _check_budget,
+    _sweep_tails,
+    _tail_layout,
+    heuristic_sup_over_tau,
+    stopping_time_from_tail,
+)
 
 EXACT = "exact"
 HEURISTIC = "heuristic"
@@ -122,55 +134,163 @@ def b_p_constant(space: FilteredSpace, v: Fn, omega1: Fn, omega2: Fn, exps: Expo
     return _atom_max(space, density, "B")
 
 
-def _row_cond_exp(space: FilteredSpace, density: Fn) -> Callable[[FilteredSpace, np.ndarray, int], list[np.ndarray]]:
-    """The exact sweeps' means, called like `_level_means`: per level j >= start,
-    (rows @ matrix_j) / atom masses, the level's points x atoms matrix holding
-    density[x] at (x, atom of x); one product per level, since BLAS may round a
-    wider product differently.  On a 0/1 block and density sigma * masses, BLAS
-    forms exactly the products of (block sigma masses) @ 0/1 matrix (elsewhere it
-    may fuse a product into a sum)."""
-    mats = []
-    for labels, atom_mass in zip(space.atom_of, space.atom_mass):
-        mat = np.zeros((space.n, atom_mass.size))
-        mat[np.arange(space.n), labels] = density
-        mats.append(mat)
+class _Tails:
+    """A block of k nonempty tails as a tail objective reads it, for the constant's
+    densities d_0, d_1, ... (each a function times the masses): chi, the k x width
+    0/1 tails; total(s), the (k,) sums of d_s over each tail; row_sum(x, s), the
+    sums over each row of a k x width x weighted by d_s, a matrix-vector product;
+    means(s), the fresh (k, atoms_j) level means E_j(chi d_s / mu) per atom, j =
+    0..L; level_max(s[, t]), max over levels of E_j(chi d_s / mu) [E_j(chi d_t /
+    mu)] at the width (no absolute value: chi and the densities are nonnegative).
+    The width is the points (`_PointTails`) or the finest atoms (`_LeafTails`)."""
 
-    def means(_: FilteredSpace, rows: np.ndarray, start: int) -> list[np.ndarray]:
-        return [(rows @ mat) / mass for mat, mass in zip(mats[start:], space.atom_mass[start:])]
+    space: FilteredSpace
+    chi: np.ndarray
 
-    return means
+    def level_max(self, *s: int) -> np.ndarray:
+        terms = self.means(s[0])
+        for t in s[1:]:
+            terms = [np.multiply(a, b, out=a) for a, b in zip(terms, self.means(t))]
+        return _leaf_max(self.space, 0, terms)
+
+
+class _PointTails(_Tails):
+    """The search's blocks, at the points: a total is `chi @ d_s`, the level means
+    are `_level_means` bincounts, and the level maximum is read at the points."""
+
+    def __init__(self, space: FilteredSpace, densities: tuple, inside: np.ndarray):
+        self.space, self.densities, self.chi = space, densities, inside.astype(float)
+
+    def total(self, s: int) -> np.ndarray:
+        return self.chi @ self.densities[s]
+
+    def row_sum(self, x: np.ndarray, s: int) -> np.ndarray:
+        return x @ self.densities[s]
+
+    def means(self, s: int) -> list[np.ndarray]:
+        return _level_means(self.space, self.chi, 0, self.densities[s])
+
+    def level_max(self, *s: int) -> np.ndarray:
+        return _to_points(self.space, super().level_max(*s), self.space.last_level)
+
+
+class _TailTables:
+    """The exact sweep's sums, built once per constant on `_tail_layout`: each
+    finest atom's ("leaf's") sum of every density, in point order, and subset-sum
+    tables over the low b leaves, built in ascending bit order so that a
+    pattern's row adds its leaves in ascending order: of each density's atom sums
+    at every level 0..L-1 and its total, and (on first use) of its leaf means
+    chi * leaf sum / leaf mass.  The tables are stored one row per column (atom,
+    total or leaf), so that a block's means broadcast along rows and its level
+    maximum gathers rows.  `read(lo, hi)` is the block of masks lo..hi-1 of
+    `_sweep_tails`."""
+
+    def __init__(self, space: FilteredSpace, densities: tuple):
+        self.space = space
+        self.bits, self.patterns, onehot, self.starts = _tail_layout(space)
+        leaves, self.width = onehot.shape
+        self.coarse_mass = np.concatenate([*space.atom_mass[:-1], []])[:, None]
+        sums = [np.bincount(space.atom_of[-1], weights=d, minlength=leaves) for d in densities]
+        self.leaf_sums = np.array(sums).reshape(len(densities), leaves)
+        self.leaf_means = self.leaf_sums / space.atom_mass[-1]
+        # leaf l's row: its sum of each density at its atom's column of every coarse level and at the total's
+        self.rows = (self.leaf_sums.T[:, :, None] * onehot[:, None, :]).reshape(leaves, -1)
+        table = np.zeros((1 << self.bits, self.rows.shape[1]))
+        for bit in range(self.bits):
+            np.add(table[: 1 << bit], self.rows[bit], out=table[1 << bit : 2 << bit])
+        self.table = np.ascontiguousarray(table.T)
+        self._leaf_tables: dict[int, np.ndarray] = {}
+
+    def leaf_table(self, s: int) -> np.ndarray:
+        """Density s's means of the low leaves for every low pattern, a row per leaf."""
+        if s not in self._leaf_tables:
+            self._leaf_tables[s] = self.patterns * self.leaf_means[s, : self.bits, None]
+        return self._leaf_tables[s]
+
+    def read(self, lo: int, hi: int) -> _LeafTails:
+        return _LeafTails(self, lo, hi)
+
+
+class _LeafTails(_Tails):
+    """The exact sweep's blocks, on the finest atoms, on which everything the
+    objectives compute is constant.  Within a block the low b leaves run through
+    the patterns low..low+k-1 and the high leaves are fixed: a total or a coarse
+    level's atom sums are the table's entries plus the high leaves' sum (added in
+    ascending order, from 0), and the finest level is read directly (a 0/1 tail's
+    leaf mean is chi times the leaf's sum of d_s over its mass).  Every array is
+    built with a row per atom or leaf and handed out transposed, on which the
+    level maximum's gathers and maxima run fastest; `row_sum` makes its operand
+    C-ordered first, since BLAS rounds a transposed matrix-vector product
+    differently, and differently on each OpenBLAS kernel."""
+
+    def __init__(self, tables: _TailTables, lo: int, hi: int):
+        self.space, self.tables = tables.space, tables
+        self.high_leaves = [leaf for leaf in range(tables.bits, len(tables.rows)) if lo >> leaf & 1]
+        self.high = sum((tables.rows[leaf] for leaf in self.high_leaves), np.zeros(tables.rows.shape[1]))
+        low = lo & ((1 << tables.bits) - 1)
+        self.low = slice(low, low + hi - lo)
+
+    @cached_property
+    def fixed(self) -> np.ndarray:
+        """The high leaves' bits, 0/1."""
+        fixed = np.zeros(len(self.tables.rows) - self.tables.bits)
+        fixed[[leaf - self.tables.bits for leaf in self.high_leaves]] = 1.0
+        return fixed
+
+    def _rows(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+        """A k-column block per leaf: the low leaves' rows of a table, then the
+        high leaves' rows, each constant."""
+        out = np.empty((len(low) + len(high), self.low.stop - self.low.start))
+        out[: len(low)] = low[:, self.low]
+        out[len(low) :] = high[:, None]
+        return out
+
+    @cached_property
+    def chi(self) -> np.ndarray:
+        return self._rows(self.tables.patterns, self.fixed).T
+
+    def _sums(self, lo: int, hi: int) -> np.ndarray:
+        """Each tail's sums of the table's columns lo..hi-1, one row per column."""
+        return self.tables.table[lo:hi, self.low] + self.high[lo:hi, None]
+
+    def total(self, s: int) -> np.ndarray:
+        at = (s + 1) * self.tables.width - 1
+        return self._sums(at, at + 1)[0]
+
+    def row_sum(self, x: np.ndarray, s: int) -> np.ndarray:
+        return np.ascontiguousarray(x) @ self.tables.leaf_sums[s]
+
+    def means(self, s: int) -> list[np.ndarray]:
+        at, starts, bits = s * self.tables.width, self.tables.starts, self.tables.bits
+        coarse = self._sums(at, at + starts[-1])
+        coarse /= self.tables.coarse_mass
+        leaf = self._rows(self.tables.leaf_table(s), self.fixed * self.tables.leaf_means[s, bits:])
+        return [*(coarse[a:b].T for a, b in zip(starts, starts[1:])), leaf.T]
 
 
 def _sup_over_tails(
     space: FilteredSpace, name: str, block_objective: Callable, guide: tuple[Fn, Fn] | None, mode: str, densities=()
 ) -> WeightConstant:
-    """Maximize an objective of the tail point set over T_0 tails.
+    """Maximize an objective of the tail over T_0 tails.
 
-    block_objective(chi, means) scores a rows x n 0/1 block of nonempty tails,
-    one value per row: means[s](space, chi, start) lists the (k, atoms_j) level-j
-    means of chi times densities[s] over mu for j = start..L (sigma_s * masses
-    gives E(chi sigma_s | F_j)), the contract of `_level_max`'s means.  The mode picks only the means and the maximizer: `_sweep_tails` on the
-    matmul means, or the `heuristic_sup_over_tau` candidates on the bincount
-    means, which hold no points x atoms matrix, so the search stays linear in
-    the points past the atom budget.  The witness is the first maximizing tail
-    (nan skipped): in ascending mask order, or in candidate order.
+    block_objective(tails) scores a block of k nonempty tails, one value per row,
+    from a `_Tails` view of the densities (sigma_s * masses gives the means
+    E(chi sigma_s | F_j) and the totals sigma_s(E)).  The mode picks only the view
+    and the maximizer: `_sweep_tails` reads its blocks on the finest atoms from
+    subset-sum tables (`_TailTables`), the `heuristic_sup_over_tau` candidates are
+    read at the points (`_PointTails`), which hold nothing per tail pattern, so the
+    search stays linear in the points past the atom budget.  The witness is the
+    first maximizing tail (nan skipped): in ascending mask order, or in candidate
+    order.
     """
     if mode not in (EXACT, HEURISTIC):
         raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
-    if mode == EXACT:
-        # the matrices grow with the square of the points past the budget: refuse before building them
-        _check_budget(space, 0)
-        means = tuple(_row_cond_exp(space, d) for d in densities)
-    else:
-        means = tuple(lambda s, rows, start, d=d: _level_means(s, rows, start, d) for d in densities)
-
-    def objective(inside: np.ndarray) -> np.ndarray:
-        return block_objective(inside.astype(float), means)
-
     if mode == HEURISTIC:
+        objective = lambda inside: block_objective(_PointTails(space, densities, inside))  # noqa: E731
         value, tau = heuristic_sup_over_tau(space, 0, objective, guide=guide)
         return WeightConstant(name, value, "lower-bound", _tau_witness(tau))
-    value, mask = _sweep_tails(space, 0, objective)
+    _check_budget(space, 0)  # refuse before building the tables
+    value, mask = _sweep_tails(space, 0, block_objective, _TailTables(space, densities).read)
     return WeightConstant(name, value, EXACT, _tau_witness(stopping_time_from_tail(space, 0, mask)))
 
 
@@ -191,14 +311,13 @@ def rh_constant(
     """
     sigma1, sigma2 = _duals(space, omega1, omega2, exps)
     a1, a2 = exps.p / exps.p1, exps.p / exps.p2
-    w1 = sigma1 * space.masses
-    w2 = sigma2 * space.masses
     mix = sigma1**a1 * sigma2**a2 * space.masses
 
-    def block_objective(chi: np.ndarray, means: tuple) -> np.ndarray:
-        return (chi @ w1) ** a1 * (chi @ w2) ** a2 / (chi @ mix)
+    def block_objective(tails: _Tails) -> np.ndarray:
+        return tails.total(0) ** a1 * tails.total(1) ** a2 / tails.total(2)
 
-    return _sup_over_tails(space, "RH", block_objective, (sigma1, sigma2), mode)
+    densities = (sigma1 * space.masses, sigma2 * space.masses, mix)
+    return _sup_over_tails(space, "RH", block_objective, (sigma1, sigma2), mode, densities)
 
 
 def s_p_constant(
@@ -219,22 +338,15 @@ def s_p_constant(
     sigma1, sigma2 = _duals(space, omega1, omega2, exps)
     p = exps.p
     a1, a2 = p / exps.p1, p / exps.p2
-    w1 = sigma1 * space.masses
-    w2 = sigma2 * space.masses
-    v_mass = v * space.masses
 
-    def block_objective(chi: np.ndarray, means: tuple) -> np.ndarray:
-        mean1, mean2 = means
-
-        def product(s: FilteredSpace, h: np.ndarray, start: int) -> list[np.ndarray]:
-            return [a * b for a, b in zip(mean1(s, h, start), mean2(s, h, start))]
-
-        m = _level_max(space, 0, chi, means=product)
-        num = (m**p * chi) @ v_mass
-        den = (chi @ w1) ** a1 * (chi @ w2) ** a2
+    def block_objective(tails: _Tails) -> np.ndarray:
+        m = tails.level_max(0, 1)
+        num = tails.row_sum(m**p * tails.chi, 2)
+        den = tails.total(0) ** a1 * tails.total(1) ** a2
         return (num / den) ** (1.0 / p)
 
-    return _sup_over_tails(space, "S", block_objective, (sigma1, sigma2), mode, (w1, w2))
+    densities = (sigma1 * space.masses, sigma2 * space.masses, v * space.masses)
+    return _sup_over_tails(space, "S", block_objective, (sigma1, sigma2), mode, densities)
 
 
 def w_infty_constant(
@@ -255,13 +367,11 @@ def w_infty_constant(
     a1, a2 = exps.p / exps.p1, exps.p / exps.p2
     mix = sigma1**a1 * sigma2**a2 * space.masses
 
-    def block_objective(chi: np.ndarray, means: tuple) -> np.ndarray:
-        mean1, mean2 = means
-        m1 = _level_max(space, 0, chi, means=mean1)
-        m2 = _level_max(space, 0, chi, means=mean2)
-        return (m1**a1 * m2**a2 * chi) @ space.masses / (chi @ mix)
+    def block_objective(tails: _Tails) -> np.ndarray:
+        m1, m2 = tails.level_max(0), tails.level_max(1)
+        return tails.row_sum(m1**a1 * m2**a2 * tails.chi, 3) / tails.total(2)
 
-    densities = (sigma1 * space.masses, sigma2 * space.masses)
+    densities = (sigma1 * space.masses, sigma2 * space.masses, mix, space.masses)
     return _sup_over_tails(space, "Winf", block_objective, (sigma1, sigma2), mode, densities)
 
 

@@ -13,6 +13,7 @@ bit.
 """
 
 import dataclasses
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -54,9 +55,16 @@ from filtermax import (
 )
 from filtermax.operators import _level_max
 from filtermax.space import _atom_cond, _cond, _level_means
-from filtermax.stopping import _BLOCK_BYTES, _atom_keys, _key_rows, _sweep_tails, heuristic_sup_over_tau
+from filtermax.stopping import (
+    _BLOCK_BYTES,
+    _atom_keys,
+    _key_rows,
+    _low_bits,
+    _sweep_tails,
+    heuristic_sup_over_tau,
+)
 from filtermax.verify import _PROPERTY_TOLS, _pair_norms, _property_residuals, _tail_ratios, norm_ratio
-from filtermax.weights import _row_cond_exp, _sup_over_tails
+from filtermax.weights import _sup_over_tails, _TailTables
 
 DATA = Path(__file__).parent / "data"
 REL_TOL = 1e-12
@@ -604,11 +612,15 @@ def test_blocks_stay_under_the_byte_cap_on_wide_points(wide_points):
 
 @pytest.mark.parametrize("name", [*FIXTURES, "lognormal", "product"])
 def test_the_byte_cap_is_only_a_speed_setting(name, request, monkeypatch):
-    """Exact and heuristic RH, S and Winf agree within REL_TOL, with the same
-    witness tails, whether a block holds 16 KiB, the default cap or 512 KiB.
-    Not bit for bit: BLAS rounds some rows of a block differently with the
-    block's size.  The generated instances have 16 leaves, so the exact sweep
-    runs in 512, 64 and 16 blocks."""
+    """RH, S and Winf keep their witness tails whether a block holds 16 KiB, the
+    default cap or 512 KiB, and exact RH keeps its bits.  The generated
+    instances have 16 leaves, so the exact sweep runs in 512, 64 and 16 blocks
+    with 7, 10 and 12 low bits; a sum over a tail adds its low leaves, then its
+    high ones, so a cap regroups the sums of tails reaching past its low bits.
+    Exact RH's witness tail lies within the low leaves of every cap (asserted
+    below), so its sums, and its value, are the same at every cap.  Exact S and
+    Winf agree within REL_TOL: their `@` runs over blocks of another size, which
+    BLAS may round differently, as does the search's `chi @ w`."""
     if name in FIXTURES:
         space = request.getfixturevalue(name)
         v, omega1, omega2 = random_weights(np.random.default_rng(43), space.n)
@@ -617,14 +629,19 @@ def test_the_byte_cap_is_only_a_speed_setting(name, request, monkeypatch):
         inst = gen_instance(5, depth=2, branching=4, model=name, p1=2.5, p2=2.5)
         space, v, omega1, omega2, exps = inst.space, inst.v, inst.omega1, inst.omega2, inst.exps
     seen = {}
-    for cap in (16 * 1024, _BLOCK_BYTES, 512 * 1024):
+    caps = (16 * 1024, _BLOCK_BYTES, 512 * 1024)
+    for cap in caps:
         monkeypatch.setattr("filtermax.stopping._BLOCK_BYTES", cap)
         for key in ("rh", "s", "winf"):
             for mode in ("exact", "heuristic"):
                 got = compute_constant(key, space, v, omega1, omega2, exps, mode=mode)
                 first = seen.setdefault((key, mode), got)
+                if (key, mode) == ("rh", "exact"):
+                    assert got.value == first.value, cap
                 assert got.value == pytest.approx(first.value, rel=REL_TOL, abs=0), (cap, key, mode)
                 assert got.witness["tail"] == first.witness["tail"], (cap, key, mode)
+    monkeypatch.setattr("filtermax.stopping._BLOCK_BYTES", caps[0])
+    assert finest_mask(space, seen["rh", "exact"].witness["tail"]) < 1 << _low_bits(space)
 
 
 def test_blocks_check_the_budget_before_building(monkeypatch, quad):
@@ -645,10 +662,13 @@ def test_blocks_check_the_budget_before_building(monkeypatch, quad):
 
 
 def test_exact_constants_refuse_before_building_the_row_kernel(monkeypatch, quad):
-    def row_kernel(space):
-        raise AssertionError("points x atoms matrices built past the atom budget")
+    """The atom budget is checked before the exact sweep builds its subset-sum
+    tables (the kernel of its rows)."""
 
-    monkeypatch.setattr("filtermax.weights._row_cond_exp", row_kernel)
+    def tables(space, densities):
+        raise AssertionError("subset-sum tables built past the atom budget")
+
+    monkeypatch.setattr("filtermax.weights._TailTables", tables)
     monkeypatch.setenv("FILTERMAX_ATOM_BUDGET", "3")
     one = np.ones(quad.n)
     for name in ("rh", "s", "winf"):
@@ -662,7 +682,7 @@ def test_sweep_of_an_all_nan_objective_raises(name, request):
     with pytest.raises(ValueError, match="nan"):
         _sweep_tails(space, 0, lambda inside: np.full(len(inside), np.nan))
     with pytest.raises(ValueError, match="nan"):
-        _sup_over_tails(space, "T", lambda chi, cond: np.full(chi.shape[0], np.nan), None, "exact")
+        _sup_over_tails(space, "T", lambda tails: np.full(len(tails.chi), np.nan), None, "exact")
 
 
 @pytest.mark.parametrize("name", ["quad", "wide_points"])
@@ -682,7 +702,7 @@ def test_search_of_an_all_nan_objective_raises(name, request):
     with pytest.raises(ValueError, match=rf"on all {8 + thresholds.size} T_0 search candidates$"):
         heuristic_sup_over_tau(space, 0, nan, guide=guide)
     with pytest.raises(ValueError, match="T_0 search candidates"):
-        _sup_over_tails(space, "T", lambda chi, cond: np.full(chi.shape[0], np.nan), guide, "heuristic")
+        _sup_over_tails(space, "T", lambda tails: np.full(len(tails.chi), np.nan), guide, "heuristic")
 
 
 def test_carleson_keeps_the_first_worst_tail_across_blocks(wide_points):
@@ -814,12 +834,12 @@ def test_carleson_certification_rejects_negative_coefficients(quad):
 def test_exact_sweep_keeps_the_first_maximizer_across_blocks(name, request):
     space = request.getfixturevalue(name)
 
-    def tied(chi, cond):
-        return np.ones(chi.shape[0])
+    def tied(tails):
+        return np.ones(len(tails.chi))
 
-    def full_tail_nan(chi, cond):
-        size = chi.sum(axis=1)
-        return np.where(size == space.n, np.nan, size)
+    def full_tail_nan(tails):  # chi holds a row of the finest atoms (exact) or of the points (search)
+        size = tails.chi.sum(axis=1)
+        return np.where(size == tails.chi.shape[1], np.nan, size)
 
     c = _sup_over_tails(space, "T", tied, None, "exact")
     assert finest_mask(space, c.witness["tail"]) == 1
@@ -849,21 +869,6 @@ def point_cond(space, f, level):
         mass = np.tile(mass, f.shape[0])
     sums = np.bincount(labels, weights=(f * space.masses).ravel(), minlength=mass.size)
     return (sums / mass)[labels].reshape(f.shape)
-
-
-def point_row_cond_exp(space):
-    """The matmul kernel of the exact sweeps, without a density folded in."""
-    onehots = []
-    for labels, atom_mass in zip(space.atom_of, space.atom_mass):
-        onehot = np.zeros((space.n, atom_mass.size))
-        onehot[np.arange(space.n), labels] = 1.0
-        onehots.append(onehot)
-
-    def cond(_, rows, level):
-        sums = (rows * space.masses) @ onehots[level]
-        return (sums / space.atom_mass[level])[:, space.atom_of[level]]
-
-    return cond
 
 
 def point_level_max(space, cond, start, f, g=None):
@@ -947,58 +952,246 @@ def test_atom_level_max_equals_the_point_max(name, request):
             assert_same_block(got, want)
 
 
+# ---- the exact sweep's subset-sum tables -------------------------------------------
+#
+# The exact sweep reads a block of tails on the finest atoms ("leaves") from
+# subset-sum tables.  `ReferenceTails` is the same view of a block built one
+# tail at a time in Python floats: each leaf's density summed point by point,
+# and each sum over a tail (per coarse atom and in total) taken as the tail's
+# leaves below the block's low bits added in ascending order from 0, the leaves
+# from there up likewise, then the two partial sums added.
+
+
+def leaf_sums_in_point_order(space, density):
+    sums = []
+    for atom in space.atoms[space.last_level]:
+        total = 0.0
+        for x in atom.tolist():
+            total += float(density[x])
+        sums.append(total)
+    return sums
+
+
+class ReferenceTails:
+    """`_LeafTails` of the tails `masks` for `densities`, one tail at a time."""
+
+    def __init__(self, space, densities, masks, bits):
+        self.space = space
+        leaves = range(len(space.atoms[space.last_level]))
+        firsts = [int(atom[0]) for atom in space.atoms[space.last_level]]
+        self.leaf_atoms = [[int(space.atom_of[j][x]) for x in firsts] for j in range(space.n_levels)]
+        self.leaf_sums = [leaf_sums_in_point_order(space, d) for d in densities]
+        self.members = [[leaf for leaf in leaves if mask >> leaf & 1] for mask in masks]
+        self.chi = np.array([[float(mask >> leaf & 1) for leaf in leaves] for mask in masks]).reshape(len(masks), -1)
+        self.bits = bits
+
+    def _sum(self, s, leaves):
+        low = high = 0.0
+        for leaf in leaves:
+            if leaf < self.bits:
+                low += self.leaf_sums[s][leaf]
+            else:
+                high += self.leaf_sums[s][leaf]
+        return low + high
+
+    def total(self, s):
+        return np.array([self._sum(s, members) for members in self.members])
+
+    def weight(self, s):
+        return np.array(self.leaf_sums[s])
+
+    def means(self, s):
+        out = []
+        for j, mass in enumerate(self.space.atom_mass):
+            rows = []
+            for members in self.members:
+                if j == self.space.last_level:  # a leaf's mean is its own sum over its mass
+                    rows.append([self.leaf_sums[s][a] / m if a in members else 0.0 for a, m in enumerate(mass)])
+                else:
+                    atoms = [[x for x in members if self.leaf_atoms[j][x] == a] for a in range(mass.size)]
+                    rows.append([self._sum(s, inside) / m for inside, m in zip(atoms, mass)])
+            out.append(np.array(rows).reshape(len(self.members), mass.size))
+        return out
+
+    def level_max(self, *s):
+        """max over levels of |the product of the densities' means| per leaf."""
+        means = [self.means(t) for t in s]
+        out = np.zeros(self.chi.shape)
+        for r, x in np.ndindex(out.shape):
+            terms = []
+            for j in range(self.space.n_levels):
+                term = means[0][j][r, self.leaf_atoms[j][x]]
+                for m in means[1:]:
+                    term = term * m[j][r, self.leaf_atoms[j][x]]
+                terms.append(abs(term))
+            out[r, x] = max(terms)
+        return out
+
+
+def block_masks(tails):
+    """The finest-atom masks of a block's rows, read from its leaf bits."""
+    return [sum(1 << int(leaf) for leaf in np.flatnonzero(row)) for row in tails.chi]
+
+
+def assert_tables_match(space, densities):
+    """Every block the exact sweep reads from the tables equals the per-tail
+    reference bit for bit: chi, the weights, every total and level mean, and the
+    level maxima of each density and of a product, C-ordered (the objectives'
+    `@` reads that layout); and the blocks cover the nonempty tails in order."""
+    tables = _TailTables(space, densities)
+    seen = []
+
+    def objective(tails):
+        masks = block_masks(tails)
+        seen.extend(masks)
+        ref = ReferenceTails(space, densities, masks, _low_bits(space))
+        assert tails.chi.tobytes() == ref.chi.tobytes() and tails.chi.shape == ref.chi.shape
+        for s in range(len(densities)):
+            assert tails.row_sum(tails.chi, s).tobytes() == (ref.chi @ ref.weight(s)).tobytes()
+            assert tails.total(s).tobytes() == ref.total(s).tobytes()
+            got, want = tails.means(s), ref.means(s)
+            assert len(got) == len(want) == space.n_levels
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and np.ascontiguousarray(a).tobytes() == b.tobytes()
+        for s in ((0,), (1,), (0, 1)) if len(densities) > 1 else ((0,),):
+            assert tails.level_max(*s).tobytes() == ref.level_max(*s).tobytes()
+        return np.zeros(len(masks))
+
+    _sweep_tails(space, 0, objective, tables.read)
+    assert seen == list(range(1, 1 << len(space.atoms[space.last_level])))
+
+
+def table_densities(space, seed):
+    rng = np.random.default_rng(seed)
+    return tuple(np.exp(1.5 * rng.standard_normal(space.n)) * space.masses for _ in range(3))
+
+
+@pytest.mark.parametrize("name", [*LEVEL_MAX_SPACES, "wide_points"])
+@pytest.mark.parametrize("cap", [None, 64])
+def test_tail_tables_equal_ascending_sums(name, cap, request, monkeypatch):
+    """On every fixture (mixed6, lumpy5 and wide_points have several points in
+    a finest atom), a generated tower and worked4, with the default cap and with
+    blocks of a few tails, so that high leaves are fixed per block."""
+    space = level_max_space(name, request)
+    if cap is not None:
+        monkeypatch.setattr("filtermax.stopping._BLOCK_BYTES", max(8, cap * space.n))
+    assert_tables_match(space, table_densities(space, 67))
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_instances(), st.sampled_from([None, 8, 64]))
+def test_tail_tables_equal_ascending_sums_on_generated_spaces(inst, rows):
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr("filtermax.stopping._BLOCK_BYTES", 8 * rows * inst.space.n)
+        assert_tables_match(inst.space, tuple(w * inst.space.masses for w in (inst.omega1, inst.omega2, inst.v)))
+
+
 @pytest.mark.parametrize("name", [*LEVEL_MAX_SPACES, "wide_points"])
 def test_atom_level_max_on_the_matmul_kernel_equals_the_point_max(name, request):
-    """The matmul kernel with sigma * masses folded in, on 0/1 blocks, equals the
-    plain kernel on the block times sigma (folding is exact only there: BLAS
-    may fuse a product into its sum, so a product of two floats must not
-    round).  wide_points gives one-row blocks of _BLOCK_BYTES // 8 points.
-    The atom-level maximum is read at the points in C order on either kernel;
-    the per-point matmul kernel read its levels back in Fortran order, which
-    no objective's `@` sees (it multiplies by the C-ordered block first, and
-    numpy returns C order for mixed layouts; the S and Winf test below sweeps
-    that kernel), so its maximum is compared in C order."""
+    """The exact sweep's kernel (subset-sum tables since it replaced the points x
+    atoms matmul) takes its level maximum on the finest atoms; read at the
+    points, it equals the per-point maximum of the reference's level means read
+    at the points, on every block of a sweep, for one density and for a product
+    of two.  wide_points gives one-row blocks."""
     space = level_max_space(name, request)
-    rng = np.random.default_rng(37)
-    sigma1, sigma2 = np.exp(rng.standard_normal((2, space.n)))
-    point = point_row_cond_exp(space)
-    mean1, mean2 = (_row_cond_exp(space, sigma * space.masses) for sigma in (sigma1, sigma2))
-    for k in (0, 1, 2) if name == "wide_points" else (0, 1, 2, 9):
-        chi = (rng.random((k, space.n)) < 0.5).astype(float)
-        for start in range(space.n_levels):
-            product = lambda s, h, i: [a * b for a, b in zip(mean1(s, h, i), mean2(s, h, i))]  # noqa: E731
-            got = _level_max(space, start, chi, means=product)
-            want = point_level_max(space, point, start, chi * sigma1, chi * sigma2)
-            assert_same_block(got, np.ascontiguousarray(want))
-            assert_same_block(got * chi, want * chi)  # the objectives' first product
-            for sigma, mean in ((sigma1, mean1), (sigma2, mean2)):
-                got = _level_max(space, start, chi, means=mean)
-                want = point_level_max(space, point, start, chi * sigma)
-                assert_same_block(got, np.ascontiguousarray(want))
-                assert_same_block(got * chi, want * chi)
+    densities = table_densities(space, 37)
+    leaf_of = space.atom_of[space.last_level]
+
+    def objective(tails):
+        ref = ReferenceTails(space, densities, block_masks(tails), _low_bits(space))
+        means = [ref.means(0), ref.means(1)]
+
+        def cond(_, s, level):  # density s's reference means read at the points
+            return np.ascontiguousarray(means[s][level][:, space.atom_of[level]])
+
+        for s in ((0,), (1,), (0, 1)):
+            got = tails.level_max(*s).take(leaf_of, axis=1)
+            assert_same_block(got, point_level_max(space, cond, 0, *s))
+        return np.zeros(len(tails.chi))
+
+    _sweep_tails(space, 0, objective, _TailTables(space, densities).read)
+
+
+def reference_objectives(space, v, omega1, omega2, exps):
+    """RH, S and Winf block objectives of point blocks on `ReferenceTails`."""
+    sigma1 = sigma_from_omega(omega1, exps.p1)
+    sigma2 = sigma_from_omega(omega2, exps.p2)
+    p = exps.p
+    a1, a2 = p / exps.p1, p / exps.p2
+    mix = sigma1**a1 * sigma2**a2 * space.masses
+    densities = (sigma1 * space.masses, sigma2 * space.masses, v * space.masses, mix, space.masses)
+    firsts = [int(atom[0]) for atom in space.atoms[space.last_level]]
+
+    def view(inside):
+        masks = [sum(1 << leaf for leaf, x in enumerate(firsts) if row[x]) for row in inside]
+        return ReferenceTails(space, densities, masks, _low_bits(space))
+
+    def rh(inside):
+        t = view(inside)
+        return t.total(0) ** a1 * t.total(1) ** a2 / t.total(3)
+
+    def s(inside):
+        t = view(inside)
+        m = t.level_max(0, 1)
+        return (((m**p * t.chi) @ t.weight(2)) / (t.total(0) ** a1 * t.total(1) ** a2)) ** (1.0 / p)
+
+    def winf(inside):
+        t = view(inside)
+        m1, m2 = t.level_max(0), t.level_max(1)
+        return (m1**a1 * m2**a2 * t.chi) @ t.weight(4) / t.total(3)
+
+    return {"rh": rh, "s": s, "winf": winf}
 
 
 @pytest.mark.parametrize("name", [*LEVEL_MAX_SPACES, "wide_points"])
 def test_s_and_winf_keep_the_point_max_bits(name, request):
-    """Exact S and Winf equal a sweep of the per-point objectives bit for bit,
-    value and witness; heuristic S and Winf equal the search run on them."""
+    """Exact RH, S and Winf equal a sweep of the per-tail reference objectives
+    (`ReferenceTails`, same blocks, so the objectives' `@` reads the same rows)
+    bit for bit, value and witness; heuristic S and Winf equal the search run
+    on the per-point objectives."""
     space = level_max_space(name, request)
     rng = np.random.default_rng(41)
     for exps in (Exponents(2.0, 2.0), Exponents(1.5, 3.0)):
         v, omega1, omega2 = random_weights(rng, space.n)
-        objectives, guide = point_objectives(space, v, omega1, omega2, exps)
-        point = point_row_cond_exp(space)
-        for key, objective in objectives.items():
+        for key, objective in reference_objectives(space, v, omega1, omega2, exps).items():
             got = compute_constant(key, space, v, omega1, omega2, exps, mode="exact")
-            value, mask = _sweep_tails(space, 0, lambda inside: objective(inside.astype(float), point))
+            value, mask = _sweep_tails(space, 0, objective)
             assert got.value == value
             assert finest_mask(space, got.witness["tail"]) == mask
+        objectives, guide = point_objectives(space, v, omega1, omega2, exps)
+        for key, objective in objectives.items():
             got = compute_constant(key, space, v, omega1, omega2, exps, mode="heuristic")
             value, tau = heuristic_sup_over_tau(
                 space, 0, lambda inside: objective(inside.astype(float), point_cond), guide=guide
             )
             assert got.value == value
             assert got.witness["tail"] == tau.tail_set().tolist()
+
+
+@pytest.mark.parametrize("name", [*LEVEL_MAX_SPACES, "wide_points"])
+def test_exact_objectives_never_see_the_empty_tail(name, request, monkeypatch):
+    """Every block the exact RH, S and Winf objectives get holds nonempty tails
+    only (the sweep starts at mask 1), and no RuntimeWarning is raised: 0/0 on
+    the empty tail would be nan."""
+    space = level_max_space(name, request)
+    v, omega1, omega2 = random_weights(np.random.default_rng(71), space.n)
+    rows = []
+
+    def checked(space, i, objective, read):
+        def watched(tails):
+            rows.extend(tails.chi.sum(axis=1).tolist())
+            return objective(tails)
+
+        return _sweep_tails(space, i, watched, read)
+
+    monkeypatch.setattr("filtermax.weights._sweep_tails", checked)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for key in ("rh", "s", "winf"):
+            compute_constant(key, space, v, omega1, omega2, Exponents(1.5, 3.0))
+    assert len(rows) == 3 * (2 ** len(space.atoms[space.last_level]) - 1)
+    assert min(rows) >= 1
 
 
 # ---- every level's means in one bincount ------------------------------------------

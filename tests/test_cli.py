@@ -350,15 +350,17 @@ def test_verify_rejects_vanishing_test_functions(tmp_path, capsys, suite):
 
 DEGENERATE = [
     ({"h1": [1e200, 1, 1, 1], "h2": [1e200, 1, 1, 1]}, "fields 'h1' and 'h2': E_0(h1) E_0(h2) overflows at point 0"),
+    ({"h1": [1e154] * 4, "h2": [1e154] * 4}, "fields 'h1' and 'h2': E_0(h1) E_0(h2) exceeds 4^510 at point 0"),
     ({"masses": [1e-320, 1, 1, 1]}, "masses[0]: mass 1e-320 is subnormal"),
     ({"masses": [1e308, 1e308, 1, 1]}, "masses: total mass overflows a float"),
 ]
 
 
-@pytest.mark.parametrize("extra, message", DEGENERATE, ids=["h_products", "subnormal_mass", "total_mass"])
+@pytest.mark.parametrize("extra, message", DEGENERATE, ids=["h_products", "h_shells", "subnormal_mass", "total_mass"])
 def test_degenerate_instances_fail_at_load(tmp_path, capsys, extra, message):
-    """Level products past float range, a subnormal mass and an infinite total
-    mass on the four-point dyadic tower: invalid instance data (exit 4) naming
+    """Level products past float range or past 4^510 (where the sparse bound
+    overflows), a subnormal mass and an infinite total mass on the four-point
+    dyadic tower: invalid instance data (exit 4) naming
     the fields or the mass, for every command and suite, with no warning."""
     data = json.loads((DATA / "worked4.json").read_text())
     bad = tmp_path / "degenerate.json"

@@ -69,12 +69,30 @@ def test_forest_on_level_products_above_4_to_the_511(quad):
     props = verify_properties(forest)
     assert props.ok
     assert 0.0 < props.p5_margin < 1.0
-    report = sparse_domination_report(forest)
-    assert report.min_slack >= 0.0
-    # the K2 = 512 node's exit point has bound inf; the tolerance scale skips it
-    assert np.isinf(report.bound[0])
-    assert report.scale == 16.0 * 4.0**509
-    assert report.ok
+    # the K2 = 512 node's exit point would have bound 16 * 4^511 = inf, which
+    # dominates anything: the bound refuses it, naming K2
+    with pytest.raises(ValueError, match=r"K2 = 512 > 510"):
+        sparse_bound(forest)
+    with pytest.raises(ValueError, match=r"K2 = 512"):
+        sparse_domination_report(forest)
+
+
+def test_sparse_bound_is_finite_up_to_k2_510(quad):
+    """h1 = h2 = 1e154 puts every level product at 1e308, in shell 512: every
+    point is the exit point of a K2 = 512 node, so the bound would be inf at all
+    four points and a domination row would pass against it.  At 2^255 the
+    products are 2^1020 = 4^510, the largest shell whose bound 16 * 4^509 =
+    2^1022 is finite."""
+    h = np.full(4, 1e154)
+    forest = build_principal_forest(quad, 0, 512, np.arange(4), h, h)
+    assert [node.k2 for node in forest.nodes()] == [512]
+    message = r"^sparse bound 16 \* 4\^\(K2-1\) overflows a float at a node with K2 = 512 > 510$"
+    with pytest.raises(ValueError, match=message):
+        sparse_bound(forest)
+    h = np.full(4, 2.0**510)
+    forest = build_principal_forest(quad, 0, 510, np.arange(4), h, h)
+    assert sparse_bound(forest).tolist() == [2.0**1022] * 4
+    assert sparse_domination_report(forest).ok
 
 
 def test_domination_report_scale_ignores_infinite_bounds():

@@ -276,6 +276,17 @@ def test_integrate_subset(quad):
     assert integrate(quad, f, subset=[2, 3]) == pytest.approx(1.75)
 
 
+def test_integrate_is_numpys_fixed_order_sum():
+    """integrate sums the products f * mu with numpy's pairwise sum, whose order
+    is fixed, not with a BLAS dot, whose order depends on the kernel."""
+    n = 300
+    space = FilteredSpace(np.linspace(0.5, 1.5, n), [[list(range(n))], [[x] for x in range(n)]])
+    f = np.random.default_rng(3).standard_normal(n)
+    assert integrate(space, f) == float((f * space.masses).sum())
+    subset = np.arange(0, n, 3)
+    assert integrate(space, f, subset=subset) == float((f[subset] * space.masses[subset]).sum())
+
+
 def test_weighted_cond_exp_hand_values(quad):
     f = np.array([1.0, 0.0, 0.0, 0.0])
     sigma = np.array([3.0, 1.0, 1.0, 1.0])

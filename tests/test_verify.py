@@ -341,6 +341,15 @@ BAD_DATA = [
         {"levels": [[[0, 1]], [[0], [1]]], "h1": [0, 2e154], "h2": [0, 2e154]},
         r"fields 'h1' and 'h2': E_1\(h1\) E_1\(h2\) overflows at point 1$",
     ),
+    # finite level products past 4^510, whose sparse bound 16 * 4^(K2-1) overflows
+    (
+        {"h1": [1e154, 1e154], "h2": [1e154, 1e154]},
+        r"fields 'h1' and 'h2': E_0\(h1\) E_0\(h2\) exceeds 4\^510 at point 0, so its sparse bound .* overflows",
+    ),
+    (
+        {"levels": [[[0, 1]], [[0], [1]]], "h1": [0, 5e153], "h2": [0, 5e153]},
+        r"fields 'h1' and 'h2': E_1\(h1\) E_1\(h2\) exceeds 4\^510 at point 1, so its sparse bound",
+    ),
     # weights, test functions and exponents that are not numbers, or not floats
     ({"v": ["1", True]}, r"field 'v'\[0\]: '1' is not a number"),
     ({"omega1": [1, False]}, r"field 'omega1'\[1\]: False is not a number"),
