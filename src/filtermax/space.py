@@ -236,7 +236,7 @@ class FilteredSpace:
         # levels whose atoms are the single points in order, which `_to_points` reads as they are
         self._point_levels = frozenset(t for t, lab in enumerate(self.atom_of) if np.array_equal(lab, np.arange(self.n)))
         self._bins: dict = {}  # `_level_bins` by start level
-        self._layouts: dict = {}  # `stopping._tail_layout` by low bits
+        self._layouts: dict = {}  # `weights._tail_layout` by low bits, built once per space
 
     # ---- basic structure -------------------------------------------------
 

@@ -13,11 +13,11 @@ Exhaustive enumeration is exponential in the forest, so it is guarded by
 an atom budget (number of (level, atom) pairs at levels i..L, default 24,
 set only by the FILTERMAX_ATOM_BUDGET environment variable).  The exact
 RH, S, Winf and thm12 suprema walk that power set through one sweep,
-`_sweep_tails`, in blocks of 2**b consecutive masks aligned on 2**b, at
-most 128 KiB as n-point float64 rows (1024 tails on 16 points): within a
-block the low b finest atoms run through every pattern and the others stay
-fixed, which lets the exact weight constants read every sum over a tail
-from subset-sum tables (`weights._TailTables`).  For larger spaces
+`_sweep_tails`, in blocks of 2**b consecutive masks aligned on 2**b
+(`_low_bits`), at most 128 KiB as n-point float64 rows (1024 tails on 16
+points): within a block the low b finest atoms run through every pattern and
+the others stay fixed, which lets the exact weight constants read every sum
+over a tail from subset-sum tables (`weights._TailTables`).  For larger spaces
 `heuristic_sup_over_tau` searches a candidate family of stopping times and
 returns a certified lower bound for the supremum.  The sweep and the
 search take one objective contract, objective(inside) -> values for a
@@ -52,7 +52,6 @@ _BUDGET_ENV = "FILTERMAX_ATOM_BUDGET"
 # size, and the cap sets where a sum over a tail splits into low and high leaves.
 _BLOCK_BYTES = 128 * 1024
 _MAX_MASK_BITS = 62  # finest atoms a tail mask can hold in an int64
-_THRESHOLD_COUNT = 32  # geometric grid of first-hit thresholds in the heuristic search
 _MAX_ROUNDS = 40  # hill-climbing rounds of the heuristic search
 
 
@@ -277,30 +276,6 @@ def _low_bits(space: FilteredSpace) -> int:
     return min(_block_rows(space).bit_length() - 1, len(space.atoms[space.last_level]))
 
 
-def _tail_layout(space: FilteredSpace) -> tuple[int, np.ndarray, np.ndarray, list[int]]:
-    """The exact sweep's layout of a block, cached on the space by b (`_low_bits`):
-    b; the b x 2**b 0/1 patterns of the low b finest atoms (column r holds the
-    bits of r); each finest atom's atom at every coarser level, as a leaves x C
-    0/1 matrix whose columns are the atoms of levels 0..L-1 in order, then one
-    column for the whole tail; and the first column of each of those levels,
-    then C - 1."""
-    bits = _low_bits(space)
-    cached = space._layouts.get(bits)
-    if cached is None:
-        leaves = len(space.atoms[space.last_level])
-        patterns = (np.arange(1 << bits) >> np.arange(bits)[:, None] & 1).astype(float)
-        firsts = [int(atom[0]) for atom in space.atoms[space.last_level]]
-        starts = np.cumsum([0, *(len(level) for level in space.atoms[:-1])]).tolist()
-        onehot = np.zeros((leaves, starts[-1] + 1))
-        for start, labels in zip(starts, space.atom_of[:-1]):
-            onehot[np.arange(leaves), start + labels[firsts]] = 1.0
-        onehot[:, -1] = 1.0
-        for arr in (patterns, onehot):
-            arr.setflags(write=False)
-        cached = space._layouts[bits] = bits, patterns, onehot, starts
-    return cached
-
-
 def _block_max(blocks: Iterable[tuple[int, np.ndarray]], best: float = -np.inf) -> tuple[float, tuple | None]:
     """The one first-maximizer loop: (value, (tag, row)) of the first maximum over
     blocks (tag, values), nan skipped, if it beats `best`, else (best, None); a
@@ -429,12 +404,12 @@ def heuristic_sup_over_tau(
     objective(inside) maps a k x n boolean block of tails {tau < inf} to k
     values, as in `_sweep_tails`; it scores each distinct nonempty tail once
     (`_first_scores`), per candidate block: the full stop tau = i and every
-    single-atom stop; the first-hit times of level-product thresholds (when a
-    guide pair of positive weights is supplied); the moves of each round of
-    greedy hill climbing on the antichain of stopped atoms (refine / merge /
-    drop / add).  A candidate is keyed by its finest atoms (`_atom_keys`;
-    a threshold's from one packbits of its leaves), so only new tails become
-    rows.  A block is scored in slices of an exact sweep's block, so memory
+    single-atom stop; the first-hit times of the distinct positive level
+    products and of one threshold below the least (given a guide pair of
+    positive weights); the moves of each round of greedy hill climbing on the
+    antichain of stopped atoms (refine / merge / drop / add).  A candidate is keyed by its finest
+    atoms (`_atom_keys`; a threshold's from one packbits of its leaves), so
+    only new tails become rows.  A block is scored in slices of an exact sweep's block, so memory
     stays linear in the points, and its first maximizer is kept as
     `_block_max` keeps it.  Every candidate is an adapted stopping time, so
     the result never exceeds the true supremum.  ValueError if the objective
@@ -471,9 +446,8 @@ def heuristic_sup_over_tau(
         prods = level_products(space, *guide)
         values = np.unique(np.concatenate([pr[pr > 0] for pr in prods]))
         if values.size:
-            lo, hi = float(values[0]), float(values[-1])
-            grid = np.geomspace(lo, hi, num=_THRESHOLD_COUNT) if hi > lo else np.array([lo])
-            thresholds = np.unique(np.concatenate([grid, values * (1.0 - 1e-9), values]))
+            # every other threshold sets the same conditions {pr > thr} as one of these
+            thresholds = np.concatenate([values[:1] * (1.0 - 1e-9), values])
             tried += len(thresholds)
             # the first hit of {prods[j] > thr}, j >= i, stops exactly on {reach > thr},
             # a union of finest atoms, read at each one's first point

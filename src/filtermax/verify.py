@@ -694,7 +694,8 @@ def default_forest(inst: Instance) -> PrincipalForest:
 
 
 def check_sparse(inst: Instance) -> list[CheckResult]:
-    """Sparse domination and P.1–P.5 on the instance's default forest."""
+    """Sparse domination and P.1–P.5 on the instance's default forest, by the
+    rule of `DominationReport.ok`: no relative tolerance, and the gap counts."""
     seed = _row_seed(inst)
     forest = inst.forest
     report = sparse_domination_report(forest)
@@ -703,12 +704,13 @@ def check_sparse(inst: Instance) -> list[CheckResult]:
     bool_violation = 0.0 if (props.p1_ok and props.p2_ok and props.p4_ok) else 1.0
     prop_violation = max(
         0.0, -props.p3_margin, -props.p5_margin, -props.doubling_margin
-    ) + bool_violation
+    ) + bool_violation + report.localization_gap / report.scale
     return [
         CheckResult(
             theorem="sparse_domination",
             lhs=float(report.operator[tight]),
             rhs=float(report.bound[tight]),
+            rel_tol=0.0,
             abs_tol=1e-12 * report.scale,
             seed=seed,
             detail={

@@ -19,14 +19,14 @@ maximizer.  Exact mode evaluates the objective on every union of finest
 atoms through `stopping._sweep_tails` (refused past the atom budget), on
 the finest atoms ("leaves"), on which everything the objectives compute is
 constant: every sum over a tail is a subset-sum table's entry for its low
-leaves plus the fixed high leaves' sum (`_TailTables`), so no BLAS call
-forms one; only the S and Winf objectives' last weighted row sum is a
-matrix-vector product.  Heuristic mode scores the stopping-time search's
-candidates at the points (`_PointTails`: `chi @ d` totals and the
-one-bincount means `space._level_means`), which yields a certified lower
-bound.  A and B take each weight's means of every level from one
-`_level_means` call.  The dual weights must come out finite and strictly
-positive, else ValueError naming sigma1 or sigma2.
+leaves plus the fixed high leaves' sum (`_TailTables` on `_tail_layout`),
+so no BLAS call forms one; only the S and Winf objectives' last weighted
+row sum is a matrix-vector product.  Heuristic mode scores the
+stopping-time search's candidates at the points (`_PointTails`: `chi @ d`
+totals and the one-bincount means `space._level_means`), which yields a
+certified lower bound.  A and B take each weight's means of every level
+from one `_level_means` call.  The dual weights must come out finite and
+strictly positive, else ValueError naming sigma1 or sigma2.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from .space import cond_exp  # noqa: F401  (bench/tests expects this module to b
 from .stopping import (
     _block_max,
     _check_budget,
+    _low_bits,
     _sweep_tails,
-    _tail_layout,
     heuristic_sup_over_tau,
     stopping_time_from_tail,
 )
@@ -172,6 +172,30 @@ class _PointTails(_Tails):
 
     def level_max(self, *s: int) -> np.ndarray:
         return _to_points(self.space, super().level_max(*s), self.space.last_level)
+
+
+def _tail_layout(space: FilteredSpace) -> tuple[int, np.ndarray, np.ndarray, list[int]]:
+    """The exact sweep's layout of a block, cached on the space by b (`_low_bits`):
+    b; the b x 2**b 0/1 patterns of the low b finest atoms (column r holds the
+    bits of r); each finest atom's atom at every coarser level, as a leaves x C
+    0/1 matrix whose columns are the atoms of levels 0..L-1 in order, then one
+    column for the whole tail; and the first column of each of those levels,
+    then C - 1."""
+    bits = _low_bits(space)
+    cached = space._layouts.get(bits)
+    if cached is None:
+        leaves = len(space.atoms[space.last_level])
+        patterns = (np.arange(1 << bits) >> np.arange(bits)[:, None] & 1).astype(float)
+        firsts = [int(atom[0]) for atom in space.atoms[space.last_level]]
+        starts = np.cumsum([0, *(len(level) for level in space.atoms[:-1])]).tolist()
+        onehot = np.zeros((leaves, starts[-1] + 1))
+        for start, labels in zip(starts, space.atom_of[:-1]):
+            onehot[np.arange(leaves), start + labels[firsts]] = 1.0
+        onehot[:, -1] = 1.0
+        for arr in (patterns, onehot):
+            arr.setflags(write=False)
+        cached = space._layouts[bits] = bits, patterns, onehot, starts
+    return cached
 
 
 class _TailTables:

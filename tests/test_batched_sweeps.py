@@ -60,6 +60,7 @@ from filtermax.stopping import (
     _atom_keys,
     _key_rows,
     _low_bits,
+    _packed_keys,
     _sweep_tails,
     heuristic_sup_over_tau,
 )
@@ -676,6 +677,32 @@ def test_exact_constants_refuse_before_building_the_row_kernel(monkeypatch, quad
             compute_constant(name, quad, one, one, one, Exponents(2.0, 2.0))
 
 
+def test_exact_constants_share_the_cached_layout(monkeypatch):
+    """Exact RH, S and Winf on one space build the block layout once: the space
+    keeps one `_layouts` entry, and every constant's tables hold its arrays."""
+    inst = gen_instance(11, depth=2, branching=4)
+    space = inst.space
+    tables = []
+
+    class Recorded(_TailTables):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr("filtermax.weights._TailTables", Recorded)
+    layouts = []
+    for name in ("rh", "s", "winf"):
+        compute_constant(name, space, inst.v, inst.omega1, inst.omega2, inst.exps)
+        layouts.append(list(space._layouts.values()))
+    layout = layouts[0][0]
+    assert all(len(got) == 1 and got[0] is layout for got in layouts)
+    bits, patterns, _, starts = layout
+    assert len(tables) == 3
+    for table in tables:
+        assert (table.bits, table.starts) == (bits, starts)
+        assert table.patterns is patterns
+
+
 @pytest.mark.parametrize("name", ["quad", "wide_points"])
 def test_sweep_of_an_all_nan_objective_raises(name, request):
     space = request.getfixturevalue(name)
@@ -688,7 +715,8 @@ def test_sweep_of_an_all_nan_objective_raises(name, request):
 @pytest.mark.parametrize("name", ["quad", "wide_points"])
 def test_search_of_an_all_nan_objective_raises(name, request):
     """The search words it as the sweep does, counting its candidates: the full
-    stop and the 7 single-atom stops, then the thresholds of a guide."""
+    stop and the 7 single-atom stops, then a guide's distinct level products and
+    one threshold below the least."""
     space = request.getfixturevalue(name)
     nan = lambda inside: np.full(len(inside), np.nan)  # noqa: E731
     with pytest.raises(ValueError, match=r"^tail objective is nan \(or -inf\) on all 8 T_0 search candidates$"):
@@ -698,8 +726,7 @@ def test_search_of_an_all_nan_objective_raises(name, request):
     guide = tuple(np.exp(np.random.default_rng(53).standard_normal((2, space.n))))
     prods = level_products(space, *guide)
     values = np.unique(np.concatenate(prods))
-    thresholds = np.unique(np.concatenate([np.geomspace(values[0], values[-1], 32), values * (1.0 - 1e-9), values]))
-    with pytest.raises(ValueError, match=rf"on all {8 + thresholds.size} T_0 search candidates$"):
+    with pytest.raises(ValueError, match=rf"on all {8 + 1 + values.size} T_0 search candidates$"):
         heuristic_sup_over_tau(space, 0, nan, guide=guide)
     with pytest.raises(ValueError, match="T_0 search candidates"):
         _sup_over_tails(space, "T", lambda tails: np.full(len(tails.chi), np.nan), guide, "heuristic")
@@ -1361,6 +1388,81 @@ def test_search_memo_keys_are_finest_masks(mixed6, lumpy5):
         assert rows.flags.c_contiguous and rows.dtype == bool
         assert [np.flatnonzero(row).tolist() for row in rows] == [mask_points(space, m).tolist() for m in masks]
         assert _key_rows(space, []).shape == (0, space.n)
+
+
+# ---- the search's first-hit thresholds --------------------------------------------
+#
+# The search takes its first-hit thresholds at the distinct positive level
+# products and one point below the least.  `parent_thresholds` is the family it
+# took before: a 32-point geometric grid, each product value and a point just
+# below each, which adds only repeats of a first-hit time already scored.
+
+
+def parent_thresholds(values):
+    lo, hi = float(values[0]), float(values[-1])
+    grid = np.geomspace(lo, hi, num=32) if hi > lo else np.array([lo])
+    return np.unique(np.concatenate([grid, values * (1.0 - 1e-9), values]))
+
+
+def first_hits(space, i, prods, thresholds):
+    """(tail key, first_hit chain) of each threshold's first-hit time, in order."""
+    out = []
+    for thr in thresholds:
+        tau = first_hit(space, i, [pr > thr for pr in prods])
+        out.append((finest_mask(space, tau.tail_set()), tuple(antichain_of(space, tau))))
+    return out
+
+
+def searched_threshold_keys(space, i, guide):
+    """The tail keys the search gives its thresholds, in order."""
+    keys = []
+
+    def packed(leaf_bits):
+        out = _packed_keys(leaf_bits)
+        keys.extend(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("filtermax.stopping._packed_keys", packed)
+        heuristic_sup_over_tau(space, i, lambda inside: inside.sum(axis=1, dtype=float), guide)
+    return keys
+
+
+def assert_thresholds_keep_the_first_hits(space, guide, origins=(0,)):
+    """The search's thresholds are the distinct positive products and one point
+    below the least, and their first occurrences of (tail key, chain) are the
+    parent family's, in the same order."""
+    prods = level_products(space, *guide)
+    values = np.unique(np.concatenate([pr[pr > 0] for pr in prods]))
+    family = np.concatenate([values[:1] * (1.0 - 1e-9), values])
+    for i in origins:
+        hits = first_hits(space, i, prods, family)
+        assert searched_threshold_keys(space, i, guide) == [key for key, _ in hits]
+        parent = first_hits(space, i, prods, parent_thresholds(values))
+        assert list(dict.fromkeys(hits)) == list(dict.fromkeys(parent))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_thresholds_keep_the_first_hits_on_fixtures(name, request):
+    space = request.getfixturevalue(name)
+    rng = np.random.default_rng(73)
+    for _ in range(3):
+        guide = tuple(np.exp(1.5 * rng.standard_normal((2, space.n))))
+        assert_thresholds_keep_the_first_hits(space, guide, origins=range(space.n_levels))
+
+
+def test_thresholds_keep_the_first_hits_on_deep_product_instances():
+    for seed in range(2):
+        inst = gen_instance(seed, depth=5, model="product", p1=2.5, p2=2.5)
+        guide = (sigma_from_omega(inst.omega1, inst.exps.p1), sigma_from_omega(inst.omega2, inst.exps.p2))
+        assert_thresholds_keep_the_first_hits(inst.space, guide, origins=(0, 2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_instances())
+def test_thresholds_keep_the_first_hits_on_generated_spaces(inst):
+    guide = (sigma_from_omega(inst.omega1, inst.exps.p1), sigma_from_omega(inst.omega2, inst.exps.p2))
+    assert_thresholds_keep_the_first_hits(inst.space, guide, origins=range(inst.space.n_levels))
 
 
 # ---- the block pair norms ------------------------------------------------------

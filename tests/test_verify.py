@@ -504,6 +504,35 @@ def test_sparse_rows_flat(flat):
     assert props.passed
 
 
+@pytest.mark.parametrize(
+    "operator,gap,failing",
+    [
+        ([1e6 + 1e-4, 1.0 + 1e-5, 0.5, 0.5], 0.0, "sparse_domination"),  # past 1e-12 * scale, within 1e-9 rel
+        ([0.5, 0.5, 0.5, 0.5], 1.0, "sparse_properties"),
+    ],
+)
+def test_sparse_rows_fail_where_the_report_fails(flat, monkeypatch, operator, gap, failing):
+    """The sparse rows judge a report by its own rule: each crafted report has
+    `ok` False, and exactly the row that carries the broken term fails."""
+    bound = np.array([1e6, 1.0, 1.0, 1.0])
+    operator = np.array(operator)
+    slack = bound - operator
+    report = filtermax.principal.DominationReport(
+        bound=bound,
+        operator=operator,
+        operator_global=operator,
+        min_slack=float(slack.min()),
+        tightest_point=int(slack.argmin()),
+        localization_gap=gap,
+    )
+    assert not report.ok
+    monkeypatch.setattr("filtermax.verify.sparse_domination_report", lambda forest: report)
+    rows = check_sparse(flat)
+    assert {r.theorem: r.status for r in rows} == {
+        name: "fail" if name == failing else "pass" for name in ("sparse_domination", "sparse_properties")
+    }
+
+
 def test_carleson_rows_flat(flat):
     rows = check_carleson(flat)
     assert [r.theorem for r in rows] == ["carleson_node", "carleson_exit"]
