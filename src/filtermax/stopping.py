@@ -47,9 +47,8 @@ _BUDGET_ENV = "FILTERMAX_ATOM_BUDGET"
 # objectives keep about ten temporaries of a block's size alive (the 0/1 block,
 # per-level means and their product, the level maximum and its gather, m**p,
 # m**p * chi): at 128 KiB they fit a 2 MiB L2 together, at 512 KiB they spill
-# and those sweeps take about twice as long.  Exact S and Winf may move by ulps
-# with the cap: their last row sum is a BLAS product over a block of another
-# size, and the cap sets where a sum over a tail splits into low and high leaves.
+# and those sweeps take about twice as long.  Exact RH, S and Winf may move by
+# ulps with the cap: it sets where a sum over a tail splits into low and high leaves.
 _BLOCK_BYTES = 128 * 1024
 _MAX_MASK_BITS = 62  # finest atoms a tail mask can hold in an int64
 _MAX_ROUNDS = 40  # hill-climbing rounds of the heuristic search
@@ -368,7 +367,8 @@ def _packed_keys(leaf_bits: np.ndarray) -> list[int]:
 
 def _key_rows(space: FilteredSpace, keys: Sequence[int]) -> np.ndarray:
     """The tails with the given finest-atom keys, as a C-ordered k x n boolean
-    block (an objective's `@` may round a Fortran-ordered block differently)."""
+    block (the layout fixes the order in which an objective sums a row: each
+    as its 1-d `.sum()`)."""
     leaves = len(space.atoms[space.last_level])
     width = (leaves + 7) // 8
     packed = np.frombuffer(b"".join(key.to_bytes(width, "little") for key in keys), dtype=np.uint8)
@@ -377,11 +377,10 @@ def _key_rows(space: FilteredSpace, keys: Sequence[int]) -> np.ndarray:
 
 
 def _first_scores(space: FilteredSpace, objective: Callable) -> Callable[[Sequence[int]], np.ndarray]:
-    """The objective by tail keys, with each tail's first value kept (a 1-row
-    matmul rounds as a dot product, and a tail re-scored higher would improve on
-    itself): a slice's new nonempty tails go to it in one call, one row each in
-    order of first appearance, built from their keys only; the empty tail (key 0)
-    is nan."""
+    """The objective by tail keys, each distinct tail scored once (a quarter of
+    the search's candidates repeat a tail it has scored): a slice's new nonempty
+    tails go to it in one call, one row each in order of first appearance, built
+    from their keys only; the empty tail (key 0) is nan."""
     scores = {0: np.nan}
 
     def scored(keys: Sequence[int]) -> np.ndarray:

@@ -168,7 +168,7 @@ def _tower(depth: int, branching: int) -> list[list[list[int]]]:
     n = branching**depth
     if n > MAX_POINTS:
         raise ValueError(
-            f"atom budget exceeded: branching^depth = {n} points (limit {MAX_POINTS})"
+            f"point limit exceeded: branching^depth = {n} points (a generated space holds at most {MAX_POINTS})"
         )
     levels = []
     for t in range(depth + 1):

@@ -19,14 +19,14 @@ maximizer.  Exact mode evaluates the objective on every union of finest
 atoms through `stopping._sweep_tails` (refused past the atom budget), on
 the finest atoms ("leaves"), on which everything the objectives compute is
 constant: every sum over a tail is a subset-sum table's entry for its low
-leaves plus the fixed high leaves' sum (`_TailTables` on `_tail_layout`),
-so no BLAS call forms one; only the S and Winf objectives' last weighted
-row sum is a matrix-vector product.  Heuristic mode scores the
-stopping-time search's candidates at the points (`_PointTails`: `chi @ d`
-totals and the one-bincount means `space._level_means`), which yields a
-certified lower bound.  A and B take each weight's means of every level
-from one `_level_means` call.  The dual weights must come out finite and
-strictly positive, else ValueError naming sigma1 or sigma2.
+leaves plus the fixed high leaves' sum (`_TailTables` on `_tail_layout`).
+Heuristic mode scores the stopping-time search's candidates at the points
+(`_PointTails`: the one-bincount means `space._level_means`), which yields
+a certified lower bound.  Every other sum over a row of a block, in either
+mode, is `_Tails.row_sum`, in numpy's fixed order, so no value depends on
+the BLAS library or its kernel.  A and B take each weight's means of every
+level from one `_level_means` call.  The dual weights must come out finite
+and strictly positive, else ValueError naming sigma1 or sigma2.
 """
 
 from __future__ import annotations
@@ -137,15 +137,25 @@ def b_p_constant(space: FilteredSpace, v: Fn, omega1: Fn, omega2: Fn, exps: Expo
 class _Tails:
     """A block of k nonempty tails as a tail objective reads it, for the constant's
     densities d_0, d_1, ... (each a function times the masses): chi, the k x width
-    0/1 tails; total(s), the (k,) sums of d_s over each tail; row_sum(x, s), the
-    sums over each row of a k x width x weighted by d_s, a matrix-vector product;
-    means(s), the fresh (k, atoms_j) level means E_j(chi d_s / mu) per atom, j =
-    0..L; level_max(s[, t]), max over levels of E_j(chi d_s / mu) [E_j(chi d_t /
-    mu)] at the width (no absolute value: chi and the densities are nonnegative).
-    The width is the points (`_PointTails`) or the finest atoms (`_LeafTails`)."""
+    0/1 tails; densities[s], d_s summed over each column of the width; row_sum(x,
+    s), the sums over each row of a k x width x weighted by d_s; total(s), the (k,)
+    sums of d_s over each tail; means(s), the fresh (k, atoms_j) level means
+    E_j(chi d_s / mu) per atom, j = 0..L; level_max(s[, t]), max over levels of
+    E_j(chi d_s / mu) [E_j(chi d_t / mu)] at the width (no absolute value: chi and
+    the densities are nonnegative).  The width is the points (`_PointTails`) or
+    the finest atoms (`_LeafTails`).  A row sum is numpy's `sum(axis=1)`, whose
+    order the block's layout fixes: a C-ordered row adds as its 1-d `.sum()`, an
+    F-ordered block adds each row's columns in ascending order."""
 
     space: FilteredSpace
     chi: np.ndarray
+    densities: tuple | np.ndarray
+
+    def row_sum(self, x: np.ndarray, s: int) -> np.ndarray:
+        return (x * self.densities[s]).sum(axis=1)
+
+    def total(self, s: int) -> np.ndarray:
+        return self.row_sum(self.chi, s)
 
     def level_max(self, *s: int) -> np.ndarray:
         terms = self.means(s[0])
@@ -155,17 +165,11 @@ class _Tails:
 
 
 class _PointTails(_Tails):
-    """The search's blocks, at the points: a total is `chi @ d_s`, the level means
-    are `_level_means` bincounts, and the level maximum is read at the points."""
+    """The search's blocks, at the points, C-ordered: the level means are
+    `_level_means` bincounts, and the level maximum is read at the points."""
 
     def __init__(self, space: FilteredSpace, densities: tuple, inside: np.ndarray):
         self.space, self.densities, self.chi = space, densities, inside.astype(float)
-
-    def total(self, s: int) -> np.ndarray:
-        return self.chi @ self.densities[s]
-
-    def row_sum(self, x: np.ndarray, s: int) -> np.ndarray:
-        return x @ self.densities[s]
 
     def means(self, s: int) -> list[np.ndarray]:
         return _level_means(self.space, self.chi, 0, self.densities[s])
@@ -243,12 +247,12 @@ class _LeafTails(_Tails):
     ascending order, from 0), and the finest level is read directly (a 0/1 tail's
     leaf mean is chi times the leaf's sum of d_s over its mass).  Every array is
     built with a row per atom or leaf and handed out transposed, on which the
-    level maximum's gathers and maxima run fastest; `row_sum` makes its operand
-    C-ordered first, since BLAS rounds a transposed matrix-vector product
-    differently, and differently on each OpenBLAS kernel."""
+    level maximum's gathers and maxima run fastest, so a row sum adds its leaves
+    in ascending order (a one-row block is a contiguous row, which adds as its
+    1-d `.sum()`)."""
 
     def __init__(self, tables: _TailTables, lo: int, hi: int):
-        self.space, self.tables = tables.space, tables
+        self.space, self.tables, self.densities = tables.space, tables, tables.leaf_sums
         self.high_leaves = [leaf for leaf in range(tables.bits, len(tables.rows)) if lo >> leaf & 1]
         self.high = sum((tables.rows[leaf] for leaf in self.high_leaves), np.zeros(tables.rows.shape[1]))
         low = lo & ((1 << tables.bits) - 1)
@@ -280,9 +284,6 @@ class _LeafTails(_Tails):
     def total(self, s: int) -> np.ndarray:
         at = (s + 1) * self.tables.width - 1
         return self._sums(at, at + 1)[0]
-
-    def row_sum(self, x: np.ndarray, s: int) -> np.ndarray:
-        return np.ascontiguousarray(x) @ self.tables.leaf_sums[s]
 
     def means(self, s: int) -> list[np.ndarray]:
         at, starts, bits = s * self.tables.width, self.tables.starts, self.tables.bits

@@ -4,15 +4,20 @@ on the worked instance, and byte determinism."""
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from filtermax import load_instance, verify
 from filtermax.cli import main
+from filtermax.principal import DominationReport
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(*argv):
@@ -34,7 +39,7 @@ def test_gen_writes_loadable_instance(tmp_path, capsys):
 def test_gen_usage_error(tmp_path, capsys):
     out = tmp_path / "x.json"
     assert run("gen", "--depth", "40", "--out", str(out)) == 2
-    assert "atom budget exceeded" in capsys.readouterr().err
+    assert "point limit exceeded" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -447,9 +452,53 @@ def test_verify_falsification_writes_replay(tmp_path, monkeypatch, capsys):
     assert sorted(tmp_path.glob("replay_*.json")) == replays
 
 
+def test_verify_tol_keeps_the_sparse_rows_own_rule(monkeypatch, capsys):
+    """--tol replaces the default tolerance only.  sparse_domination fixes its
+    own (none, as `DominationReport.ok`), so a bound of 1e6 exceeded by 5e-4
+    fails under every --tol, though it is within 1e-9 of the bound."""
+    bound = np.full(4, 1e6)
+    operator = bound.copy()
+    operator[0] += 5e-4
+    report = DominationReport(
+        bound=bound, operator=operator, operator_global=operator, min_slack=-5e-4, tightest_point=0, localization_gap=0.0
+    )
+    assert not report.ok
+    monkeypatch.setattr(verify, "sparse_domination_report", lambda forest: report)
+    for tol in ([], ["--tol", "1e-3"], ["--tol", "0"]):
+        assert run("verify", str(DATA / "worked4.json"), "--suite", "sparse", *tol) == 1, tol
+        err = capsys.readouterr().err
+        assert "2 checks: 1 pass, 0 indeterminate, 1 fail" in err
+        assert "falsified: sparse_domination" in err
+
+
+def test_report_bytes_do_not_depend_on_the_openblas_kernel(tmp_path):
+    """Heuristic constants and a verify report are the same bytes on OpenBLAS's
+    default kernel and on Sandybridge (no FMA): no reported number goes
+    through BLAS."""
+
+    def fm(*argv, core=None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        if core is not None:
+            env["OPENBLAS_CORETYPE"] = core
+        proc = subprocess.run(
+            [sys.executable, "-m", "filtermax.cli", *argv], cwd=tmp_path, env=env, capture_output=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    inst = str(tmp_path / "inst.json")
+    fm("gen", "--seed", "11", "--depth", "2", "--branching", "4", "--model", "lognormal", "--p1", "2.5", "--p2", "1.7",
+       "--out", inst)
+    for argv in (
+        ["constants", inst, "--mode", "heuristic", "--format", "json"],
+        ["verify", "--ensemble", "9", "6", "--depth", "2", "--branching", "4"],
+    ):
+        assert fm(*argv) == fm(*argv, core="Sandybridge"), argv
+
+
 def test_console_script_installed():
     import shutil
-    import subprocess
 
     exe = shutil.which("filtermax")
     if exe is None:

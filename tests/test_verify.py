@@ -85,7 +85,7 @@ def test_gen_space_structure_and_determinism():
     assert np.array_equal(s1.masses, s2.masses)
     assert s1.total_mass == pytest.approx(1.0)
     assert not np.array_equal(s1.masses, gen_space(10, depth=3, branching=2).masses)
-    with pytest.raises(ValueError, match="atom budget exceeded"):
+    with pytest.raises(ValueError, match="point limit exceeded"):
         gen_space(0, depth=40, branching=2)
     with pytest.raises(ValueError):
         gen_space(0, depth=0, branching=2)
