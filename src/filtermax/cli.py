@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -68,6 +69,7 @@ def _gen_kwargs(args: argparse.Namespace) -> dict:
     return {key: getattr(args, key) for key in _GEN_FLAGS}
 
 
+@functools.cache  # parse_args leaves the parser as it was, so a process builds it once
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="filtermax", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

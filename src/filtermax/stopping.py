@@ -43,12 +43,12 @@ from .space import FilteredSpace, Fn, _cut_atoms, level_products
 
 DEFAULT_ATOM_BUDGET = 24
 _BUDGET_ENV = "FILTERMAX_ATOM_BUDGET"
-# Cap on one rows x n float64 block of a batched tail sweep.  The S and Winf
-# objectives keep about ten temporaries of a block's size alive (the 0/1 block,
-# per-level means and their product, the level maximum and its gather, m**p,
-# m**p * chi): at 128 KiB they fit a 2 MiB L2 together, at 512 KiB they spill
-# and those sweeps take about twice as long.  Exact RH, S and Winf may move by
-# ulps with the cap: it sets where a sum over a tail splits into low and high leaves.
+# Cap on one rows x n float64 block of a batched tail sweep.  An exact S or Winf
+# objective holds one or two temporaries of a block's size (its level maxima; the
+# finest level, powers and weighted sum apply in place), a heuristic one also the
+# 0/1 block, level means and gathers: at 128 KiB they fit a 2 MiB L2 together, and
+# each is at glibc's default mmap threshold, so it may be faulted in afresh.  Exact
+# RH, S and Winf may move by ulps with the cap: it splits a tail's low and high leaves.
 _BLOCK_BYTES = 128 * 1024
 _MAX_MASK_BITS = 62  # finest atoms a tail mask can hold in an int64
 _MAX_ROUNDS = 40  # hill-climbing rounds of the heuristic search

@@ -12,21 +12,21 @@ weights and a Hölder pair (p1, p2):
 The dual weights sigma_s = omega_s^{-1/(p_s - 1)} are derived internally.
 Tail suprema run over T_0 — on a finite tower the T_i tail families are
 nested decreasingly in i, so the i = 0 supremum is the binding one.
-Each tail constant has one objective of a `_Tails` view of a block of
-tails: its 0/1 rows, each tail's sums of the constant's densities, their
-level means and level maxima; the mode picks only the view and the
-maximizer.  Exact mode evaluates the objective on every union of finest
-atoms through `stopping._sweep_tails` (refused past the atom budget), on
-the finest atoms ("leaves"), on which everything the objectives compute is
-constant: every sum over a tail is a subset-sum table's entry for its low
-leaves plus the fixed high leaves' sum (`_TailTables` on `_tail_layout`).
-Heuristic mode scores the stopping-time search's candidates at the points
-(`_PointTails`: the one-bincount means `space._level_means`), which yields
-a certified lower bound.  Every other sum over a row of a block, in either
-mode, is `_Tails.row_sum`, in numpy's fixed order, so no value depends on
-the BLAS library or its kernel.  A and B take each weight's means of every
-level from one `_level_means` call.  The dual weights must come out finite
-and strictly positive, else ValueError naming sigma1 or sigma2.
+Each tail constant has one objective of a `_Tails` view of a block of tails:
+its 0/1 rows, each tail's sums of the constant's densities and of a block
+inside it (`inside_sum`), their level means and level maxima; the mode picks
+only the view and the maximizer.  Exact mode evaluates the objective on every
+union of finest atoms through `stopping._sweep_tails` (refused past the atom
+budget), on the finest atoms ("leaves"), on which everything the objectives
+compute is constant: every sum over a tail is a subset-sum table's entry for
+its low leaves plus the fixed high leaves' sum (`_TailTables` on
+`_tail_layout`).  Heuristic mode scores the stopping-time search's candidates
+at the points (`_PointTails`: the one-bincount means `space._level_means`),
+which yields a certified lower bound.  Every other sum over a row of a block,
+in either mode, is `_Tails.row_sum` or `inside_sum`, in numpy's fixed order, so
+no value depends on the BLAS library or its kernel.  A and B take each weight's
+means of every level from one `_level_means` call.  The dual weights must come
+out finite and strictly positive, else ValueError naming sigma1 or sigma2.
 """
 
 from __future__ import annotations
@@ -138,14 +138,14 @@ class _Tails:
     """A block of k nonempty tails as a tail objective reads it, for the constant's
     densities d_0, d_1, ... (each a function times the masses): chi, the k x width
     0/1 tails; densities[s], d_s summed over each column of the width; row_sum(x,
-    s), the sums over each row of a k x width x weighted by d_s; total(s), the (k,)
-    sums of d_s over each tail; means(s), the fresh (k, atoms_j) level means
-    E_j(chi d_s / mu) per atom, j = 0..L; level_max(s[, t]), max over levels of
-    E_j(chi d_s / mu) [E_j(chi d_t / mu)] at the width (no absolute value: chi and
-    the densities are nonnegative).  The width is the points (`_PointTails`) or
-    the finest atoms (`_LeafTails`).  A row sum is numpy's `sum(axis=1)`, whose
-    order the block's layout fixes: a C-ordered row adds as its 1-d `.sum()`, an
-    F-ordered block adds each row's columns in ascending order."""
+    s), the sums over each row of a k x width x weighted by d_s; inside_sum(x, s),
+    row_sum(x * chi, s), which may overwrite x; total(s), the (k,) sums of d_s over
+    each tail; means(s), the fresh (k, atoms_j) level means E_j(chi d_s / mu) per
+    atom, j = 0..L; level_max(s[, t]), fresh, max over levels of E_j(chi d_s / mu)
+    [E_j(chi d_t / mu)] at the width (chi and the densities are nonnegative).  The
+    width is the points (`_PointTails`) or the finest atoms (`_LeafTails`).  A row
+    sum is numpy's `sum(axis=1)`, whose order the block's layout fixes: a C-ordered
+    row adds as its 1-d `.sum()`, an F-ordered block adds its columns in order."""
 
     space: FilteredSpace
     chi: np.ndarray
@@ -153,6 +153,9 @@ class _Tails:
 
     def row_sum(self, x: np.ndarray, s: int) -> np.ndarray:
         return (x * self.densities[s]).sum(axis=1)
+
+    def inside_sum(self, x: np.ndarray, s: int) -> np.ndarray:
+        return self.row_sum(x * self.chi, s)
 
     def total(self, s: int) -> np.ndarray:
         return self.row_sum(self.chi, s)
@@ -204,14 +207,13 @@ def _tail_layout(space: FilteredSpace) -> tuple[int, np.ndarray, np.ndarray, lis
 
 class _TailTables:
     """The exact sweep's sums, built once per constant on `_tail_layout`: each
-    finest atom's ("leaf's") sum of every density, in point order, and subset-sum
-    tables over the low b leaves, built in ascending bit order so that a
-    pattern's row adds its leaves in ascending order: of each density's atom sums
-    at every level 0..L-1 and its total, and (on first use) of its leaf means
-    chi * leaf sum / leaf mass.  The tables are stored one row per column (atom,
-    total or leaf), so that a block's means broadcast along rows and its level
-    maximum gathers rows.  `read(lo, hi)` is the block of masks lo..hi-1 of
-    `_sweep_tails`."""
+    finest atom's ("leaf's") sum of every density, in point order, and mean;
+    subset-sum tables over the low b leaves, built in ascending bit order so that
+    a pattern's row adds its leaves in ascending order, of each density's atom
+    sums at every level 0..L-1 and its total, stored one row per column, so that a
+    block's means broadcast along rows and its level maximum gathers rows; and on
+    first use the `low_table`s.  All are read-only: the objectives work in place.
+    `read(lo, hi)` is the block of masks lo..hi-1 of `_sweep_tails`."""
 
     def __init__(self, space: FilteredSpace, densities: tuple):
         self.space = space
@@ -227,13 +229,22 @@ class _TailTables:
         for bit in range(self.bits):
             np.add(table[: 1 << bit], self.rows[bit], out=table[1 << bit : 2 << bit])
         self.table = np.ascontiguousarray(table.T)
-        self._leaf_tables: dict[int, np.ndarray] = {}
+        for arr in (self.leaf_sums, self.leaf_means, self.rows, self.table):
+            arr.setflags(write=False)
+        self._low_tables: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
-    def leaf_table(self, s: int) -> np.ndarray:
-        """Density s's means of the low leaves for every low pattern, a row per leaf."""
-        if s not in self._leaf_tables:
-            self._leaf_tables[s] = self.patterns * self.leaf_means[s, : self.bits, None]
-        return self._leaf_tables[s]
+    def low_table(self, kind: str, *s: int) -> tuple[np.ndarray, np.ndarray]:
+        """Chi times the product over s of `kind` ("leaf_means" or "leaf_sums";
+        ones for no s) for every low pattern, a row per low leaf, and its high
+        leaves' values; cached."""
+        key = (kind, *s)
+        if key not in self._low_tables:
+            values = getattr(self, kind)[list(s)].prod(axis=0)
+            low, high = self.patterns * values[: self.bits, None], values[self.bits :]
+            for arr in (low, high):
+                arr.setflags(write=False)
+            self._low_tables[key] = low, high
+        return self._low_tables[key]
 
     def read(self, lo: int, hi: int) -> _LeafTails:
         return _LeafTails(self, lo, hi)
@@ -244,38 +255,34 @@ class _LeafTails(_Tails):
     objectives compute is constant.  Within a block the low b leaves run through
     the patterns low..low+k-1 and the high leaves are fixed: a total or a coarse
     level's atom sums are the table's entries plus the high leaves' sum (added in
-    ascending order, from 0), and the finest level is read directly (a 0/1 tail's
-    leaf mean is chi times the leaf's sum of d_s over its mass).  Every array is
-    built with a row per atom or leaf and handed out transposed, on which the
-    level maximum's gathers and maxima run fastest, so a row sum adds its leaves
-    in ascending order (a one-row block is a contiguous row, which adds as its
-    1-d `.sum()`)."""
+    ascending order, from 0), and chi times a per-leaf value is a `low_table`'s
+    entries and the high leaves' values.  The level maximum gathers the coarse
+    levels' maximum at the leaves (0 on a one-level tower); it and `inside_sum`
+    apply the finest level in place.  Arrays are built a row per atom or leaf and
+    handed out transposed, so a row sum adds its leaves in ascending order (a
+    one-row block is a contiguous row, which adds as its 1-d `.sum()`)."""
 
     def __init__(self, tables: _TailTables, lo: int, hi: int):
         self.space, self.tables, self.densities = tables.space, tables, tables.leaf_sums
-        self.high_leaves = [leaf for leaf in range(tables.bits, len(tables.rows)) if lo >> leaf & 1]
-        self.high = sum((tables.rows[leaf] for leaf in self.high_leaves), np.zeros(tables.rows.shape[1]))
+        high_leaves = range(tables.bits, len(tables.rows))
+        self.fixed = np.array([lo >> leaf & 1 for leaf in high_leaves], dtype=float)  # the high leaves' bits
+        self.high = sum((tables.rows[leaf] for leaf in high_leaves if lo >> leaf & 1), np.zeros(tables.rows.shape[1]))
         low = lo & ((1 << tables.bits) - 1)
         self.low = slice(low, low + hi - lo)
 
-    @cached_property
-    def fixed(self) -> np.ndarray:
-        """The high leaves' bits, 0/1."""
-        fixed = np.zeros(len(self.tables.rows) - self.tables.bits)
-        fixed[[leaf - self.tables.bits for leaf in self.high_leaves]] = 1.0
-        return fixed
+    def _apply(self, op: np.ufunc, x: np.ndarray, kind: str, *s: int) -> np.ndarray:
+        """x = op(x, chi times `low_table(kind, *s)`'s values), in place."""
+        bits, (low, high) = self.tables.bits, self.tables.low_table(kind, *s)
+        op(x[:, :bits], low[:, self.low].T, out=x[:, :bits])
+        op(x[:, bits:], self.fixed * high, out=x[:, bits:])
+        return x
 
-    def _rows(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
-        """A k-column block per leaf: the low leaves' rows of a table, then the
-        high leaves' rows, each constant."""
-        out = np.empty((len(low) + len(high), self.low.stop - self.low.start))
-        out[: len(low)] = low[:, self.low]
-        out[len(low) :] = high[:, None]
-        return out
+    def _zeros(self) -> np.ndarray:
+        return np.zeros((len(self.tables.rows), self.low.stop - self.low.start)).T
 
     @cached_property
     def chi(self) -> np.ndarray:
-        return self._rows(self.tables.patterns, self.fixed).T
+        return self._apply(np.add, self._zeros(), "leaf_means")
 
     def _sums(self, lo: int, hi: int) -> np.ndarray:
         """Each tail's sums of the table's columns lo..hi-1, one row per column."""
@@ -285,12 +292,24 @@ class _LeafTails(_Tails):
         at = (s + 1) * self.tables.width - 1
         return self._sums(at, at + 1)[0]
 
-    def means(self, s: int) -> list[np.ndarray]:
-        at, starts, bits = s * self.tables.width, self.tables.starts, self.tables.bits
+    def inside_sum(self, x: np.ndarray, s: int) -> np.ndarray:
+        return self._apply(np.multiply, x, "leaf_sums", s).sum(axis=1)
+
+    def _coarse_means(self, s: int) -> list[np.ndarray]:
+        at, starts = s * self.tables.width, self.tables.starts
         coarse = self._sums(at, at + starts[-1])
         coarse /= self.tables.coarse_mass
-        leaf = self._rows(self.tables.leaf_table(s), self.fixed * self.tables.leaf_means[s, bits:])
-        return [*(coarse[a:b].T for a, b in zip(starts, starts[1:])), leaf.T]
+        return [coarse[a:b].T for a, b in zip(starts, starts[1:])]
+
+    def means(self, s: int) -> list[np.ndarray]:
+        return [*self._coarse_means(s), self._apply(np.add, self._zeros(), "leaf_means", s)]
+
+    def level_max(self, *s: int) -> np.ndarray:
+        terms = self._coarse_means(s[0])
+        for t in s[1:]:
+            terms = [np.multiply(a, b, out=a) for a, b in zip(terms, self._coarse_means(t))]
+        m = _leaf_max(self.space, 0, terms).T[self.space.parents[-1]].T if terms else self._zeros()
+        return self._apply(np.maximum, m, "leaf_means", *s)
 
 
 def _sup_over_tails(
@@ -366,7 +385,8 @@ def s_p_constant(
 
     def block_objective(tails: _Tails) -> np.ndarray:
         m = tails.level_max(0, 1)
-        num = tails.row_sum(m**p * tails.chi, 2)
+        m **= p
+        num = tails.inside_sum(m, 2)
         den = tails.total(0) ** a1 * tails.total(1) ** a2
         return (num / den) ** (1.0 / p)
 
@@ -394,7 +414,10 @@ def w_infty_constant(
 
     def block_objective(tails: _Tails) -> np.ndarray:
         m1, m2 = tails.level_max(0), tails.level_max(1)
-        return tails.row_sum(m1**a1 * m2**a2 * tails.chi, 3) / tails.total(2)
+        m1 **= a1
+        m2 **= a2
+        m1 *= m2
+        return tails.inside_sum(m1, 3) / tails.total(2)
 
     densities = (sigma1 * space.masses, sigma2 * space.masses, mix, space.masses)
     return _sup_over_tails(space, "Winf", block_objective, (sigma1, sigma2), mode, densities)

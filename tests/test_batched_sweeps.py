@@ -13,6 +13,7 @@ bit.
 """
 
 import dataclasses
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -65,7 +66,7 @@ from filtermax.stopping import (
     heuristic_sup_over_tau,
 )
 from filtermax.verify import _PROPERTY_TOLS, _pair_norms, _property_residuals, _tail_ratios, norm_ratio
-from filtermax.weights import _sup_over_tails, _TailTables
+from filtermax.weights import _PointTails, _sup_over_tails, _tail_layout, _TailTables
 
 DATA = Path(__file__).parent / "data"
 REL_TOL = 1e-12
@@ -935,6 +936,8 @@ def point_objectives(space, v, omega1, omega2, exps):
 
 
 def level_max_space(name, request):
+    if name == "one_level":  # no coarse level: the level maximum is the finest level's alone
+        return FilteredSpace([0.2, 0.3, 0.5], [[[0], [1, 2]]])
     if name == "generated":
         return gen_instance(3, depth=2, branching=3).space
     if name == "worked4":
@@ -1073,19 +1076,24 @@ def block_masks(tails):
 
 def assert_tables_match(space, densities):
     """Every block the exact sweep reads from the tables equals the per-tail
-    reference bit for bit: chi, the weighted row sums of chi, every total and
-    level mean, and the level maxima of each density and of a product; and the
-    blocks cover the nonempty tails in order."""
+    reference bit for bit: chi, the weighted row sums of chi and of a positive
+    block inside each tail (`inside_sum`, handed an F-ordered copy, as the
+    objectives hand it their level maxima), every total and level mean, and the
+    level maxima of each density and of a product; and the blocks cover the
+    nonempty tails in order."""
     tables = _TailTables(space, densities)
     seen = []
+    rng = np.random.default_rng(len(densities))
 
     def objective(tails):
         masks = block_masks(tails)
         seen.extend(masks)
         ref = ReferenceTails(space, densities, masks, _low_bits(space))
         assert tails.chi.tobytes() == ref.chi.tobytes() and tails.chi.shape == ref.chi.shape
+        x = np.exp(rng.standard_normal(ref.chi.shape))
         for s in range(len(densities)):
             assert tails.row_sum(tails.chi, s).tobytes() == ref.row_sum(ref.chi, s).tobytes()
+            assert tails.inside_sum(x.copy(order="F"), s).tobytes() == ref.row_sum(x * ref.chi, s).tobytes()
             assert tails.total(s).tobytes() == ref.total(s).tobytes()
             got, want = tails.means(s), ref.means(s)
             assert len(got) == len(want) == space.n_levels
@@ -1104,12 +1112,13 @@ def table_densities(space, seed):
     return tuple(np.exp(1.5 * rng.standard_normal(space.n)) * space.masses for _ in range(3))
 
 
-@pytest.mark.parametrize("name", [*LEVEL_MAX_SPACES, "wide_points"])
+@pytest.mark.parametrize("name", [*LEVEL_MAX_SPACES, "wide_points", "one_level"])
 @pytest.mark.parametrize("cap", [None, 64])
 def test_tail_tables_equal_ascending_sums(name, cap, request, monkeypatch):
     """On every fixture (mixed6, lumpy5 and wide_points have several points in
-    a finest atom), a generated tower and worked4, with the default cap and with
-    blocks of a few tails, so that high leaves are fixed per block."""
+    a finest atom), a generated tower, worked4 and a one-level tower, with the
+    default cap and with blocks of a few tails, so that high leaves are fixed
+    per block."""
     space = level_max_space(name, request)
     if cap is not None:
         monkeypatch.setattr("filtermax.stopping._BLOCK_BYTES", max(8, cap * space.n))
@@ -1123,6 +1132,81 @@ def test_tail_tables_equal_ascending_sums_on_generated_spaces(inst, rows):
         if rows is not None:
             mp.setattr("filtermax.stopping._BLOCK_BYTES", 8 * rows * inst.space.n)
         assert_tables_match(inst.space, tuple(w * inst.space.masses for w in (inst.omega1, inst.omega2, inst.v)))
+
+
+def exercise_tables(space, densities):
+    """The tables of `densities` after a sweep that calls every `_LeafTails`
+    method on every block, so that every low-leaf table is cached."""
+    tables = _TailTables(space, densities)
+
+    def objective(tails):
+        tails.chi, tails.means(0)
+        m = tails.level_max(0, 1)
+        tails.level_max(1)
+        m **= 1.5
+        return tails.inside_sum(m, 2) / tails.total(2)
+
+    _sweep_tails(space, 0, objective, tables.read)
+    return tables
+
+
+@pytest.mark.parametrize("name", [*LEVEL_MAX_SPACES, "wide_points", "one_level"])
+def test_tail_tables_are_read_only(name, request):
+    """The objectives work in place on their blocks, so every cached table
+    refuses a write, and a sweep leaves each as a fresh build has it."""
+    space = level_max_space(name, request)
+    densities = table_densities(space, 13)
+    tables = exercise_tables(space, densities)
+    fresh = exercise_tables(space, densities)
+    low = [arr for pair in tables._low_tables.values() for arr in pair]
+    assert len(low) == 2 * len(fresh._low_tables) == 2 * 5  # chi, means of 0, of 1 and of (0, 1), sums of 2
+    for arr in (tables.table, tables.leaf_sums, tables.leaf_means, *low):
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 1.0
+    for attr in ("table", "leaf_sums", "leaf_means"):
+        assert getattr(tables, attr).tobytes() == getattr(fresh, attr).tobytes()
+    for key, pair in fresh._low_tables.items():
+        assert [a.tobytes() for a in tables._low_tables[key]] == [a.tobytes() for a in pair]
+
+
+@pytest.mark.parametrize("name", [*LEVEL_MAX_SPACES, "wide_points"])
+def test_point_objectives_leave_the_cached_bins(name, request):
+    """The heuristic S and Winf objectives raise their level maxima to powers
+    in place: the maxima are fresh, never the cached `_level_bins`, which stay
+    read-only and unchanged."""
+    space = level_max_space(name, request)
+    v, omega1, omega2 = random_weights(np.random.default_rng(19), space.n)
+    exps = Exponents(1.5, 3.0)
+    compute_constant("s", space, v, omega1, omega2, exps, mode="heuristic")
+    before = {start: bins.tobytes() for start, (bins, _) in space._bins.items()}
+    assert before
+    densities = tuple(w * space.masses for w in (omega1, omega2))
+    tails = _PointTails(space, densities, np.eye(space.n, dtype=bool)[: min(space.n, 9)])
+    for s in ((0, 1), (0,), (1,)):
+        assert not any(np.shares_memory(tails.level_max(*s), bins) for bins, _ in space._bins.values())
+    for key in ("s", "winf"):
+        compute_constant(key, space, v, omega1, omega2, exps, mode="heuristic")
+    for start, (bins, _) in space._bins.items():
+        assert not bins.flags.writeable
+        assert bins.tobytes() == before.get(start, bins.tobytes())
+
+
+def test_exact_s_and_winf_sweeps_hold_few_blocks():
+    """At the wide_tails benchmark's shape (16 leaves, 1024 tails per block) one
+    exact S sweep peaks at 4.2 blocks of _BLOCK_BYTES traced, a Winf sweep at 6.2
+    (the tables, the cached low-leaf tables and each block's level maxima); they
+    read 7.0 and 8.4 while each block built its finest level's means and chi.
+    The space's block layout, built once per space, is built before."""
+    inst = gen_instance(1, depth=2, branching=4, model="lognormal", p1=2.0, p2=2.0)
+    _tail_layout(inst.space)
+    for key, cap in (("s", 5), ("winf", 7)):
+        tracemalloc.start()
+        try:
+            compute_constant(key, inst.space, inst.v, inst.omega1, inst.omega2, inst.exps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / _BLOCK_BYTES <= cap, (key, peak / _BLOCK_BYTES)
 
 
 @pytest.mark.parametrize("name", [*LEVEL_MAX_SPACES, "wide_points"])
@@ -1182,7 +1266,7 @@ def reference_objectives(space, v, omega1, omega2, exps):
     return {"rh": rh, "s": s, "winf": winf}
 
 
-@pytest.mark.parametrize("name", [*LEVEL_MAX_SPACES, "wide_points"])
+@pytest.mark.parametrize("name", [*LEVEL_MAX_SPACES, "wide_points", "one_level"])
 def test_s_and_winf_keep_the_point_max_bits(name, request):
     """Exact RH, S and Winf equal a sweep of the per-tail reference objectives
     (`ReferenceTails`, same blocks, so each sum splits at the same low leaves)

@@ -283,6 +283,36 @@ def test_help_lists_the_generator_flags(capsys, command):
         assert flag in out
 
 
+def test_repeated_main_calls_write_the_same_bytes(tmp_path, capsys):
+    """`main` builds its parser once per process: a usage error (exit 2, from
+    argparse or from a command), --help (SystemExit 0) or another command's
+    flags leave nothing behind, so a later call takes its defaults and writes
+    the same bytes as before."""
+    inst = tmp_path / "inst.json"
+    assert run("gen", "--seed", "3", "--depth", "2", "--branching", "3", "--out", str(inst)) == 0
+    calls = [
+        ("constants", str(inst), "--format", "json"),
+        ("constants", str(inst), "--which", "winf", "--mode", "heuristic"),
+        ("verify", str(inst), "--suite", "thm14", "--pairs", "2"),
+    ]
+    first = []
+    for argv in calls:
+        capsys.readouterr()
+        assert run(*argv) in (0, 1)
+        first.append(capsys.readouterr().out)
+    with pytest.raises(SystemExit) as info:
+        run("verify", str(inst), "--suite", "nope")
+    assert info.value.code == 2
+    assert run("gen", "--depth", "40", "--out", str(tmp_path / "x.json")) == 2
+    with pytest.raises(SystemExit) as info:
+        run("constants", "--help")
+    assert info.value.code == 0
+    for argv, want in zip(calls[::-1], first[::-1]):
+        capsys.readouterr()
+        assert run(*argv) in (0, 1)
+        assert capsys.readouterr().out == want
+
+
 def test_verify_usage_errors(tmp_path, capsys):
     assert run("verify") == 2
     assert run("verify", str(DATA / "worked4.json"), "--ensemble", "1", "2") == 2
