@@ -237,6 +237,7 @@ class FilteredSpace:
         self._point_levels = frozenset(t for t, lab in enumerate(self.atom_of) if np.array_equal(lab, np.arange(self.n)))
         self._bins: dict = {}  # `_level_bins` by start level
         self._layouts: dict = {}  # `weights._tail_layout` by low bits, built once per space
+        self._keys: tuple | None = None  # `stopping._atom_keys`, built once per space
 
     # ---- basic structure -------------------------------------------------
 

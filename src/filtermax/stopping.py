@@ -23,11 +23,11 @@ returns a certified lower bound for the supremum.  The sweep and the
 search take one objective contract, objective(inside) -> values for a
 k x n boolean block of tails (the sweep's `read` may hand the objective
 another view of the block), and keep the first maximizer through one
-loop, `_block_max`.  The search keys each
-candidate tail by its finest atoms, a Python int of any width (an
-antichain's key is the sum of its atoms' keys, a threshold's comes from one
-packbits of its leaves), so its memo compares ints and builds boolean rows
-for new tails only.
+loop, `_block_max`.  The search keys each candidate
+tail by its finest atoms, a Python int of any width (an antichain's key is
+the sum of its atoms' keys, a move's one int operation on it, a threshold's
+from one packbits of its leaves), so its memo compares ints and builds
+boolean rows for new tails only.
 """
 
 from __future__ import annotations
@@ -346,16 +346,18 @@ def stopping_time_from_tail(space: FilteredSpace, i: int, tail) -> StoppingTime:
 # ---- heuristic search ------------------------------------------------------
 
 
-def _atom_keys(space: FilteredSpace) -> list[list[int]]:
+def _atom_keys(space: FilteredSpace) -> tuple[tuple[int, ...], ...]:
     """Each atom's tail key, keys[t][a]: the finest-atom mask (as `finest_mask`,
-    a Python int of any width) of atom a of level t, summed up from its children."""
-    keys = [[1 << a for a in range(len(space.atoms[space.last_level]))]]
-    for t in range(space.last_level, 0, -1):
-        up = [0] * len(space.atoms[t - 1])
-        for a, parent in enumerate(space.parents[t].tolist()):
-            up[parent] += keys[0][a]
-        keys.insert(0, up)
-    return keys
+    a Python int of any width) of atom a of level t, summed up from its children;
+    built once per space."""
+    if space._keys is None:
+        keys = [[1 << a for a in range(len(space.atoms[space.last_level]))]]
+        for t in range(space.last_level, 0, -1):
+            keys.insert(0, [0] * len(space.atoms[t - 1]))
+            for a, parent in enumerate(space.parents[t].tolist()):
+                keys[0][parent] += keys[1][a]
+        space._keys = tuple(map(tuple, keys))
+    return space._keys
 
 
 def _packed_keys(leaf_bits: np.ndarray) -> list[int]:
@@ -377,7 +379,7 @@ def _key_rows(space: FilteredSpace, keys: Sequence[int]) -> np.ndarray:
 
 
 def _first_scores(space: FilteredSpace, objective: Callable) -> Callable[[Sequence[int]], np.ndarray]:
-    """The objective by tail keys, each distinct tail scored once (a quarter of
+    """The objective by tail keys, each distinct tail scored once (a fifth of
     the search's candidates repeat a tail it has scored): a slice's new nonempty
     tails go to it in one call, one row each in order of first appearance, built
     from their keys only; the empty tail (key 0) is nan."""
@@ -390,6 +392,25 @@ def _first_scores(space: FilteredSpace, objective: Callable) -> Callable[[Sequen
         return np.array([scores[key] for key in keys])
 
     return scored
+
+
+def _moves(space: FilteredSpace, i: int, chain: Sequence[tuple[int, int]]) -> list[tuple[int, int, tuple | None]]:
+    """The search's moves on an antichain of T_i atoms, in order, as (tail key, key
+    of the chain atoms it removes, atom it adds or None), each key in O(1) from
+    the chain's: drop an atom; merge it into its parent, whose chain atoms lie
+    inside it (a laminar family); add a disjoint atom.  Refining an atom keeps
+    the tail, whose score is the best so far, so it is no move."""
+    keys = _atom_keys(space)
+    covered = sum(keys[t][a] for t, a in chain)  # the atoms are disjoint
+    moves = []
+    for t, a in chain:
+        moves.append((covered - keys[t][a], keys[t][a], None))
+        if t > i:
+            up = int(space.parents[t][a])
+            moves.append((covered | keys[t - 1][up], keys[t - 1][up], (t - 1, up)))
+    for t in range(i, space.n_levels):
+        moves += [(covered + key, 0, (t, a)) for a, key in enumerate(keys[t]) if not key & covered]
+    return moves
 
 
 def heuristic_sup_over_tau(
@@ -405,30 +426,24 @@ def heuristic_sup_over_tau(
     (`_first_scores`), per candidate block: the full stop tau = i and every
     single-atom stop; the first-hit times of the distinct positive level
     products and of one threshold below the least (given a guide pair of
-    positive weights); the moves of each round of greedy hill climbing on the
-    antichain of stopped atoms (refine / merge / drop / add).  A candidate is keyed by its finest
-    atoms (`_atom_keys`; a threshold's from one packbits of its leaves), so
-    only new tails become rows.  A block is scored in slices of an exact sweep's block, so memory
-    stays linear in the points, and its first maximizer is kept as
-    `_block_max` keeps it.  Every candidate is an adapted stopping time, so
-    the result never exceeds the true supremum.  ValueError if the objective
-    is nan (or -inf) on every opening and threshold candidate.
+    positive weights); the moves of each round of greedy hill climbing
+    (`_moves`).  Candidates are keyed by their finest atoms (`_atom_keys`), so
+    only new tails become rows; a block is scored in slices of an exact sweep's
+    block, so memory stays linear in the points, and its first maximizer is
+    kept as `_block_max` keeps it.  Every candidate is adapted, so the result
+    never exceeds the true supremum.  ValueError if the objective is nan (or
+    -inf) on every opening and threshold candidate.
     """
     space._check_level(i)
     best_val = -np.inf
-    chain: list[tuple[int, int]] | None = None
     scored = _first_scores(space, objective)
     rows = _block_rows(space)  # tails per call, as in an exact sweep block
     atom_keys = _atom_keys(space)
 
-    def chain_keys(chains: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
-        return [sum(atom_keys[t][a] for t, a in c) for c in chains]  # the atoms are disjoint
-
-    def winner(candidates: Sequence, keys: Callable[[Sequence], list[int]]) -> int | None:
-        """Index of the candidates' first maximizer if it beats the best so far;
-        keys(part) are the tail keys of a slice of the candidates."""
+    def winner(keys: Sequence[int]) -> int | None:
+        """Index of the first maximizer of the tails keyed `keys` if it beats the best so far."""
         nonlocal best_val
-        slices = ((lo, scored(keys(candidates[lo : lo + rows]))) for lo in range(0, len(candidates), rows))
+        slices = ((lo, scored(keys[lo : lo + rows])) for lo in range(0, len(keys), rows))
         best_val, found = _block_max(slices, best_val)
         return None if found is None else found[0] + found[1]
 
@@ -436,9 +451,8 @@ def heuristic_sup_over_tau(
     opening = [[(i, a) for a in range(len(space.atoms[i]))]]
     opening += [[(t, a)] for t in range(i, space.n_levels) for a in range(len(space.atoms[t]))]
     tried = len(opening)
-    k = winner(opening, chain_keys)
-    if k is not None:
-        chain = opening[k]
+    k = winner([sum(atom_keys[i]), *(key for keys in atom_keys[i:] for key in keys)])
+    chain = None if k is None else opening[k]
 
     # first-hit thresholds on the guide product
     if guide is not None:
@@ -451,7 +465,8 @@ def heuristic_sup_over_tau(
             # the first hit of {prods[j] > thr}, j >= i, stops exactly on {reach > thr},
             # a union of finest atoms, read at each one's first point
             reach = np.max(prods[i:], axis=0)[[atom[0] for atom in space.atoms[space.last_level]]]
-            k = winner(thresholds, lambda part: _packed_keys(reach > part[:, None]))
+            k = winner([key for lo in range(0, len(thresholds), rows)
+                        for key in _packed_keys(reach > thresholds[lo : lo + rows, None])])
             if k is not None:
                 stop = first_hit(space, i, [pr > thresholds[k] for pr in prods]).levels
                 hit = np.flatnonzero(np.isfinite(stop)).tolist()
@@ -459,29 +474,13 @@ def heuristic_sup_over_tau(
 
     if chain is None:
         raise ValueError(f"tail objective is nan (or -inf) on all {tried} T_{i} search candidates")
-    # greedy improvement on the antichain
-    for _ in range(_MAX_ROUNDS):
-        moves: list[list[tuple[int, int]]] = []
-        covered = sum(atom_keys[t][a] for t, a in chain)
-        for idx, (t, a) in enumerate(chain):
-            rest = chain[:idx] + chain[idx + 1 :]
-            moves.append(rest)  # drop
-            if t < space.last_level:  # refine into children
-                moves.append(rest + [(t + 1, c) for c in space.children(t, a)])
-            if t > i:  # merge into the parent atom, absorbing siblings
-                parent = int(space.parents[t][a])
-                # an atom disjoint from (t, a) meets the parent only inside it
-                keep = [(tt, aa) for tt, aa in rest if not atom_keys[tt][aa] & atom_keys[t - 1][parent]]
-                moves.append(keep + [(t - 1, parent)])
-        for t in range(i, space.n_levels):  # add a disjoint atom
-            for a_idx, key in enumerate(atom_keys[t]):
-                if not key & covered:
-                    moves.append(chain + [(t, a_idx)])
-        moves = [sorted(set(move)) for move in moves]
-        k = winner(moves, chain_keys)
+    for _ in range(_MAX_ROUNDS):  # greedy improvement on the antichain
+        moves = _moves(space, i, chain)
+        k = winner([move[0] for move in moves])
         if k is None:
             break
-        chain = moves[k]
+        _, cut, atom = moves[k]  # the chain atoms that meet `cut` go, `atom` comes
+        chain = sorted([(t, a) for t, a in chain if not atom_keys[t][a] & cut] + ([atom] if atom else []))
     levels = np.full(space.n, np.inf)
     for t, a in chain:
         levels[space.atoms[t][a]] = t

@@ -788,9 +788,10 @@ def _property_residuals(inst: Instance, draws: int = 20, seed: int | None = None
 
     Draw r is (f, g, h, i, j, p) = row r of (F, G, H, I, J, P), drawn in one
     loop in the order a per-draw loop draws them.  Each identity then runs
-    once on the whole block: one public `cond_exp` per block and level, of
-    which row r keeps its own level; the maximal operators on `_level_max`.
-    Row maxima and row sums are a 1-d call's, bit for bit.
+    once on the whole block: one public `cond_exp` per level of the stacked
+    blocks (F at j and at min(i, j); G, G^a1 H^a2, H, log G at i) and one per
+    level of the tower's inner block, of which row r keeps its own level; the
+    maximal operators on `_level_max`.  Row maxima and sums are a 1-d call's.
     """
     space = inst.space
     exps = inst.exps
@@ -807,26 +808,24 @@ def _property_residuals(inst: Instance, draws: int = 20, seed: int | None = None
         I[r] = rng.integers(0, space.n_levels)
         J[r] = rng.integers(0, space.n_levels)
         P[r] = float(rng.uniform(1.1, 4.0))
-    rows = np.arange(draws)
 
-    def levels(block: np.ndarray) -> np.ndarray:
-        """E(block | F_t) for t = 0..L, stacked: [t, r] is row r at level t."""
-        return np.stack([cond_exp(space, block, t) for t in range(space.n_levels)])
+    def at(block: np.ndarray, lv: np.ndarray) -> np.ndarray:
+        """Row r of block conditioned on F_{lv[r]}, from one public `cond_exp` per level."""
+        out = np.empty_like(block)
+        for t in range(space.n_levels):
+            out[lv == t] = cond_exp(space, block, t)[lv == t]
+        return out
 
     def scaled(diff: np.ndarray, scale: np.ndarray) -> np.ndarray:
         """Row maxima of diff over the row maxima of scale, a zero scale read as 1."""
         scale = scale.max(axis=1)
         return diff.max(axis=1) / np.where(scale == 0.0, 1.0, scale)
 
-    cond_f = levels(F)
-    tower_lhs = levels(cond_f[J, rows])[I, rows]
-    tower_rhs = cond_f[np.minimum(I, J), rows]
-
     a1, a2 = exps.p / exps.p1, exps.p / exps.p2
-    cond_g = levels(G)[I, rows]
-    mix = levels(G**a1 * H**a2)[I, rows]
-    split = cond_g**a1 * levels(H)[I, rows] ** a2
-    jensen_log = np.exp(levels(np.log(G))[I, rows])
+    block = np.concatenate([F, F, G, G**a1 * H**a2, H, np.log(G)])
+    cond_fj, tower_rhs, cond_g, mix, cond_h, log_g = np.split(at(block, np.concatenate([J, np.minimum(I, J), *[I] * 4])), 6)
+    tower_lhs = at(cond_fj, I)
+    split = cond_g**a1 * cond_h**a2
 
     def lp_norms(block: np.ndarray) -> list[float]:
         """lp_norm(space, row, g, p) of each row with its own (g, p) = (G[r], P[r])."""
@@ -841,7 +840,7 @@ def _property_residuals(inst: Instance, draws: int = 20, seed: int | None = None
     return {
         "prop_tower": scaled(np.abs(tower_lhs - tower_rhs), np.abs(tower_rhs)),
         "prop_cond_holder": ((mix - split) / split).max(axis=1),
-        "prop_jensen_log": ((jensen_log - cond_g) / cond_g).max(axis=1),
+        "prop_jensen_log": ((np.exp(log_g) - cond_g) / cond_g).max(axis=1),
         "prop_doob": np.array(doob, dtype=float),
         "prop_square": scaled(np.abs(m1 * m1 - mbil), mbil),
     }

@@ -13,6 +13,7 @@ bit.
 """
 
 import dataclasses
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import filtermax.space
 from filtermax import (
     CarlesonEntry,
     CarlesonFamily,
@@ -58,14 +60,19 @@ from filtermax.operators import _level_max
 from filtermax.space import _atom_cond, _cond, _level_means
 from filtermax.stopping import (
     _BLOCK_BYTES,
+    _MAX_ROUNDS,
     _atom_keys,
+    _block_max,
+    _block_rows,
+    _first_scores,
     _key_rows,
     _low_bits,
+    _moves,
     _packed_keys,
     _sweep_tails,
     heuristic_sup_over_tau,
 )
-from filtermax.verify import _PROPERTY_TOLS, _pair_norms, _property_residuals, _tail_ratios, norm_ratio
+from filtermax.verify import _PROPERTY_TOLS, _pair_norms, _property_residuals, _tail_ratios, estimate_norm, norm_ratio
 from filtermax.weights import _PointTails, _sup_over_tails, _tail_layout, _TailTables
 
 DATA = Path(__file__).parent / "data"
@@ -1425,9 +1432,8 @@ def recording(objective, blocks):
     return record
 
 
-def assert_search_sends_the_packbits_blocks(space, v, omega1, omega2, exps, origins=(0,)):
-    """Under both memos the RH, S and Winf objectives (and their guide, or none)
-    see the same blocks, rows and layout, and the searches agree on value and tau."""
+def search_objectives(space, v, omega1, omega2, exps):
+    """The (objective, guide) pairs the heuristic RH, S and Winf hand the search."""
     captured = []
 
     def capture(space, i, objective, guide=None):
@@ -1439,7 +1445,13 @@ def assert_search_sends_the_packbits_blocks(space, v, omega1, omega2, exps, orig
         for name in ("rh", "s", "winf"):
             compute_constant(name, space, v, omega1, omega2, exps, mode="heuristic")
     assert len(captured) == 3
-    for objective, guide in captured:
+    return captured
+
+
+def assert_search_sends_the_packbits_blocks(space, v, omega1, omega2, exps, origins=(0,)):
+    """Under both memos the RH, S and Winf objectives (and their guide, or none)
+    see the same blocks, rows and layout, and the searches agree on value and tau."""
+    for objective, guide in search_objectives(space, v, omega1, omega2, exps):
         for i in origins:
             for g in (guide, None):
                 got, want = [], []
@@ -1477,12 +1489,180 @@ def test_search_memo_keys_are_finest_masks(mixed6, lumpy5):
     for space in (mixed6, lumpy5):
         keys = _atom_keys(space)
         for t, level in enumerate(space.atoms):
-            assert keys[t] == [finest_mask(space, atom) for atom in level]
+            assert keys[t] == tuple(finest_mask(space, atom) for atom in level)
         masks = list(range(1 << len(space.atoms[space.last_level])))
         rows = _key_rows(space, masks)
         assert rows.flags.c_contiguous and rows.dtype == bool
         assert [np.flatnonzero(row).tolist() for row in rows] == [mask_points(space, m).tolist() for m in masks]
         assert _key_rows(space, []).shape == (0, space.n)
+
+
+# ---- the search's moves, keyed in O(1) ------------------------------------------
+#
+# `keyed_reference_search` is the search as it was before its moves were keyed
+# from the chain's own key: every move built as a list of atoms, with its key
+# summed over them, sorted, and a refine move (an atom into its children) too.
+# A refine move keeps the chain's tail, whose score is the best so far, so it can
+# never win; the search keeps every other candidate in order, so value and tau
+# keep their bits.
+
+
+def reference_moves(space, i, chain, atom_keys):
+    """(kind, atoms) of each move on the chain, in the reference order."""
+    moves = []
+    covered = sum(atom_keys[t][a] for t, a in chain)
+    for idx, (t, a) in enumerate(chain):
+        rest = chain[:idx] + chain[idx + 1 :]
+        moves.append(("drop", rest))
+        if t < space.last_level:
+            moves.append(("refine", rest + [(t + 1, c) for c in space.children(t, a)]))
+        if t > i:
+            parent = int(space.parents[t][a])
+            keep = [(tt, aa) for tt, aa in rest if not atom_keys[tt][aa] & atom_keys[t - 1][parent]]
+            moves.append(("merge", keep + [(t - 1, parent)]))
+    for t in range(i, space.n_levels):
+        for a_idx, key in enumerate(atom_keys[t]):
+            if not key & covered:
+                moves.append(("add", chain + [(t, a_idx)]))
+    return moves
+
+
+def keyed_reference_search(space, i, objective, guide=None):
+    """The keyed search with a summed key, a sort and a list per move, refine included."""
+    best_val = -np.inf
+    chain = None
+    scored = _first_scores(space, objective)
+    rows = _block_rows(space)
+    atom_keys = _atom_keys(space)
+
+    def chain_keys(chains):
+        return [sum(atom_keys[t][a] for t, a in c) for c in chains]
+
+    def winner(candidates, keys):
+        nonlocal best_val
+        slices = ((lo, scored(keys(candidates[lo : lo + rows]))) for lo in range(0, len(candidates), rows))
+        best_val, found = _block_max(slices, best_val)
+        return None if found is None else found[0] + found[1]
+
+    opening = [[(i, a) for a in range(len(space.atoms[i]))]]
+    opening += [[(t, a)] for t in range(i, space.n_levels) for a in range(len(space.atoms[t]))]
+    k = winner(opening, chain_keys)
+    if k is not None:
+        chain = opening[k]
+    if guide is not None:
+        prods = level_products(space, *guide)
+        values = np.unique(np.concatenate([pr[pr > 0] for pr in prods]))
+        if values.size:
+            thresholds = np.concatenate([values[:1] * (1.0 - 1e-9), values])
+            reach = np.max(prods[i:], axis=0)[[atom[0] for atom in space.atoms[space.last_level]]]
+            k = winner(thresholds, lambda part: _packed_keys(reach > part[:, None]))
+            if k is not None:
+                stop = first_hit(space, i, [pr > thresholds[k] for pr in prods]).levels
+                hit = np.flatnonzero(np.isfinite(stop)).tolist()
+                chain = sorted({(int(stop[x]), int(space.atom_of[int(stop[x])][x])) for x in hit})
+    for _ in range(_MAX_ROUNDS):
+        moves = [sorted(set(move)) for _, move in reference_moves(space, i, chain, atom_keys)]
+        k = winner(moves, chain_keys)
+        if k is None:
+            break
+        chain = moves[k]
+    return best_val, tau_from_antichain(space, i, chain)
+
+
+def assert_search_keeps_the_keyed_reference(space, v, omega1, omega2, exps, origins=(0,)):
+    """The RH, S and Winf searches (with their guide, and without) keep the
+    value bits and the tau of `keyed_reference_search`."""
+    for objective, guide in search_objectives(space, v, omega1, omega2, exps):
+        for i in origins:
+            for g in (guide, None):
+                value, tau = heuristic_sup_over_tau(space, i, objective, g)
+                want, want_tau = keyed_reference_search(space, i, objective, g)
+                assert value.hex() == want.hex(), i
+                assert tau == want_tau, i
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_search_keeps_the_keyed_reference_on_fixtures(name, request):
+    space = request.getfixturevalue(name)
+    rng = np.random.default_rng(67)
+    for exps in (Exponents(2.0, 2.0), Exponents(1.5, 3.0), Exponents(4.0, 1.3)):
+        weights = random_weights(rng, space.n)
+        assert_search_keeps_the_keyed_reference(space, *weights, exps, origins=range(min(2, space.n_levels)))
+
+
+def test_search_keeps_the_keyed_reference_on_deep_fallback_instances():
+    for seed in range(20):
+        inst = gen_instance(seed, depth=5, branching=2, model="product", p1=2.5, p2=2.5)
+        assert_search_keeps_the_keyed_reference(inst.space, inst.v, inst.omega1, inst.omega2, inst.exps)
+
+
+def test_search_keeps_the_keyed_reference_on_a_121_atom_tower():
+    inst = gen_instance(0, depth=4, branching=3, model="lognormal:1.2", p1=1.5, p2=3.0)
+    assert inst.space.atom_count() == 121
+    assert_search_keeps_the_keyed_reference(inst.space, inst.v, inst.omega1, inst.omega2, inst.exps, (0, 2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_instances())
+def test_search_keeps_the_keyed_reference_on_generated_spaces(inst):
+    space = inst.space
+    assert_search_keeps_the_keyed_reference(space, inst.v, inst.omega1, inst.omega2, inst.exps, range(space.n_levels))
+
+
+def random_antichain(space, i, rng):
+    """Pairwise disjoint atoms of levels i..L, each taken with probability 1/2
+    in a random order when it misses the ones before."""
+    keys = _atom_keys(space)
+    atoms = [(t, a) for t in range(i, space.n_levels) for a in range(len(space.atoms[t]))]
+    chain, covered = [], 0
+    for t, a in (atoms[j] for j in rng.permutation(len(atoms))):
+        if not keys[t][a] & covered and rng.random() < 0.5:
+            chain.append((t, a))
+            covered |= keys[t][a]
+    return sorted(chain)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_instances(), st.integers(0, 2**32 - 1))
+def test_move_keys_are_the_finest_masks_of_their_moves(inst, seed):
+    """On random antichains, `_moves` keys each drop, merge and add as
+    `finest_mask` of its points; taking away the chain atoms that meet its cut
+    and adding its atom gives the reference move; it keeps the reference
+    order without the refine moves, whose keys are the chain's own."""
+    space, rng = inst.space, np.random.default_rng(seed)
+    keys = _atom_keys(space)
+    for i in range(space.n_levels):
+        for _ in range(4):
+            chain = random_antichain(space, i, rng)
+            covered = sum(keys[t][a] for t, a in chain)
+            want = reference_moves(space, i, chain, keys)
+            assert all(sum(keys[t][a] for t, a in move) == covered for kind, move in want if kind == "refine")
+            want = [move for kind, move in want if kind != "refine"]
+            got = _moves(space, i, chain)
+            assert len(got) == len(want)
+            for (key, cut, atom), move in zip(got, want):
+                points = [x for t, a in move for x in space.atoms[t][a].tolist()]
+                assert key == finest_mask(space, points)
+                kept = [(t, a) for t, a in chain if not keys[t][a] & cut]
+                assert sorted(kept + ([atom] if atom else [])) == sorted(set(move))
+
+
+def test_atom_keys_are_built_once_per_space(monkeypatch):
+    """The first search builds the keys (tuples, each atom's `finest_mask`) on the
+    space; RH, S, Winf and `estimate_norm` then reuse them."""
+    monkeypatch.setenv("FILTERMAX_ATOM_BUDGET", "24")
+    inst = gen_instance(3, depth=5, model="product", p1=2.5, p2=2.5)
+    space = inst.space
+    assert space._keys is None
+    inst.constant("rh", "heuristic")
+    keys = space._keys
+    assert isinstance(keys, tuple) and all(isinstance(level, tuple) for level in keys)
+    for t, level in enumerate(space.atoms):
+        assert keys[t] == tuple(finest_mask(space, atom) for atom in level)
+    for name in ("s", "winf"):
+        inst.constant(name, "heuristic")
+    estimate_norm(inst, budget=2)
+    assert _atom_keys(space) is keys and space._keys is keys
 
 
 # ---- the search's first-hit thresholds --------------------------------------------
@@ -1722,3 +1902,27 @@ def test_properties_equal_the_per_draw_loop_for_any_draw_count(draws):
 @given(small_instances(), st.integers(0, 2**32 - 1))
 def test_properties_equal_the_per_draw_loop_on_generated_spaces(inst, seed):
     assert_properties_match(inst, seed=seed)
+
+
+@pytest.mark.parametrize("name", [*FIXTURES, "deep"])
+def test_the_self_test_makes_two_cond_exp_calls_per_level(name, request, monkeypatch):
+    """One `check_properties` call makes exactly 2 * n_levels public `cond_exp`
+    calls, through any module's binding: the stacked draw blocks and the tower's
+    inner block, one call per level each."""
+    if name == "deep":
+        monkeypatch.setenv("FILTERMAX_ATOM_BUDGET", "24")
+        inst = gen_instance(2, depth=5, model="product", p1=2.5, p2=2.5)
+    else:
+        space = request.getfixturevalue(name)
+        inst = Instance(space, *random_weights(np.random.default_rng(7), space.n), Exponents(2.0, 3.0), False)
+    real, calls = filtermax.space.cond_exp, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2] if len(args) > 2 else kwargs["level"])
+        return real(*args, **kwargs)
+
+    for module in [m for key, m in sys.modules.items() if key == "filtermax" or key.startswith("filtermax.")]:
+        if getattr(module, "cond_exp", None) is real:
+            monkeypatch.setattr(module, "cond_exp", counted)
+    check_properties(inst)
+    assert sorted(calls) == sorted([*range(inst.space.n_levels)] * 2)
