@@ -70,7 +70,7 @@ class CarlesonFamily:
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (len(self.entries),):
             raise ValueError(f"need {len(self.entries)} coefficients")
-        if np.any(coeffs < 0) or not np.all(np.isfinite(coeffs)):
+        if (coeffs < 0).any() or not np.isfinite(coeffs).all():
             raise ValueError("coefficients must be finite and nonnegative")
         entries = tuple(replace(e, coefficient=float(c)) for e, c in zip(self.entries, coeffs))
         return CarlesonFamily(self.variant, self.base_level, entries, None, False)
@@ -91,7 +91,7 @@ def build_level_sets(
     space = forest.space
     sigma1 = as_fn(space, sigma1)
     sigma2 = as_fn(space, sigma2)
-    if np.any(sigma1 <= 0) or np.any(sigma2 <= 0):
+    if (sigma1 <= 0).any() or (sigma2 <= 0).any():
         raise ValueError("sigma weights must be strictly positive")
     return _level_sets(forest, level_products(space, sigma1, sigma2), variant)
 
@@ -154,7 +154,7 @@ def certify_carleson_constant(
     mix = _mix_density(space, sigma1, sigma2, exps)
     entry_masks = [finest_mask(space, e.points) for e in family.entries]
     coeffs = family.coefficients()
-    if not np.all(coeffs >= 0):
+    if not (coeffs >= 0).all():
         raise ValueError("coefficients must be nonnegative")
     i = family.base_level
     _check_budget(space, i)

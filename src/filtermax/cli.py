@@ -195,7 +195,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise _Failure(EXIT_INFEASIBLE, f"{exc} (use --fallback)") from exc
 
     # --tol replaces the default tolerance only; a row that fixes its own (sparse_domination's 0) keeps it
-    rows = [replace(r, rel_tol=args.tol) if r.rel_tol == DEFAULT_REL_TOL else r for r in rows]
+    if args.tol != DEFAULT_REL_TOL:
+        rows = [replace(r, rel_tol=args.tol) if r.rel_tol == DEFAULT_REL_TOL else r for r in rows]
     _write(args.out, rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows))
 
     failures = [r for r in rows if r.hard_failure]

@@ -92,7 +92,7 @@ def lp_norm(space: FilteredSpace, f: Fn, weight: Fn, p: float, subset=None) -> f
         raise ValueError(f"p must be positive, got {p!r}")
     f = as_fn(space, f)
     weight = as_fn(space, weight)
-    if np.any(weight < 0):
+    if (weight < 0).any():
         raise ValueError("weight must be nonnegative")
     dens = np.abs(f) ** p * weight * space.masses
     if subset is None:

@@ -67,7 +67,7 @@ def shell_index(x: float, base: float = 4.0) -> int:
 def _shells(x: np.ndarray, bits: int = 2) -> np.ndarray:
     """`shell_index` elementwise for base 2^bits by the same exponent arithmetic,
     on finite x >= 0, as int64; x = 0 gets _NO_SHELL, below every finite shell."""
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("shell index needs finite values")
     mant, exp = np.frexp(x)
     c = exp.astype(np.int64) - (mant == 0.5)
@@ -125,7 +125,7 @@ def build_principal_forest(
     space._check_level(i)
     h1 = as_fn(space, h1)
     h2 = as_fn(space, h2)
-    if np.any(h1 < 0) or np.any(h2 < 0):
+    if (h1 < 0).any() or (h2 < 0).any():
         raise ValueError("h1 and h2 must be nonnegative")
     omega0 = space.as_subset(omega0)
     if not space.is_level_measurable(i, omega0):
@@ -256,7 +256,7 @@ def verify_properties(forest: PrincipalForest) -> PropertyReport:
         counts[node.exit_points] += 1
     p0_mask = np.zeros(space.n, dtype=bool)
     p0_mask[root.points] = True
-    p1_ok = bool(np.all(counts[p0_mask] == 1) and np.all(counts[~p0_mask] == 0))
+    p1_ok = bool((counts[p0_mask] == 1).all() and (counts[~p0_mask] == 0).all())
 
     p2_ok = True
     p4_ok = True
@@ -267,7 +267,7 @@ def verify_properties(forest: PrincipalForest) -> PropertyReport:
     for node in root:
         if not space.is_level_measurable(node.k1, node.points):
             p2_ok = False
-        if not np.all(_shells(prods[node.k1][node.points]) == node.k2):
+        if not (_shells(prods[node.k1][node.points]) == node.k2).all():
             p4_ok = False
         exit_ind = space.indicator(node.exit_points)
         cover = 2.0 * _cond(space, exit_ind, node.k1) - 1.0

@@ -12,6 +12,12 @@ Functions on the space ("Fn") are plain numpy arrays of length n.  Sets
 are unions of points, passed around as sorted integer index arrays or
 boolean masks.
 
+`_read` (behind `validate` and `FilteredSpace(masses, levels)`) is the one
+reader of raw or file towers.  A space is its masses on a `_Tower`: the
+atoms, point labels and parent links, plus the lookup tables that depend on
+them only.  Generated regular towers are built directly, once per shape
+(`verify._tower`), and every space on one shares it (`FilteredSpace._on_tower`).
+
 Public functions check their inputs once, on entry (`as_fn`, the level).
 `cond_exp` also takes a (k, n) block of functions, checked once.  The
 loops inside the package then take conditional expectations on the
@@ -139,7 +145,7 @@ def _read_level(level, t: int, n: int) -> list[Violation] | tuple[list[np.ndarra
     if faults:
         return faults
     seen = np.bincount(flat, minlength=n)
-    if np.any(seen != 1):
+    if (seen != 1).any():
         i = int(np.flatnonzero(seen != 1)[0])
         kind = "missing from" if seen[i] == 0 else "covered twice by"
         return [Violation(f"level {t}", f"point {i} is {kind} the partition")]
@@ -165,13 +171,13 @@ def _read(masses, levels) -> tuple[list[Violation], tuple[Fn, list[list[np.ndarr
         return [Violation(f"masses[{i}]", "mass does not fit in a float")], None
     out: list[Violation] = []
     n = masses_arr.size
-    if not np.all(np.isfinite(masses_arr)):
+    if not np.isfinite(masses_arr).all():
         i = int(np.flatnonzero(~np.isfinite(masses_arr))[0])
         out.append(Violation(f"masses[{i}]", "mass is not finite"))
-    elif np.any(masses_arr <= 0):
+    elif (masses_arr <= 0).any():
         i = int(np.flatnonzero(masses_arr <= 0)[0])
         out.append(Violation(f"masses[{i}]", f"mass {float(masses_arr[i])!r} is not strictly positive"))
-    elif np.any(masses_arr < _TINY):  # a subnormal mass loses bits in every average it enters
+    elif (masses_arr < _TINY).any():  # a subnormal mass loses bits in every average it enters
         i = int(np.flatnonzero(masses_arr < _TINY)[0])
         out.append(Violation(f"masses[{i}]", f"mass {float(masses_arr[i])!r} is subnormal (below {_TINY!r})"))
     else:
@@ -213,6 +219,32 @@ def validate(masses: Sequence[float], levels: Sequence[Sequence[Iterable[int]]])
     return ValidationReport(tuple(_read(masses, levels)[0]))
 
 
+class _Tower:
+    """The mass-free half of a space, shared by every space on it, in tuples of
+    read-only arrays: per level the sorted atoms, the point -> atom labels and
+    the atom -> parent links (none at level 0).  Also the levels whose atoms
+    are the single points in order, and per level the common size of its atoms
+    when they are runs of consecutive points in order (else None).  The lookup
+    tables that depend on the tower only are built on it at first use:
+    `_level_bins` by start level, `weights._tail_layout` by low bits and
+    `stopping._atom_keys`."""
+
+    __slots__ = ("atoms", "atom_of", "parents", "point_levels", "runs", "bins", "layouts", "keys")
+
+    def __init__(self, atoms: Sequence[Iterable[np.ndarray]], atom_of: list[np.ndarray], parents: list[np.ndarray]):
+        self.atoms = tuple(map(tuple, atoms))
+        self.atom_of, self.parents = tuple(atom_of), tuple(parents)
+        points = np.arange(atom_of[0].size)
+        self.point_levels = frozenset(t for t, lab in enumerate(atom_of) if np.array_equal(lab, points))
+        self.runs = tuple(
+            points.size // len(level) if np.array_equal(lab, points // (points.size // len(level))) else None
+            for level, lab in zip(self.atoms, atom_of)
+        )
+        self.bins: dict = {}
+        self.layouts: dict = {}
+        self.keys: tuple | None = None
+
+
 class FilteredSpace:
     """Point masses plus a refining tower of partitions.
 
@@ -225,19 +257,34 @@ class FilteredSpace:
         violations, read = _read(masses, levels)
         if violations:
             raise ValidationError(str(ValidationReport(tuple(violations))))
+        self._place(read[0], _Tower(*read[1:]))
+
+    @classmethod
+    def _on_tower(cls, masses: Fn, tower: _Tower) -> FilteredSpace:
+        """A space of float masses on a built tower, unchecked: the caller makes
+        both valid (finite, normal, strictly positive masses of a finite total,
+        one per point).  The masses become read-only."""
+        masses.setflags(write=False)
+        space = cls.__new__(cls)
+        space._place(masses, tower)
+        return space
+
+    def _place(self, masses: Fn, tower: _Tower) -> None:
         # parents[t][a]: the level t-1 atom holding atom a of level t (none at level 0)
-        self.masses, self.atoms, self.atom_of, self.parents = read
-        self.n: int = self.masses.size
+        self.masses, self._tower = masses, tower
+        self.atoms, self.atom_of, self.parents = tower.atoms, tower.atom_of, tower.parents
+        self.n: int = masses.size
         self.last_level: int = len(self.atoms) - 1
-        self.atom_mass: list[np.ndarray] = [np.array([self.masses[a].sum() for a in level]) for level in self.atoms]
+        # a run level's atoms sum as rows of one reshape, which adds each row as its 1-d sum does
+        self.atom_mass: list[np.ndarray] = [
+            np.array([masses[a].sum() for a in level]) if run is None else masses.reshape(-1, run).sum(axis=1)
+            for run, level in zip(tower.runs, self.atoms)
+        ]
         for am in self.atom_mass:
             am.setflags(write=False)
-        self.total_mass: float = float(self.masses.sum())
+        self.total_mass: float = float(masses.sum())
         # levels whose atoms are the single points in order, which `_to_points` reads as they are
-        self._point_levels = frozenset(t for t, lab in enumerate(self.atom_of) if np.array_equal(lab, np.arange(self.n)))
-        self._bins: dict = {}  # `_level_bins` by start level
-        self._layouts: dict = {}  # `weights._tail_layout` by low bits, built once per space
-        self._keys: tuple | None = None  # `stopping._atom_keys`, built once per space
+        self._point_levels = tower.point_levels
 
     # ---- basic structure -------------------------------------------------
 
@@ -245,7 +292,7 @@ class FilteredSpace:
     def n_levels(self) -> int:
         return self.last_level + 1
 
-    def level_atoms(self, level: int) -> list[np.ndarray]:
+    def level_atoms(self, level: int) -> tuple[np.ndarray, ...]:
         self._check_level(level)
         return self.atoms[level]
 
@@ -310,19 +357,26 @@ def _cut_atoms(space: FilteredSpace, level: int, inside: np.ndarray) -> np.ndarr
     return np.flatnonzero((hits != 0) & (hits != np.bincount(labels)))
 
 
-def as_fn(space: FilteredSpace, values) -> Fn:
-    """Coerce to a function on the space (finite real array of length n)."""
+def _as_row(space: FilteredSpace, values) -> Fn:
+    """`as_fn` without its finiteness check: a float array of length n, for a
+    row of a block that `_as_block` then checks as a whole."""
     arr = np.asarray(values, dtype=float)
     if arr.shape != (space.n,):
         raise ValueError(f"function must have shape ({space.n},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    return arr
+
+
+def as_fn(space: FilteredSpace, values) -> Fn:
+    """Coerce to a function on the space (finite real array of length n)."""
+    arr = _as_row(space, values)
+    if not np.isfinite(arr).all():
         raise ValueError("function values must be finite")
     return arr
 
 
 def _positive(space: FilteredSpace, w, name: str) -> Fn:
     arr = as_fn(space, w)
-    if np.any(arr <= 0):
+    if (arr <= 0).any():
         raise ValueError(f"{name} must be strictly positive")
     return arr
 
@@ -339,7 +393,7 @@ def _as_block(space: FilteredSpace, values: np.ndarray) -> np.ndarray:
     """Check a (k, n) block of functions once: its width, then finiteness."""
     if values.shape[1] != space.n:
         raise ValueError(f"block must have shape (k, {space.n}), got {values.shape}")
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError("function values must be finite")
     return values
 
@@ -374,13 +428,13 @@ def _level_bins(space: FilteredSpace, start: int) -> tuple[np.ndarray, list[tupl
     bin for point x at level j, r * A + (atoms of levels start..j-1) + its atom,
     A the atoms of levels start..L, for as many rows as fit _MEANS_BINS (or one);
     and level j's bins in row 0, (lo, hi)."""
-    cached = space._bins.get(start)
+    cached = space._tower.bins.get(start)
     if cached is None:
         ends = np.cumsum([0, *(mass.size for mass in space.atom_mass[start:])])
         labels = np.stack(space.atom_of[start:]) + ends[:-1, None]
         bins = labels + (np.arange(max(1, _MEANS_BINS // labels.size)) * ends[-1])[:, None, None]
         bins.setflags(write=False)
-        cached = space._bins[start] = bins, list(zip(ends[:-1].tolist(), ends[1:].tolist()))
+        cached = space._tower.bins[start] = bins, list(zip(ends[:-1].tolist(), ends[1:].tolist()))
     return cached
 
 

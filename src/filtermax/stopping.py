@@ -128,9 +128,9 @@ def adaptedness_violation(space: FilteredSpace, tau: StoppingTime) -> str | None
     if lv.shape != (space.n,):
         return f"levels must have shape ({space.n},)"
     finite = np.isfinite(lv)
-    if np.any(lv[finite] != np.round(lv[finite])):
+    if (lv[finite] != np.round(lv[finite])).any():
         return "finite stopping levels must be integers"
-    if np.any(lv[finite] < tau.origin) or np.any(lv[finite] > space.last_level):
+    if (lv[finite] < tau.origin).any() or (lv[finite] > space.last_level).any():
         return f"finite stopping levels must lie in {tau.origin}..{space.last_level}"
     for j in range(tau.origin, space.n_levels):
         cut = _cut_atoms(space, j, lv == j)
@@ -349,15 +349,16 @@ def stopping_time_from_tail(space: FilteredSpace, i: int, tail) -> StoppingTime:
 def _atom_keys(space: FilteredSpace) -> tuple[tuple[int, ...], ...]:
     """Each atom's tail key, keys[t][a]: the finest-atom mask (as `finest_mask`,
     a Python int of any width) of atom a of level t, summed up from its children;
-    built once per space."""
-    if space._keys is None:
+    built once per tower."""
+    tower = space._tower
+    if tower.keys is None:
         keys = [[1 << a for a in range(len(space.atoms[space.last_level]))]]
         for t in range(space.last_level, 0, -1):
             keys.insert(0, [0] * len(space.atoms[t - 1]))
             for a, parent in enumerate(space.parents[t].tolist()):
                 keys[0][parent] += keys[1][a]
-        space._keys = tuple(map(tuple, keys))
-    return space._keys
+        tower.keys = tuple(map(tuple, keys))
+    return tower.keys
 
 
 def _packed_keys(leaf_bits: np.ndarray) -> list[int]:

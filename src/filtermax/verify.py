@@ -9,10 +9,16 @@ Every check is framed as lhs <= rhs with slack = rhs - lhs.  Rows whose
 right-hand side uses a heuristic (lower-bound) tail supremum cannot
 falsify anything: a pass is conclusive, a violation only means
 "indeterminate" and is not counted as a hard failure.
+
+Generated instances pay their fixed costs once: `_tower` builds each
+regular tower once per shape and process, valid by construction, so no
+generated space goes through the raw reader, and its spaces share the
+tower's lookup tables; the test pairs are checked as two stacked blocks.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -37,6 +43,8 @@ from .space import (
     Fn,
     ValidationError,
     _as_block,
+    _as_row,
+    _Tower,
     _is_number,
     _non_number,
     as_fn,
@@ -160,31 +168,37 @@ def _parse_model(model: str) -> tuple[str, float | None]:
     return name, (float(param) if param else None)
 
 
-def _tower(depth: int, branching: int) -> list[list[list[int]]]:
-    """Levels of the regular branching tower on branching^depth points,
-    each atom a contiguous block."""
+@functools.cache  # one per shape a process generates; each holds at most MAX_POINTS points
+def _tower(depth: int, branching: int) -> _Tower:
+    """The regular branching tower on branching^depth points, each atom a
+    contiguous block, built once per shape: its spaces share its arrays and
+    lookup tables.  Refuses a shape past MAX_POINTS before building anything."""
     if depth < 1 or branching < 2:
         raise ValueError("need depth >= 1 and branching >= 2")
-    n = branching**depth
-    if n > MAX_POINTS:
-        raise ValueError(
-            f"point limit exceeded: branching^depth = {n} points (a generated space holds at most {MAX_POINTS})"
-        )
-    levels = []
-    for t in range(depth + 1):
-        block = branching ** (depth - t)
-        levels.append([list(range(a * block, (a + 1) * block)) for a in range(branching**t)])
-    return levels
+    n = 1
+    for _ in range(depth):
+        n *= branching
+        if n > MAX_POINTS:
+            raise ValueError(
+                f"point limit exceeded: branching {branching} at depth {depth} gives more than {MAX_POINTS} points"
+            )
+    points = np.arange(n, dtype=np.int64)
+    points.setflags(write=False)  # first, so that the atoms, its views, are read-only too
+    atom_of = [points // branching ** (depth - t) for t in range(depth + 1)]
+    parents = [np.empty(0, dtype=np.int64), *(np.arange(branching**t) // branching for t in range(1, depth + 1))]
+    for arr in (*atom_of, *parents):
+        arr.setflags(write=False)
+    return _Tower([points.reshape(branching**t, -1) for t in range(depth + 1)], atom_of, parents)
 
 
 def gen_space(seed: int, depth: int, branching: int) -> FilteredSpace:
     """Regular branching tower over [0, 1): branching^depth points in
     contiguous blocks, masses drawn positive and normalized to total 1."""
-    levels = _tower(depth, branching)
+    tower = _tower(depth, branching)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    masses = rng.uniform(0.5, 1.5, size=len(levels[-1]))  # one point per finest atom
+    masses = rng.uniform(0.5, 1.5, size=tower.atom_of[0].size)  # one point per finest atom
     masses /= masses.sum()
-    return FilteredSpace(masses, levels)
+    return FilteredSpace._on_tower(masses, tower)
 
 
 def gen_instance(
@@ -205,8 +219,9 @@ def gen_instance(
     name, param = _parse_model(model)
     exps = Exponents(p1, p2)
     if name == "power":  # uniform masses on the same tower
-        levels = _tower(depth, branching)
-        space = FilteredSpace(np.full(len(levels[-1]), 1.0 / len(levels[-1])), levels)
+        tower = _tower(depth, branching)
+        n = tower.atom_of[0].size
+        space = FilteredSpace._on_tower(np.full(n, 1.0 / n), tower)
     else:
         space = gen_space(seed, depth, branching)
     n = space.n
@@ -225,7 +240,7 @@ def gen_instance(
             omega2 = np.exp(s * rng.standard_normal(n))
             v = _product_v(omega1, omega2, exps) if name == "product" else np.exp(s * rng.standard_normal(n))
     for key, arr in (("v", v), ("omega1", omega1), ("omega2", omega2)):
-        if not np.all(np.isfinite(arr) & (arr > 0)):
+        if not (np.isfinite(arr) & (arr > 0)).all():
             raise ValueError(
                 f"model {model!r} at seed {seed}: field {key!r} is not finite and strictly positive"
             )
@@ -316,9 +331,9 @@ def _load_field(space: FilteredSpace, data: dict, key: str, where: str):
         value = float(data[key]) if kind == "exponent" else as_fn(space, data[key])
     except (TypeError, ValueError, OverflowError) as exc:  # TypeError: an object, not a list
         raise ValidationError(f"{where}: field {key!r}: {exc}") from exc
-    if kind == "weight" and np.any(value <= 0):
+    if kind == "weight" and (value <= 0).any():
         raise ValidationError(f"{where}: field {key!r} must be strictly positive")
-    if kind == "test" and np.any(value < 0):
+    if kind == "test" and (value < 0).any():
         raise ValidationError(f"{where}: field {key!r} must be nonnegative")
     return value
 
@@ -340,16 +355,16 @@ def instance_from_dict(data: dict, where: str = "instance") -> Instance:
     if h1 is not None:
         with np.errstate(over="ignore", invalid="ignore"):
             prods = np.array(level_products(space, h1, h2))
-        if not np.all(np.isfinite(prods)):
+        if not np.isfinite(prods).all():
             j, x = np.argwhere(~np.isfinite(prods))[0].tolist()  # the first level, then the first point
             raise ValidationError(f"{where}: fields 'h1' and 'h2': E_{j}(h1) E_{j}(h2) overflows at point {x}")
-        if np.any(prods > 4.0**MAX_K2):  # a principal set of shell K2 > MAX_K2 has an infinite sparse bound
+        if (prods > 4.0**MAX_K2).any():  # a principal set of shell K2 > MAX_K2 has an infinite sparse bound
             j, x = np.argwhere(prods > 4.0**MAX_K2)[0].tolist()
             raise ValidationError(
                 f"{where}: fields 'h1' and 'h2': E_{j}(h1) E_{j}(h2) exceeds 4^{MAX_K2} at point {x}, "
                 "so its sparse bound 16 * 4^(K2-1) overflows a float"
             )
-        if not np.any(prods[0] > 0):
+        if not (prods[0] > 0).any():
             raise ValidationError(
                 f"{where}: fields 'h1' and 'h2': E_0(h1) E_0(h2) vanishes everywhere, so no principal forest exists"
             )
@@ -452,12 +467,21 @@ def _row_norms(space: FilteredSpace, block: np.ndarray, weight: Fn, p: float) ->
 
 
 def _pair_block(inst: Instance, pairs: Pairs) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs' f1s and f2s as two (k, n) blocks, checked one pair at a time."""
-    F1 = np.empty((len(pairs), inst.space.n))
+    """The pairs' f1s and f2s as two (k, n) blocks: each function's shape checked,
+    then each block's finiteness once.  On a fault, the pairs are checked again
+    one function at a time, so the error is the first `as_fn` raises in order."""
+    space = inst.space
+    F1 = np.empty((len(pairs), space.n))
     F2 = np.empty_like(F1)
-    for r, (_, f1, f2) in enumerate(pairs):
-        F1[r], F2[r] = as_fn(inst.space, f1), as_fn(inst.space, f2)
-    return F1, F2
+    try:
+        for r, (_, f1, f2) in enumerate(pairs):
+            F1[r], F2[r] = _as_row(space, f1), _as_row(space, f2)
+        return _as_block(space, F1), _as_block(space, F2)
+    except ValueError:
+        for _, f1, f2 in pairs:
+            as_fn(space, f1)
+            as_fn(space, f2)
+        raise
 
 
 def norm_ratio(inst: Instance, f1: Fn, f2: Fn) -> float | None:

@@ -76,7 +76,7 @@ def sigma_from_omega(omega: Fn, p_s: float) -> Fn:
     if not p_s > 1:
         raise ValueError(f"exponent must exceed 1, got {p_s!r}")
     omega = np.asarray(omega, dtype=float)
-    if np.any(omega <= 0):
+    if (omega <= 0).any():
         raise ValueError("omega must be strictly positive")
     return omega ** (-1.0 / (p_s - 1.0))
 
@@ -182,14 +182,14 @@ class _PointTails(_Tails):
 
 
 def _tail_layout(space: FilteredSpace) -> tuple[int, np.ndarray, np.ndarray, list[int]]:
-    """The exact sweep's layout of a block, cached on the space by b (`_low_bits`):
+    """The exact sweep's layout of a block, cached on the tower by b (`_low_bits`):
     b; the b x 2**b 0/1 patterns of the low b finest atoms (column r holds the
     bits of r); each finest atom's atom at every coarser level, as a leaves x C
     0/1 matrix whose columns are the atoms of levels 0..L-1 in order, then one
     column for the whole tail; and the first column of each of those levels,
     then C - 1."""
     bits = _low_bits(space)
-    cached = space._layouts.get(bits)
+    cached = space._tower.layouts.get(bits)
     if cached is None:
         leaves = len(space.atoms[space.last_level])
         patterns = (np.arange(1 << bits) >> np.arange(bits)[:, None] & 1).astype(float)
@@ -201,7 +201,7 @@ def _tail_layout(space: FilteredSpace) -> tuple[int, np.ndarray, np.ndarray, lis
         onehot[:, -1] = 1.0
         for arr in (patterns, onehot):
             arr.setflags(write=False)
-        cached = space._layouts[bits] = bits, patterns, onehot, starts
+        cached = space._tower.layouts[bits] = bits, patterns, onehot, starts
     return cached
 
 

@@ -687,10 +687,11 @@ def test_exact_constants_refuse_before_building_the_row_kernel(monkeypatch, quad
 
 
 def test_exact_constants_share_the_cached_layout(monkeypatch):
-    """Exact RH, S and Winf on one space build the block layout once: the space
-    keeps one `_layouts` entry, and every constant's tables hold its arrays."""
+    """Exact RH, S and Winf on one space build the block layout once: its tower
+    keeps one `layouts` entry, and every constant's tables hold its arrays."""
     inst = gen_instance(11, depth=2, branching=4)
     space = inst.space
+    space._tower.layouts.clear()  # the tower is shared by every space of its shape
     tables = []
 
     class Recorded(_TailTables):
@@ -702,7 +703,7 @@ def test_exact_constants_share_the_cached_layout(monkeypatch):
     layouts = []
     for name in ("rh", "s", "winf"):
         compute_constant(name, space, inst.v, inst.omega1, inst.omega2, inst.exps)
-        layouts.append(list(space._layouts.values()))
+        layouts.append(list(space._tower.layouts.values()))
     layout = layouts[0][0]
     assert all(len(got) == 1 and got[0] is layout for got in layouts)
     bits, patterns, _, starts = layout
@@ -1185,15 +1186,15 @@ def test_point_objectives_leave_the_cached_bins(name, request):
     v, omega1, omega2 = random_weights(np.random.default_rng(19), space.n)
     exps = Exponents(1.5, 3.0)
     compute_constant("s", space, v, omega1, omega2, exps, mode="heuristic")
-    before = {start: bins.tobytes() for start, (bins, _) in space._bins.items()}
+    before = {start: bins.tobytes() for start, (bins, _) in space._tower.bins.items()}
     assert before
     densities = tuple(w * space.masses for w in (omega1, omega2))
     tails = _PointTails(space, densities, np.eye(space.n, dtype=bool)[: min(space.n, 9)])
     for s in ((0, 1), (0,), (1,)):
-        assert not any(np.shares_memory(tails.level_max(*s), bins) for bins, _ in space._bins.values())
+        assert not any(np.shares_memory(tails.level_max(*s), bins) for bins, _ in space._tower.bins.values())
     for key in ("s", "winf"):
         compute_constant(key, space, v, omega1, omega2, exps, mode="heuristic")
-    for start, (bins, _) in space._bins.items():
+    for start, (bins, _) in space._tower.bins.items():
         assert not bins.flags.writeable
         assert bins.tobytes() == before.get(start, bins.tobytes())
 
@@ -1649,20 +1650,22 @@ def test_move_keys_are_the_finest_masks_of_their_moves(inst, seed):
 
 def test_atom_keys_are_built_once_per_space(monkeypatch):
     """The first search builds the keys (tuples, each atom's `finest_mask`) on the
-    space; RH, S, Winf and `estimate_norm` then reuse them."""
+    space's tower; RH, S, Winf and `estimate_norm` then reuse them, and so does
+    every other space of that shape."""
     monkeypatch.setenv("FILTERMAX_ATOM_BUDGET", "24")
     inst = gen_instance(3, depth=5, model="product", p1=2.5, p2=2.5)
     space = inst.space
-    assert space._keys is None
+    space._tower.keys = None  # the tower is shared by every space of its shape
     inst.constant("rh", "heuristic")
-    keys = space._keys
+    keys = space._tower.keys
     assert isinstance(keys, tuple) and all(isinstance(level, tuple) for level in keys)
     for t, level in enumerate(space.atoms):
         assert keys[t] == tuple(finest_mask(space, atom) for atom in level)
     for name in ("s", "winf"):
         inst.constant(name, "heuristic")
     estimate_norm(inst, budget=2)
-    assert _atom_keys(space) is keys and space._keys is keys
+    assert _atom_keys(space) is keys and space._tower.keys is keys
+    assert _atom_keys(gen_instance(4, depth=5, model="product", p1=2.5, p2=2.5).space) is keys
 
 
 # ---- the search's first-hit thresholds --------------------------------------------

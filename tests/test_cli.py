@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from filtermax import load_instance, verify
+from filtermax import cli, load_instance, verify
 from filtermax.cli import main
 from filtermax.principal import DominationReport
 
@@ -37,10 +37,15 @@ def test_gen_writes_loadable_instance(tmp_path, capsys):
 
 
 def test_gen_usage_error(tmp_path, capsys):
+    """A tower past the point limit is refused with a short message, before its
+    point count is ever computed in full."""
     out = tmp_path / "x.json"
-    assert run("gen", "--depth", "40", "--out", str(out)) == 2
-    assert "point limit exceeded" in capsys.readouterr().err
-    assert not out.exists()
+    for depth, branching in (("40", "2"), ("1000000", "3")):
+        assert run("gen", "--depth", depth, "--branching", branching, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"point limit exceeded: branching {branching} at depth {depth} gives more than 65536 points" in err
+        assert len(err) < 200
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -485,7 +490,8 @@ def test_verify_falsification_writes_replay(tmp_path, monkeypatch, capsys):
 def test_verify_tol_keeps_the_sparse_rows_own_rule(monkeypatch, capsys):
     """--tol replaces the default tolerance only.  sparse_domination fixes its
     own (none, as `DominationReport.ok`), so a bound of 1e6 exceeded by 5e-4
-    fails under every --tol, though it is within 1e-9 of the bound."""
+    fails under every --tol, though it is within 1e-9 of the bound.  At the
+    default --tol no row is copied, and the report has the same bytes."""
     bound = np.full(4, 1e6)
     operator = bound.copy()
     operator[0] += 5e-4
@@ -494,11 +500,21 @@ def test_verify_tol_keeps_the_sparse_rows_own_rule(monkeypatch, capsys):
     )
     assert not report.ok
     monkeypatch.setattr(verify, "sparse_domination_report", lambda forest: report)
+    copies = []
+    monkeypatch.setattr(cli, "replace", lambda row, **changes: copies.append(row) or dataclasses.replace(row, **changes))
+    reports = []
     for tol in ([], ["--tol", "1e-3"], ["--tol", "0"]):
-        assert run("verify", str(DATA / "worked4.json"), "--suite", "sparse", *tol) == 1, tol
-        err = capsys.readouterr().err
+        copies.clear()
+        assert run("verify", str(DATA / "worked4.json"), "--suite", "sparse", "--format", "json", *tol) == 1, tol
+        out, err = capsys.readouterr()
         assert "2 checks: 1 pass, 0 indeterminate, 1 fail" in err
         assert "falsified: sparse_domination" in err
+        assert [row.theorem for row in copies] == ([] if not tol else ["sparse_properties"])
+        reports.append(out)
+    assert reports[0] == reports[1] == reports[2]
+    assert [(r["theorem"], r["status"]) for r in json.loads(reports[0])] == [
+        ("sparse_domination", "fail"), ("sparse_properties", "pass")
+    ]
 
 
 def test_report_bytes_do_not_depend_on_the_openblas_kernel(tmp_path):

@@ -87,23 +87,93 @@ def test_gen_space_structure_and_determinism():
     assert not np.array_equal(s1.masses, gen_space(10, depth=3, branching=2).masses)
     with pytest.raises(ValueError, match="point limit exceeded"):
         gen_space(0, depth=40, branching=2)
+    # the running product stops at the limit: no 10**6-digit power, nor its string
+    with pytest.raises(ValueError, match=r"point limit exceeded: branching 3 at depth 1000000 gives more than 65536"):
+        gen_instance(1, depth=10**6, branching=3)
     with pytest.raises(ValueError):
         gen_space(0, depth=0, branching=2)
 
 
 @pytest.mark.parametrize("shape", [{"depth": 3}, {"depth": 2, "branching": 3}])
-def test_power_instance_reads_its_tower_once(monkeypatch, shape):
-    """The power model builds gen_space's tower with uniform masses, reading
-    the raw tower once."""
+def test_power_instance_shares_the_generated_tower(monkeypatch, shape):
+    """The power model puts uniform masses on gen_space's cached tower: it reads
+    no raw tower, and its atoms are the very arrays of gen_space's."""
     reads = []
     read = filtermax.space._read
     monkeypatch.setattr(filtermax.space, "_read", lambda *raw: reads.append(1) or read(*raw))
     inst = gen_instance(3, model="power", **shape)
-    assert len(reads) == 1
+    assert not reads
     n = inst.space.n
     assert np.array_equal(inst.space.masses, np.full(n, 1.0 / n))
-    tower = gen_space(3, **{"branching": 2, **shape}).atoms
-    assert [[a.tolist() for a in level] for level in inst.space.atoms] == [[a.tolist() for a in level] for level in tower]
+    assert inst.space.atoms is gen_space(3, **{"branching": 2, **shape}).atoms
+
+
+MODELS = ("lognormal", "product", "power", "power:1.5")
+SHAPES = [(depth, branching) for depth in range(1, 6) for branching in range(2, 5)]
+
+
+def _tower_lists(depth, branching):
+    """The regular tower as raw lists, the form a `gen` file stores."""
+    n = branching**depth
+    return [
+        [list(range(a * n // branching**t, (a + 1) * n // branching**t)) for a in range(branching**t)]
+        for t in range(depth + 1)
+    ]
+
+
+@pytest.mark.parametrize("depth,branching", SHAPES)
+def test_the_cached_tower_matches_the_reader(depth, branching):
+    """In every model, a generated space equals the space the reader builds from
+    the same lists: atoms, labels, parents, levels of single points, and the atom
+    and total masses to the bit, each atom mass its 1-d sum as before.  Its
+    arrays reject writes; two seeds of a shape share the tower, not the masses;
+    and `gen` files list the same levels."""
+    levels = _tower_lists(depth, branching)
+    for model in MODELS:
+        space = gen_instance(5, depth=depth, branching=branching, model=model).space
+        read = filtermax.space.FilteredSpace(space.masses, levels)
+        assert [[a.tolist() for a in level] for level in space.atoms] == levels
+        for got, want in ((space.atom_of, read.atom_of), (space.parents, read.parents)):
+            assert len(got) == len(want) == depth + 1
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert space._point_levels == read._point_levels == {depth}
+        hexes = [[float(m).hex() for m in level] for level in space.atom_mass]
+        assert hexes == [[float(m).hex() for m in level] for level in read.atom_mass]
+        assert hexes == [[float(space.masses[a].sum()).hex() for a in level] for level in space.atoms]
+        assert float(space.total_mass).hex() == float(read.total_mass).hex()
+        arrays = [space.masses, *space.atom_of, *space.parents, *space.atom_mass, *(a for lv in space.atoms for a in lv)]
+        for arr in arrays:
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            space.atoms[-1][0][0] = 1
+        other = gen_instance(6, depth=depth, branching=branching, model=model).space
+        assert other.atoms is space.atoms and other.atom_of is space.atom_of and other.parents is space.parents
+        assert other._tower is space._tower
+        assert not np.shares_memory(other.masses, space.masses)
+        assert filtermax.space.space_to_dict(space)["levels"] == levels
+
+
+def _row_bits(rows):
+    return [(r.theorem, float(r.lhs).hex(), float(r.rhs).hex(), r.mode, json.dumps(r.detail, sort_keys=True)) for r in rows]
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from([(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (1, 4), (2, 4), (5, 2)]),
+    model=st.sampled_from(MODELS),
+    p12=st.sampled_from([(2.0, 2.0), (2.5, 1.7), (1.5, 3.0)]),
+)
+def test_generated_and_loaded_instances_give_the_same_rows(tmp_path, seed, shape, model, p12):
+    """The suite gives the same rows, to the bit, for a generated instance and for
+    it dumped and loaded again: generation and file loading build one space.
+    Depth 5 is past the atom budget, so its rows are the fallback's."""
+    inst = gen_instance(seed, depth=shape[0], branching=shape[1], model=model, p1=p12[0], p2=p12[1])
+    path = str(tmp_path / "inst.json")
+    dump_instance(inst, path)
+    rows = [_row_bits(run_instance_suite(x, "all", fallback=True)) for x in (inst, load_instance(path))]
+    assert rows[0] == rows[1]
 
 
 def test_gen_instance_models():
