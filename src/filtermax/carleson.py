@@ -146,9 +146,12 @@ def certify_carleson_constant(
     (float addition is monotone), so with nonnegative coefficients the first
     maximizer in ascending mask order is such a union or leaf.  Those are scored
     in ascending mask order, numerators in entry order and denominators in leaf
-    order as a per-tail sum adds them, so A and the worst tail are an exhaustive
-    sweep's (a 0/0 tail is skipped: it imposes no condition).  Returns the
-    certified family and the worst-case stopping time."""
+    order as a per-tail sum adds them (the denominators as the row sums of one
+    F-ordered tails x leaves block, which add its columns in order: every term
+    is >= +0, so each sum is the float of 0.0 plus its terms in turn), so A and
+    the worst tail are an exhaustive sweep's (a 0/0 tail is skipped: it imposes
+    no condition).  Returns the certified family and the worst-case
+    stopping time."""
     sigma1 = as_fn(space, sigma1)
     sigma2 = as_fn(space, sigma2)
     mix = _mix_density(space, sigma1, sigma2, exps)
@@ -168,9 +171,8 @@ def certify_carleson_constant(
     num = np.zeros(tails.size)
     for c, em in zip(coeffs, entry_masks):
         num += np.where((tails & em) == em, c, 0.0)
-    den = np.zeros(tails.size)
-    for a, am in enumerate(atom_mix):
-        den += np.where(tails >> a & 1, am, 0.0)
+    bits = tails >> np.arange(len(leaves), dtype=np.int64)[:, None] & 1
+    den = np.where(bits, atom_mix[:, None], 0.0).T.sum(axis=1)
     best, found = _block_max([(0, num / den)])
     if found is None:  # every leaf's mix underflowed to 0; worded as the sweep words it
         raise ValueError(f"tail objective is nan (or -inf) on all {(1 << len(leaves)) - 1} nonempty T_{i} tails")

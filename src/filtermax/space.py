@@ -28,9 +28,10 @@ the points in C order.  `_weighted_cond` is the weighted form.  A loop
 over levels takes them all from `_level_means`: the atom means of every
 level from a start level down, in one list, bit for bit as `_atom_cond`
 gives them level by level, from one bincount per run of rows (each level
-and each row has its own bins).  That list is the means contract of the
-level maxima in `operators`; the exact sweeps in `weights` take their means
-from subset-sum tables on the finest atoms instead.
+and each row has its own bins), whose sums `_level_sums` gives side by
+side.  That list is the means contract of the level maxima in
+`operators`; the exact sweeps in `weights` take their means from
+subset-sum tables on the finest atoms instead.
 """
 
 from __future__ import annotations
@@ -438,12 +439,13 @@ def _level_bins(space: FilteredSpace, start: int) -> tuple[np.ndarray, list[tupl
     return cached
 
 
-def _level_means(space: FilteredSpace, f: np.ndarray, start: int = 0, density: Fn | None = None) -> list[np.ndarray]:
-    """`_atom_cond` of levels start..L at once, unchecked: element j - start holds
-    the level-j atom means, (atoms_j,) or (k, atoms_j), fresh.  One bincount sums
-    every level of a run of rows (`_level_bins`): row r of level j adds into its
-    own bins, each bin its points' products in point order, so every mean is
-    `_atom_cond`'s bit for bit."""
+def _level_sums(
+    space: FilteredSpace, f: np.ndarray, start: int = 0, density: Fn | None = None
+) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """The atom sums of `_level_means`, unchecked, every level from `start` side by
+    side, (A,) or (k, A), and level j's columns, (lo, hi).  One bincount sums every
+    level of a run of rows (`_level_bins`): row r of level j adds into its own
+    bins, each bin its points' products in point order."""
     bins, bounds = _level_bins(space, start)
     block = (f * (space.masses if density is None else density)).reshape(-1, space.n)
     rows, levels = bins.shape[:2]
@@ -452,6 +454,14 @@ def _level_means(space: FilteredSpace, f: np.ndarray, start: int = 0, density: F
     sums = sums[0] if len(sums) == 1 else np.concatenate(sums)
     if f.ndim == 2:
         sums = sums.reshape(len(block), bounds[-1][1])
+    return sums, bounds
+
+
+def _level_means(space: FilteredSpace, f: np.ndarray, start: int = 0, density: Fn | None = None) -> list[np.ndarray]:
+    """`_atom_cond` of levels start..L at once, unchecked: element j - start holds
+    the level-j atom means, (atoms_j,) or (k, atoms_j), fresh, each `_level_sums`
+    column divided by its atom mass, so every mean is `_atom_cond`'s bit for bit."""
+    sums, bounds = _level_sums(space, f, start, density)
     return [sums[..., lo:hi] / mass for (lo, hi), mass in zip(bounds, space.atom_mass[start:])]
 
 

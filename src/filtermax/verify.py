@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import carleson as _carleson
-from .operators import _level_max, _ratio_means
+from .operators import _leaf_max, _level_max, _ratio_means
 from .principal import (
     MAX_K2,
     PrincipalForest,
@@ -46,7 +46,9 @@ from .space import (
     _as_row,
     _Tower,
     _is_number,
+    _level_means,
     _non_number,
+    _to_points,
     as_fn,
     cond_exp,
     level_products,
@@ -168,6 +170,15 @@ def _parse_model(model: str) -> tuple[str, float | None]:
     return name, (float(param) if param else None)
 
 
+def _decimal(k: int) -> str:
+    """k in decimal, or its bit length where Python refuses to print it (past its
+    int-to-string digit limit)."""
+    try:
+        return str(k)
+    except ValueError:
+        return f"of {k.bit_length()} bits"
+
+
 @functools.cache  # one per shape a process generates; each holds at most MAX_POINTS points
 def _tower(depth: int, branching: int) -> _Tower:
     """The regular branching tower on branching^depth points, each atom a
@@ -180,7 +191,8 @@ def _tower(depth: int, branching: int) -> _Tower:
         n *= branching
         if n > MAX_POINTS:
             raise ValueError(
-                f"point limit exceeded: branching {branching} at depth {depth} gives more than {MAX_POINTS} points"
+                f"point limit exceeded: branching {_decimal(branching)} at depth {_decimal(depth)}"
+                f" gives more than {MAX_POINTS} points"
             )
     points = np.arange(n, dtype=np.int64)
     points.setflags(write=False)  # first, so that the atoms, its views, are read-only too
@@ -437,8 +449,10 @@ def _pair_norms(
     bit as `bilinear_maximal` and `lp_norm`, each norm rooted as a Python float.
     A full row sums as `sum(axis=1)`, which on a C-contiguous block adds each row
     as its 1-d `.sum()` does; a restricted sum compresses its row first, since
-    zeros in place of the points outside would change the pairwise grouping; rows
-    with as many points inside compress into one C-contiguous block together."""
+    zeros in place of the points outside would change the pairwise grouping.  One
+    stable sort of the rows by their counts inside and one boolean gather put the
+    rows with as many points inside side by side, each run one C-contiguous block,
+    whose row totals go back to their rows."""
     exps, masses = inst.exps, inst.space.masses
     m = _level_max(inst.space, 0, F1 * inst.sigma1, F2 * inst.sigma2)
     dens_m = m**exps.p * inst.v * masses
@@ -449,16 +463,24 @@ def _pair_norms(
     if inside is None:
         return nums, dens, nums
     counts = inside.sum(axis=1)
+    order = np.argsort(counts, kind="stable")
+    sizes = counts[order]
+    values = dens_m[order][inside[order]]  # each row's points inside, the rows by count
+    starts = np.flatnonzero(np.diff(sizes, prepend=-1)).tolist()  # the first row of each count
     totals = np.empty(len(counts))
-    for count in np.unique(counts):
-        rows = np.flatnonzero(counts == count)
-        totals[rows] = dens_m[rows][inside[rows]].reshape(rows.size, count).sum(axis=1)
+    offset = 0
+    for lo, hi in zip(starts, [*starts[1:], len(sizes)]):
+        rows, count = order[lo:hi], int(sizes[lo])
+        totals[rows] = values[offset : offset + rows.size * count].reshape(rows.size, count).sum(axis=1)
+        offset += rows.size * count
     return nums, dens, _roots(totals, exps.p)
 
 
-def _roots(totals, p: float) -> list[float]:
-    """total ** (1/p) per total, as `lp_norm` roots its sum: a Python float power."""
-    return [float(t) ** (1.0 / p) for t in totals]
+def _roots(totals: np.ndarray, p: float) -> list[float]:
+    """total ** (1/p) per total of an array, as `lp_norm` roots its sum: a Python
+    float power, with 1/p computed once."""
+    inv = 1.0 / p
+    return [t**inv for t in totals.tolist()]
 
 
 def _row_norms(space: FilteredSpace, block: np.ndarray, weight: Fn, p: float) -> list[float]:
@@ -574,7 +596,8 @@ def _tail_ratios(inst: Instance) -> tuple[float, float, int]:
     cannot be swept exactly.
 
     `_sweep_tails` scores each block through `_pair_norms` and keeps the
-    full maximum; the restricted maximum is taken per block, in mask order.
+    full maximum; the restricted maximum is taken per block, as one array
+    division and `.max()`.
     The S sweep sums in another order, which keeps thm12_attain an
     independent check of it.
     """
@@ -584,8 +607,9 @@ def _tail_ratios(inst: Instance) -> tuple[float, float, int]:
         nonlocal best_restricted
         chi = inside.astype(float)
         nums, dens, restricted = _pair_norms(inst, chi, chi, inside)
-        best_restricted = max(best_restricted, *(num / den for num, den in zip(restricted, dens)))
-        return np.array(nums) / np.array(dens)
+        dens = np.array(dens)
+        best_restricted = max(best_restricted, float((np.array(restricted) / dens).max()))
+        return np.array(nums) / dens
 
     best_full, arg_f = _sweep_tails(inst.space, 0, full_ratios)
     return best_restricted, best_full, arg_f
@@ -811,33 +835,38 @@ def _property_residuals(inst: Instance, draws: int = 20, seed: int | None = None
     array per row name, before the clip at 0.
 
     Draw r is (f, g, h, i, j, p) = row r of (F, G, H, I, J, P), drawn in one
-    loop in the order a per-draw loop draws them.  Each identity then runs
-    once on the whole block: one public `cond_exp` per level of the stacked
-    blocks (F at j and at min(i, j); G, G^a1 H^a2, H, log G at i) and one per
-    level of the tower's inner block, of which row r keeps its own level; the
-    maximal operators on `_level_max`.  Row maxima and sums are a 1-d call's.
+    loop in the order a per-draw loop draws them: its four normal rows as one
+    `standard_normal(4 n)`, the same stream, then F, G and H on whole blocks.
+    Each identity then runs once on the whole block: one public `cond_exp` per
+    level of the stacked blocks (F at j and at min(i, j); G, G^a1 H^a2, H,
+    log G at i) and one per level of the tower's inner block, each on the rows
+    at that level only; the weighted maximum on `_level_max`, the plain and
+    squared maxima of F from one `_level_means`.  Row maxima and sums are a
+    1-d call's.
     """
     space = inst.space
     exps = inst.exps
     base = inst.seed if seed is None else seed
     rng = np.random.default_rng(np.random.SeedSequence(base or 0, spawn_key=(4,)))
     n = space.n
-    F, G, H = (np.empty((draws, n)) for _ in range(3))
+    Z = np.empty((draws, 4, n))
     I, J = np.empty(draws, dtype=np.int64), np.empty(draws, dtype=np.int64)
     P = [0.0] * draws
     for r in range(draws):
-        F[r] = rng.standard_normal(n) * np.exp(rng.standard_normal(n))
-        G[r] = np.exp(0.8 * rng.standard_normal(n))
-        H[r] = np.exp(0.8 * rng.standard_normal(n))
+        rng.standard_normal(out=Z[r].reshape(-1))  # the stream of four standard_normal(n) calls
         I[r] = rng.integers(0, space.n_levels)
         J[r] = rng.integers(0, space.n_levels)
         P[r] = float(rng.uniform(1.1, 4.0))
+    F = Z[:, 0] * np.exp(Z[:, 1])
+    G, H = np.exp(0.8 * Z[:, 2]), np.exp(0.8 * Z[:, 3])
 
     def at(block: np.ndarray, lv: np.ndarray) -> np.ndarray:
-        """Row r of block conditioned on F_{lv[r]}, from one public `cond_exp` per level."""
+        """Row r of block conditioned on F_{lv[r]}: one public `cond_exp` per level,
+        of the rows at that level only (an empty block where none is)."""
         out = np.empty_like(block)
         for t in range(space.n_levels):
-            out[lv == t] = cond_exp(space, block, t)[lv == t]
+            sel = lv == t
+            out[sel] = cond_exp(space, block[sel], t)
         return out
 
     def scaled(diff: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -847,7 +876,8 @@ def _property_residuals(inst: Instance, draws: int = 20, seed: int | None = None
 
     a1, a2 = exps.p / exps.p1, exps.p / exps.p2
     block = np.concatenate([F, F, G, G**a1 * H**a2, H, np.log(G)])
-    cond_fj, tower_rhs, cond_g, mix, cond_h, log_g = np.split(at(block, np.concatenate([J, np.minimum(I, J), *[I] * 4])), 6)
+    levels = np.concatenate([J, np.minimum(I, J), *[I] * 4])
+    cond_fj, tower_rhs, cond_g, mix, cond_h, log_g = at(block, levels).reshape(6, draws, n)
     tower_lhs = at(cond_fj, I)
     split = cond_g**a1 * cond_h**a2
 
@@ -859,8 +889,9 @@ def _property_residuals(inst: Instance, draws: int = 20, seed: int | None = None
     mw = _level_max(space, 0, np.abs(F) * G, means=_ratio_means(G))
     doob = [num / ((p / (p - 1.0)) * den) - 1.0 for num, den, p in zip(lp_norms(mw), lp_norms(F), P)]
 
-    m1 = _level_max(space, 0, F)
-    mbil = _level_max(space, 0, F, F)
+    terms = _level_means(space, F)
+    mbil = _to_points(space, _leaf_max(space, 0, [t * t for t in terms]), space.last_level)
+    m1 = _to_points(space, _leaf_max(space, 0, [np.abs(t, out=t) for t in terms]), space.last_level)
     return {
         "prop_tower": scaled(np.abs(tower_lhs - tower_rhs), np.abs(tower_rhs)),
         "prop_cond_holder": ((mix - split) / split).max(axis=1),

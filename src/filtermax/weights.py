@@ -24,8 +24,9 @@ its low leaves plus the fixed high leaves' sum (`_TailTables` on
 at the points (`_PointTails`: the one-bincount means `space._level_means`),
 which yields a certified lower bound.  Every other sum over a row of a block,
 in either mode, is `_Tails.row_sum` or `inside_sum`, in numpy's fixed order, so
-no value depends on the BLAS library or its kernel.  A and B take each weight's
-means of every level from one `_level_means` call.  The dual weights must come
+no value depends on the BLAS library or its kernel.  A and B take their
+weights' means of every level, side by side, from one `_level_sums` bincount,
+and their first maximum in one pass over every atom.  The dual weights must come
 out finite and strictly positive, else ValueError naming sigma1 or sigma2.
 """
 
@@ -38,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .operators import _leaf_max
-from .space import Exponents, FilteredSpace, Fn, _level_means, _positive, _to_points, as_fn
+from .space import Exponents, FilteredSpace, Fn, _level_means, _level_sums, _positive, _to_points, as_fn
 from .space import cond_exp  # noqa: F401  (bench/tests expects this module to bind it)
 from .stopping import (
     _block_max,
@@ -95,11 +96,18 @@ def _tau_witness(tau) -> dict:
     return {"origin": tau.origin, "tail": tau.tail_set().tolist(), "tau": levels}
 
 
-def _atom_max(space: FilteredSpace, density: Callable[[int], np.ndarray], name: str) -> WeightConstant:
-    """The first maximum over levels 0..L of density(level), one value per atom."""
-    best_val, found = _block_max((level, density(level)) for level in range(space.n_levels))
-    level, a_idx = found or (0, 0)
-    witness = {"level": level, "atom": space.atoms[level][a_idx].tolist()}
+def _atom_max(space: FilteredSpace, name: str, density: Callable, *weights: Fn) -> WeightConstant:
+    """The first maximum of density(*means) over the atoms of every level, the
+    means being each weight's atom means of every level side by side, levels in
+    order, from one `_level_sums` bincount over the stacked weights (each mean is
+    `_level_means`' bit for bit).  One pass finds the first maximum in level
+    order, then atom order, as a per-level loop where a later level wins only
+    when strictly larger."""
+    sums, bounds = _level_sums(space, np.stack(weights))
+    best_val, found = _block_max([(0, density(*(sums / np.concatenate(space.atom_mass))))])
+    k = found[1] if found else 0
+    level = next(j for j, (_, hi) in enumerate(bounds) if k < hi)
+    witness = {"level": level, "atom": space.atoms[level][k - bounds[level][0]].tolist()}
     return WeightConstant(name, best_val, EXACT, witness)
 
 
@@ -107,15 +115,8 @@ def a_p_constant(space: FilteredSpace, v: Fn, omega1: Fn, omega2: Fn, exps: Expo
     """max over levels and atoms of E(v) E(sigma1)^(p/p1') E(sigma2)^(p/p2')."""
     v = _positive(space, v, "v")
     sigma1, sigma2 = _duals(space, omega1, omega2, exps)
-    p = exps.p
-    e1, e2 = p / exps.p1_prime, p / exps.p2_prime
-
-    mv, m1, m2 = (_level_means(space, w) for w in (v, sigma1, sigma2))
-
-    def density(level: int) -> np.ndarray:
-        return mv[level] * m1[level] ** e1 * m2[level] ** e2
-
-    return _atom_max(space, density, "A")
+    e1, e2 = exps.p / exps.p1_prime, exps.p / exps.p2_prime
+    return _atom_max(space, "A", lambda mv, m1, m2: mv * m1**e1 * m2**e2, v, sigma1, sigma2)
 
 
 def b_p_constant(space: FilteredSpace, v: Fn, omega1: Fn, omega2: Fn, exps: Exponents) -> WeightConstant:
@@ -125,13 +126,9 @@ def b_p_constant(space: FilteredSpace, v: Fn, omega1: Fn, omega2: Fn, exps: Expo
     sigma1, sigma2 = _duals(space, omega1, omega2, exps)
     p = exps.p
     log_mix = as_fn(space, np.log(sigma1 ** (p / exps.p1) * sigma2 ** (p / exps.p2)))
-
-    mv, m1, m2, mlog = (_level_means(space, w) for w in (v, sigma1, sigma2, log_mix))
-
-    def density(level: int) -> np.ndarray:
-        return mv[level] * m1[level] ** p * m2[level] ** p / np.exp(mlog[level])
-
-    return _atom_max(space, density, "B")
+    return _atom_max(
+        space, "B", lambda mv, m1, m2, mlog: mv * m1**p * m2**p / np.exp(mlog), v, sigma1, sigma2, log_mix
+    )
 
 
 class _Tails:

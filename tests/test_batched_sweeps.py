@@ -33,6 +33,8 @@ from filtermax import (
     FilteredSpace,
     Instance,
     StoppingTime,
+    a_p_constant,
+    b_p_constant,
     bilinear_maximal,
     build_level_sets,
     certify_carleson_constant,
@@ -72,8 +74,16 @@ from filtermax.stopping import (
     _sweep_tails,
     heuristic_sup_over_tau,
 )
-from filtermax.verify import _PROPERTY_TOLS, _pair_norms, _property_residuals, _tail_ratios, estimate_norm, norm_ratio
-from filtermax.weights import _PointTails, _sup_over_tails, _tail_layout, _TailTables
+from filtermax.verify import (
+    _PROPERTY_TOLS,
+    _pair_norms,
+    _property_residuals,
+    _roots,
+    _tail_ratios,
+    estimate_norm,
+    norm_ratio,
+)
+from filtermax.weights import WeightConstant, _PointTails, _sup_over_tails, _tail_layout, _TailTables
 
 DATA = Path(__file__).parent / "data"
 REL_TOL = 1e-12
@@ -229,6 +239,22 @@ def test_batched_carleson_equals_scalar_on_fixtures(name, request):
         h1, h2 = random_weights(rng, space.n)[:2]
         inst = Instance(space, v, omega1, omega2, Exponents(2.0, 2.0), False, h1=h1, h2=h2)
         assert_carleson_matches(inst)
+
+
+def test_batched_carleson_equals_scalar_on_multi_point_leaves():
+    """Ten leaves of 1 to 12 points, so a leaf's mix integral sums 8 or more points
+    pairwise, under two coarser levels: the certified A and worst tail are the
+    per-tail sums', whose denominators add the leaves in leaf order."""
+    sizes = [1, 9, 2, 12, 3, 8, 1, 10, 4, 2]
+    starts = np.cumsum([0, *sizes]).tolist()
+    leaves = [list(range(lo, hi)) for lo, hi in zip(starts, starts[1:])]
+    middle = [sum(leaves[a : a + 3], []) for a in range(0, len(leaves), 3)]
+    space = FilteredSpace(np.full(starts[-1], 1.0 / starts[-1]), [[sum(leaves, [])], middle, leaves])
+    rng = np.random.default_rng(67)
+    for exps in (Exponents(2.0, 2.0), Exponents(1.5, 3.0)):
+        v, omega1, omega2 = random_weights(rng, space.n)
+        h1, h2 = random_weights(rng, space.n)[:2]
+        assert_carleson_matches(Instance(space, v, omega1, omega2, exps, False, h1=h1, h2=h2))
 
 
 @pytest.mark.parametrize(
@@ -770,6 +796,19 @@ def test_carleson_sums_entries_in_entry_order(quad):
     want_a, want_mask = scalar_carleson(quad, family, one, one, exps)
     assert certified.carleson_A == want_a == 1.0  # the full tail, mix integral 1.0
     assert finest_mask(quad, worst.tail_set()) == want_mask == 15
+
+
+def test_carleson_sums_denominators_in_leaf_order():
+    """Leaf mix integrals 1, 2^-53, 2^-53 under one entry on every point: in leaf
+    order the full tail's denominator adds to 1.0, in reverse order to 1 + 2^-52,
+    so A pins the order of the per-tail sum."""
+    space = FilteredSpace([1.0, 2.0**-53, 2.0**-53], [[[0, 1, 2]], [[0], [1], [2]]])
+    one = np.ones(space.n)
+    family = CarlesonFamily("node", 0, (CarlesonEntry(0, 0, 0, np.arange(3), 0.0),)).with_coefficients([1.0])
+    certified, worst = certify_carleson_constant(space, family, one, one, Exponents(2.0, 2.0))
+    want_a, want_mask = scalar_carleson(space, family, one, one, Exponents(2.0, 2.0))
+    assert certified.carleson_A == want_a == 1.0
+    assert finest_mask(space, worst.tail_set()) == want_mask == 7
 
 
 def union_family(space, point_sets, coeffs):
@@ -1347,6 +1386,72 @@ def test_level_means_are_atom_cond_of_each_level(name, request):
                     assert means.flags.c_contiguous and means.flags.owndata
 
 
+# ---- A and B over every atom at once ---------------------------------------------
+#
+# `reference_atom_max` is `weights._atom_max` as it was before A and B took one
+# pass over the atoms of every level: one density and one first-maximum pass
+# per level, a later level winning only when strictly larger.
+
+
+def reference_atom_max(space, density, name):
+    best_val, found = _block_max((level, density(level)) for level in range(space.n_levels))
+    level, a_idx = found or (0, 0)
+    return WeightConstant(name, best_val, "exact", {"level": level, "atom": space.atoms[level][a_idx].tolist()})
+
+
+def reference_atom_maxima(space, v, omega1, omega2, exps):
+    """(A, B) by the per-level loop, on each weight's `_level_means`."""
+    sigma1, sigma2 = sigma_from_omega(omega1, exps.p1), sigma_from_omega(omega2, exps.p2)
+    p = exps.p
+    e1, e2 = p / exps.p1_prime, p / exps.p2_prime
+    log_mix = np.log(sigma1 ** (p / exps.p1) * sigma2 ** (p / exps.p2))
+    mv, m1, m2, mlog = (_level_means(space, w) for w in (v, sigma1, sigma2, log_mix))
+    a = reference_atom_max(space, lambda t: mv[t] * m1[t] ** e1 * m2[t] ** e2, "A")
+    b = reference_atom_max(space, lambda t: mv[t] * m1[t] ** p * m2[t] ** p / np.exp(mlog[t]), "B")
+    return a, b
+
+
+def assert_atom_maxima_match(space, v, omega1, omega2, exps):
+    got = a_p_constant(space, v, omega1, omega2, exps), b_p_constant(space, v, omega1, omega2, exps)
+    for g, want in zip(got, reference_atom_maxima(space, v, omega1, omega2, exps)):
+        assert float.hex(g.value) == float.hex(want.value), want.name
+        assert (g.name, g.mode, g.witness) == (want.name, want.mode, want.witness)
+    return got
+
+
+@pytest.mark.parametrize("name", [*FIXTURES, "worked4", "generated"])
+def test_atom_maxima_equal_the_per_level_loop(name, request):
+    space = level_max_space(name, request)
+    rng = np.random.default_rng(71)
+    for exps in (Exponents(2.0, 2.0), Exponents(1.5, 3.0), Exponents(1.3, 7.0)):
+        assert_atom_maxima_match(space, *random_weights(rng, space.n), exps)
+
+
+@pytest.mark.parametrize("shape", [dict(depth=3), dict(depth=5, model="product", p1=2.5, p2=2.5), dict(depth=8)])
+def test_atom_maxima_equal_the_per_level_loop_on_generated_instances(shape):
+    for seed in range(3):
+        inst = gen_instance(seed, **shape)
+        assert_atom_maxima_match(inst.space, inst.v, inst.omega1, inst.omega2, inst.exps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_instances())
+def test_atom_maxima_equal_the_per_level_loop_on_generated_spaces(inst):
+    """Irregular towers, unsplit atoms (a repeated level) and multi-point leaves."""
+    assert_atom_maxima_match(inst.space, inst.v, inst.omega1, inst.omega2, inst.exps)
+
+
+def test_atom_maxima_ties_go_to_the_earliest_level(chain, lumpy5):
+    """Equal values on several levels: the earliest level's first atom wins."""
+    one = np.ones(chain.n)
+    for got in assert_atom_maxima_match(chain, one, one, one, Exponents(2.0, 3.0)):
+        assert (got.value, got.witness) == (1.0, {"level": 0, "atom": [0, 1]})
+    # the atom {3, 4} repeats from level 1 to level 2 and holds the largest v
+    v, one = np.array([1.0, 1.0, 1.0, 5.0, 5.0]), np.ones(lumpy5.n)
+    for got in assert_atom_maxima_match(lumpy5, v, one, one, Exponents(2.0, 2.0)):
+        assert got.witness == {"level": 1, "atom": [3, 4]}
+
+
 # ---- the search's memo ------------------------------------------------------------
 #
 # The search keys each candidate by its finest atoms and builds rows for new
@@ -1798,6 +1903,35 @@ def test_pair_norms_equal_the_public_operators_on_generated_spaces(inst, seed):
     assert_pair_norms_match(inst, seed)
 
 
+def test_restricted_pair_norms_in_every_summation_regime():
+    """Rows with fewer than 8, 8 to 128 and more than 128 points inside (numpy's
+    pairwise sum adds each size range its own way), counts repeated and rows
+    shuffled, on a 256-point tower: each restricted norm is the per-row
+    reference's bit for bit, the row compressed, then summed as a 1-d `.sum()`."""
+    inst = gen_instance(4, depth=8)
+    space, exps = inst.space, inst.exps
+    rng = np.random.default_rng(61)
+    counts = rng.permutation([1, 3, 7, 7, 8, 9, 64, 128, 128, 3, 129, 200, 256, 129, 8, 256])
+    inside = np.zeros((counts.size, space.n), dtype=bool)
+    for row, count in zip(inside, counts):
+        row[rng.choice(space.n, count, replace=False)] = True
+    for F1, F2 in ((inside.astype(float),) * 2, np.exp(rng.standard_normal((2, counts.size, space.n)))):
+        want = []
+        for f1, f2, pts in zip(F1, F2, inside):
+            m = bilinear_maximal(space, f1 * inst.sigma1, f2 * inst.sigma2)
+            total = (m**exps.p * inst.v * space.masses)[pts].sum()
+            want.append(float(total) ** (1.0 / exps.p))
+        assert list(map(float.hex, _pair_norms(inst, F1, F2, inside)[2])) == list(map(float.hex, want))
+
+
+def test_roots_are_python_float_powers():
+    rng = np.random.default_rng(73)
+    totals = np.concatenate([[0.0, 5e-324, 1.0, 1e308], np.exp(20.0 * rng.standard_normal(40))])
+    for p in (1.0, 1.5, 2.0, 3.0, 7.3, float(rng.uniform(1.1, 4.0))):
+        want = [float(t) ** (1.0 / p) for t in totals]
+        assert list(map(float.hex, _roots(totals, p))) == list(map(float.hex, want))
+
+
 # ---- the batched self-test -----------------------------------------------------
 
 
@@ -1929,3 +2063,29 @@ def test_the_self_test_makes_two_cond_exp_calls_per_level(name, request, monkeyp
             monkeypatch.setattr(module, "cond_exp", counted)
     check_properties(inst)
     assert sorted(calls) == sorted([*range(inst.space.n_levels)] * 2)
+
+
+@pytest.mark.parametrize("draws", [0, 1, 40])
+@pytest.mark.parametrize("name", [*FIXTURES, "deep"])
+def test_the_self_test_conditions_each_draw_row_once(name, draws, request, monkeypatch):
+    """Each draw row is conditioned at its own level only: across one
+    `check_properties` call, the blocks passed to the public `cond_exp`, through
+    any module's binding, hold 7 * draws rows, 6 * draws in the stacked block and
+    draws in the tower's inner block."""
+    if name == "deep":  # deep_fallback's shape
+        monkeypatch.setenv("FILTERMAX_ATOM_BUDGET", "24")
+        inst = gen_instance(2, depth=5, model="product", p1=2.5, p2=2.5)
+    else:
+        space = request.getfixturevalue(name)
+        inst = Instance(space, *random_weights(np.random.default_rng(7), space.n), Exponents(2.0, 3.0), False)
+    real, rows = filtermax.space.cond_exp, []
+
+    def counted(space, f, level):
+        rows.append(len(f))
+        return real(space, f, level)
+
+    for module in [m for key, m in sys.modules.items() if key == "filtermax" or key.startswith("filtermax.")]:
+        if getattr(module, "cond_exp", None) is real:
+            monkeypatch.setattr(module, "cond_exp", counted)
+    check_properties(inst, draws)
+    assert sum(rows) == 7 * draws

@@ -90,6 +90,11 @@ def test_gen_space_structure_and_determinism():
     # the running product stops at the limit: no 10**6-digit power, nor its string
     with pytest.raises(ValueError, match=r"point limit exceeded: branching 3 at depth 1000000 gives more than 65536"):
         gen_instance(1, depth=10**6, branching=3)
+    # past Python's int-to-string digit limit the refusal names the bit length
+    with pytest.raises(ValueError, match=r"exceeded: branching of 16610 bits at depth 1 gives more than 65536"):
+        gen_instance(1, depth=1, branching=10**5000)
+    with pytest.raises(ValueError, match=r"exceeded: branching 2 at depth of 16610 bits gives more than 65536"):
+        gen_instance(1, depth=10**5000, branching=2)
     with pytest.raises(ValueError):
         gen_space(0, depth=0, branching=2)
 
