@@ -41,7 +41,7 @@ import numpy as np
 from .principal import PrincipalForest, _shells
 from .space import Exponents, FilteredSpace, Fn, _weighted_cond, _weighted_pair, as_fn, level_products
 from .stopping import StoppingTime, _block_max, _check_budget, finest_mask, stopping_time_from_tail
-from .weights import sigma_from_omega
+from .weights import _duals, _mix
 
 VARIANTS = ("node", "exit")
 
@@ -128,10 +128,6 @@ def _proof_coefficients(space: FilteredSpace, family: CarlesonFamily, prods: lis
     return family.with_coefficients(coeffs)
 
 
-def _mix_density(space: FilteredSpace, sigma1: Fn, sigma2: Fn, exps: Exponents) -> Fn:
-    return sigma1 ** (exps.p / exps.p1) * sigma2 ** (exps.p / exps.p2) * space.masses
-
-
 def certify_carleson_constant(
     space: FilteredSpace,
     family: CarlesonFamily,
@@ -154,7 +150,7 @@ def certify_carleson_constant(
     stopping time."""
     sigma1 = as_fn(space, sigma1)
     sigma2 = as_fn(space, sigma2)
-    mix = _mix_density(space, sigma1, sigma2, exps)
+    mix = _mix(sigma1, sigma2, exps) * space.masses
     entry_masks = [finest_mask(space, e.points) for e in family.entries]
     coeffs = family.coefficients()
     if not (coeffs >= 0).all():
@@ -213,7 +209,7 @@ def check_carleson_condition(
     for entry in family.entries:
         if tail[entry.points].all():
             lhs += entry.coefficient
-    mix = _mix_density(space, sigma1, sigma2, exps)
+    mix = _mix(sigma1, sigma2, exps) * space.masses
     rhs = family.carleson_A * float(mix[tail].sum())
     return CarlesonCheck(lhs=lhs, rhs=rhs, constant=family.carleson_A)
 
@@ -258,10 +254,8 @@ def verify_embedding(
     space = forest.space
     h1 = as_fn(space, h1)
     h2 = as_fn(space, h2)
-    omega1 = as_fn(space, omega1)
-    omega2 = as_fn(space, omega2)
-    sigma1 = sigma_from_omega(omega1, exps.p1)
-    sigma2 = sigma_from_omega(omega2, exps.p2)
+    sigma1, sigma2, _ = _duals(space, omega1, omega2, exps)
+    omega1, omega2 = as_fn(space, omega1), as_fn(space, omega2)
     pair1 = _weighted_pair(space, h1 / sigma1, sigma1)
     pair2 = _weighted_pair(space, h2 / sigma2, sigma2)
     wprods = [

@@ -87,9 +87,9 @@ def _ratio_means(sigma: np.ndarray) -> Callable[[FilteredSpace, np.ndarray, int]
 
 
 def lp_norm(space: FilteredSpace, f: Fn, weight: Fn, p: float, subset=None) -> float:
-    """(integral over the subset of |f|^p weight dmu)^(1/p); weight >= 0, p > 0."""
-    if not p > 0:
-        raise ValueError(f"p must be positive, got {p!r}")
+    """(integral over the subset of |f|^p weight dmu)^(1/p); weight >= 0, 0 < p < inf."""
+    if not 0 < p < float("inf"):
+        raise ValueError(f"p must be positive and finite, got {p!r}")
     f = as_fn(space, f)
     weight = as_fn(space, weight)
     if (weight < 0).any():

@@ -286,6 +286,7 @@ class FilteredSpace:
         self.total_mass: float = float(masses.sum())
         # levels whose atoms are the single points in order, which `_to_points` reads as they are
         self._point_levels = tower.point_levels
+        self._dual_slot: tuple | None = None  # `weights._duals`' last (key, result)
 
     # ---- basic structure -------------------------------------------------
 

@@ -56,7 +56,7 @@ from .space import (
     space_to_dict,
 )
 from .stopping import EnumerationBudgetError, _check_budget, _sweep_tails, heuristic_sup_over_tau
-from .weights import WeightConstant, compute_constant, sigma_from_omega
+from .weights import WeightConstant, _duals, _mix, compute_constant
 
 SUITES = ("thm11", "thm12", "thm14", "thm15", "sparse", "carleson", "props", "all")
 DEFAULT_REL_TOL = 1e-9
@@ -82,11 +82,11 @@ class Instance:
 
     @cached_property
     def sigma1(self) -> Fn:
-        return sigma_from_omega(self.omega1, self.exps.p1)
+        return _duals(self.space, self.omega1, self.omega2, self.exps)[0]
 
     @cached_property
     def sigma2(self) -> Fn:
-        return sigma_from_omega(self.omega2, self.exps.p2)
+        return _duals(self.space, self.omega1, self.omega2, self.exps)[1]
 
     @cached_property
     def _constants(self) -> dict[tuple[str, str], WeightConstant]:
@@ -250,15 +250,16 @@ def gen_instance(
             s = 0.6 if param is None else param
             omega1 = np.exp(s * rng.standard_normal(n))
             omega2 = np.exp(s * rng.standard_normal(n))
-            v = _product_v(omega1, omega2, exps) if name == "product" else np.exp(s * rng.standard_normal(n))
+            v = _mix(omega1, omega2, exps) if name == "product" else np.exp(s * rng.standard_normal(n))
     for key, arr in (("v", v), ("omega1", omega1), ("omega2", omega2)):
         if not (np.isfinite(arr) & (arr > 0)).all():
             raise ValueError(
                 f"model {model!r} at seed {seed}: field {key!r} is not finite and strictly positive"
             )
-    bad = _bad_dual_weight(omega1, omega2, exps)
-    if bad is not None:
-        raise ValueError(f"model {model!r} at seed {seed}: {bad}")
+    try:
+        _duals(space, omega1, omega2, exps)
+    except ValueError as exc:
+        raise ValueError(f"model {model!r} at seed {seed}: {exc}") from None
     return Instance(
         space=space,
         v=v,
@@ -269,27 +270,6 @@ def gen_instance(
         seed=seed,
         model=model,
     )
-
-
-def _bad_dual_weight(omega1: Fn, omega2: Fn, exps: Exponents) -> str | None:
-    """Where a dual weight sigma_s = omega_s^(-1/(p_s - 1)) is not finite and
-    strictly positive (p_s near 1 overflows or underflows it), else None."""
-    for s, omega, p_s in ((1, omega1, exps.p1), (2, omega2, exps.p2)):
-        with np.errstate(all="ignore"):
-            sigma = sigma_from_omega(omega, p_s)
-        bad = np.flatnonzero(~(np.isfinite(sigma) & (sigma > 0)))
-        if bad.size:
-            x = int(bad[0])
-            return (
-                f"field 'sigma{s}' = omega{s}^(-1/(p{s} - 1)) with p{s} = {p_s!r} is "
-                f"{float(sigma[x])!r} at point {x}, not finite and strictly positive"
-            )
-    return None
-
-
-def _product_v(omega1: Fn, omega2: Fn, exps: Exponents) -> Fn:
-    """The product weight omega1^(p/p1) omega2^(p/p2)."""
-    return omega1 ** (exps.p / exps.p1) * omega2 ** (exps.p / exps.p2)
 
 
 _FIELDS = {  # instance file fields past the space: name -> kind, in the order files list them
@@ -380,13 +360,14 @@ def instance_from_dict(data: dict, where: str = "instance") -> Instance:
             raise ValidationError(
                 f"{where}: fields 'h1' and 'h2': E_0(h1) E_0(h2) vanishes everywhere, so no principal forest exists"
             )
-    bad = _bad_dual_weight(fns["omega1"], fns["omega2"], exps)
-    if bad is not None:
-        raise ValidationError(f"{where}: {bad}")
+    try:
+        _duals(space, fns["omega1"], fns["omega2"], exps)
+    except ValueError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
     seed, product = (_load_field(space, data, key, where) for key in ("seed", "product_weight"))
     if product:
         v = fns["v"]
-        expected = _product_v(fns["omega1"], fns["omega2"], exps)
+        expected = _mix(fns["omega1"], fns["omega2"], exps)
         bad = np.flatnonzero(np.abs(v - expected) > DEFAULT_REL_TOL * expected)
         if bad.size:
             x = int(bad[0])
@@ -838,7 +819,7 @@ def _property_residuals(inst: Instance, draws: int = 20, seed: int | None = None
     loop in the order a per-draw loop draws them: its four normal rows as one
     `standard_normal(4 n)`, the same stream, then F, G and H on whole blocks.
     Each identity then runs once on the whole block: one public `cond_exp` per
-    level of the stacked blocks (F at j and at min(i, j); G, G^a1 H^a2, H,
+    level of the stacked blocks (F at j and at min(i, j); G, `_mix(G, H)`, H,
     log G at i) and one per level of the tower's inner block, each on the rows
     at that level only; the weighted maximum on `_level_max`, the plain and
     squared maxima of F from one `_level_means`.  Row maxima and sums are a
@@ -874,12 +855,11 @@ def _property_residuals(inst: Instance, draws: int = 20, seed: int | None = None
         scale = scale.max(axis=1)
         return diff.max(axis=1) / np.where(scale == 0.0, 1.0, scale)
 
-    a1, a2 = exps.p / exps.p1, exps.p / exps.p2
-    block = np.concatenate([F, F, G, G**a1 * H**a2, H, np.log(G)])
+    block = np.concatenate([F, F, G, _mix(G, H, exps), H, np.log(G)])
     levels = np.concatenate([J, np.minimum(I, J), *[I] * 4])
     cond_fj, tower_rhs, cond_g, mix, cond_h, log_g = at(block, levels).reshape(6, draws, n)
     tower_lhs = at(cond_fj, I)
-    split = cond_g**a1 * cond_h**a2
+    split = _mix(cond_g, cond_h, exps)
 
     def lp_norms(block: np.ndarray) -> list[float]:
         """lp_norm(space, row, g, p) of each row with its own (g, p) = (G[r], P[r])."""

@@ -26,8 +26,10 @@ which yields a certified lower bound.  Every other sum over a row of a block,
 in either mode, is `_Tails.row_sum` or `inside_sum`, in numpy's fixed order, so
 no value depends on the BLAS library or its kernel.  A and B take their
 weights' means of every level, side by side, from one `_level_sums` bincount,
-and their first maximum in one pass over every atom.  The dual weights must come
-out finite and strictly positive, else ValueError naming sigma1 or sigma2.
+and their first maximum in one pass over every atom.  `_duals` derives the dual
+weights and their Hölder product once per space and weights, for every
+constant; a dual weight that is not finite and strictly positive raises a
+ValueError naming it and its first such point, as the loader and `gen` do.
 """
 
 from __future__ import annotations
@@ -82,12 +84,36 @@ def sigma_from_omega(omega: Fn, p_s: float) -> Fn:
     return omega ** (-1.0 / (p_s - 1.0))
 
 
-def _duals(space: FilteredSpace, omega1: Fn, omega2: Fn, exps: Exponents) -> tuple[Fn, Fn]:
-    """(sigma1, sigma2) of strictly positive omegas, checked finite and strictly
-    positive: p_s near 1 overflows them or underflows them to 0."""
-    sigma1 = sigma_from_omega(_positive(space, omega1, "omega1"), exps.p1)
-    sigma2 = sigma_from_omega(_positive(space, omega2, "omega2"), exps.p2)
-    return _positive(space, sigma1, "sigma1"), _positive(space, sigma2, "sigma2")
+def _mix(x: Fn, y: Fn, exps: Exponents) -> Fn:
+    """The Hölder product x^(p/p1) y^(p/p2)."""
+    return x ** (exps.p / exps.p1) * y ** (exps.p / exps.p2)
+
+
+def _duals(space: FilteredSpace, omega1: Fn, omega2: Fn, exps: Exponents) -> tuple[Fn, Fn, Fn]:
+    """(sigma1, sigma2, _mix(sigma1, sigma2)) of strictly positive omegas, read-only,
+    each sigma_s checked finite and strictly positive (p_s near 1 overflows it or
+    underflows it to 0).  The last result is kept on the space, keyed by the
+    exponents and the omegas' bytes, so the constants of one instance share it."""
+    omegas = (_positive(space, omega1, "omega1"), _positive(space, omega2, "omega2"))
+    key = (exps, omegas[0].tobytes(), omegas[1].tobytes())
+    if space._dual_slot is None or space._dual_slot[0] != key:
+        sigmas = []
+        for s, omega, p_s in zip((1, 2), omegas, (exps.p1, exps.p2)):
+            with np.errstate(all="ignore"):
+                sigma = sigma_from_omega(omega, p_s)
+            bad = np.flatnonzero(~(np.isfinite(sigma) & (sigma > 0)))
+            if bad.size:
+                x = int(bad[0])
+                raise ValueError(
+                    f"field 'sigma{s}' = omega{s}^(-1/(p{s} - 1)) with p{s} = {p_s!r} is "
+                    f"{float(sigma[x])!r} at point {x}, not finite and strictly positive"
+                )
+            sigmas.append(sigma)
+        duals = (*sigmas, _mix(*sigmas, exps))
+        for arr in duals:
+            arr.setflags(write=False)
+        space._dual_slot = key, duals
+    return space._dual_slot[1]
 
 
 def _tau_witness(tau) -> dict:
@@ -114,7 +140,7 @@ def _atom_max(space: FilteredSpace, name: str, density: Callable, *weights: Fn) 
 def a_p_constant(space: FilteredSpace, v: Fn, omega1: Fn, omega2: Fn, exps: Exponents) -> WeightConstant:
     """max over levels and atoms of E(v) E(sigma1)^(p/p1') E(sigma2)^(p/p2')."""
     v = _positive(space, v, "v")
-    sigma1, sigma2 = _duals(space, omega1, omega2, exps)
+    sigma1, sigma2, _ = _duals(space, omega1, omega2, exps)
     e1, e2 = exps.p / exps.p1_prime, exps.p / exps.p2_prime
     return _atom_max(space, "A", lambda mv, m1, m2: mv * m1**e1 * m2**e2, v, sigma1, sigma2)
 
@@ -123,9 +149,9 @@ def b_p_constant(space: FilteredSpace, v: Fn, omega1: Fn, omega2: Fn, exps: Expo
     """max over levels and atoms of
     E(v) E(sigma1)^p E(sigma2)^p / exp E(log(sigma1^(p/p1) sigma2^(p/p2)))."""
     v = _positive(space, v, "v")
-    sigma1, sigma2 = _duals(space, omega1, omega2, exps)
+    sigma1, sigma2, mix = _duals(space, omega1, omega2, exps)
     p = exps.p
-    log_mix = as_fn(space, np.log(sigma1 ** (p / exps.p1) * sigma2 ** (p / exps.p2)))
+    log_mix = as_fn(space, np.log(mix))
     return _atom_max(
         space, "B", lambda mv, m1, m2, mlog: mv * m1**p * m2**p / np.exp(mlog), v, sigma1, sigma2, log_mix
     )
@@ -350,14 +376,12 @@ def rh_constant(
     Always >= 1 (Hölder with exponents p1/p, p2/p gives the reverse bound),
     with equality when sigma1 is proportional to sigma2.
     """
-    sigma1, sigma2 = _duals(space, omega1, omega2, exps)
-    a1, a2 = exps.p / exps.p1, exps.p / exps.p2
-    mix = sigma1**a1 * sigma2**a2 * space.masses
+    sigma1, sigma2, mix = _duals(space, omega1, omega2, exps)
 
     def block_objective(tails: _Tails) -> np.ndarray:
-        return tails.total(0) ** a1 * tails.total(1) ** a2 / tails.total(2)
+        return _mix(tails.total(0), tails.total(1), exps) / tails.total(2)
 
-    densities = (sigma1 * space.masses, sigma2 * space.masses, mix)
+    densities = (sigma1 * space.masses, sigma2 * space.masses, mix * space.masses)
     return _sup_over_tails(space, "RH", block_objective, (sigma1, sigma2), mode, densities)
 
 
@@ -376,16 +400,14 @@ def s_p_constant(
           / [ sigma1(E)^(p/p1) sigma2(E)^(p/p2) ] )^(1/p).
     """
     v = _positive(space, v, "v")
-    sigma1, sigma2 = _duals(space, omega1, omega2, exps)
+    sigma1, sigma2, _ = _duals(space, omega1, omega2, exps)
     p = exps.p
-    a1, a2 = p / exps.p1, p / exps.p2
 
     def block_objective(tails: _Tails) -> np.ndarray:
         m = tails.level_max(0, 1)
         m **= p
         num = tails.inside_sum(m, 2)
-        den = tails.total(0) ** a1 * tails.total(1) ** a2
-        return (num / den) ** (1.0 / p)
+        return (num / _mix(tails.total(0), tails.total(1), exps)) ** (1.0 / p)
 
     densities = (sigma1 * space.masses, sigma2 * space.masses, v * space.masses)
     return _sup_over_tails(space, "S", block_objective, (sigma1, sigma2), mode, densities)
@@ -405,18 +427,16 @@ def w_infty_constant(
 
     At least 1 whenever the finest level separates points.
     """
-    sigma1, sigma2 = _duals(space, omega1, omega2, exps)
-    a1, a2 = exps.p / exps.p1, exps.p / exps.p2
-    mix = sigma1**a1 * sigma2**a2 * space.masses
+    sigma1, sigma2, mix = _duals(space, omega1, omega2, exps)
 
     def block_objective(tails: _Tails) -> np.ndarray:
         m1, m2 = tails.level_max(0), tails.level_max(1)
-        m1 **= a1
-        m2 **= a2
+        m1 **= exps.p / exps.p1
+        m2 **= exps.p / exps.p2
         m1 *= m2
         return tails.inside_sum(m1, 3) / tails.total(2)
 
-    densities = (sigma1 * space.masses, sigma2 * space.masses, mix, space.masses)
+    densities = (sigma1 * space.masses, sigma2 * space.masses, mix * space.masses, space.masses)
     return _sup_over_tails(space, "Winf", block_objective, (sigma1, sigma2), mode, densities)
 
 

@@ -2,11 +2,30 @@
 stopping-time oracle used to cross-validate the enumerator."""
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
+import filtermax.weights
 from filtermax import FilteredSpace, StoppingTime
+
+
+@pytest.fixture
+def dual_calls(monkeypatch):
+    """The exponent of every `sigma_from_omega` call, counted through every
+    filtermax module that binds the name."""
+    calls = []
+    real = filtermax.weights.sigma_from_omega
+
+    def counting(omega, p_s):
+        calls.append(p_s)
+        return real(omega, p_s)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "filtermax" and hasattr(module, "sigma_from_omega"):
+            monkeypatch.setattr(module, "sigma_from_omega", counting)
+    return calls
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from filtermax import cli, load_instance, verify
+from filtermax import Exponents, ValidationError, cli, compute_constant, load_instance, verify
 from filtermax.cli import main
 from filtermax.principal import DominationReport
 
@@ -65,6 +65,26 @@ def test_gen_rejects_weights_that_overflow(tmp_path, capsys, model, flags, field
     assert not out.exists()
 
 
+def test_a_bad_dual_weight_gets_one_message_everywhere(tmp_path):
+    """`gen`, the loader and the API end in the same text for the same omegas
+    with p1 = 1.001, where sigma1 underflows."""
+    inst = verify.gen_instance(1)
+    data = verify.instance_to_dict(inst)
+    data["p1"] = 1.001
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError) as gen_error:
+        verify.gen_instance(1, p1=1.001)
+    with pytest.raises(ValidationError) as load_error:
+        load_instance(str(path))
+    with pytest.raises(ValueError) as api_error:
+        compute_constant("rh", inst.space, inst.v, inst.omega1, inst.omega2, Exponents(1.001, 2.0))
+    text = str(api_error.value)
+    assert text.startswith("field 'sigma1' = omega1^(-1/(p1 - 1)) with p1 = 1.001 is 0.0 at point ")
+    assert str(gen_error.value) == f"model 'lognormal' at seed 1: {text}"
+    assert str(load_error.value) == f"{path}: {text}"
+
+
 def test_gen_io_error(tmp_path, capsys):
     out = tmp_path / "no" / "dir" / "x.json"
     assert run("gen", "--out", str(out)) == 3
@@ -87,6 +107,15 @@ def test_constants_csv(tmp_path, capsys):
     for value, mode in body.values():
         assert value == pytest.approx(1.0, rel=1e-9)
         assert mode == "exact"
+
+
+def test_constants_all_derives_the_dual_weights_once(tmp_path, capsys, dual_calls):
+    """The loader derives sigma1 and sigma2 once, and all five constants read it."""
+    out = tmp_path / "inst.json"
+    verify.dump_instance(verify.gen_instance(5, depth=3), str(out))
+    dual_calls.clear()
+    assert run("constants", str(out), "--which", "all") == 0
+    assert len(dual_calls) == 2
 
 
 def test_constants_json_and_selection(tmp_path):

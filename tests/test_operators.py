@@ -78,8 +78,11 @@ def test_lp_norm_hand_values(quad):
     # weighted: ||1_{0}||_{L^2(w)} with w = (4,1,1,1)
     w = np.array([4.0, 1.0, 1.0, 1.0])
     assert lp_norm(quad, F, w, 2.0) == 1.0
-    with pytest.raises(ValueError):
-        lp_norm(quad, F, ones, 0.0)
+    # (sum)^(1/inf) would read 1 for every f
+    for p in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError) as info:
+            lp_norm(quad, F, ones, p)
+        assert str(info.value) == f"p must be positive and finite, got {p!r}"
     with pytest.raises(ValueError):
         lp_norm(quad, F, np.array([-1.0, 1.0, 1.0, 1.0]), 2.0)
 
@@ -212,7 +215,8 @@ BAD_INPUTS = {
         lambda: a_p_constant(_SP, _OK, _ZERO, _OK, _EXPS), "omega1 must be strictly positive"
     ),
     "a_p_constant sigma1 overflow": (
-        lambda: a_p_constant(_SP, _OK, np.full(8, 1e-3), _OK, Exponents(1.001, 2.0)), _FINITE
+        lambda: a_p_constant(_SP, _OK, np.full(8, 1e-3), _OK, Exponents(1.001, 2.0)),
+        "field 'sigma1' = omega1^(-1/(p1 - 1)) with p1 = 1.001 is inf at point 0, not finite and strictly positive",
     ),
     "b_p_constant v": (lambda: b_p_constant(_SP, _ZERO, _OK, _OK, _EXPS), "v must be strictly positive"),
     "b_p_constant omega2 shape": (lambda: b_p_constant(_SP, _OK, _OK, _SHORT, _EXPS), _SHAPE),
@@ -232,7 +236,7 @@ BAD_INPUTS = {
     ),
     "verify_embedding omega2": (
         lambda: verify_embedding(_INST.forest, _family(1.0), _OK, _OK, _OK, _ZERO, _EXPS),
-        "omega must be strictly positive",
+        "omega2 must be strictly positive",
     ),
 }
 

@@ -15,8 +15,11 @@ from filtermax import (
     compute_constant,
     gen_instance,
     rh_constant,
+    run_instance_suite,
     s_p_constant,
     sigma_from_omega,
+    space_from_dict,
+    space_to_dict,
     w_infty_constant,
 )
 
@@ -171,12 +174,15 @@ def test_weights_must_be_positive(quad):
 @pytest.mark.parametrize("name", ALL_CONSTANTS)
 def test_dual_weights_that_overflow_are_not_finite(quad, name, mode):
     """sigma1 = (1e-4)^(-100) overflows at p1 = 1.01: every constant, in both
-    modes, rejects it as not finite, not as a nan objective on every tail."""
+    modes, rejects it as not finite at its point, not as a nan objective on
+    every tail, and without a RuntimeWarning."""
     one = ones(quad)
     omega1 = np.array([1e-4, 1.0, 1.0, 1.0])
-    with np.errstate(over="ignore"), pytest.raises(ValueError) as info:
+    with pytest.raises(ValueError) as info:
         compute_constant(name, quad, one, omega1, one, Exponents(1.01, 2.0), mode=mode)
-    assert str(info.value) == "function values must be finite"
+    assert str(info.value) == (
+        "field 'sigma1' = omega1^(-1/(p1 - 1)) with p1 = 1.01 is inf at point 0, not finite and strictly positive"
+    )
 
 
 @pytest.mark.parametrize("mode", ["exact", "heuristic"])
@@ -188,10 +194,44 @@ def test_dual_weights_that_underflow_are_not_positive(name, mode):
     space = gen_instance(1, depth=2).space
     one, huge = np.ones(space.n), np.full(space.n, 1e300)
     exps = Exponents(1.5, 1.5)
-    for omega1, omega2, culprit in ((huge, huge, "sigma1"), (one, huge, "sigma2")):
+    for omega1, omega2, s in ((huge, huge, 1), (one, huge, 2)):
         with pytest.raises(ValueError) as info:
             compute_constant(name, space, one, omega1, omega2, exps, mode=mode)
-        assert str(info.value) == f"{culprit} must be strictly positive"
+        assert str(info.value) == (
+            f"field 'sigma{s}' = omega{s}^(-1/(p{s} - 1)) with p{s} = 1.5 is 0.0 at point 0, "
+            "not finite and strictly positive"
+        )
+
+
+def test_one_instance_derives_its_dual_weights_once(dual_calls):
+    """`gen` derives sigma1 and sigma2 once; every constant of the full suite,
+    both modes, the instance's sigmas, the Carleson embedding and the property
+    self-test read that derivation."""
+    inst = gen_instance(5, depth=3)
+    run_instance_suite(inst, "all")
+    assert dual_calls == [inst.exps.p1, inst.exps.p2]
+
+
+def test_dual_weights_kept_on_a_space_are_never_stale(dual_calls):
+    """One space asked in turn for new omegas, the same omegas mutated in place
+    and new exponents gives every constant bit for bit as a fresh space does,
+    deriving the dual weights once per change."""
+    base = gen_instance(2, depth=3)
+    space, v = base.space, base.v
+    rng = np.random.default_rng(3)
+    w1, w2 = np.exp(rng.standard_normal((2, space.n)))
+
+    def constants(sp, exps):
+        return [(c.value, c.witness) for c in (compute_constant(name, sp, v, w1, w2, exps) for name in ALL_CONSTANTS)]
+
+    for change in ("new omegas", "mutated in place", "new exponents"):
+        exps = Exponents(2.5, 1.7) if change == "new exponents" else base.exps
+        if change == "mutated in place":
+            w1[3] *= 4.0
+        want = constants(space_from_dict(space_to_dict(space)), exps)
+        dual_calls.clear()
+        assert constants(space, exps) == want, change
+        assert dual_calls == [exps.p1, exps.p2], change
 
 
 def test_rh_every_tail_ratio_at_least_one(mixed6):
