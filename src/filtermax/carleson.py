@@ -15,12 +15,14 @@ tau in T_i (i = the forest's base level):
     sum of a_Q over Q contained in {tau < inf}
         <= A * integral over {tau < inf} of sigma1^(p/p1) sigma2^(p/p2) dmu.
 
-`certify_carleson_constant` computes the smallest such A exactly: the
-tails {tau < inf} are the unions of finest atoms, and shrinking one to the
-union of the entries inside it keeps the left side and can only lower the
-right, so it scores unions of entries only (checking the atom budget as an
-exhaustive sweep did).  The embedding verifier refuses to run with an
-uncertified constant unless one is supplied explicitly.
+`certify_carleson_constant` computes the smallest such A exactly on any
+space: the tails {tau < inf} are the unions of finest atoms, and shrinking
+one to the union of the entries inside it keeps the left side and can only
+lower the right, so it scores the unions of entries only, keyed by their
+finest atoms as Python ints (the search's tail keys), with no atom budget.
+A family with more than _MAX_UNIONS distinct unions is refused.  The
+embedding verifier refuses to run with an uncertified constant unless one
+is supplied explicitly.
 Under the condition, for f_s = h_s with finite L^(p_s)(omega_s) norms,
 
     sum over Q of essinf_Q( E^sigma1(h1 sigma1^-1 | F_K1)
@@ -38,12 +40,14 @@ from typing import Sequence
 
 import numpy as np
 
+from .operators import _ratio_means
 from .principal import PrincipalForest, _shells
-from .space import Exponents, FilteredSpace, Fn, _weighted_cond, _weighted_pair, as_fn, level_products
-from .stopping import StoppingTime, _block_max, _check_budget, finest_mask, stopping_time_from_tail
+from .space import Exponents, FilteredSpace, Fn, _atom_sums, _positive, _weighted_pair, as_fn, level_products
+from .stopping import StoppingTime, _block_max, _key_bits, finest_mask, stopping_time_from_tail
 from .weights import _duals, _mix
 
 VARIANTS = ("node", "exit")
+_MAX_UNIONS = 4096  # distinct unions of entries, the empty one too: the tails x leaves floats are 32 MiB on 1024 leaves
 
 
 @dataclass(frozen=True)
@@ -89,10 +93,7 @@ def build_level_sets(
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     space = forest.space
-    sigma1 = as_fn(space, sigma1)
-    sigma2 = as_fn(space, sigma2)
-    if (sigma1 <= 0).any() or (sigma2 <= 0).any():
-        raise ValueError("sigma weights must be strictly positive")
+    sigma1, sigma2 = _positive(space, sigma1, "sigma1"), _positive(space, sigma2, "sigma2")
     return _level_sets(forest, level_products(space, sigma1, sigma2), variant)
 
 
@@ -141,38 +142,34 @@ def certify_carleson_constant(
     only lower the denominator's, a sum of nonnegative per-leaf mix integrals
     (float addition is monotone), so with nonnegative coefficients the first
     maximizer in ascending mask order is such a union or leaf.  Those are scored
-    in ascending mask order, numerators in entry order and denominators in leaf
-    order as a per-tail sum adds them (the denominators as the row sums of one
-    F-ordered tails x leaves block, which add its columns in order: every term
-    is >= +0, so each sum is the float of 0.0 plus its terms in turn), so A and
-    the worst tail are an exhaustive sweep's (a 0/0 tail is skipped: it imposes
-    no condition).  Returns the certified family and the worst-case
+    by their finest-atom keys in ascending order, numerators in entry order and
+    denominators in leaf order as a per-tail sum adds them (the denominators as
+    the last column of one cumulative sum along each row of a tails x leaves
+    block: every term is >= +0, so each sum is the float of 0.0 plus its terms
+    in turn), so A and the worst tail are an exhaustive sweep's (a 0/0 tail is
+    skipped: it imposes no condition).  ValueError past _MAX_UNIONS distinct
+    unions of entries.  Returns the certified family and the worst-case
     stopping time."""
-    sigma1 = as_fn(space, sigma1)
-    sigma2 = as_fn(space, sigma2)
-    mix = _mix(sigma1, sigma2, exps) * space.masses
-    entry_masks = [finest_mask(space, e.points) for e in family.entries]
+    mix = _mix(_positive(space, sigma1, "sigma1"), _positive(space, sigma2, "sigma2"), exps) * space.masses
+    entry_keys = [finest_mask(space, e.points) for e in family.entries]
     coeffs = family.coefficients()
     if not (coeffs >= 0).all():
         raise ValueError("coefficients must be nonnegative")
-    i = family.base_level
-    _check_budget(space, i)
-    leaves = space.atoms[space.last_level]
-    # per-finest-atom mix integrals for fast tail sums
-    atom_mix = np.array([mix[atom].sum() for atom in leaves])
-    unions = np.zeros(1, dtype=np.int64)  # then every union of entries, ascending
-    for em in entry_masks:
-        unions = np.union1d(unions, unions | em)
-    tails = np.union1d(unions[1:], np.int64(1) << np.arange(len(leaves), dtype=np.int64))  # and single leaves
-    num = np.zeros(tails.size)
-    for c, em in zip(coeffs, entry_masks):
-        num += np.where((tails & em) == em, c, 0.0)
-    bits = tails >> np.arange(len(leaves), dtype=np.int64)[:, None] & 1
-    den = np.where(bits, atom_mix[:, None], 0.0).T.sum(axis=1)
-    best, found = _block_max([(0, num / den)])
+    unions = {0}  # then every union of entries
+    for key in entry_keys:
+        unions |= {u | key for u in unions}
+        if len(unions) > _MAX_UNIONS:
+            raise ValueError(f"{len(entry_keys)} entries have more than {_MAX_UNIONS} distinct unions to certify")
+    leaves = len(space.atoms[space.last_level])
+    tails = sorted(unions.union(1 << a for a in range(leaves)) - {0})  # and single leaves
+    num = np.zeros(len(tails))
+    for c, key in zip(coeffs, entry_keys):
+        num += np.where([(tail & key) == key for tail in tails], c, 0.0)
+    den = np.where(_key_bits(space, tails), _atom_sums(space._tower, mix, space.last_level), 0.0)
+    best, found = _block_max([(0, num / np.cumsum(den, axis=1, out=den)[:, -1])])
     if found is None:  # every leaf's mix underflowed to 0; worded as the sweep words it
-        raise ValueError(f"tail objective is nan (or -inf) on all {(1 << len(leaves)) - 1} nonempty T_{i} tails")
-    tau = stopping_time_from_tail(space, i, int(tails[found[1]]))
+        raise ValueError(f"tail objective is nan (or -inf) on all {2**leaves - 1} nonempty T_{family.base_level} tails")
+    tau = stopping_time_from_tail(space, family.base_level, tails[found[1]])
     return family.with_constant(best, certified=True), tau
 
 
@@ -202,14 +199,12 @@ def check_carleson_condition(
         raise ValueError(
             f"tau must come from T_{family.base_level} or coarser, got origin {tau.origin}"
         )
-    sigma1 = as_fn(space, sigma1)
-    sigma2 = as_fn(space, sigma2)
+    mix = _mix(_positive(space, sigma1, "sigma1"), _positive(space, sigma2, "sigma2"), exps) * space.masses
     tail = tau.tail_mask()
     lhs = 0.0
     for entry in family.entries:
         if tail[entry.points].all():
             lhs += entry.coefficient
-    mix = _mix(sigma1, sigma2, exps) * space.masses
     rhs = family.carleson_A * float(mix[tail].sum())
     return CarlesonCheck(lhs=lhs, rhs=rhs, constant=family.carleson_A)
 
@@ -256,14 +251,12 @@ def verify_embedding(
     h2 = as_fn(space, h2)
     sigma1, sigma2, _ = _duals(space, omega1, omega2, exps)
     omega1, omega2 = as_fn(space, omega1), as_fn(space, omega2)
-    pair1 = _weighted_pair(space, h1 / sigma1, sigma1)
-    pair2 = _weighted_pair(space, h2 / sigma2, sigma2)
-    wprods = [
-        _weighted_cond(space, *pair1, j) * _weighted_cond(space, *pair2, j) for j in range(space.n_levels)
-    ]
+    f_sigma, sigma = map(np.stack, zip(*(_weighted_pair(space, h / s, s) for h, s in ((h1, sigma1), (h2, sigma2)))))
+    # the product of the E^sigma_s(h_s / sigma_s | F_j) on the level-j atoms, both s in one block
+    wprods = [r[0] * r[1] for r in _ratio_means(sigma)(space, f_sigma, 0)]
     lhs = 0.0
     for entry in family.entries:
-        essinf = float(wprods[entry.k1][entry.points].min())
+        essinf = float(wprods[entry.k1][space.atom_of[entry.k1][entry.points]].min())
         lhs += essinf**exps.p * entry.coefficient
     p0 = forest.root.points
     n1 = float((h1[p0] ** exps.p1 * omega1[p0] * space.masses[p0]).sum())

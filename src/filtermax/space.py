@@ -24,14 +24,14 @@ loops inside the package then take conditional expectations on the
 unchecked kernel `_cond`, which averages one function or every row of a
 (k, n) block, bit for bit as `cond_exp` does, from the atom means of
 `_atom_cond`, (atoms,) or (k, atoms); `_to_points` reads atom values at
-the points in C order.  `_weighted_cond` is the weighted form.  A loop
-over levels takes them all from `_level_means`: the atom means of every
-level from a start level down, in one list, bit for bit as `_atom_cond`
-gives them level by level, from one bincount per run of rows (each level
-and each row has its own bins), whose sums `_level_sums` gives side by
-side.  That list is the means contract of the level maxima in
-`operators`; the exact sweeps in `weights` take their means from
-subset-sum tables on the finest atoms instead.
+the points in C order.  A loop over levels takes them all from
+`_level_means`: the atom means of every level from a start level down,
+in one list, bit for bit as `_atom_cond` gives them level by level, from
+one bincount per run of rows (each level and each row has its own bins),
+whose sums `_level_sums` gives side by side.  That list is the means
+contract of the level maxima in `operators`; the exact sweeps in
+`weights` take their means from subset-sum tables on the finest atoms
+instead.
 """
 
 from __future__ import annotations
@@ -276,11 +276,7 @@ class FilteredSpace:
         self.atoms, self.atom_of, self.parents = tower.atoms, tower.atom_of, tower.parents
         self.n: int = masses.size
         self.last_level: int = len(self.atoms) - 1
-        # a run level's atoms sum as rows of one reshape, which adds each row as its 1-d sum does
-        self.atom_mass: list[np.ndarray] = [
-            np.array([masses[a].sum() for a in level]) if run is None else masses.reshape(-1, run).sum(axis=1)
-            for run, level in zip(tower.runs, self.atoms)
-        ]
+        self.atom_mass: list[np.ndarray] = [_atom_sums(tower, masses, t) for t in range(len(tower.atoms))]
         for am in self.atom_mass:
             am.setflags(write=False)
         self.total_mass: float = float(masses.sum())
@@ -349,6 +345,13 @@ class FilteredSpace:
 
     def measure(self, subset) -> float:
         return float(self.masses[self.as_subset(subset)].sum())
+
+
+def _atom_sums(tower: _Tower, f: Fn, level: int) -> np.ndarray:
+    """Each level atom's sum of f, as its 1-d `.sum()` adds it: a run level's
+    atoms sum as the rows of one reshape, which adds each row so."""
+    run = tower.runs[level]
+    return np.array([f[a].sum() for a in tower.atoms[level]]) if run is None else f.reshape(-1, run).sum(axis=1)
 
 
 def _cut_atoms(space: FilteredSpace, level: int, inside: np.ndarray) -> np.ndarray:
@@ -497,21 +500,17 @@ def weighted_cond_exp(space: FilteredSpace, f: Fn, sigma: Fn, level: int) -> Fn:
     E(f sigma | F_level) = E^sigma(f | F_level) E(sigma | F_level) holds
     identically.
     """
-    return _weighted_cond(space, *_weighted_pair(space, f, sigma, level), level)
+    f_sigma, sigma = _weighted_pair(space, f, sigma, level)
+    return _cond(space, f_sigma, level) / _cond(space, sigma, level)
 
 
 def _weighted_pair(space: FilteredSpace, f: Fn, sigma: Fn, level: int = 0) -> tuple[Fn, Fn]:
-    """(f sigma, sigma) for `_weighted_cond`, checked once in `weighted_cond_exp`'s
+    """(f sigma, sigma) for a weighted mean, checked once in `weighted_cond_exp`'s
     order: sigma finite and strictly positive, f finite, the level, f sigma finite."""
     sigma = _positive(space, sigma, "sigma")
     f = as_fn(space, f)
     space._check_level(level)
     return as_fn(space, f * sigma), sigma
-
-
-def _weighted_cond(space: FilteredSpace, f_sigma: Fn, sigma: Fn, level: int) -> Fn:
-    """E^sigma(f | F_level) from f sigma and sigma, unchecked."""
-    return _cond(space, f_sigma, level) / _cond(space, sigma, level)
 
 
 @dataclass(frozen=True)

@@ -368,15 +368,20 @@ def _packed_keys(leaf_bits: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+def _key_bits(space: FilteredSpace, keys: Sequence[int]) -> np.ndarray:
+    """The tails with the given finest-atom keys, as a C-ordered k x leaves
+    boolean block (bit a of key r at [r, a]), from one unpackbits."""
+    leaves = len(space.atoms[space.last_level])
+    width = (leaves + 7) // 8
+    packed = np.frombuffer(b"".join(key.to_bytes(width, "little") for key in keys), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(len(keys), width), axis=1, count=leaves, bitorder="little").view(bool)
+
+
 def _key_rows(space: FilteredSpace, keys: Sequence[int]) -> np.ndarray:
     """The tails with the given finest-atom keys, as a C-ordered k x n boolean
     block (the layout fixes the order in which an objective sums a row: each
     as its 1-d `.sum()`)."""
-    leaves = len(space.atoms[space.last_level])
-    width = (leaves + 7) // 8
-    packed = np.frombuffer(b"".join(key.to_bytes(width, "little") for key in keys), dtype=np.uint8)
-    bits = np.unpackbits(packed.reshape(len(keys), width), axis=1, count=leaves, bitorder="little")
-    return bits.view(bool).take(space.atom_of[space.last_level], axis=1)
+    return _key_bits(space, keys).take(space.atom_of[space.last_level], axis=1)
 
 
 def _first_scores(space: FilteredSpace, objective: Callable) -> Callable[[Sequence[int]], np.ndarray]:

@@ -13,6 +13,9 @@ bit.
 """
 
 import dataclasses
+import functools
+import itertools
+import operator
 import sys
 import tracemalloc
 import warnings
@@ -58,6 +61,7 @@ from filtermax import (
     space_from_dict,
     weighted_maximal,
 )
+from filtermax.carleson import _MAX_UNIONS
 from filtermax.operators import _level_max
 from filtermax.space import _atom_cond, _cond, _level_means
 from filtermax.stopping import (
@@ -144,15 +148,16 @@ def scalar_tail_values(space, v, omega1, omega2, exps):
     return out
 
 
-def scalar_carleson(space, family, sigma1, sigma2, exps):
-    """(A, worst mask) by the per-tail sums, in entry and leaf order."""
+def scalar_carleson(space, family, sigma1, sigma2, exps, tails=None):
+    """(A, worst mask) by the per-tail sums, in entry and leaf order, over the
+    given ascending tail masks (by default every tail)."""
     mix = sigma1 ** (exps.p / exps.p1) * sigma2 ** (exps.p / exps.p2) * space.masses
     entry_masks = [finest_mask(space, e.points) for e in family.entries]
     coeffs = family.coefficients()
     atom_mix = np.array([mix[atom].sum() for atom in space.atoms[space.last_level]])
     best = 0.0
     best_mask = None
-    for mask in enumerate_tail_masks(space, family.base_level):
+    for mask in enumerate_tail_masks(space, family.base_level) if tails is None else tails:
         if mask == 0:
             continue
         num = sum(c for c, em in zip(coeffs, entry_masks) if em & mask == em)
@@ -162,6 +167,18 @@ def scalar_carleson(space, family, sigma1, sigma2, exps):
             best = ratio
             best_mask = mask
     return best, best_mask
+
+
+def entry_unions(space, family):
+    """Every nonempty union of the family's entries, from each subset of them in
+    turn, and every single leaf: ascending finest-atom masks as Python ints."""
+    leaf_of = space.atom_of[space.last_level]
+    keys = [sum(1 << a for a in set(leaf_of[e.points].tolist())) for e in family.entries]
+    unions = {0}
+    for r in range(1, len(keys) + 1):
+        for subset in itertools.combinations(keys, r):
+            unions.add(functools.reduce(operator.or_, subset))
+    return sorted((unions | {1 << a for a in range(len(space.atoms[space.last_level]))}) - {0})
 
 
 def scalar_tail_ratios(inst):
@@ -881,7 +898,7 @@ def test_carleson_with_a_zero_constant_keeps_the_first_tail(name, request):
 
 def test_carleson_certification_never_sweeps_the_tails(monkeypatch):
     """Certification scores unions of entries, so it runs with the sweep
-    disabled, and still refuses a space past the atom budget."""
+    disabled, and past the atom budget it certifies the same A and tail."""
 
     def no_sweep(*args, **kwargs):
         raise AssertionError("certify_carleson_constant swept the tails")
@@ -892,11 +909,44 @@ def test_carleson_certification_never_sweeps_the_tails(monkeypatch):
     forest = default_forest(inst)
     family = build_level_sets(forest, inst.sigma1, inst.sigma2)
     family = proof_coefficients(inst.space, family, inst.sigma1, inst.sigma2, inst.v, inst.exps)
-    certified, _ = certify_carleson_constant(inst.space, family, inst.sigma1, inst.sigma2, inst.exps)
+    certified, worst = certify_carleson_constant(inst.space, family, inst.sigma1, inst.sigma2, inst.exps)
     assert certified.certified
     monkeypatch.setenv("FILTERMAX_ATOM_BUDGET", "3")
-    with pytest.raises(EnumerationBudgetError):
-        certify_carleson_constant(inst.space, family, inst.sigma1, inst.sigma2, inst.exps)
+    again, again_worst = certify_carleson_constant(inst.space, family, inst.sigma1, inst.sigma2, inst.exps)
+    assert again.carleson_A == certified.carleson_A and again_worst == worst
+
+
+def test_carleson_certification_past_the_atom_budget():
+    """81 leaves (121 atoms, past the atom budget and an int64 mask): A and the
+    worst tail are bit-equal to the per-tail sums over every union of entries
+    and every single leaf, unions taken subset by subset on Python ints."""
+    inst = gen_instance(3, depth=4, branching=3)
+    assert len(inst.space.atoms[inst.space.last_level]) == 81
+    forest = default_forest(inst)
+    for variant in ("node", "exit"):
+        family = build_level_sets(forest, inst.sigma1, inst.sigma2, variant=variant)
+        family = proof_coefficients(inst.space, family, inst.sigma1, inst.sigma2, inst.v, inst.exps)
+        assert family.entries
+        certified, worst = certify_carleson_constant(inst.space, family, inst.sigma1, inst.sigma2, inst.exps)
+        tails = entry_unions(inst.space, family)
+        want_a, want_mask = scalar_carleson(inst.space, family, inst.sigma1, inst.sigma2, inst.exps, tails)
+        assert certified.carleson_A == want_a, variant
+        assert finest_mask(inst.space, worst.tail_set()) == want_mask, variant
+
+
+def test_carleson_certification_refuses_past_the_union_cap():
+    """k disjoint entries have 2**k distinct unions (the empty one too): at the
+    cap they are certified, one more entry is refused, naming the entry count."""
+    space = gen_instance(0, depth=4).space  # 16 leaves
+    leaves = space.atoms[space.last_level]
+    k = _MAX_UNIONS.bit_length() - 1
+    assert _MAX_UNIONS == 1 << k and len(leaves) > k
+    one = np.ones(space.n)
+    family = union_family(space, [leaf.tolist() for leaf in leaves[:k]], np.ones(k))
+    assert certify_carleson_constant(space, family, one, one, Exponents(2.0, 2.0))[0].certified
+    family = union_family(space, [leaf.tolist() for leaf in leaves[: k + 1]], np.ones(k + 1))
+    with pytest.raises(ValueError, match=rf"^{k + 1} entries have more than {_MAX_UNIONS} distinct unions to certify$"):
+        certify_carleson_constant(space, family, one, one, Exponents(2.0, 2.0))
 
 
 def test_carleson_certification_rejects_negative_coefficients(quad):

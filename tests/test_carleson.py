@@ -102,6 +102,19 @@ def test_condition_requires_certified_constant(quad, node_family):
         check_carleson_condition(quad, node_family, SIGMA1, np.ones(4), P22, tau)
 
 
+@pytest.mark.parametrize("name", ["sigma1", "sigma2"])
+@pytest.mark.parametrize("bad", [np.zeros(4), np.array([1.0, -1.0, 1.0, 1.0])])
+def test_certification_and_condition_check_their_sigmas(quad, node_family, name, bad):
+    """An all-zero sigma made A inf, a negative point made it 0.0; both are refused."""
+    sigmas = {"sigma1": SIGMA1, "sigma2": np.ones(4), name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be strictly positive$"):
+        certify_carleson_constant(quad, node_family, sigmas["sigma1"], sigmas["sigma2"], P22)
+    family, _ = certify_carleson_constant(quad, node_family, SIGMA1, np.ones(4), P22)
+    tau = next(enumerate_stopping_times(quad, 0))
+    with pytest.raises(ValueError, match=f"^{name} must be strictly positive$"):
+        check_carleson_condition(quad, family, sigmas["sigma1"], sigmas["sigma2"], P22, tau)
+
+
 def test_condition_rejects_finer_origin(quad, node_family):
     family, _ = certify_carleson_constant(quad, node_family, SIGMA1, np.ones(4), P22)
     tau = next(enumerate_stopping_times(quad, 2))

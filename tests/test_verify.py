@@ -741,8 +741,10 @@ def test_run_instance_suite_fallback():
         run_instance_suite(big, "thm12", pair_count=1)
     rows = run_instance_suite(big, "thm12", pair_count=1, fallback=True)
     assert rows and all(r.mode == "lower-bound" for r in rows)
-    # exhaustive-only carleson certification is skipped quietly under fallback
-    assert run_instance_suite(big, "carleson", fallback=True) == []
+    # carleson certification needs no sweep: its rows are exact under fallback too
+    rows = run_instance_suite(big, "carleson", fallback=True)
+    assert [r.theorem for r in rows] == ["carleson_node", "carleson_exit"]
+    assert all(r.mode == "exact" and r.passed for r in rows)
 
 
 def _count_work(monkeypatch) -> tuple[Counter, list]:
@@ -843,7 +845,7 @@ def test_fallback_suite_decides_the_tail_mode_once(monkeypatch):
         ("s", "heuristic"): 1,
         ("winf", "heuristic"): 1,
     }
-    assert not any(r.theorem.startswith("carleson") for r in rows)
+    assert [r.theorem for r in rows if r.theorem.startswith("carleson")] == ["carleson_node", "carleson_exit"]
 
 
 @pytest.mark.parametrize("depth,mode", [(3, "exact"), (5, "heuristic")])
@@ -857,7 +859,7 @@ def test_suite_rows_equal_the_individual_checks(depth, mode):
         *check_thm14(inst, pairs),
         check_thm15(inst, pairs, mode),
         *check_sparse(inst),
-        *(check_carleson(inst) if mode == "exact" else []),
+        *check_carleson(inst),
         *check_properties(inst),
     ]
     assert run_instance_suite(inst, "all", pair_count=3, fallback=mode != "exact") == rows
@@ -865,10 +867,10 @@ def test_suite_rows_equal_the_individual_checks(depth, mode):
 
 def test_suites_without_tail_checks_need_no_fallback():
     big = gen_instance(4, depth=5, branching=2)  # over the atom budget
-    for suite in ("thm14", "sparse", "props"):
+    for suite in ("thm14", "sparse", "carleson", "props"):
         rows = run_instance_suite(big, suite, pair_count=1)
         assert rows and all(r.mode == "exact" for r in rows)
-    for suite in ("thm11", "thm15", "carleson", "all"):
+    for suite in ("thm11", "thm15", "all"):
         with pytest.raises(EnumerationBudgetError):
             run_instance_suite(big, suite, pair_count=1)
 
