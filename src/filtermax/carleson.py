@@ -7,7 +7,8 @@ weighted product at the node's stopping level:
 
 where the base set B(P) is either the node itself ("node" variant) or its
 exit set ("exit" variant); both carry the same embedding theorem.  A
-nonnegative coefficient a_Q is attached to each nonempty A_P^l.
+nonnegative coefficient a_Q is attached to each nonempty A_P^l.  The space
+keeps the products (`level_products`), so both variants share one computation.
 
 The Carleson condition with constant A demands, for every stopping time
 tau in T_i (i = the forest's base level):
@@ -88,24 +89,27 @@ def build_level_sets(
 ) -> CarlesonFamily:
     """Slice each node into dyadic shells of E_K1(sigma1) E_K1(sigma2).
 
-    Only nonempty shells are materialized; coefficients start at zero.
+    Only nonempty shells are materialized; coefficients start at zero.  A
+    product at a node's points that is not a positive finite float (the sigmas'
+    means underflow or overflow) raises a ValueError naming its level and point.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     space = forest.space
-    sigma1, sigma2 = _positive(space, sigma1, "sigma1"), _positive(space, sigma2, "sigma2")
-    return _level_sets(forest, level_products(space, sigma1, sigma2), variant)
-
-
-def _level_sets(forest: PrincipalForest, prods: list[Fn], variant: str) -> CarlesonFamily:
-    """`build_level_sets` from the level products E_j(sigma1) E_j(sigma2)."""
+    prods = level_products(space, _positive(space, sigma1, "sigma1"), _positive(space, sigma2, "sigma2"))
     entries: list[CarlesonEntry] = []
     for node_index, node in enumerate(forest.nodes()):
         base = node.points if variant == "node" else node.exit_points
         if base.size == 0:
             continue
+        w = prods[node.k1][base]
+        ok = (w > 0) & (w < np.inf)  # neither underflowed to 0 nor overflowed
+        if not ok.all():
+            x = int(np.argmin(ok))
+            where = f"E_{node.k1}(sigma1) E_{node.k1}(sigma2) = {float(w[x])!r} at point {int(base[x])}"
+            raise ValueError(f"{where}, not positive finite")
         # 2^l < w <= 2^(l+1), i.e. l + 1 is the base-2 shell of w
-        exps = _shells(prods[node.k1][base], 1) - 1
+        exps = _shells(w, 1) - 1
         for l in np.unique(exps).tolist():
             pts = base[exps == l]
             entries.append(CarlesonEntry(node_index, node.k1, l, pts, 0.0))
@@ -117,16 +121,10 @@ def proof_coefficients(
 ) -> CarlesonFamily:
     """a_Q = integral over Q of (E_K1(sigma1) E_K1(sigma2))^p v dmu."""
     prods = level_products(space, sigma1, sigma2)
-    return _proof_coefficients(space, family, prods, as_fn(space, v), exps)
-
-
-def _proof_coefficients(space: FilteredSpace, family: CarlesonFamily, prods: list[Fn], v: Fn, exps: Exponents):
-    """`proof_coefficients` from the level products E_j(sigma1) E_j(sigma2)."""
-    coeffs = []
-    for entry in family.entries:
-        w = prods[entry.k1][entry.points]
-        coeffs.append(float((w**exps.p * v[entry.points] * space.masses[entry.points]).sum()))
-    return family.with_coefficients(coeffs)
+    v = as_fn(space, v)
+    return family.with_coefficients(
+        [float((prods[e.k1][e.points] ** exps.p * v[e.points] * space.masses[e.points]).sum()) for e in family.entries]
+    )
 
 
 def certify_carleson_constant(
@@ -242,31 +240,33 @@ def verify_embedding(
 
     The sigma_s here are derived from the omega_s; the family must have
     been built and certified against those same dual weights.  Requires a
-    certified (or explicitly supplied) Carleson constant.
+    certified (or explicitly supplied) Carleson constant.  An entry whose
+    essinf is not finite (the weighted means' product overflows) raises a
+    ValueError naming its level and point.
     """
     if family.carleson_A is None:
         raise ValueError("A not certified: certify_carleson_constant or with_constant first")
     space = forest.space
-    h1 = as_fn(space, h1)
-    h2 = as_fn(space, h2)
+    h1, h2 = as_fn(space, h1), as_fn(space, h2)
     sigma1, sigma2, _ = _duals(space, omega1, omega2, exps)
     omega1, omega2 = as_fn(space, omega1), as_fn(space, omega2)
-    f_sigma, sigma = map(np.stack, zip(*(_weighted_pair(space, h / s, s) for h, s in ((h1, sigma1), (h2, sigma2)))))
-    # the product of the E^sigma_s(h_s / sigma_s | F_j) on the level-j atoms, both s in one block
-    wprods = [r[0] * r[1] for r in _ratio_means(sigma)(space, f_sigma, 0)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_sigma, sigma = map(np.stack, zip(*(_weighted_pair(space, h / s, s) for h, s in ((h1, sigma1), (h2, sigma2)))))
+        # the product of the E^sigma_s(h_s / sigma_s | F_j) on the level-j atoms, both s in one block
+        wprods = [r[0] * r[1] for r in _ratio_means(sigma)(space, f_sigma, 0)]
     lhs = 0.0
     for entry in family.entries:
-        essinf = float(wprods[entry.k1][space.atom_of[entry.k1][entry.points]].min())
+        values = wprods[entry.k1][space.atom_of[entry.k1][entry.points]]
+        essinf = float(values.min())
+        if not np.isfinite(essinf):  # the weighted means' product overflowed
+            where = f"at level {entry.k1}, point {int(entry.points[np.argmin(values)])}"
+            raise ValueError(f"essinf of E^sigma1(h1/sigma1) E^sigma2(h2/sigma2) {where}, is {essinf!r}")
         lhs += essinf**exps.p * entry.coefficient
     p0 = forest.root.points
     n1 = float((h1[p0] ** exps.p1 * omega1[p0] * space.masses[p0]).sum())
     n2 = float((h2[p0] ** exps.p2 * omega2[p0] * space.masses[p0]).sum())
-    rhs = (
-        family.carleson_A
-        * (exps.p1_prime * exps.p2_prime) ** exps.p
-        * n1 ** (exps.p / exps.p1)
-        * n2 ** (exps.p / exps.p2)
-    )
+    doob = (exps.p1_prime * exps.p2_prime) ** exps.p  # the weighted Doob inequality's factor
+    rhs = family.carleson_A * doob * n1 ** (exps.p / exps.p1) * n2 ** (exps.p / exps.p2)
     return EmbeddingReport(
         lhs=lhs, rhs=rhs, carleson_A=family.carleson_A, certified=family.certified, variant=family.variant
     )

@@ -28,13 +28,15 @@ resulting family satisfies:
 and the sparse bound 16 * sum over nodes of 4^(K2-1) 1_{E(P)} dominates
 the tailed bilinear maximal function of (h1 1_P0, h2 1_P0) pointwise on
 P0, with the base-level supremum localizing: the tailed operator of the
-truncated pair agrees on P0 with the tailed operator of (h1, h2).
+truncated pair agrees on P0 with the tailed operator of (h1, h2).  The space
+keeps the level products of (h1, h2), so `occupied_shells`, every forest of
+`forest_cover` and `verify_properties` share one computation of them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -102,8 +104,6 @@ class PrincipalForest:
     h1: Fn
     h2: Fn
     root: PrincipalSet
-    # level_products(space, h1, h2), the E_t(h1) E_t(h2) the forest was cut from
-    prods: tuple[Fn, ...] = field(repr=False, compare=False)
 
     def nodes(self) -> list[PrincipalSet]:
         return list(self.root)
@@ -113,24 +113,19 @@ class PrincipalForest:
         return sum(1 for _ in self.root)
 
 
-def build_principal_forest(
-    space: FilteredSpace, i: int, k: int, omega0, h1: Fn, h2: Fn, *, _prods: list[Fn] | None = None
-) -> PrincipalForest | None:
+def build_principal_forest(space: FilteredSpace, i: int, k: int, omega0, h1: Fn, h2: Fn) -> PrincipalForest | None:
     """Grow the forest; returns None when P0 is empty.
 
     h1, h2 must be nonnegative; omega0 must be level-i measurable.
-    `_prods` is for `forest_cover`, which hands over the level products of
-    (h1, h2) it already computed, so that a cover computes them once.
     """
     space._check_level(i)
-    h1 = as_fn(space, h1)
-    h2 = as_fn(space, h2)
+    h1, h2 = as_fn(space, h1), as_fn(space, h2)
     if (h1 < 0).any() or (h2 < 0).any():
         raise ValueError("h1 and h2 must be nonnegative")
     omega0 = space.as_subset(omega0)
     if not space.is_level_measurable(i, omega0):
         raise ValueError(f"Omega0 must be a union of level-{i} atoms")
-    prods = level_products(space, h1, h2) if _prods is None else _prods
+    prods = level_products(space, h1, h2)
     # integer shells of the level products: 4^(k2+1) itself overflows for k2 >= 511
     shells = [_shells(pr) for pr in prods]
 
@@ -164,33 +159,22 @@ def build_principal_forest(
         )
 
     root = grow(np.flatnonzero(p0_mask), i, k, 1)
-    return PrincipalForest(
-        space=space, base_level=i, base_k=k, omega0=omega0, h1=h1, h2=h2, root=root, prods=tuple(prods)
-    )
-
-
-def _occupied_shells(space: FilteredSpace, i: int, omega0, prods: list[Fn]) -> list[int]:
-    vals = prods[i][space.as_subset(omega0)]
-    return np.unique(_shells(vals[vals > 0])).tolist()
+    return PrincipalForest(space=space, base_level=i, base_k=k, omega0=omega0, h1=h1, h2=h2, root=root)
 
 
 def occupied_shells(space: FilteredSpace, i: int, omega0, h1: Fn, h2: Fn) -> list[int]:
     """Shell exponents k for which P0 is nonempty."""
     space._check_level(i)
-    return _occupied_shells(space, i, omega0, level_products(space, h1, h2))
+    vals = level_products(space, h1, h2)[i][space.as_subset(omega0)]
+    return np.unique(_shells(vals[vals > 0])).tolist()
 
 
 def forest_cover(space: FilteredSpace, i: int, omega0, h1: Fn, h2: Fn) -> list[PrincipalForest]:
     """One forest per occupied shell k; their P0's tile
-    Omega0 intersect {E_i(h1) E_i(h2) > 0}.  The level products are computed
-    once and shared by every forest of the cover."""
-    space._check_level(i)
-    prods = level_products(space, h1, h2)
-    forests = []
-    for k in _occupied_shells(space, i, omega0, prods):
-        forest = build_principal_forest(space, i, k, omega0, h1, h2, _prods=prods)
-        assert forest is not None, "occupied shell produced an empty P0"
-        forests.append(forest)
+    Omega0 intersect {E_i(h1) E_i(h2) > 0}.  The space keeps the level products
+    of (h1, h2), so every forest of the cover shares one computation."""
+    forests = [build_principal_forest(space, i, k, omega0, h1, h2) for k in occupied_shells(space, i, omega0, h1, h2)]
+    assert None not in forests, "occupied shell produced an empty P0"
     return forests
 
 
@@ -247,7 +231,7 @@ class PropertyReport:
 def verify_properties(forest: PrincipalForest) -> PropertyReport:
     """Evaluate P.1–P.5 and the doubling bound exactly on every node."""
     space = forest.space
-    prods = forest.prods
+    prods = level_products(space, forest.h1, forest.h2)
     root = forest.root
 
     # P.1: exit sets are pairwise disjoint and tile P0

@@ -31,7 +31,8 @@ one bincount per run of rows (each level and each row has its own bins),
 whose sums `_level_sums` gives side by side.  That list is the means
 contract of the level maxima in `operators`; the exact sweeps in
 `weights` take their means from subset-sum tables on the finest atoms
-instead.
+instead.  A space keeps the last `level_products` pair and `weights._duals`
+(`_remember`, keyed by the inputs' bytes), so no caller passes them around.
 """
 
 from __future__ import annotations
@@ -282,7 +283,7 @@ class FilteredSpace:
         self.total_mass: float = float(masses.sum())
         # levels whose atoms are the single points in order, which `_to_points` reads as they are
         self._point_levels = tower.point_levels
-        self._dual_slot: tuple | None = None  # `weights._duals`' last (key, result)
+        self._kept: dict = {}  # `_remember`'s last (key, result) of each kind
 
     # ---- basic structure -------------------------------------------------
 
@@ -483,14 +484,30 @@ def _cond(space: FilteredSpace, f: np.ndarray, level: int) -> np.ndarray:
     return _to_points(space, _atom_cond(space, f, level), level)
 
 
-def level_products(space: FilteredSpace, f: Fn, g: Fn) -> list[Fn]:
-    """E(f | F_j) E(g | F_j) for j = 0..L: principal sets, Carleson level sets
-    and the heuristic first-hit guides are all cut from these products."""
+def _remember(space: FilteredSpace, kind: str, key, compute) -> tuple[np.ndarray, ...]:
+    """`compute()`, a tuple of arrays made read-only, kept on the space as the last
+    result of its kind with `key` (the inputs' bytes): the same key gets it back."""
+    kept = space._kept.get(kind)
+    if kept is None or kept[0] != key:
+        kept = space._kept[kind] = key, compute()
+        for arr in kept[1]:
+            arr.setflags(write=False)
+    return kept[1]
+
+
+def level_products(space: FilteredSpace, f: Fn, g: Fn) -> tuple[Fn, ...]:
+    """E(f | F_j) E(g | F_j) for j = 0..L, read-only: principal sets, Carleson
+    level sets and the heuristic first-hit guides are all cut from these
+    products.  The last pair's are kept on the space.  A product that overflows
+    is not finite, without a warning, for the caller to refuse."""
     f, g = as_fn(space, f), as_fn(space, g)
-    return [
-        _to_points(space, mf, j) * _to_points(space, mg, j)
-        for j, (mf, mg) in enumerate(zip(_level_means(space, f), _level_means(space, g)))
-    ]
+
+    def compute() -> tuple[Fn, ...]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = enumerate(zip(_level_means(space, f), _level_means(space, g)))
+            return tuple(_to_points(space, mf, j) * _to_points(space, mg, j) for j, (mf, mg) in means)
+
+    return _remember(space, "products", (f.tobytes(), g.tobytes()), compute)
 
 
 def weighted_cond_exp(space: FilteredSpace, f: Fn, sigma: Fn, level: int) -> Fn:

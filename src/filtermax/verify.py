@@ -345,8 +345,7 @@ def instance_from_dict(data: dict, where: str = "instance") -> Instance:
         given, missing = ("h1", "h2") if h1 is not None else ("h2", "h1")
         raise ValidationError(f"{where}: field {given!r} needs field {missing!r} too")
     if h1 is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            prods = np.array(level_products(space, h1, h2))
+        prods = np.array(level_products(space, h1, h2))
         if not np.isfinite(prods).all():
             j, x = np.argwhere(~np.isfinite(prods))[0].tolist()  # the first level, then the first point
             raise ValidationError(f"{where}: fields 'h1' and 'h2': E_{j}(h1) E_{j}(h2) overflows at point {x}")
@@ -772,11 +771,10 @@ def check_carleson(inst: Instance) -> list[CheckResult]:
     Carleson constant, in both shell variants."""
     seed = _row_seed(inst)
     forest = inst.forest
-    prods = level_products(inst.space, inst.sigma1, inst.sigma2)  # shared by both variants
     out = []
     for variant in ("node", "exit"):
-        family = _carleson._level_sets(forest, prods, variant)
-        family = _carleson._proof_coefficients(inst.space, family, prods, inst.v, inst.exps)
+        family = _carleson.build_level_sets(forest, inst.sigma1, inst.sigma2, variant)
+        family = _carleson.proof_coefficients(inst.space, family, inst.sigma1, inst.sigma2, inst.v, inst.exps)
         family, worst_tau = _carleson.certify_carleson_constant(
             inst.space, family, inst.sigma1, inst.sigma2, inst.exps
         )

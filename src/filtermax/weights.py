@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .operators import _leaf_max
-from .space import Exponents, FilteredSpace, Fn, _level_means, _level_sums, _positive, _to_points, as_fn
+from .space import Exponents, FilteredSpace, Fn, _level_means, _level_sums, _positive, _remember, _to_points, as_fn
 from .space import cond_exp  # noqa: F401  (bench/tests expects this module to bind it)
 from .stopping import (
     _block_max,
@@ -92,11 +92,11 @@ def _mix(x: Fn, y: Fn, exps: Exponents) -> Fn:
 def _duals(space: FilteredSpace, omega1: Fn, omega2: Fn, exps: Exponents) -> tuple[Fn, Fn, Fn]:
     """(sigma1, sigma2, _mix(sigma1, sigma2)) of strictly positive omegas, read-only,
     each sigma_s checked finite and strictly positive (p_s near 1 overflows it or
-    underflows it to 0).  The last result is kept on the space, keyed by the
-    exponents and the omegas' bytes, so the constants of one instance share it."""
+    underflows it to 0).  The last result is kept on the space (`_remember`), keyed by
+    the exponents and the omegas' bytes, so the constants of one instance share it."""
     omegas = (_positive(space, omega1, "omega1"), _positive(space, omega2, "omega2"))
-    key = (exps, omegas[0].tobytes(), omegas[1].tobytes())
-    if space._dual_slot is None or space._dual_slot[0] != key:
+
+    def compute() -> tuple[Fn, Fn, Fn]:
         sigmas = []
         for s, omega, p_s in zip((1, 2), omegas, (exps.p1, exps.p2)):
             with np.errstate(all="ignore"):
@@ -109,11 +109,9 @@ def _duals(space: FilteredSpace, omega1: Fn, omega2: Fn, exps: Exponents) -> tup
                     f"{float(sigma[x])!r} at point {x}, not finite and strictly positive"
                 )
             sigmas.append(sigma)
-        duals = (*sigmas, _mix(*sigmas, exps))
-        for arr in duals:
-            arr.setflags(write=False)
-        space._dual_slot = key, duals
-    return space._dual_slot[1]
+        return (*sigmas, _mix(*sigmas, exps))
+
+    return _remember(space, "duals", (exps, omegas[0].tobytes(), omegas[1].tobytes()), compute)
 
 
 def _tau_witness(tau) -> dict:

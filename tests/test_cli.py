@@ -441,6 +441,35 @@ def test_degenerate_instances_fail_at_load(tmp_path, capsys, extra, message):
             assert f"{bad}: {message}" in capsys.readouterr().err
 
 
+EXTREME_WEIGHTS = [
+    (1e200, None, "E_0(sigma1) E_0(sigma2) = 0.0 at point 0, not positive finite"),
+    (1e-200, None, "E_0(sigma1) E_0(sigma2) = inf at point 0, not positive finite"),
+    (1e153, 100.0, "essinf of E^sigma1(h1/sigma1) E^sigma2(h2/sigma2) at level 0, point 0, is inf"),
+]
+
+
+@pytest.mark.parametrize(
+    "omega, h, message", EXTREME_WEIGHTS, ids=["sigma_products_underflow", "sigma_products_overflow", "lhs_overflows"]
+)
+def test_carleson_rows_refuse_products_past_float_range(tmp_path, capsys, omega, h, message):
+    """omega1 = omega2 = 1e200 underflows E_0(sigma1) E_0(sigma2) = 1e-400 to 0;
+    1e-200 overflows it; 1e153 with h1 = h2 = 100 keeps it a normal float
+    (1e-306) but overflows the embedding's weighted means' product (1e310).  Each
+    is a check refusing the data (exit 2) with the level and the point, with no
+    warning, not a `fail` verdict on a nan or inf lhs."""
+    data = verify.instance_to_dict(verify.gen_instance(3, depth=3))
+    n = len(data["masses"])
+    data.update(omega1=[omega] * n, omega2=[omega] * n, v=[1.0] * n)
+    if h is not None:
+        data.update(h1=[h] * n, h2=[h] * n)
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("verify", str(path), "--suite", "carleson") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_verify_infeasible_suggests_fallback(tmp_path, capsys):
     big = tmp_path / "big.json"
     run("gen", "--seed", "2", "--depth", "5", "--branching", "2", "--out", str(big))

@@ -15,6 +15,7 @@ from filtermax import (
     as_fn,
     cond_exp,
     integrate,
+    level_products,
     space_from_dict,
     space_to_dict,
     validate,
@@ -345,6 +346,36 @@ def test_cond_exp_of_constant_is_constant(space):
     for level in range(space.n_levels):
         out = cond_exp(space, np.full(space.n, 3.5), level)
         assert np.allclose(out, 3.5, rtol=1e-12)
+
+
+def test_kept_level_products_are_never_stale(mixed6):
+    """The space keeps the last pair's level products, read-only, and gives the
+    same tuple back for the same bytes; a new pair, the same array mutated in
+    place and another space each get products of their own, bit for bit the
+    `cond_exp` products."""
+
+    def fresh(space, f, g):
+        return [cond_exp(space, f, j) * cond_exp(space, g, j) for j in range(space.n_levels)]
+
+    def same(prods, want):
+        return len(prods) == len(want) and all(np.array_equal(a, b) for a, b in zip(prods, want))
+
+    rng = np.random.default_rng(7)
+    f, g = rng.random(6), rng.random(6)
+    kept = level_products(mixed6, f, g)
+    assert same(kept, fresh(mixed6, f, g))
+    assert level_products(mixed6, f.copy(), g.copy()) is kept
+    assert not any(pr.flags.writeable for pr in kept)
+    with pytest.raises(ValueError):
+        kept[0][0] = 1.0
+    f[2] += 1.0  # in place: the kept products are of the old f
+    assert same(level_products(mixed6, f, g), fresh(mixed6, f, g))
+    assert not same(kept, fresh(mixed6, f, g))
+    h = 2.0 * g
+    assert same(level_products(mixed6, f, h), fresh(mixed6, f, h))
+    other = FilteredSpace([0.3, 0.1, 0.1, 0.2, 0.2, 0.1], [[atom.tolist() for atom in level] for level in mixed6.atoms])
+    assert same(level_products(other, f, h), fresh(other, f, h))
+    assert not same(level_products(other, f, h), fresh(mixed6, f, h))
 
 
 # ---- exponents -----------------------------------------------------------------

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import filtermax.carleson
 import filtermax.principal
 import filtermax.space
 import filtermax.verify
@@ -810,27 +811,63 @@ def test_suite_scores_the_test_pairs_once(monkeypatch, model):
     assert blocks.count(5) == 4
 
 
+def _count_products(monkeypatch) -> Counter:
+    """Level-products computations, counted by their pair's bytes: calls that
+    get the space's kept products back are not counted."""
+    remember, computed = filtermax.space._remember, Counter()
+
+    def counted(space, kind, key, compute):
+        def counting():
+            computed[key] += 1
+            return compute()
+
+        return remember(space, kind, key, counting if kind == "products" else compute)
+
+    monkeypatch.setattr(filtermax.space, "_remember", counted)
+    return computed
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_suite_computes_the_forest_level_products_once(monkeypatch, seed):
-    """The forest's (h1, h2) level products are computed once per suite run:
-    the cover's shells, every forest's growth and the P.1–P.5 check share them
-    (4 depth-3 instances made 12 calls when each computed its own)."""
+    """A suite run computes the forest's (h1, h2) level products once, for the
+    cover's shells, every forest's growth and the P.1–P.5 check, and the
+    (sigma1, sigma2) products once, for both Carleson variants."""
     inst = gen_instance(seed, depth=3)
-    products = filtermax.principal.level_products
-    calls = []
-
-    def counted_products(space, f, g):
-        calls.append(space)
-        return products(space, f, g)
-
-    monkeypatch.setattr(filtermax.principal, "level_products", counted_products)
+    computed = _count_products(monkeypatch)
     run_instance_suite(inst, "all")
-    assert len(calls) == 1
-    forest = default_forest(inst)
-    assert len(calls) == 2
-    want_prods = products(inst.space, forest.h1, forest.h2)
-    assert len(forest.prods) == len(want_prods) == inst.space.n_levels
-    assert all(np.array_equal(a, b) for a, b in zip(forest.prods, want_prods))
+    counts = dict(computed)  # before the pair's keys are derived: the run's forest was on a copy
+    h = (inst.forest.h1.tobytes(), inst.forest.h2.tobytes())
+    sigma = (inst.sigma1.tobytes(), inst.sigma2.tobytes())
+    assert counts == {h: 1, sigma: 1}
+
+
+def test_fallback_suite_computes_the_sigma_level_products_at_most_twice(monkeypatch):
+    """Under fallback the heuristic searches take their first-hit guides from the
+    (sigma1, sigma2) products too; the forest's products come between them and
+    the Carleson rows, so the sigma pair is computed at most twice."""
+    inst = gen_instance(5, depth=5, model="product", p1=2.5, p2=2.5)
+    computed = _count_products(monkeypatch)
+    run_instance_suite(inst, "all", pair_count=2, fallback=True)
+    counts = dict(computed)
+    h = (inst.forest.h1.tobytes(), inst.forest.h2.tobytes())
+    sigma = (inst.sigma1.tobytes(), inst.sigma2.tobytes())
+    assert set(counts) == {h, sigma}
+    assert counts[h] == 1
+    assert counts[sigma] <= 2
+
+
+def test_carleson_rows_go_through_the_public_steps(monkeypatch):
+    """`check_carleson` builds and weighs each variant's family through the public
+    `build_level_sets` and `proof_coefficients`, once per variant."""
+    calls = Counter()
+    for name in ("build_level_sets", "proof_coefficients"):
+        real = getattr(filtermax.carleson, name)
+        monkeypatch.setattr(
+            filtermax.carleson, name, lambda *a, _name=name, _real=real, **k: calls.update([_name]) or _real(*a, **k)
+        )
+    rows = run_instance_suite(gen_instance(3, depth=3), "carleson")
+    assert [r.theorem for r in rows] == ["carleson_node", "carleson_exit"]
+    assert calls == {"build_level_sets": 2, "proof_coefficients": 2}
 
 
 def test_fallback_suite_decides_the_tail_mode_once(monkeypatch):
