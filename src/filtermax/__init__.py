@@ -79,7 +79,6 @@ from .verify import (
     check_thm15,
     default_forest,
     dump_instance,
-    estimate_norm,
     evaluation_pairs,
     gen_instance,
     gen_space,

@@ -36,12 +36,13 @@ Doob inequality supplies the (p1' p2')^p factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .operators import _ratio_means
+from .operators import _power, _ratio_means
 from .principal import PrincipalForest, _shells
 from .space import Exponents, FilteredSpace, Fn, _atom_sums, _positive, _weighted_pair, as_fn, level_products
 from .stopping import StoppingTime, _block_max, _key_bits, finest_mask, stopping_time_from_tail
@@ -119,12 +120,21 @@ def build_level_sets(
 def proof_coefficients(
     space: FilteredSpace, family: CarlesonFamily, sigma1: Fn, sigma2: Fn, v: Fn, exps: Exponents
 ) -> CarlesonFamily:
-    """a_Q = integral over Q of (E_K1(sigma1) E_K1(sigma2))^p v dmu."""
+    """a_Q = integral over Q of (E_K1(sigma1) E_K1(sigma2))^p v dmu.  A coefficient
+    past float range raises a ValueError naming its entry's level and its first
+    point past range (the entry's first point if only the sum overflows)."""
     prods = level_products(space, sigma1, sigma2)
     v = as_fn(space, v)
-    return family.with_coefficients(
-        [float((prods[e.k1][e.points] ** exps.p * v[e.points] * space.masses[e.points]).sum()) for e in family.entries]
-    )
+    coeffs = []
+    with np.errstate(over="ignore"):
+        for e in family.entries:
+            dens = prods[e.k1][e.points] ** exps.p * v[e.points] * space.masses[e.points]
+            coeffs.append(float(dens.sum()))
+            if not math.isfinite(coeffs[-1]):
+                x = int(e.points[np.argmin(np.isfinite(dens))])
+                what = f"coefficient of (E_{e.k1}(sigma1) E_{e.k1}(sigma2))^p v at level {e.k1}, point {x}"
+                raise ValueError(f"{what}, is {coeffs[-1]!r}")
+    return family.with_coefficients(coeffs)
 
 
 def certify_carleson_constant(
@@ -241,8 +251,9 @@ def verify_embedding(
     The sigma_s here are derived from the omega_s; the family must have
     been built and certified against those same dual weights.  Requires a
     certified (or explicitly supplied) Carleson constant.  An entry whose
-    essinf is not finite (the weighted means' product overflows) raises a
-    ValueError naming its level and point.
+    essinf, its p-th power or the lhs up to it is not finite (the weighted
+    means' product overflows) raises a ValueError naming its level and point;
+    an rhs past float range raises one too.
     """
     if family.carleson_A is None:
         raise ValueError("A not certified: certify_carleson_constant or with_constant first")
@@ -250,23 +261,28 @@ def verify_embedding(
     h1, h2 = as_fn(space, h1), as_fn(space, h2)
     sigma1, sigma2, _ = _duals(space, omega1, omega2, exps)
     omega1, omega2 = as_fn(space, omega1), as_fn(space, omega2)
-    with np.errstate(over="ignore", invalid="ignore"):
+    p0 = forest.root.points
+    with np.errstate(over="ignore", invalid="ignore"):  # a value past float range is refused below
         f_sigma, sigma = map(np.stack, zip(*(_weighted_pair(space, h / s, s) for h, s in ((h1, sigma1), (h2, sigma2)))))
         # the product of the E^sigma_s(h_s / sigma_s | F_j) on the level-j atoms, both s in one block
         wprods = [r[0] * r[1] for r in _ratio_means(sigma)(space, f_sigma, 0)]
+        n1 = float((h1[p0] ** exps.p1 * omega1[p0] * space.masses[p0]).sum())
+        n2 = float((h2[p0] ** exps.p2 * omega2[p0] * space.masses[p0]).sum())
     lhs = 0.0
     for entry in family.entries:
         values = wprods[entry.k1][space.atom_of[entry.k1][entry.points]]
         essinf = float(values.min())
-        if not np.isfinite(essinf):  # the weighted means' product overflowed
-            where = f"at level {entry.k1}, point {int(entry.points[np.argmin(values)])}"
-            raise ValueError(f"essinf of E^sigma1(h1/sigma1) E^sigma2(h2/sigma2) {where}, is {essinf!r}")
-        lhs += essinf**exps.p * entry.coefficient
-    p0 = forest.root.points
-    n1 = float((h1[p0] ** exps.p1 * omega1[p0] * space.masses[p0]).sum())
-    n2 = float((h2[p0] ** exps.p2 * omega2[p0] * space.masses[p0]).sum())
+        x = int(entry.points[np.argmin(values)])
+        what = f"essinf of E^sigma1(h1/sigma1) E^sigma2(h2/sigma2) at level {entry.k1}, point {x}"
+        if not math.isfinite(essinf):  # the weighted means' product overflowed
+            raise ValueError(f"{what}, is {essinf!r}")
+        lhs += _power(essinf, exps.p, what) * entry.coefficient
+        if lhs == math.inf:  # this entry's term, or the sum up to it, passed float range
+            raise ValueError(f"{what}: the lhs passes float range at this entry")
     doob = (exps.p1_prime * exps.p2_prime) ** exps.p  # the weighted Doob inequality's factor
     rhs = family.carleson_A * doob * n1 ** (exps.p / exps.p1) * n2 ** (exps.p / exps.p2)
+    if not math.isfinite(rhs):
+        raise ValueError(f"rhs A (p1' p2')^p ||h1||^p ||h2||^p over the root is {rhs!r}, past float range")
     return EmbeddingReport(
         lhs=lhs, rhs=rhs, carleson_A=family.carleson_A, certified=family.certified, variant=family.variant
     )

@@ -99,4 +99,13 @@ def lp_norm(space: FilteredSpace, f: Fn, weight: Fn, p: float, subset=None) -> f
         total = float(dens.sum())
     else:
         total = float(dens[space.as_subset(subset)].sum())
-    return total ** (1.0 / p)
+    return _power(total, 1.0 / p, "(integral of |f|^p weight)^(1/p)")
+
+
+def _power(x: float, e: float, what: str) -> float:
+    """x ** e of Python floats, the one power of a reported value: a result past
+    float range raises a ValueError naming the quantity `what`."""
+    try:
+        return x**e
+    except OverflowError:
+        raise ValueError(f"{what}: {x!r} ** {e!r} overflows a float") from None

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import carleson as _carleson
-from .operators import _leaf_max, _level_max, _ratio_means
+from .operators import _leaf_max, _level_max, _power, _ratio_means
 from .principal import (
     MAX_K2,
     PrincipalForest,
@@ -55,7 +55,7 @@ from .space import (
     space_from_dict,
     space_to_dict,
 )
-from .stopping import EnumerationBudgetError, _check_budget, _sweep_tails, heuristic_sup_over_tau
+from .stopping import EnumerationBudgetError, _check_budget, _sweep_tails
 from .weights import WeightConstant, _duals, _mix, compute_constant
 
 SUITES = ("thm11", "thm12", "thm14", "thm15", "sparse", "carleson", "props", "all")
@@ -127,8 +127,9 @@ class CheckResult:
     """One verified inequality: lhs <= rhs up to tolerance.
 
     mode "exact" rows can falsify; "lower-bound" rows (heuristic constants
-    on the rhs) are only conclusive when they pass.  Slotted, since an
-    ensemble run holds every row in memory.
+    on the rhs) are only conclusive when they pass.  A side that is not finite
+    (past float range) proves nothing, so it raises a ValueError naming the
+    row.  Slotted, since an ensemble run holds every row in memory.
     """
 
     theorem: str
@@ -139,6 +140,10 @@ class CheckResult:
     rel_tol: float = DEFAULT_REL_TOL
     abs_tol: float = 1e-12
     detail: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not (math.isfinite(self.lhs) and math.isfinite(self.rhs)):
+            raise ValueError(f"{self.theorem}: lhs {self.lhs!r} and rhs {self.rhs!r} are not both finite")
 
     @property
     def slack(self) -> float:
@@ -401,19 +406,13 @@ def dump_instance(inst: Instance, path: str) -> None:
 # ---- evaluation family -------------------------------------------------------
 
 
-def _pair_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, index)))
-
-
-def evaluation_pairs(inst: Instance, count: int, seed: int | None = None) -> list[tuple[str, Fn, Fn]]:
-    """Deterministic lognormal test pairs; draw t depends only on (seed, t)."""
-    base = inst.seed if seed is None else seed
-    if base is None:
-        base = 0
+def evaluation_pairs(inst: Instance, count: int) -> list[tuple[str, Fn, Fn]]:
+    """Deterministic lognormal test pairs; draw t depends only on the instance's seed and t."""
+    base = 0 if inst.seed is None else inst.seed
     out = []
     n = inst.space.n
     for t in range(count):
-        rng = _pair_rng(base, t)
+        rng = np.random.default_rng(np.random.SeedSequence(base, spawn_key=(2, t)))
         f1 = np.exp(0.5 * rng.standard_normal(n))
         f2 = np.exp(0.5 * rng.standard_normal(n))
         out.append((f"rand{t}", f1, f2))
@@ -436,7 +435,7 @@ def _pair_norms(
     exps, masses = inst.exps, inst.space.masses
     m = _level_max(inst.space, 0, F1 * inst.sigma1, F2 * inst.sigma2)
     dens_m = m**exps.p * inst.v * masses
-    nums = _roots(dens_m.sum(axis=1), exps.p)
+    nums = _roots(dens_m.sum(axis=1), exps.p, "||M(f1 sigma1, f2 sigma2)||_{L^p(v)}")
     n1 = _row_norms(inst.space, F1, inst.sigma1, exps.p1)
     n2 = _row_norms(inst.space, F2, inst.sigma2, exps.p2)
     dens = [a * b for a, b in zip(n1, n2)]
@@ -453,14 +452,18 @@ def _pair_norms(
         rows, count = order[lo:hi], int(sizes[lo])
         totals[rows] = values[offset : offset + rows.size * count].reshape(rows.size, count).sum(axis=1)
         offset += rows.size * count
-    return nums, dens, _roots(totals, exps.p)
+    return nums, dens, _roots(totals, exps.p, "||1_E M(f1 sigma1, f2 sigma2)||_{L^p(v)}")
 
 
-def _roots(totals: np.ndarray, p: float) -> list[float]:
+def _roots(totals: np.ndarray, p: float, what: str = "an L^p norm") -> list[float]:
     """total ** (1/p) per total of an array, as `lp_norm` roots its sum: a Python
-    float power, with 1/p computed once."""
+    float power, with 1/p computed once; a root past float range (p < 1) raises
+    the checked power's ValueError naming `what`."""
     inv = 1.0 / p
-    return [t**inv for t in totals.tolist()]
+    try:
+        return [t**inv for t in totals.tolist()]
+    except OverflowError:
+        return [_power(t, inv, what) for t in totals.tolist()]  # raises at the first root past range
 
 
 def _row_norms(space: FilteredSpace, block: np.ndarray, weight: Fn, p: float) -> list[float]:
@@ -490,13 +493,6 @@ def norm_ratio(inst: Instance, f1: Fn, f2: Fn) -> float | None:
     """||M(f1 sigma1, f2 sigma2)||_{L^p(v)} / (||f1||_{p1,sigma1} ||f2||_{p2,sigma2})."""
     (num,), (den,), _ = _pair_norms(inst, *_pair_block(inst, [("", f1, f2)]))
     return None if den == 0.0 else num / den
-
-
-def _indicator_ratio(inst: Instance, pts) -> float:
-    """norm_ratio of the indicator pair (1_E, 1_E) of a nonempty point set E."""
-    chi = inst.space.indicator(pts)[None]
-    (num,), (den,), _ = _pair_norms(inst, chi, chi)
-    return num / den
 
 
 def _bound_row(
@@ -536,10 +532,10 @@ def check_thm11_forward(inst: Instance, pairs: Pairs | None = None) -> CheckResu
     a_const = inst.constant("a")
     const = (
         16.0
-        * 4.0 ** (exps.q_prime - 1.0)
+        * _power(4.0, exps.q_prime - 1.0, "thm11_forward's 4^(q'-1)")
         * exps.p1_prime
         * exps.p2_prime
-        * a_const.value ** (exps.q_prime / exps.p)
+        * _power(a_const.value, exps.q_prime / exps.p, "thm11_forward's [A]^(q'/p)")
     )
     pairs = evaluation_pairs(inst, 5) if pairs is None else pairs
     return _bound_row(inst, pairs, "thm11_forward", const, {"A": a_const.value})
@@ -556,9 +552,12 @@ def check_thm11_converse(inst: Instance, mode: str = "exact") -> CheckResult:
     exps = inst.exps
     a_const = inst.constant("a")
     rh = inst.constant("rh", mode)
-    r_b = _indicator_ratio(inst, a_const.witness["atom"])
-    lhs = a_const.value ** (1.0 / exps.p)
-    rhs = r_b * rh.value ** (1.0 / exps.p)
+    lhs = _power(a_const.value, 1.0 / exps.p, "thm11_converse's [A]^(1/p)")
+    chi = inst.space.indicator(a_const.witness["atom"])
+    r_b = norm_ratio(inst, chi, chi)
+    if r_b is None:  # the sigma_s masses of B underflow
+        raise ValueError("thm11_converse: the [A] witness atom B has ||1_B||_{p1,sigma1} ||1_B||_{p2,sigma2} = 0")
+    rhs = r_b * _power(rh.value, 1.0 / exps.p, "thm11_converse's [RH]^(1/p)")
     return CheckResult(
         theorem="thm11_converse",
         lhs=lhs,
@@ -615,7 +614,10 @@ def check_thm12(inst: Instance, pairs: Pairs | None = None, mode: str = "exact")
     nums, dens = inst.pair_scores(pairs)
     ratios = [(name, num / den) for (name, _, _), num, den in zip(pairs, nums, dens) if den != 0.0]
 
-    ratios.append(("s_witness_tail", _indicator_ratio(inst, s_const.witness["tail"])))
+    chi = inst.space.indicator(s_const.witness["tail"])
+    ratios.append(("s_witness_tail", norm_ratio(inst, chi, chi)))
+    if ratios[-1][1] is None:  # the sigma_s masses of E underflow
+        raise ValueError("thm12: the [S] witness tail E has ||1_E||_{p1,sigma1} ||1_E||_{p2,sigma2} = 0")
 
     if mode == "exact":
         best_restricted, best_full, _ = _tail_ratios(inst)
@@ -643,7 +645,8 @@ def check_thm12(inst: Instance, pairs: Pairs | None = None, mode: str = "exact")
             detail={"S": s_const.value, "estimate": est},
         )
     )
-    const = 32.0 * exps.p1_prime * exps.p2_prime * s_const.value * rh.value ** (1.0 / exps.p)
+    root_rh = _power(rh.value, 1.0 / exps.p, "thm12_upper's [RH]^(1/p)")
+    const = 32.0 * exps.p1_prime * exps.p2_prime * s_const.value * root_rh
     worst_name, worst = max(ratios, key=lambda item: item[1])
     out.append(
         CheckResult(
@@ -663,9 +666,8 @@ def check_thm14(inst: Instance, pairs: Pairs | None = None) -> list[CheckResult]
     identity ||f_s sigma_s||_{p_s, omega_s} = ||f_s||_{p_s, sigma_s}."""
     exps = inst.exps
     b_const = inst.constant("b")
-    const = (
-        32.0 * (2.0 * math.e) ** (1.0 / exps.p) * exps.p1_prime * exps.p2_prime * b_const.value ** (1.0 / exps.p)
-    )
+    root_b = _power(b_const.value, 1.0 / exps.p, "thm14_bound's [B]^(1/p)")
+    const = 32.0 * (2.0 * math.e) ** (1.0 / exps.p) * exps.p1_prime * exps.p2_prime * root_b
     pairs = evaluation_pairs(inst, 5) if pairs is None else pairs
     ident = 0.0
     sigmas, omegas = (inst.sigma1, inst.sigma2), (inst.omega1, inst.omega2)
@@ -697,7 +699,7 @@ def check_thm15(inst: Instance, pairs: Pairs | None = None, mode: str = "exact")
         * 2.0 ** (1.0 / exps.p)
         * exps.p1_prime
         * exps.p2_prime
-        * (a_const.value * winf.value) ** (1.0 / exps.p)
+        * _power(a_const.value * winf.value, 1.0 / exps.p, "thm15_bound's ([A] [Winf])^(1/p)")
     )
     pairs = evaluation_pairs(inst, 5) if pairs is None else pairs
     return _bound_row(inst, pairs, "thm15_bound", const, {"A": a_const.value, "Winf": winf.value}, winf.mode)
@@ -896,45 +898,6 @@ def check_properties(inst: Instance, draws: int = 20, seed: int | None = None) -
     ]
     rh = inst.constant("rh", "heuristic")
     return [*rows, CheckResult("prop_rh_ge1", 1.0, rh.value, seed=seed_out, detail={"RH_lower_bound": rh.value})]
-
-
-# ---- norm estimate -----------------------------------------------------------
-
-
-def estimate_norm(inst: Instance, budget: int = 16, seed: int = 0) -> tuple[float, dict]:
-    """Certified lower bound for the operator norm: max ratio over atom
-    indicator pairs, tail indicator pairs (exhaustive when enumerable,
-    heuristic search otherwise), and `budget` random lognormal pairs with
-    per-draw seeds — so the estimate is monotone in the budget and
-    bit-stable for fixed seeds."""
-    space = inst.space
-    best = -np.inf
-    witness: dict = {}
-
-    def consider(value: float | None, info: dict) -> None:
-        nonlocal best, witness
-        if value is not None and value > best:
-            best = value
-            witness = info
-
-    for level in range(space.n_levels):
-        for a_idx, atom in enumerate(space.atoms[level]):
-            consider(_indicator_ratio(inst, atom), {"kind": "atom", "level": level, "atom": a_idx})
-    try:
-        _, best_tail, arg_tail = _tail_ratios(inst)
-        consider(best_tail, {"kind": "tail", "mask": arg_tail})
-    except EnumerationBudgetError:
-        # the search skips empty tails, so every candidate's indicator pair has a ratio
-        def tail_ratios(inside: np.ndarray) -> list[float]:
-            nums, dens, _ = _pair_norms(inst, inside.astype(float), inside.astype(float))
-            return [num / den for num, den in zip(nums, dens)]
-
-        val, tau = heuristic_sup_over_tau(space, 0, tail_ratios, guide=(inst.sigma1, inst.sigma2))
-        consider(val, {"kind": "tail_heuristic", "tail": tau.tail_set().tolist()})
-    nums, dens, _ = _pair_norms(inst, *_pair_block(inst, evaluation_pairs(inst, budget, seed=seed)))
-    for t, (num, den) in enumerate(zip(nums, dens)):
-        consider(None if den == 0.0 else num / den, {"kind": "random", "draw": t})
-    return best, witness
 
 
 # ---- suite runner ------------------------------------------------------------

@@ -34,6 +34,7 @@ ValueError naming it and its first such point, as the loader and `gen` do.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -62,13 +63,19 @@ class WeightConstant:
 
     mode is "exact" (true maximum) or "lower-bound" (heuristic search).
     The witness locates where the value is attained: {"level", "atom"} for
-    atom maxima, {"origin", "tail"} for tail suprema.
+    atom maxima, {"origin", "tail"} for tail suprema.  A value that is not
+    finite (its objective overflowed there) raises a ValueError naming both.
     """
 
     name: str
     value: float
     mode: str
     witness: dict
+
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            where = ", ".join(f"{key} {self.witness[key]}" for key in ("level", "atom", "tail") if key in self.witness)
+            raise ValueError(f"constant {self.name} is {self.value!r} at {where}, past float range")
 
     def __float__(self) -> float:
         return self.value
@@ -128,7 +135,9 @@ def _atom_max(space: FilteredSpace, name: str, density: Callable, *weights: Fn) 
     order, then atom order, as a per-level loop where a later level wins only
     when strictly larger."""
     sums, bounds = _level_sums(space, np.stack(weights))
-    best_val, found = _block_max([(0, density(*(sums / np.concatenate(space.atom_mass))))])
+    with np.errstate(over="ignore"):  # an atom past float range scores inf, which WeightConstant refuses
+        values = density(*(sums / np.concatenate(space.atom_mass)))
+    best_val, found = _block_max([(0, values)])
     k = found[1] if found else 0
     level = next(j for j, (_, hi) in enumerate(bounds) if k < hi)
     witness = {"level": level, "atom": space.atoms[level][k - bounds[level][0]].tolist()}
@@ -352,10 +361,12 @@ def _sup_over_tails(
         raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
     if mode == HEURISTIC:
         objective = lambda inside: block_objective(_PointTails(space, densities, inside))  # noqa: E731
-        value, tau = heuristic_sup_over_tau(space, 0, objective, guide=guide)
+        with np.errstate(over="ignore"):  # a tail past float range scores inf, which WeightConstant refuses
+            value, tau = heuristic_sup_over_tau(space, 0, objective, guide=guide)
         return WeightConstant(name, value, "lower-bound", _tau_witness(tau))
     _check_budget(space, 0)  # refuse before building the tables
-    value, mask = _sweep_tails(space, 0, block_objective, _TailTables(space, densities).read)
+    with np.errstate(over="ignore"):
+        value, mask = _sweep_tails(space, 0, block_objective, _TailTables(space, densities).read)
     return WeightConstant(name, value, EXACT, _tau_witness(stopping_time_from_tail(space, 0, mask)))
 
 

@@ -84,7 +84,6 @@ from filtermax.verify import (
     _property_residuals,
     _roots,
     _tail_ratios,
-    estimate_norm,
     norm_ratio,
 )
 from filtermax.weights import WeightConstant, _PointTails, _sup_over_tails, _tail_layout, _TailTables
@@ -1805,8 +1804,8 @@ def test_move_keys_are_the_finest_masks_of_their_moves(inst, seed):
 
 def test_atom_keys_are_built_once_per_space(monkeypatch):
     """The first search builds the keys (tuples, each atom's `finest_mask`) on the
-    space's tower; RH, S, Winf and `estimate_norm` then reuse them, and so does
-    every other space of that shape."""
+    space's tower; S and Winf then reuse them, and so does every other space of
+    that shape."""
     monkeypatch.setenv("FILTERMAX_ATOM_BUDGET", "24")
     inst = gen_instance(3, depth=5, model="product", p1=2.5, p2=2.5)
     space = inst.space
@@ -1818,7 +1817,6 @@ def test_atom_keys_are_built_once_per_space(monkeypatch):
         assert keys[t] == tuple(finest_mask(space, atom) for atom in level)
     for name in ("s", "winf"):
         inst.constant(name, "heuristic")
-    estimate_norm(inst, budget=2)
     assert _atom_keys(space) is keys and space._tower.keys is keys
     assert _atom_keys(gen_instance(4, depth=5, model="product", p1=2.5, p2=2.5).space) is keys
 

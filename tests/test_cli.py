@@ -470,6 +470,110 @@ def test_carleson_rows_refuse_products_past_float_range(tmp_path, capsys, omega,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def _assert_error(err, template, value=None):
+    """err is "error: <template>" and a newline, the template's one `{}` (if any)
+    a float within 1e-9 of `value`: values derived through numpy's exp and power
+    may differ in their last bits between CPUs."""
+    before, _, after = template.partition("{}")
+    assert err.startswith(f"error: {before}") and err.endswith(f"{after}\n"), err
+    if value is not None:
+        assert float(err[len(f"error: {before}") : -len(after) - 1]) == pytest.approx(value, rel=1e-9)
+
+
+ESSINF = "essinf of E^sigma1(h1/sigma1) E^sigma2(h2/sigma2) at level 0, point 0"
+
+
+@pytest.mark.parametrize(
+    "omega, v, h, template, value",
+    [
+        (1e150, 1.0, 1e25, f"{ESSINF}: {{}} ** 1.25 overflows a float", 1e250),
+        (1e-200, 1.0, None, "coefficient of (E_0(sigma1) E_0(sigma2))^p v at level 0, point 0, is inf", None),
+        (1e-50, 1.0, 1e153, f"{ESSINF}: the lhs passes float range at this entry", None),
+        (1e-50, 1e-300, 1e153, "rhs A (p1' p2')^p ||h1||^p ||h2||^p over the root is inf, past float range", None),
+    ],
+    ids=["lhs_power_overflows", "coefficient_overflows", "lhs_term_overflows", "rhs_overflows"],
+)
+def test_carleson_rows_refuse_powers_past_float_range(tmp_path, capsys, omega, v, h, template, value):
+    """With p1 = p2 = 2.5 (p = 1.25): omega = 1e150 and h = 1e25 give a finite
+    essinf of 1e250 whose p-th power overflows; omega = 1e-200 gives sigma
+    products of 1e266.7, whose p-th power, a proof coefficient, overflows;
+    omega = 1e-50 and h = 1e153 give an essinf power of 1e307.5 whose product
+    with its coefficient overflows, and with v = 1e-300 (tiny coefficients) a
+    finite lhs but an infinite ||h_s||_{L^p_s(omega_s)}.  Each is refused (exit
+    2), an entry's with its level and point, with no warning: not an
+    OverflowError (exit 1), an unlocated refusal or a pass on an infinite side."""
+    data = verify.instance_to_dict(verify.gen_instance(3, depth=3, p1=2.5, p2=2.5))
+    n = len(data["masses"])
+    data.update(omega1=[omega] * n, omega2=[omega] * n, v=[v] * n)
+    if h is not None:
+        data.update(h1=[h] * n, h2=[h] * n)
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("verify", str(path), "--suite", "carleson") == 2
+    _assert_error(capsys.readouterr().err, template, value)
+
+
+POWER = "** 1.3333333333333333 overflows a float"
+BOUND_ROWS_PAST_RANGE = [  # (p1 = p2, v, command, error template, its float)
+    (1.5, 1e300, ("verify", "--suite", "thm11"), f"thm11_converse's [A]^(1/p): {{}} {POWER}", 1.5291133995404e300),
+    (1.5, 1e300, ("verify", "--suite", "thm12"), "constant S is inf at tail [0], past float range", None),
+    (1.5, 1e300, ("verify", "--suite", "thm14"), f"thm14_bound's [B]^(1/p): {{}} {POWER}", 1.7639193930807543e300),
+    (1.5, 1e300, ("verify", "--suite", "thm15"), f"thm15_bound's ([A] [Winf])^(1/p): {{}} {POWER}",
+     2.82252275517119e300),
+    (1.5, 1e300, ("constants",), "constant S is inf at tail [0], past float range", None),
+    (2.0, 1e307, ("verify", "--suite", "thm14"), "thm14_bound: lhs {} and rhs inf are not both finite",
+     2.033228015209227e307),
+]
+
+
+@pytest.mark.parametrize(
+    "p_s, v, argv, template, value",
+    BOUND_ROWS_PAST_RANGE,
+    ids=["thm11", "thm12", "thm14", "thm15", "constants", "thm14_rhs_product"],
+)
+def test_bound_rows_refuse_values_past_float_range(tmp_path, capsys, p_s, v, argv, template, value):
+    """p1 = p2 = 1.5 gives p = 0.75, so every root ** (1/p) raises to a power
+    above 1; with v = 1e300 the bound constants and [S] pass float range.  At
+    p = 1, v = 1e307 keeps [B] finite but its bound constant 32 (2e) p1' p2' [B]
+    overflows.  Each is refused (exit 2) in one line naming the row, or the
+    constant and its witness, with no warning: not an OverflowError (exit 1), a
+    pass on an infinite rhs or an exact inf."""
+    data = verify.instance_to_dict(verify.gen_instance(3, depth=3, p1=p_s, p2=p_s))
+    data["v"] = [v] * len(data["v"])
+    path = tmp_path / "big_v.json"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv[0], str(path), *argv[1:]) == 2
+    _assert_error(capsys.readouterr().err, template, value)
+
+
+@pytest.mark.parametrize(
+    "suite, message",
+    [
+        ("thm11", "thm11_converse: the [A] witness atom B has ||1_B||_{p1,sigma1} ||1_B||_{p2,sigma2} = 0"),
+        ("thm12", "thm12: the [S] witness tail E has ||1_E||_{p1,sigma1} ||1_E||_{p2,sigma2} = 0"),
+    ],
+    ids=["thm11", "thm12"],
+)
+def test_witness_indicator_pairs_with_vanishing_norms_are_refused(tmp_path, capsys, suite, message):
+    """p1 = p2 = 1.5 and omega = 1e161 give sigma = 1e-322, so sigma times a
+    point's mass underflows to 0 and the witness set's indicator pair has no
+    norm ratio (`norm_ratio` is None): a refusal (exit 2) naming the row, not a
+    ZeroDivisionError or TypeError (exit 1)."""
+    data = verify.instance_to_dict(verify.gen_instance(3, depth=3, p1=1.5, p2=1.5))
+    n = len(data["masses"])
+    data.update(omega1=[1e161] * n, omega2=[1e161] * n, v=[1.0] * n)
+    path = tmp_path / "tiny_sigma.json"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("verify", str(path), "--suite", suite) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_verify_infeasible_suggests_fallback(tmp_path, capsys):
     big = tmp_path / "big.json"
     run("gen", "--seed", "2", "--depth", "5", "--branching", "2", "--out", str(big))

@@ -87,6 +87,14 @@ def test_lp_norm_hand_values(quad):
         lp_norm(quad, F, np.array([-1.0, 1.0, 1.0, 1.0]), 2.0)
 
 
+def test_lp_norm_past_float_range_is_a_value_error(quad):
+    """With p < 1 the root raises its total to a power above 1: a norm past
+    float range is refused by name, not a bare OverflowError."""
+    with pytest.raises(ValueError) as info:
+        lp_norm(quad, np.ones(4), np.full(4, 1e300), 0.5)
+    assert str(info.value) == "(integral of |f|^p weight)^(1/p): 1e+300 ** 2.0 overflows a float"
+
+
 @st.composite
 def space_and_fn(draw):
     n = draw(st.integers(min_value=2, max_value=8))

@@ -37,7 +37,6 @@ from filtermax import (
     check_thm15,
     default_forest,
     dump_instance,
-    estimate_norm,
     evaluation_pairs,
     gen_instance,
     gen_space,
@@ -49,7 +48,6 @@ from filtermax import (
     run_instance_suite,
 )
 from filtermax.stopping import EnumerationBudgetError
-from filtermax.verify import _indicator_ratio
 
 H = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -636,61 +634,20 @@ def test_properties_rows(flat):
     assert by_name["prop_rh_ge1"].rhs >= 1.0
 
 
-# ---- norm estimator ----------------------------------------------------------------
+# ---- norm ratio --------------------------------------------------------------------
 
 
-def test_estimate_norm_flat(flat):
-    value, witness = estimate_norm(flat, budget=16, seed=0)
-    assert value == pytest.approx(1.375)
-    assert witness == {"kind": "atom", "level": 2, "atom": 0}
-
-
-def test_estimate_norm_deterministic_and_monotone(pair):
-    inst = Instance(
-        space=pair,
-        v=np.array([2.0, 2.0]),
-        omega1=np.array([0.25, 1.0]),
-        omega2=np.array([1.0, 0.25]),
-        exps=Exponents(2.0, 2.0),
-        product_weight=False,
-        seed=11,
-    )
-    a = estimate_norm(inst, budget=4, seed=5)[0]
-    b = estimate_norm(inst, budget=4, seed=5)[0]
-    assert a == b  # bit-identical rerun
-    # doubling the budget keeps earlier draws and can only improve
-    c = estimate_norm(inst, budget=8, seed=5)[0]
-    d = estimate_norm(inst, budget=16, seed=5)[0]
-    assert a <= c <= d
-    assert estimate_norm(inst, budget=4, seed=7)[0] >= 0  # other seeds still run
-
-
-@pytest.mark.parametrize("shape", [dict(depth=3), dict(depth=2, branching=3, model="power:1.5")])
-def test_estimate_norm_heuristic_branch(shape):
-    """Past the atom budget the tail pairs come from the heuristic search,
-    scored in blocks by `_tail_ratios`' row kernel."""
-    search = filtermax.verify.heuristic_sup_over_tau
-    found = []
-
-    def recorded(*args, **kwargs):
-        found.append(search(*args, **kwargs))
-        return found[-1]
-
-    for seed in range(3):
-        inst = gen_instance(seed, **shape)
-        unforced = estimate_norm(inst, budget=4)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setenv("FILTERMAX_ATOM_BUDGET", "3")
-            mp.setattr(filtermax.verify, "heuristic_sup_over_tau", recorded)
-            found.clear()
-            forced = estimate_norm(inst, budget=4)
-            assert estimate_norm(inst, budget=4) == forced  # deterministic
-        assert len(found) == 2
-        assert forced[0] <= unforced[0]
-        assert forced[1]["kind"] in ("atom", "tail_heuristic", "random")
-        # each block value is bit for bit the ratio of its tail's indicator pair
-        value, tau = found[0]
-        assert value == _indicator_ratio(inst, tau.tail_set())
+def test_norm_ratio_indicator_pairs_flat(flat):
+    """Each singleton's indicator pair gives 1.375, each half's 1.25 and the
+    root's 1.0; thm11's converse row reads r_B off the same path."""
+    space = flat.space
+    for level, expected in ((2, 1.375), (1, 1.25), (0, 1.0)):
+        for atom in space.atoms[level]:
+            chi = space.indicator(atom)
+            assert norm_ratio(flat, chi, chi) == pytest.approx(expected)
+    witness = flat.constant("a").witness["atom"]
+    chi = space.indicator(witness)
+    assert check_thm11_converse(flat).detail["r_B"] == norm_ratio(flat, chi, chi)
 
 
 def test_norm_ratio_zero_denominator(flat):
