@@ -156,8 +156,9 @@ def certify_carleson_constant(
     block: every term is >= +0, so each sum is the float of 0.0 plus its terms
     in turn), so A and the worst tail are an exhaustive sweep's (a 0/0 tail is
     skipped: it imposes no condition).  ValueError past _MAX_UNIONS distinct
-    unions of entries.  Returns the certified family and the worst-case
-    stopping time."""
+    unions of entries, and for an A past float range (a positive coefficient
+    over a tail whose mix integral underflowed to 0), naming the tail.  Returns
+    the certified family and the worst-case stopping time."""
     mix = _mix(_positive(space, sigma1, "sigma1"), _positive(space, sigma2, "sigma2"), exps) * space.masses
     entry_keys = [finest_mask(space, e.points) for e in family.entries]
     coeffs = family.coefficients()
@@ -174,10 +175,13 @@ def certify_carleson_constant(
     for c, key in zip(coeffs, entry_keys):
         num += np.where([(tail & key) == key for tail in tails], c, 0.0)
     den = np.where(_key_bits(space, tails), _atom_sums(space._tower, mix, space.last_level), 0.0)
-    best, found = _block_max([(0, num / np.cumsum(den, axis=1, out=den)[:, -1])])
+    with np.errstate(divide="ignore", invalid="ignore"):  # a tail whose mix underflowed to 0 is refused below
+        best, found = _block_max([(0, num / np.cumsum(den, axis=1, out=den)[:, -1])])
     if found is None:  # every leaf's mix underflowed to 0; worded as the sweep words it
         raise ValueError(f"tail objective is nan (or -inf) on all {2**leaves - 1} nonempty T_{family.base_level} tails")
     tau = stopping_time_from_tail(space, family.base_level, tails[found[1]])
+    if not math.isfinite(best):  # a positive coefficient over a tail whose mix underflowed to 0
+        raise ValueError(f"Carleson constant A is {best!r} at tail {tau.tail_set().tolist()}, past float range")
     return family.with_constant(best, certified=True), tau
 
 
@@ -268,17 +272,25 @@ def verify_embedding(
         wprods = [r[0] * r[1] for r in _ratio_means(sigma)(space, f_sigma, 0)]
         n1 = float((h1[p0] ** exps.p1 * omega1[p0] * space.masses[p0]).sum())
         n2 = float((h2[p0] ** exps.p2 * omega2[p0] * space.masses[p0]).sum())
+
+    def where(entry: CarlesonEntry, values: np.ndarray) -> str:
+        """The entry's essinf and its first point, named only for a refusal."""
+        x = int(entry.points[np.argmin(values)])
+        return f"essinf of E^sigma1(h1/sigma1) E^sigma2(h2/sigma2) at level {entry.k1}, point {x}"
+
     lhs = 0.0
     for entry in family.entries:
         values = wprods[entry.k1][space.atom_of[entry.k1][entry.points]]
         essinf = float(values.min())
-        x = int(entry.points[np.argmin(values)])
-        what = f"essinf of E^sigma1(h1/sigma1) E^sigma2(h2/sigma2) at level {entry.k1}, point {x}"
         if not math.isfinite(essinf):  # the weighted means' product overflowed
-            raise ValueError(f"{what}, is {essinf!r}")
-        lhs += _power(essinf, exps.p, what) * entry.coefficient
+            raise ValueError(f"{where(entry, values)}, is {essinf!r}")
+        try:
+            term = essinf**exps.p
+        except OverflowError:
+            term = _power(essinf, exps.p, where(entry, values))  # raises, naming the entry
+        lhs += term * entry.coefficient
         if lhs == math.inf:  # this entry's term, or the sum up to it, passed float range
-            raise ValueError(f"{what}: the lhs passes float range at this entry")
+            raise ValueError(f"{where(entry, values)}: the lhs passes float range at this entry")
     doob = (exps.p1_prime * exps.p2_prime) ** exps.p  # the weighted Doob inequality's factor
     rhs = family.carleson_A * doob * n1 ** (exps.p / exps.p1) * n2 ** (exps.p / exps.p2)
     if not math.isfinite(rhs):

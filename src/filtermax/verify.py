@@ -433,8 +433,9 @@ def _pair_norms(
     rows with as many points inside side by side, each run one C-contiguous block,
     whose row totals go back to their rows."""
     exps, masses = inst.exps, inst.space.masses
-    m = _level_max(inst.space, 0, F1 * inst.sigma1, F2 * inst.sigma2)
-    dens_m = m**exps.p * inst.v * masses
+    with np.errstate(over="ignore"):  # a norm past float range is inf, which its row refuses
+        m = _level_max(inst.space, 0, F1 * inst.sigma1, F2 * inst.sigma2)
+        dens_m = m**exps.p * inst.v * masses
     nums = _roots(dens_m.sum(axis=1), exps.p, "||M(f1 sigma1, f2 sigma2)||_{L^p(v)}")
     n1 = _row_norms(inst.space, F1, inst.sigma1, exps.p1)
     n2 = _row_norms(inst.space, F2, inst.sigma2, exps.p2)

@@ -48,6 +48,7 @@ from .stopping import (
     _block_max,
     _check_budget,
     _low_bits,
+    _span_bits,
     _sweep_tails,
     heuristic_sup_over_tau,
     stopping_time_from_tail,
@@ -173,9 +174,10 @@ class _Tails:
     each tail; means(s), the fresh (k, atoms_j) level means E_j(chi d_s / mu) per
     atom, j = 0..L; level_max(s[, t]), fresh, max over levels of E_j(chi d_s / mu)
     [E_j(chi d_t / mu)] at the width (chi and the densities are nonnegative).  The
-    width is the points (`_PointTails`) or the finest atoms (`_LeafTails`).  A row
-    sum is numpy's `sum(axis=1)`, whose order the block's layout fixes: a C-ordered
-    row adds as its 1-d `.sum()`, an F-ordered block adds its columns in order."""
+    width is the points (`_PointTails`) or finest atoms (`_LeafTails`: a block's
+    low and set high leaves).  A row sum is numpy's `sum(axis=1)`, whose order the
+    block's layout fixes: a C-ordered row adds as its 1-d `.sum()`, an F-ordered
+    block adds its columns in order."""
 
     space: FilteredSpace
     chi: np.ndarray
@@ -242,8 +244,10 @@ class _TailTables:
     a pattern's row adds its leaves in ascending order, of each density's atom
     sums at every level 0..L-1 and its total, stored one row per column, so that a
     block's means broadcast along rows and its level maximum gathers rows; and on
-    first use the `low_table`s.  All are read-only: the objectives work in place.
-    `read(lo, hi)` is the block of masks lo..hi-1 of `_sweep_tails`."""
+    first use the `low_table`s, noting in `finite` whether every leaf's value in
+    them is finite.  All are read-only: the objectives work in place.
+    `read(lo, hi)` is the block of masks lo..hi-1 of `_sweep_tails`, and
+    `read_totals(lo, hi)` the span of blocks of a `_span_bits` sweep."""
 
     def __init__(self, space: FilteredSpace, densities: tuple):
         self.space = space
@@ -262,6 +266,7 @@ class _TailTables:
         for arr in (self.leaf_sums, self.leaf_means, self.rows, self.table):
             arr.setflags(write=False)
         self._low_tables: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self.finite = True
 
     def low_table(self, kind: str, *s: int) -> tuple[np.ndarray, np.ndarray]:
         """Chi times the product over s of `kind` ("leaf_means" or "leaf_sums";
@@ -270,6 +275,7 @@ class _TailTables:
         key = (kind, *s)
         if key not in self._low_tables:
             values = getattr(self, kind)[list(s)].prod(axis=0)
+            self.finite &= bool(np.isfinite(values).all())
             low, high = self.patterns * values[: self.bits, None], values[self.bits :]
             for arr in (low, high):
                 arr.setflags(write=False)
@@ -279,6 +285,9 @@ class _TailTables:
     def read(self, lo: int, hi: int) -> _LeafTails:
         return _LeafTails(self, lo, hi)
 
+    def read_totals(self, lo: int, hi: int) -> _SpanTotals:
+        return _SpanTotals(self, lo, hi)
+
 
 class _LeafTails(_Tails):
     """The exact sweep's blocks, on the finest atoms, on which everything the
@@ -286,29 +295,46 @@ class _LeafTails(_Tails):
     the patterns low..low+k-1 and the high leaves are fixed: a total or a coarse
     level's atom sums are the table's entries plus the high leaves' sum (added in
     ascending order, from 0), and chi times a per-leaf value is a `low_table`'s
-    entries and the high leaves' values.  The level maximum gathers the coarse
-    levels' maximum at the leaves (0 on a one-level tower); it and `inside_sum`
-    apply the finest level in place.  Arrays are built a row per atom or leaf and
-    handed out transposed, so a row sum adds its leaves in ascending order (a
-    one-row block is a contiguous row, which adds as its 1-d `.sum()`)."""
+    entries and the high leaves' values.  The width is the block's `leaves`: the
+    low ones and the set high ones, in ascending order, or with `every_leaf` (and
+    in a one-row block, which adds pairwise as its 1-d `.sum()`) every leaf.  A
+    high leaf outside every tail of the block would add only its 0.0 to each row,
+    where its values are finite.  The level maximum gathers the coarse levels'
+    maximum at the leaves (0 on a one-level tower); it and `inside_sum` apply the
+    finest level in place.  Arrays are built a row per atom or leaf and handed out
+    transposed, so a row sum adds its leaves in ascending order."""
 
-    def __init__(self, tables: _TailTables, lo: int, hi: int):
-        self.space, self.tables, self.densities = tables.space, tables, tables.leaf_sums
-        high_leaves = range(tables.bits, len(tables.rows))
-        self.fixed = np.array([lo >> leaf & 1 for leaf in high_leaves], dtype=float)  # the high leaves' bits
-        self.high = sum((tables.rows[leaf] for leaf in high_leaves if lo >> leaf & 1), np.zeros(tables.rows.shape[1]))
-        low = lo & ((1 << tables.bits) - 1)
+    def __init__(self, tables: _TailTables, lo: int, hi: int, every_leaf: bool = False):
+        self.space, self.tables, self.span = tables.space, tables, (lo, hi)
+        bits, leaves = tables.bits, len(tables.rows)
+        high = [leaf for leaf in range(bits, leaves) if lo >> leaf & 1]  # the set high leaves
+        kept = range(bits, leaves) if every_leaf or hi - lo == 1 else high
+        self.leaves = np.array([*range(bits), *kept], dtype=np.intp)
+        self.high_at = self.leaves[bits:] - bits  # the kept high leaves among a low table's high values
+        # and their bits, None when every one is set
+        self.fixed = None if kept is high else np.array([lo >> leaf & 1 for leaf in kept], dtype=float)
+        self.high = sum((tables.rows[leaf] for leaf in high), np.zeros(tables.rows.shape[1]))
+        low = lo & ((1 << bits) - 1)
         self.low = slice(low, low + hi - lo)
+
+    def every_leaf(self) -> _LeafTails:
+        """The same block on every leaf."""
+        return _LeafTails(self.tables, *self.span, every_leaf=True)
+
+    @cached_property
+    def densities(self) -> np.ndarray:
+        return self.tables.leaf_sums[:, self.leaves]
 
     def _apply(self, op: np.ufunc, x: np.ndarray, kind: str, *s: int) -> np.ndarray:
         """x = op(x, chi times `low_table(kind, *s)`'s values), in place."""
         bits, (low, high) = self.tables.bits, self.tables.low_table(kind, *s)
         op(x[:, :bits], low[:, self.low].T, out=x[:, :bits])
-        op(x[:, bits:], self.fixed * high, out=x[:, bits:])
+        values = high[self.high_at] if self.fixed is None else self.fixed * high[self.high_at]
+        op(x[:, bits:], values, out=x[:, bits:])
         return x
 
     def _zeros(self) -> np.ndarray:
-        return np.zeros((len(self.tables.rows), self.low.stop - self.low.start)).T
+        return np.zeros((len(self.leaves), self.low.stop - self.low.start)).T
 
     @cached_property
     def chi(self) -> np.ndarray:
@@ -338,35 +364,85 @@ class _LeafTails(_Tails):
         terms = self._coarse_means(s[0])
         for t in s[1:]:
             terms = [np.multiply(a, b, out=a) for a, b in zip(terms, self._coarse_means(t))]
-        m = _leaf_max(self.space, 0, terms).T[self.space.parents[-1]].T if terms else self._zeros()
+        m = _leaf_max(self.space, 0, terms).T[self.space.parents[-1][self.leaves]].T if terms else self._zeros()
         return self._apply(np.maximum, m, "leaf_means", *s)
 
 
+class _SpanTotals:
+    """The exact RH sweep's spans of masks lo..hi-1 (`_span_bits`), whole blocks
+    of `_LeafTails`, read through `total` only.  Each block's high leaves' sums of
+    the totals come from a subset-sum table over the span's varying high leaves,
+    built in ascending bit order, with its fixed set high leaves added after it in
+    ascending order, so each adds its set high leaves in ascending order from 0,
+    as a block's `_LeafTails` does; a tail's total is its low pattern's table
+    entry plus its block's, so every total keeps the block's bits."""
+
+    def __init__(self, tables: _TailTables, lo: int, hi: int):
+        bits, leaves = tables.bits, len(tables.rows)
+        base = 0 if lo == 1 else lo  # the first block's first mask: a span is aligned but for mask 0
+        blocks = (hi - base) >> bits
+        vary = (blocks - 1).bit_length()  # the span's varying high leaves: bits..bits+vary-1
+        self.at = [(s + 1) * tables.width - 1 for s in range(len(tables.leaf_sums))]
+        totals = tables.rows[:, self.at]
+        self.highs = np.zeros((blocks, len(self.at)))
+        for bit in range(vary):
+            np.add(self.highs[: 1 << bit], totals[bits + bit], out=self.highs[1 << bit : 2 << bit])
+        for leaf in range(bits + vary, leaves):
+            if base >> leaf & 1:
+                self.highs += totals[leaf]
+        self.tables, self.skip = tables, lo - base
+
+    def total(self, s: int) -> np.ndarray:
+        return (self.tables.table[self.at[s]] + self.highs[:, s, None]).ravel()[self.skip :]
+
+
 def _sup_over_tails(
-    space: FilteredSpace, name: str, block_objective: Callable, guide: tuple[Fn, Fn] | None, mode: str, densities=()
+    space: FilteredSpace,
+    name: str,
+    block_objective: Callable,
+    guide: tuple[Fn, Fn] | None,
+    mode: str,
+    weights=(),
+    totals_only: bool = False,
 ) -> WeightConstant:
     """Maximize an objective of the tail over T_0 tails.
 
     block_objective(tails) scores a block of k nonempty tails, one value per row,
-    from a `_Tails` view of the densities (sigma_s * masses gives the means
-    E(chi sigma_s | F_j) and the totals sigma_s(E)).  The mode picks only the view
+    from a `_Tails` view of the densities, the weights times the masses (sigma_s
+    gives the means E(chi sigma_s | F_j) and the totals sigma_s(E)).  The mode picks only the view
     and the maximizer: `_sweep_tails` reads its blocks on the finest atoms from
     subset-sum tables (`_TailTables`), the `heuristic_sup_over_tau` candidates are
     read at the points (`_PointTails`), which hold nothing per tail pattern, so the
-    search stays linear in the points past the atom budget.  The witness is the
-    first maximizing tail (nan skipped): in ascending mask order, or in candidate
-    order.
+    search stays linear in the points past the atom budget.  An objective that
+    reads only `total` (`totals_only`) is swept in spans (`_SpanTotals`).  Else a
+    block is read on its low and set high leaves, and scored again on every leaf
+    when a value or a low table's leaf value is not finite: a coarse level's mean
+    at a leaf outside the tail sits above a leaf of the tail too, so only there
+    could a leaf left out turn a row's value into nan.  The witness is the first
+    maximizing tail (nan skipped): in ascending mask order, or in candidate order.
+    A tail past float range scores inf or nan, which WeightConstant or the
+    maximizer refuses.
     """
     if mode not in (EXACT, HEURISTIC):
         raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
     if mode == HEURISTIC:
-        objective = lambda inside: block_objective(_PointTails(space, densities, inside))  # noqa: E731
-        with np.errstate(over="ignore"):  # a tail past float range scores inf, which WeightConstant refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            densities = tuple(w * space.masses for w in weights)
+            objective = lambda inside: block_objective(_PointTails(space, densities, inside))  # noqa: E731
             value, tau = heuristic_sup_over_tau(space, 0, objective, guide=guide)
         return WeightConstant(name, value, "lower-bound", _tau_witness(tau))
     _check_budget(space, 0)  # refuse before building the tables
-    with np.errstate(over="ignore"):
-        value, mask = _sweep_tails(space, 0, block_objective, _TailTables(space, densities).read)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables = _TailTables(space, tuple(w * space.masses for w in weights))
+        if totals_only:
+            value, mask = _sweep_tails(space, 0, block_objective, tables.read_totals, _span_bits(space))
+        else:
+
+            def objective(tails: _LeafTails) -> np.ndarray:
+                values = block_objective(tails)
+                return values if tables.finite and np.isfinite(values).all() else block_objective(tails.every_leaf())
+
+            value, mask = _sweep_tails(space, 0, objective, tables.read)
     return WeightConstant(name, value, EXACT, _tau_witness(stopping_time_from_tail(space, 0, mask)))
 
 
@@ -390,8 +466,7 @@ def rh_constant(
     def block_objective(tails: _Tails) -> np.ndarray:
         return _mix(tails.total(0), tails.total(1), exps) / tails.total(2)
 
-    densities = (sigma1 * space.masses, sigma2 * space.masses, mix * space.masses)
-    return _sup_over_tails(space, "RH", block_objective, (sigma1, sigma2), mode, densities)
+    return _sup_over_tails(space, "RH", block_objective, (sigma1, sigma2), mode, (sigma1, sigma2, mix), totals_only=True)
 
 
 def s_p_constant(
@@ -418,8 +493,7 @@ def s_p_constant(
         num = tails.inside_sum(m, 2)
         return (num / _mix(tails.total(0), tails.total(1), exps)) ** (1.0 / p)
 
-    densities = (sigma1 * space.masses, sigma2 * space.masses, v * space.masses)
-    return _sup_over_tails(space, "S", block_objective, (sigma1, sigma2), mode, densities)
+    return _sup_over_tails(space, "S", block_objective, (sigma1, sigma2), mode, (sigma1, sigma2, v))
 
 
 def w_infty_constant(
@@ -445,8 +519,7 @@ def w_infty_constant(
         m1 *= m2
         return tails.inside_sum(m1, 3) / tails.total(2)
 
-    densities = (sigma1 * space.masses, sigma2 * space.masses, mix * space.masses, space.masses)
-    return _sup_over_tails(space, "Winf", block_objective, (sigma1, sigma2), mode, densities)
+    return _sup_over_tails(space, "Winf", block_objective, (sigma1, sigma2), mode, (sigma1, sigma2, mix, 1.0))
 
 
 ALL_CONSTANTS = ("a", "rh", "s", "b", "winf")

@@ -75,6 +75,7 @@ from filtermax.stopping import (
     _low_bits,
     _moves,
     _packed_keys,
+    _span_bits,
     _sweep_tails,
     heuristic_sup_over_tau,
 )
@@ -86,7 +87,7 @@ from filtermax.verify import (
     _tail_ratios,
     norm_ratio,
 )
-from filtermax.weights import WeightConstant, _PointTails, _sup_over_tails, _tail_layout, _TailTables
+from filtermax.weights import WeightConstant, _LeafTails, _PointTails, _sup_over_tails, _tail_layout, _TailTables
 
 DATA = Path(__file__).parent / "data"
 REL_TOL = 1e-12
@@ -1166,37 +1167,60 @@ class ReferenceTails:
 
 
 def block_masks(tails):
-    """The finest-atom masks of a block's rows, read from its leaf bits."""
-    return [sum(1 << int(leaf) for leaf in np.flatnonzero(row)) for row in tails.chi]
+    """The finest-atom masks of a block's rows, read from the bits of its leaves."""
+    return [sum(1 << int(tails.leaves[c]) for c in np.flatnonzero(row)) for row in tails.chi]
+
+
+def kept_leaves(space, masks, bits):
+    """The leaves a block of `masks` keeps: its low ones and its set high ones, or
+    every leaf in a one-row block."""
+    leaves = len(space.atoms[space.last_level])
+    if len(masks) == 1:
+        return list(range(leaves))
+    return [leaf for leaf in range(leaves) if leaf < bits or masks[0] >> leaf & 1]
+
+
+def assert_view_matches(space, tails, ref, leaves, rng):
+    """A block's view on `leaves` equals the per-tail reference at those leaves
+    bit for bit: chi, the weighted row sums of chi and of a positive block inside
+    each tail (`inside_sum`, handed an F-ordered copy, as the objectives hand it
+    their level maxima), every total and level mean, and the level maxima of each
+    density and of a product."""
+    assert tails.leaves.tolist() == leaves
+    chi = ref.chi[:, leaves]
+    assert tails.chi.tobytes() == chi.tobytes() and tails.chi.shape == chi.shape
+    x = np.exp(rng.standard_normal(ref.chi.shape))
+    for s in range(len(ref.leaf_sums)):
+        assert tails.row_sum(tails.chi, s).tobytes() == ref.row_sum(ref.chi, s).tobytes()
+        inside = tails.inside_sum(x[:, leaves].copy(order="F"), s)
+        assert inside.tobytes() == ref.row_sum(x * ref.chi, s).tobytes()
+        assert tails.total(s).tobytes() == ref.total(s).tobytes()
+        got, want = tails.means(s), ref.means(s)
+        want[-1] = want[-1][:, leaves]
+        assert len(got) == len(want) == space.n_levels
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.ascontiguousarray(a).tobytes() == b.tobytes()
+    for s in ((0,), (1,), (0, 1)) if len(ref.leaf_sums) > 1 else ((0,),):
+        assert tails.level_max(*s).tobytes() == np.ascontiguousarray(ref.level_max(*s)[:, leaves]).tobytes()
 
 
 def assert_tables_match(space, densities):
     """Every block the exact sweep reads from the tables equals the per-tail
-    reference bit for bit: chi, the weighted row sums of chi and of a positive
-    block inside each tail (`inside_sum`, handed an F-ordered copy, as the
-    objectives hand it their level maxima), every total and level mean, and the
-    level maxima of each density and of a product; and the blocks cover the
-    nonempty tails in order."""
+    reference bit for bit (`assert_view_matches`): at its low and set high leaves,
+    and again on every leaf (`every_leaf`, the view a block is scored again on);
+    and the blocks cover the nonempty tails in order."""
     tables = _TailTables(space, densities)
     seen = []
     rng = np.random.default_rng(len(densities))
+    bits = _low_bits(space)
+    every = list(range(len(space.atoms[space.last_level])))
 
     def objective(tails):
         masks = block_masks(tails)
         seen.extend(masks)
-        ref = ReferenceTails(space, densities, masks, _low_bits(space))
-        assert tails.chi.tobytes() == ref.chi.tobytes() and tails.chi.shape == ref.chi.shape
-        x = np.exp(rng.standard_normal(ref.chi.shape))
-        for s in range(len(densities)):
-            assert tails.row_sum(tails.chi, s).tobytes() == ref.row_sum(ref.chi, s).tobytes()
-            assert tails.inside_sum(x.copy(order="F"), s).tobytes() == ref.row_sum(x * ref.chi, s).tobytes()
-            assert tails.total(s).tobytes() == ref.total(s).tobytes()
-            got, want = tails.means(s), ref.means(s)
-            assert len(got) == len(want) == space.n_levels
-            for a, b in zip(got, want):
-                assert a.shape == b.shape and np.ascontiguousarray(a).tobytes() == b.tobytes()
-        for s in ((0,), (1,), (0, 1)) if len(densities) > 1 else ((0,),):
-            assert tails.level_max(*s).tobytes() == ref.level_max(*s).tobytes()
+        ref = ReferenceTails(space, densities, masks, bits)
+        assert_view_matches(space, tails, ref, kept_leaves(space, masks, bits), rng)
+        assert_view_matches(space, tails.every_leaf(), ref, every, rng)
         return np.zeros(len(masks))
 
     _sweep_tails(space, 0, objective, tables.read)
@@ -1228,6 +1252,43 @@ def test_tail_tables_equal_ascending_sums_on_generated_spaces(inst, rows):
         if rows is not None:
             mp.setattr("filtermax.stopping._BLOCK_BYTES", 8 * rows * inst.space.n)
         assert_tables_match(inst.space, tuple(w * inst.space.masses for w in (inst.omega1, inst.omega2, inst.v)))
+
+
+@pytest.mark.parametrize("cap", [None, 16 * 1024, 8 * 16 * 4, 8 * 16])
+@pytest.mark.parametrize("name", ["mixed6", "wide_points", "sixteen_leaves"])
+def test_span_totals_equal_the_blocks_totals(name, cap, request, monkeypatch):
+    """Exact RH reads `_BLOCK_BYTES // 8` tails per call (`_span_bits`): each
+    span's totals equal its blocks' `_LeafTails` totals bit for bit, and the
+    spans cover the nonempty tails in order.  On 16 one-point leaves the caps give
+    b = 10, 7, 2 and 0, so spans of 16 blocks, the first from mask 1, and with the
+    smallest cap spans of 16 one-tail blocks."""
+    if cap is not None:
+        monkeypatch.setattr("filtermax.stopping._BLOCK_BYTES", cap)
+    if name == "sixteen_leaves":
+        space = gen_instance(3, depth=2, branching=4).space
+    else:
+        space = level_max_space(name, request)
+    densities = table_densities(space, 5)
+    tables = _TailTables(space, densities)
+    bits, span = _low_bits(space), _span_bits(space)
+    assert span == min(max(bits, (_BLOCK_BYTES if cap is None else cap).bit_length() - 4), len(tables.rows))
+    seen = []
+
+    def objective(tails):
+        lo, hi = seen[-1]
+        blocks = [tables.read(max(lo, start), start + (1 << bits)) for start in range(lo >> bits << bits, hi, 1 << bits)]
+        for s in range(len(densities)):
+            want = np.concatenate([block.total(s) for block in blocks])
+            assert tails.total(s).tobytes() == want.tobytes()
+        return np.zeros(hi - lo)
+
+    def read(lo, hi):
+        seen.append((lo, hi))
+        return tables.read_totals(lo, hi)
+
+    _sweep_tails(space, 0, objective, read, span)
+    assert [mask for lo, hi in seen for mask in range(lo, hi)] == list(range(1, 1 << len(tables.rows)))
+    assert all(hi - lo == 1 << span for lo, hi in seen[1:])
 
 
 def exercise_tables(space, densities):
@@ -1324,7 +1385,7 @@ def test_atom_level_max_on_the_matmul_kernel_equals_the_point_max(name, request)
             return np.ascontiguousarray(means[s][level][:, space.atom_of[level]])
 
         for s in ((0,), (1,), (0, 1)):
-            got = tails.level_max(*s).take(leaf_of, axis=1)
+            got = tails.every_leaf().level_max(*s).take(leaf_of, axis=1)
             assert_same_block(got, point_level_max(space, cond, 0, *s))
         return np.zeros(len(tails.chi))
 
@@ -1389,27 +1450,94 @@ def test_s_and_winf_keep_the_point_max_bits(name, request):
 
 @pytest.mark.parametrize("name", [*LEVEL_MAX_SPACES, "wide_points"])
 def test_exact_objectives_never_see_the_empty_tail(name, request, monkeypatch):
-    """Every block the exact RH, S and Winf objectives get holds nonempty tails
-    only (the sweep starts at mask 1), and no RuntimeWarning is raised: 0/0 on
-    the empty tail would be nan."""
+    """Every block or span the exact RH, S and Winf objectives get holds nonempty
+    tails only (the sweep starts at mask 1, and each S or Winf row holds a leaf),
+    the spans and blocks cover every nonempty tail once, and no RuntimeWarning is
+    raised: 0/0 on the empty tail would be nan."""
     space = level_max_space(name, request)
     v, omega1, omega2 = random_weights(np.random.default_rng(71), space.n)
-    rows = []
+    spans, rows = [], []
 
-    def checked(space, i, objective, read):
-        def watched(tails):
-            rows.extend(tails.chi.sum(axis=1).tolist())
-            return objective(tails)
+    def checked(space, i, objective, read, bits=None):
+        def watched(lo, hi):
+            spans.append((lo, hi))
+            tails = read(lo, hi)
+            if hasattr(tails, "chi"):
+                rows.extend(tails.chi.sum(axis=1).tolist())
+            return tails
 
-        return _sweep_tails(space, i, watched, read)
+        return _sweep_tails(space, i, objective, watched, bits)
 
     monkeypatch.setattr("filtermax.weights._sweep_tails", checked)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for key in ("rh", "s", "winf"):
             compute_constant(key, space, v, omega1, omega2, Exponents(1.5, 3.0))
-    assert len(rows) == 3 * (2 ** len(space.atoms[space.last_level]) - 1)
+    tails = 2 ** len(space.atoms[space.last_level]) - 1
+    masks = [mask for lo, hi in spans for mask in range(lo, hi)]
+    assert masks == 3 * list(range(1, tails + 1))
+    assert len(rows) == 2 * tails
     assert min(rows) >= 1
+
+
+def past_range_instances():
+    """Sixteen-leaf towers (b = 10: leaves 10..15 are high) whose weights leave
+    float range: sigma = 1e200 everywhere (every level's mean product overflows);
+    a leaf of mass 1e-10 with sigma1 = sigma2 = 1e160, whose own mean product
+    overflows while its ancestors' stay finite; and a leaf of mass 1e10 with v =
+    1e300, whose sum of v overflows.  The leaf is the high leaf 12."""
+    inst = gen_instance(3, depth=2, branching=4, p1=2.0, p2=2.0)
+    levels = [[atom.tolist() for atom in level] for level in inst.space.atoms]
+    one = np.ones(16)
+    yield "overflow_everywhere", inst.space, one, np.full(16, 1e-200), np.full(16, 1e-200)
+    masses = inst.space.masses.copy()
+    masses[12] = 1e-10
+    omega = one.copy()
+    omega[12] = 1e-160
+    yield "one_leaf_product", FilteredSpace(masses, levels), one, omega, omega
+    masses[12], v = 1e10, one.copy()
+    v[12] = 1e300
+    yield "one_leaf_weight", FilteredSpace(masses, levels), v, one, one
+
+
+def outcome(key, space, v, omega1, omega2, exps):
+    try:
+        got = compute_constant(key, space, v, omega1, omega2, exps)
+    except ValueError as exc:
+        return str(exc)
+    return got.value, got.witness["tail"]
+
+
+@pytest.mark.parametrize("case", list(past_range_instances()), ids=lambda case: case[0])
+def test_exact_sweeps_score_each_block_as_on_every_leaf(case, monkeypatch):
+    """Exact S and Winf read a block on its low and set high leaves only, and
+    score it again on every leaf when a value or a leaf's value is not finite:
+    each block's values are its every-leaf values bit for bit, nan and inf rows
+    included, so value, witness and refusal equal a sweep on every leaf.  Each
+    case has blocks of both kinds, and some every-leaf row is nan."""
+    _, space, v, omega1, omega2 = case
+    exps = Exponents(2.0, 2.0)
+    finite, nan = [], []
+
+    def checked(space, i, objective, read, bits=None):
+        def scored(tails):
+            values = objective(tails)
+            every = objective(tails.every_leaf())
+            assert values.tobytes() == every.tobytes()
+            finite.append(bool(np.isfinite(values).all()))
+            nan.append(bool(np.isnan(every).any()))
+            return values
+
+        return _sweep_tails(space, i, scored, read, bits)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with monkeypatch.context() as mp:
+            mp.setattr("filtermax.weights._sweep_tails", checked)
+            got = [outcome(key, space, v, omega1, omega2, exps) for key in ("s", "winf")]
+        assert any(nan) and len(set(finite)) == 2
+        monkeypatch.setattr(_TailTables, "read", lambda tables, lo, hi: _LeafTails(tables, lo, hi, every_leaf=True))
+        assert got == [outcome(key, space, v, omega1, omega2, exps) for key in ("s", "winf")]
 
 
 # ---- every level's means in one bincount ------------------------------------------

@@ -2,6 +2,7 @@
 proof coefficients, exact certification, and the embedding bound."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,21 @@ def test_certification_and_condition_check_their_sigmas(quad, node_family, name,
     tau = next(enumerate_stopping_times(quad, 0))
     with pytest.raises(ValueError, match=f"^{name} must be strictly positive$"):
         check_carleson_condition(quad, family, sigmas["sigma1"], sigmas["sigma2"], P22, tau)
+
+
+def test_certification_refuses_an_infinite_constant(quad, node_family):
+    """sigma1 = sigma2 = 5e-324 underflow every tail's mix integral to 0 under
+    positive coefficients: A would be inf (it was certified, after a divide
+    warning).  With every coefficient 0 too, each tail is 0/0 and none imposes a
+    condition."""
+    tiny = np.full(4, 5e-324)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^Carleson constant A is inf at tail \[0\], past float range$"):
+            certify_carleson_constant(quad, node_family, tiny, tiny, P22)
+        zero = node_family.with_coefficients(np.zeros(len(node_family.entries)))
+        with pytest.raises(ValueError, match="^tail objective is nan"):
+            certify_carleson_constant(quad, zero, tiny, tiny, P22)
 
 
 def test_condition_rejects_finer_origin(quad, node_family):

@@ -550,6 +550,36 @@ def test_bound_rows_refuse_values_past_float_range(tmp_path, capsys, p_s, v, arg
     _assert_error(capsys.readouterr().err, template, value)
 
 
+S_PAST_RANGE = f"constant S is inf at tail {list(range(16))}, past float range"
+
+
+@pytest.mark.parametrize(
+    "argv, template, value",
+    [
+        (("constants", "--which", "s"), S_PAST_RANGE, None),
+        (("constants", "--which", "s", "--mode", "heuristic"), S_PAST_RANGE, None),
+        (("verify", "--suite", "all"), "thm11_converse: lhs {} and rhs inf are not both finite", 6.109278244120145e133),
+    ],
+    ids=["exact_s", "heuristic_s", "suite_all"],
+)
+def test_sigma_products_past_float_range_are_refused_without_a_warning(tmp_path, capsys, argv, template, value):
+    """16 leaves with p1 = p2 = 1.5 and omega1 = omega2 = 1e-100 give sigma =
+    1e200, so E_j(sigma1) E_j(sigma2) overflows at every level.  Exact S is inf on
+    the full tail only: every other tail leaves out a leaf under the overflowing
+    level-0 mean, which makes its row nan, so the sweep scores those blocks on
+    every leaf again (a block on its set leaves only would name tail [0, ..., 9]).
+    Each command is refused (exit 2) in one line, with no warning."""
+    data = verify.instance_to_dict(verify.gen_instance(3, depth=2, branching=4, p1=1.5, p2=1.5))
+    n = len(data["masses"])
+    data.update(omega1=[1e-100] * n, omega2=[1e-100] * n)
+    path = tmp_path / "big_sigma.json"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv[0], str(path), *argv[1:]) == 2
+    _assert_error(capsys.readouterr().err, template, value)
+
+
 @pytest.mark.parametrize(
     "suite, message",
     [

@@ -228,6 +228,12 @@ def test_subsets_and_measure(quad):
         quad.as_subset(np.array([True, False]))
 
 
+def test_subsets_refuse_points_out_of_range():
+    space = FilteredSpace(np.ones(8), [[list(range(8))], [[x] for x in range(8)]])
+    with pytest.raises(ValueError, match=r"^point index out of range 0\.\.7$"):
+        space.as_subset([0, 99])
+
+
 def test_is_level_measurable_checks_its_level(quad):
     for level in (-1, -3, 3):
         with pytest.raises(ValueError, match=rf"^level {level} outside 0\.\.2$"):

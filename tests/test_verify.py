@@ -3,6 +3,7 @@ instance, the norm estimator, suite/ensemble runners, and report formats."""
 
 import concurrent.futures
 import copy
+import dataclasses
 import functools
 import json
 import math
@@ -648,6 +649,24 @@ def test_norm_ratio_indicator_pairs_flat(flat):
     witness = flat.constant("a").witness["atom"]
     chi = space.indicator(witness)
     assert check_thm11_converse(flat).detail["r_B"] == norm_ratio(flat, chi, chi)
+
+
+def test_norm_ratio_refuses_a_root_past_float_range():
+    """p1 = p2 = 1.5 gives p = 0.75; with v = 1e250 the integral of M^p v is
+    finite, but its root ** (1/p) is not."""
+    inst = gen_instance(3, depth=3, p1=1.5, p2=1.5)
+    big = dataclasses.replace(inst, v=np.full(inst.space.n, 1e250))
+    one = np.ones(inst.space.n)
+    with pytest.raises(ValueError, match=r"^\|\|M\(f1 sigma1, f2 sigma2\)\|\|_\{L\^p\(v\)\}: .* \*\* 1\.3333333333333333 overflows a float$"):
+        norm_ratio(big, one, one)
+
+
+def test_default_forest_refuses_vanishing_h_products():
+    """h1 = h2 = 1e-200 underflows E_0(h1) E_0(h2) to 0 at every point."""
+    inst = gen_instance(3, depth=3)
+    tiny = np.full(inst.space.n, 1e-200)
+    with pytest.raises(ValueError, match="^no occupied shell"):
+        default_forest(dataclasses.replace(inst, h1=tiny, h2=tiny))
 
 
 def test_norm_ratio_zero_denominator(flat):

@@ -159,6 +159,13 @@ def test_compute_constant_dispatch_matches_direct(quad):
         compute_constant("zzz", quad, v, w1, w2, P22)
 
 
+@pytest.mark.parametrize("constant", [rh_constant, w_infty_constant])
+def test_tail_constants_refuse_an_unknown_mode(quad, constant):
+    one = ones(quad)
+    with pytest.raises(ValueError, match="^mode must be 'exact' or 'heuristic', got 'bogus'$"):
+        constant(quad, one, one, P22, mode="bogus")
+
+
 def test_weights_must_be_positive(quad):
     one = ones(quad)
     bad = np.array([1.0, 0.0, 1.0, 1.0])
