@@ -363,18 +363,11 @@ def _cut_atoms(space: FilteredSpace, level: int, inside: np.ndarray) -> np.ndarr
     return np.flatnonzero((hits != 0) & (hits != np.bincount(labels)))
 
 
-def _as_row(space: FilteredSpace, values) -> Fn:
-    """`as_fn` without its finiteness check: a float array of length n, for a
-    row of a block that `_as_block` then checks as a whole."""
+def as_fn(space: FilteredSpace, values) -> Fn:
+    """Coerce to a function on the space (finite real array of length n)."""
     arr = np.asarray(values, dtype=float)
     if arr.shape != (space.n,):
         raise ValueError(f"function must have shape ({space.n},), got {arr.shape}")
-    return arr
-
-
-def as_fn(space: FilteredSpace, values) -> Fn:
-    """Coerce to a function on the space (finite real array of length n)."""
-    arr = _as_row(space, values)
     if not np.isfinite(arr).all():
         raise ValueError("function values must be finite")
     return arr

@@ -48,9 +48,8 @@ _BUDGET_ENV = "FILTERMAX_ATOM_BUDGET"
 # on the low and set high leaves; the finest level, powers and weighted sum apply in
 # place), a heuristic one also the 0/1 block, level means and gathers: at 128 KiB
 # they fit a 2 MiB L2 together, and each is at glibc's default mmap threshold, so it
-# may be faulted in afresh.  Exact RH reads one float64 per tail, `_BLOCK_BYTES // 8`
-# tails per call (`_span_bits`).  Exact RH, S and Winf may move by ulps with the cap:
-# it splits a tail's low and high leaves.
+# may be faulted in afresh.  Exact RH, S and Winf may move by ulps with the cap: it
+# splits a tail's low and high leaves.
 _BLOCK_BYTES = 128 * 1024
 _MAX_MASK_BITS = 62  # finest atoms a tail mask can hold in an int64
 _MAX_ROUNDS = 40  # hill-climbing rounds of the heuristic search
@@ -277,14 +276,6 @@ def _low_bits(space: FilteredSpace) -> int:
     return min(_block_rows(space).bit_length() - 1, len(space.atoms[space.last_level]))
 
 
-def _span_bits(space: FilteredSpace) -> int:
-    """Bits of a sweep whose objective reads one float64 per tail (exact RH): a span
-    of 2**bits masks holds `_BLOCK_BYTES // 8` tails, in whole blocks of `_low_bits`,
-    at most the number of finest atoms."""
-    leaves = len(space.atoms[space.last_level])
-    return min(max(_low_bits(space), (_BLOCK_BYTES // 8).bit_length() - 1), leaves)
-
-
 def _block_max(blocks: Iterable[tuple[int, np.ndarray]], best: float = -np.inf) -> tuple[float, tuple | None]:
     """The one first-maximizer loop: (value, (tag, row)) of the first maximum over
     blocks (tag, values), nan skipped, if it beats `best`, else (best, None); a
@@ -308,17 +299,16 @@ def _sweep_tails(
     i: int,
     objective: Callable,
     read: Callable[[int, int], object] | None = None,
-    bits: int | None = None,
 ) -> tuple[float, int]:
     """(max, first mask attaining it) of objective(block) over the nonempty T_i
     tails of `enumerate_tail_masks`, which checks the atom budget first.  The
     masks go in ascending order, in blocks of 2**b aligned on 2**b (b of
-    `_low_bits` unless `bits` is given), the first from mask 1: within a block
+    `_low_bits`), the first from mask 1: within a block
     the low b finest atoms run through every pattern and the others stay fixed.
     read(lo, hi) makes the block of masks lo..hi-1, by default `_point_block`, at
     most _BLOCK_BYTES as float64 (or one row).  ValueError if every value is nan."""
     masks = enumerate_tail_masks(space, i)
-    width = 1 << (_low_bits(space) if bits is None else bits)
+    width = 1 << _low_bits(space)
     read = read or (lambda lo, hi: _point_block(space, lo, hi))
 
     def blocks() -> Iterator[tuple[int, np.ndarray]]:

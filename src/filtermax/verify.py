@@ -43,7 +43,6 @@ from .space import (
     Fn,
     ValidationError,
     _as_block,
-    _as_row,
     _Tower,
     _is_number,
     _level_means,
@@ -138,7 +137,7 @@ class CheckResult:
     mode: str = "exact"
     seed: int = -1
     rel_tol: float = DEFAULT_REL_TOL
-    abs_tol: float = 1e-12
+    abs_tol: float = 0.0
     detail: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -473,21 +472,14 @@ def _row_norms(space: FilteredSpace, block: np.ndarray, weight: Fn, p: float) ->
 
 
 def _pair_block(inst: Instance, pairs: Pairs) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs' f1s and f2s as two (k, n) blocks: each function's shape checked,
-    then each block's finiteness once.  On a fault, the pairs are checked again
-    one function at a time, so the error is the first `as_fn` raises in order."""
+    """The pairs' f1s and f2s as two (k, n) blocks, each function checked by
+    `as_fn` in order, so the error is the first it raises."""
     space = inst.space
     F1 = np.empty((len(pairs), space.n))
     F2 = np.empty_like(F1)
-    try:
-        for r, (_, f1, f2) in enumerate(pairs):
-            F1[r], F2[r] = _as_row(space, f1), _as_row(space, f2)
-        return _as_block(space, F1), _as_block(space, F2)
-    except ValueError:
-        for _, f1, f2 in pairs:
-            as_fn(space, f1)
-            as_fn(space, f2)
-        raise
+    for r, (_, f1, f2) in enumerate(pairs):
+        F1[r], F2[r] = as_fn(space, f1), as_fn(space, f2)
+    return F1, F2
 
 
 def norm_ratio(inst: Instance, f1: Fn, f2: Fn) -> float | None:
@@ -502,11 +494,15 @@ def _bound_row(
     """The row of the bound ||M(f1 sigma1, f2 sigma2)|| <= const ||f1|| ||f2|| at
     the pair with the largest lhs / rhs (the first such pair wins ties), with
     detail pair, `constants` and const.  Raises ValueError naming the check
-    when no pair has a nonvanishing denominator."""
+    when no pair has a nonvanishing denominator, or naming the pair whose rhs
+    const ||f1|| ||f2|| underflows to 0."""
     nums, dens = inst.pair_scores(pairs)
     sides = [(name, num, const * den) for (name, _, _), num, den in zip(pairs, nums, dens) if den != 0.0]
     if not sides:
         raise ValueError(f"{theorem}: no test pair has ||f1|| ||f2|| > 0 ({len(pairs)} pairs given)")
+    for name, _, rhs in sides:
+        if rhs == 0.0:
+            raise ValueError(f"{theorem}: rhs const ||f1|| ||f2|| underflows to 0 at pair {name!r} (const {const!r})")
     name, lhs, rhs = max(sides, key=lambda side: side[1] / side[2])
     return CheckResult(theorem, lhs, rhs, mode, _row_seed(inst), detail={"pair": name, **constants, "const": const})
 
@@ -549,6 +545,8 @@ def check_thm11_converse(inst: Instance, mode: str = "exact") -> CheckResult:
 
     where r_B is the norm ratio of the pair (1_B, 1_B).  Holds in
     heuristic mode too: the single-atom tail {B} is in the search family.
+    The rhs is positive ([RH] >= 1), so a rhs of 0 (its M norm underflows)
+    is refused.
     """
     exps = inst.exps
     a_const = inst.constant("a")
@@ -559,6 +557,8 @@ def check_thm11_converse(inst: Instance, mode: str = "exact") -> CheckResult:
     if r_b is None:  # the sigma_s masses of B underflow
         raise ValueError("thm11_converse: the [A] witness atom B has ||1_B||_{p1,sigma1} ||1_B||_{p2,sigma2} = 0")
     rhs = r_b * _power(rh.value, 1.0 / exps.p, "thm11_converse's [RH]^(1/p)")
+    if rhs == 0.0:
+        raise ValueError(f"thm11_converse: rhs r_B [RH]^(1/p) underflows to 0 at the [A] witness atom B (r_B {r_b!r})")
     return CheckResult(
         theorem="thm11_converse",
         lhs=lhs,

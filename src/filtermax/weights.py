@@ -12,19 +12,20 @@ weights and a Hölder pair (p1, p2):
 The dual weights sigma_s = omega_s^{-1/(p_s - 1)} are derived internally.
 Tail suprema run over T_0 — on a finite tower the T_i tail families are
 nested decreasingly in i, so the i = 0 supremum is the binding one.
-Each tail constant has one objective of a `_Tails` view of a block of tails:
-its 0/1 rows, each tail's sums of the constant's densities and of a block
-inside it (`inside_sum`), their level means and level maxima; the mode picks
-only the view and the maximizer.  Exact mode evaluates the objective on every
-union of finest atoms through `stopping._sweep_tails` (refused past the atom
-budget), on the finest atoms ("leaves"), on which everything the objectives
-compute is constant: every sum over a tail is a subset-sum table's entry for
-its low leaves plus the fixed high leaves' sum (`_TailTables` on
-`_tail_layout`).  Heuristic mode scores the stopping-time search's candidates
+Each tail constant has one objective of a view of a block of tails, which
+reads it through three methods: `total`, each tail's sum of one of the
+constant's densities; `inside_sum`, each tail's sum of a block times one
+density; and `level_max`, the level maxima of the densities' means.  The
+mode picks only the view and the maximizer.  Exact mode evaluates the
+objective on every union of finest atoms through `stopping._sweep_tails`
+(refused past the atom budget), on the finest atoms ("leaves"), on which
+everything the objectives compute is constant: every sum over a tail is a
+subset-sum table's entry for its low leaves plus the fixed high leaves' sum
+(`_LeafTails` of `_TailTables` on `_tail_layout`).  Heuristic mode scores the stopping-time search's candidates
 at the points (`_PointTails`: the one-bincount means `space._level_means`),
 which yields a certified lower bound.  Every other sum over a row of a block,
-in either mode, is `_Tails.row_sum` or `inside_sum`, in numpy's fixed order, so
-no value depends on the BLAS library or its kernel.  A and B take their
+in either mode, is numpy's `sum(axis=1)` in its fixed order, so no value
+depends on the BLAS library or its kernel.  A and B take their
 weights' means of every level, side by side, from one `_level_sums` bincount,
 and their first maximum in one pass over every atom.  `_duals` derives the dual
 weights and their Hölder product once per space and weights, for every
@@ -35,8 +36,8 @@ ValueError naming it and its first such point, as the loader and `gen` do.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -48,7 +49,6 @@ from .stopping import (
     _block_max,
     _check_budget,
     _low_bits,
-    _span_bits,
     _sweep_tails,
     heuristic_sup_over_tau,
     stopping_time_from_tail,
@@ -65,7 +65,8 @@ class WeightConstant:
     mode is "exact" (true maximum) or "lower-bound" (heuristic search).
     The witness locates where the value is attained: {"level", "atom"} for
     atom maxima, {"origin", "tail"} for tail suprema.  A value that is not
-    finite (its objective overflowed there) raises a ValueError naming both.
+    finite (its objective overflowed there), or 0 or subnormal (it underflowed),
+    raises a ValueError naming both.
     """
 
     name: str
@@ -74,9 +75,11 @@ class WeightConstant:
     witness: dict
 
     def __post_init__(self):
-        if not math.isfinite(self.value):
-            where = ", ".join(f"{key} {self.witness[key]}" for key in ("level", "atom", "tail") if key in self.witness)
-            raise ValueError(f"constant {self.name} is {self.value!r} at {where}, past float range")
+        if math.isfinite(self.value) and abs(self.value) >= sys.float_info.min:
+            return
+        where = ", ".join(f"{key} {self.witness[key]}" for key in ("level", "atom", "tail") if key in self.witness)
+        past = "past float range" if not math.isfinite(self.value) else "underflowed below the normal float range"
+        raise ValueError(f"constant {self.name} is {self.value!r} at {where}, {past}")
 
     def __float__(self) -> float:
         return self.value
@@ -165,52 +168,30 @@ def b_p_constant(space: FilteredSpace, v: Fn, omega1: Fn, omega2: Fn, exps: Expo
     )
 
 
-class _Tails:
-    """A block of k nonempty tails as a tail objective reads it, for the constant's
-    densities d_0, d_1, ... (each a function times the masses): chi, the k x width
-    0/1 tails; densities[s], d_s summed over each column of the width; row_sum(x,
-    s), the sums over each row of a k x width x weighted by d_s; inside_sum(x, s),
-    row_sum(x * chi, s), which may overwrite x; total(s), the (k,) sums of d_s over
-    each tail; means(s), the fresh (k, atoms_j) level means E_j(chi d_s / mu) per
-    atom, j = 0..L; level_max(s[, t]), fresh, max over levels of E_j(chi d_s / mu)
-    [E_j(chi d_t / mu)] at the width (chi and the densities are nonnegative).  The
-    width is the points (`_PointTails`) or finest atoms (`_LeafTails`: a block's
-    low and set high leaves).  A row sum is numpy's `sum(axis=1)`, whose order the
-    block's layout fixes: a C-ordered row adds as its 1-d `.sum()`, an F-ordered
-    block adds its columns in order."""
-
-    space: FilteredSpace
-    chi: np.ndarray
-    densities: tuple | np.ndarray
-
-    def row_sum(self, x: np.ndarray, s: int) -> np.ndarray:
-        return (x * self.densities[s]).sum(axis=1)
-
-    def inside_sum(self, x: np.ndarray, s: int) -> np.ndarray:
-        return self.row_sum(x * self.chi, s)
-
-    def total(self, s: int) -> np.ndarray:
-        return self.row_sum(self.chi, s)
-
-    def level_max(self, *s: int) -> np.ndarray:
-        terms = self.means(s[0])
-        for t in s[1:]:
-            terms = [np.multiply(a, b, out=a) for a, b in zip(terms, self.means(t))]
-        return _leaf_max(self.space, 0, terms)
-
-
-class _PointTails(_Tails):
-    """The search's blocks, at the points, C-ordered: the level means are
-    `_level_means` bincounts, and the level maximum is read at the points."""
+class _PointTails:
+    """The search's block of k nonempty tails at the points, C-ordered, for the
+    constant's densities d_0, d_1, ... (each a function times the masses):
+    total(s), the (k,) sums of d_s over each tail; inside_sum(x, s), the sums over
+    each tail of a k x n block x weighted by d_s; level_max(s[, t]), fresh, the
+    max over levels of E_j(chi d_s / mu) [E_j(chi d_t / mu)] read at the points
+    (chi and the densities are nonnegative), from `_level_means` bincounts.  A
+    row sum is numpy's `sum(axis=1)`: a C-ordered row adds as its 1-d `.sum()`."""
 
     def __init__(self, space: FilteredSpace, densities: tuple, inside: np.ndarray):
         self.space, self.densities, self.chi = space, densities, inside.astype(float)
 
-    def means(self, s: int) -> list[np.ndarray]:
-        return _level_means(self.space, self.chi, 0, self.densities[s])
+    def inside_sum(self, x: np.ndarray, s: int) -> np.ndarray:
+        return (x * self.chi * self.densities[s]).sum(axis=1)
+
+    def total(self, s: int) -> np.ndarray:
+        return (self.chi * self.densities[s]).sum(axis=1)
 
     def level_max(self, *s: int) -> np.ndarray:
-        return _to_points(self.space, super().level_max(*s), self.space.last_level)
+        terms = _level_means(self.space, self.chi, 0, self.densities[s[0]])
+        for t in s[1:]:
+            means = _level_means(self.space, self.chi, 0, self.densities[t])
+            terms = [np.multiply(a, b, out=a) for a, b in zip(terms, means)]
+        return _to_points(self.space, _leaf_max(self.space, 0, terms), self.space.last_level)
 
 
 def _tail_layout(space: FilteredSpace) -> tuple[int, np.ndarray, np.ndarray, list[int]]:
@@ -246,8 +227,7 @@ class _TailTables:
     block's means broadcast along rows and its level maximum gathers rows; and on
     first use the `low_table`s, noting in `finite` whether every leaf's value in
     them is finite.  All are read-only: the objectives work in place.
-    `read(lo, hi)` is the block of masks lo..hi-1 of `_sweep_tails`, and
-    `read_totals(lo, hi)` the span of blocks of a `_span_bits` sweep."""
+    `read(lo, hi)` is the block of masks lo..hi-1 of `_sweep_tails`."""
 
     def __init__(self, space: FilteredSpace, densities: tuple):
         self.space = space
@@ -269,9 +249,9 @@ class _TailTables:
         self.finite = True
 
     def low_table(self, kind: str, *s: int) -> tuple[np.ndarray, np.ndarray]:
-        """Chi times the product over s of `kind` ("leaf_means" or "leaf_sums";
-        ones for no s) for every low pattern, a row per low leaf, and its high
-        leaves' values; cached."""
+        """Chi times the product over s of `kind` ("leaf_means" or "leaf_sums")
+        for every low pattern, a row per low leaf, and its high leaves' values;
+        cached."""
         key = (kind, *s)
         if key not in self._low_tables:
             values = getattr(self, kind)[list(s)].prod(axis=0)
@@ -285,24 +265,23 @@ class _TailTables:
     def read(self, lo: int, hi: int) -> _LeafTails:
         return _LeafTails(self, lo, hi)
 
-    def read_totals(self, lo: int, hi: int) -> _SpanTotals:
-        return _SpanTotals(self, lo, hi)
 
-
-class _LeafTails(_Tails):
+class _LeafTails:
     """The exact sweep's blocks, on the finest atoms, on which everything the
-    objectives compute is constant.  Within a block the low b leaves run through
-    the patterns low..low+k-1 and the high leaves are fixed: a total or a coarse
-    level's atom sums are the table's entries plus the high leaves' sum (added in
-    ascending order, from 0), and chi times a per-leaf value is a `low_table`'s
-    entries and the high leaves' values.  The width is the block's `leaves`: the
-    low ones and the set high ones, in ascending order, or with `every_leaf` (and
-    in a one-row block, which adds pairwise as its 1-d `.sum()`) every leaf.  A
-    high leaf outside every tail of the block would add only its 0.0 to each row,
-    where its values are finite.  The level maximum gathers the coarse levels'
-    maximum at the leaves (0 on a one-level tower); it and `inside_sum` apply the
-    finest level in place.  Arrays are built a row per atom or leaf and handed out
-    transposed, so a row sum adds its leaves in ascending order."""
+    objectives compute is constant, read through the methods of `_PointTails`:
+    `total`, `inside_sum` and `level_max`.  Within a block the low b leaves run
+    through the patterns low..low+k-1 and the high leaves are fixed: a total or a
+    coarse level's atom sums are the table's entries plus the high leaves' sum
+    (added in ascending order, from 0), and chi times a per-leaf value is a
+    `low_table`'s entries and the high leaves' values.  The width is the block's
+    `leaves`: the low ones and the set high ones, in ascending order, or with
+    `every_leaf` (and in a one-row block, which adds pairwise as its 1-d `.sum()`)
+    every leaf.  A high leaf outside every tail of the block would add only its
+    0.0 to each row, where its values are finite.  The level maximum gathers the
+    coarse levels' maximum at the leaves (0 on a one-level tower); it and
+    `inside_sum` apply the finest level in place.  Arrays are built a row per atom
+    or leaf and handed out transposed, so a row sum adds its leaves in ascending
+    order."""
 
     def __init__(self, tables: _TailTables, lo: int, hi: int, every_leaf: bool = False):
         self.space, self.tables, self.span = tables.space, tables, (lo, hi)
@@ -321,10 +300,6 @@ class _LeafTails(_Tails):
         """The same block on every leaf."""
         return _LeafTails(self.tables, *self.span, every_leaf=True)
 
-    @cached_property
-    def densities(self) -> np.ndarray:
-        return self.tables.leaf_sums[:, self.leaves]
-
     def _apply(self, op: np.ufunc, x: np.ndarray, kind: str, *s: int) -> np.ndarray:
         """x = op(x, chi times `low_table(kind, *s)`'s values), in place."""
         bits, (low, high) = self.tables.bits, self.tables.low_table(kind, *s)
@@ -336,17 +311,13 @@ class _LeafTails(_Tails):
     def _zeros(self) -> np.ndarray:
         return np.zeros((len(self.leaves), self.low.stop - self.low.start)).T
 
-    @cached_property
-    def chi(self) -> np.ndarray:
-        return self._apply(np.add, self._zeros(), "leaf_means")
-
     def _sums(self, lo: int, hi: int) -> np.ndarray:
         """Each tail's sums of the table's columns lo..hi-1, one row per column."""
         return self.tables.table[lo:hi, self.low] + self.high[lo:hi, None]
 
     def total(self, s: int) -> np.ndarray:
         at = (s + 1) * self.tables.width - 1
-        return self._sums(at, at + 1)[0]
+        return self.tables.table[at, self.low] + self.high[at]
 
     def inside_sum(self, x: np.ndarray, s: int) -> np.ndarray:
         return self._apply(np.multiply, x, "leaf_sums", s).sum(axis=1)
@@ -357,9 +328,6 @@ class _LeafTails(_Tails):
         coarse /= self.tables.coarse_mass
         return [coarse[a:b].T for a, b in zip(starts, starts[1:])]
 
-    def means(self, s: int) -> list[np.ndarray]:
-        return [*self._coarse_means(s), self._apply(np.add, self._zeros(), "leaf_means", s)]
-
     def level_max(self, *s: int) -> np.ndarray:
         terms = self._coarse_means(s[0])
         for t in s[1:]:
@@ -368,54 +336,24 @@ class _LeafTails(_Tails):
         return self._apply(np.maximum, m, "leaf_means", *s)
 
 
-class _SpanTotals:
-    """The exact RH sweep's spans of masks lo..hi-1 (`_span_bits`), whole blocks
-    of `_LeafTails`, read through `total` only.  Each block's high leaves' sums of
-    the totals come from a subset-sum table over the span's varying high leaves,
-    built in ascending bit order, with its fixed set high leaves added after it in
-    ascending order, so each adds its set high leaves in ascending order from 0,
-    as a block's `_LeafTails` does; a tail's total is its low pattern's table
-    entry plus its block's, so every total keeps the block's bits."""
-
-    def __init__(self, tables: _TailTables, lo: int, hi: int):
-        bits, leaves = tables.bits, len(tables.rows)
-        base = 0 if lo == 1 else lo  # the first block's first mask: a span is aligned but for mask 0
-        blocks = (hi - base) >> bits
-        vary = (blocks - 1).bit_length()  # the span's varying high leaves: bits..bits+vary-1
-        self.at = [(s + 1) * tables.width - 1 for s in range(len(tables.leaf_sums))]
-        totals = tables.rows[:, self.at]
-        self.highs = np.zeros((blocks, len(self.at)))
-        for bit in range(vary):
-            np.add(self.highs[: 1 << bit], totals[bits + bit], out=self.highs[1 << bit : 2 << bit])
-        for leaf in range(bits + vary, leaves):
-            if base >> leaf & 1:
-                self.highs += totals[leaf]
-        self.tables, self.skip = tables, lo - base
-
-    def total(self, s: int) -> np.ndarray:
-        return (self.tables.table[self.at[s]] + self.highs[:, s, None]).ravel()[self.skip :]
-
-
 def _sup_over_tails(
     space: FilteredSpace,
     name: str,
     block_objective: Callable,
     guide: tuple[Fn, Fn] | None,
     mode: str,
-    weights=(),
-    totals_only: bool = False,
+    weights: tuple,
 ) -> WeightConstant:
     """Maximize an objective of the tail over T_0 tails.
 
     block_objective(tails) scores a block of k nonempty tails, one value per row,
-    from a `_Tails` view of the densities, the weights times the masses (sigma_s
-    gives the means E(chi sigma_s | F_j) and the totals sigma_s(E)).  The mode picks only the view
-    and the maximizer: `_sweep_tails` reads its blocks on the finest atoms from
-    subset-sum tables (`_TailTables`), the `heuristic_sup_over_tau` candidates are
-    read at the points (`_PointTails`), which hold nothing per tail pattern, so the
-    search stays linear in the points past the atom budget.  An objective that
-    reads only `total` (`totals_only`) is swept in spans (`_SpanTotals`).  Else a
-    block is read on its low and set high leaves, and scored again on every leaf
+    from a view of the densities, the weights times the masses (sigma_s gives the
+    means E(chi sigma_s | F_j) and the totals sigma_s(E)).  The mode picks only the
+    view and the maximizer: `_sweep_tails` reads its blocks on the finest atoms
+    from subset-sum tables (`_TailTables`), the `heuristic_sup_over_tau`
+    candidates are read at the points (`_PointTails`), which hold nothing per tail
+    pattern, so the search stays linear in the points past the atom budget.  An
+    exact block is read on its low and set high leaves, and scored again on every leaf
     when a value or a low table's leaf value is not finite: a coarse level's mean
     at a leaf outside the tail sits above a leaf of the tail too, so only there
     could a leaf left out turn a row's value into nan.  The witness is the first
@@ -434,15 +372,12 @@ def _sup_over_tails(
     _check_budget(space, 0)  # refuse before building the tables
     with np.errstate(over="ignore", invalid="ignore"):
         tables = _TailTables(space, tuple(w * space.masses for w in weights))
-        if totals_only:
-            value, mask = _sweep_tails(space, 0, block_objective, tables.read_totals, _span_bits(space))
-        else:
 
-            def objective(tails: _LeafTails) -> np.ndarray:
-                values = block_objective(tails)
-                return values if tables.finite and np.isfinite(values).all() else block_objective(tails.every_leaf())
+        def objective(tails: _LeafTails) -> np.ndarray:
+            values = block_objective(tails)
+            return values if tables.finite and np.isfinite(values).all() else block_objective(tails.every_leaf())
 
-            value, mask = _sweep_tails(space, 0, objective, tables.read)
+        value, mask = _sweep_tails(space, 0, objective, tables.read)
     return WeightConstant(name, value, EXACT, _tau_witness(stopping_time_from_tail(space, 0, mask)))
 
 
@@ -463,10 +398,10 @@ def rh_constant(
     """
     sigma1, sigma2, mix = _duals(space, omega1, omega2, exps)
 
-    def block_objective(tails: _Tails) -> np.ndarray:
+    def block_objective(tails: _PointTails | _LeafTails) -> np.ndarray:
         return _mix(tails.total(0), tails.total(1), exps) / tails.total(2)
 
-    return _sup_over_tails(space, "RH", block_objective, (sigma1, sigma2), mode, (sigma1, sigma2, mix), totals_only=True)
+    return _sup_over_tails(space, "RH", block_objective, (sigma1, sigma2), mode, (sigma1, sigma2, mix))
 
 
 def s_p_constant(
@@ -487,7 +422,7 @@ def s_p_constant(
     sigma1, sigma2, _ = _duals(space, omega1, omega2, exps)
     p = exps.p
 
-    def block_objective(tails: _Tails) -> np.ndarray:
+    def block_objective(tails: _PointTails | _LeafTails) -> np.ndarray:
         m = tails.level_max(0, 1)
         m **= p
         num = tails.inside_sum(m, 2)
@@ -512,7 +447,7 @@ def w_infty_constant(
     """
     sigma1, sigma2, mix = _duals(space, omega1, omega2, exps)
 
-    def block_objective(tails: _Tails) -> np.ndarray:
+    def block_objective(tails: _PointTails | _LeafTails) -> np.ndarray:
         m1, m2 = tails.level_max(0), tails.level_max(1)
         m1 **= exps.p / exps.p1
         m2 **= exps.p / exps.p2

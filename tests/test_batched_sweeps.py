@@ -75,7 +75,6 @@ from filtermax.stopping import (
     _low_bits,
     _moves,
     _packed_keys,
-    _span_bits,
     _sweep_tails,
     heuristic_sup_over_tau,
 )
@@ -247,6 +246,7 @@ def test_batched_constants_match_scalar_on_fixtures(name, request):
         assert_constants_match(space, v, omega1, omega2, exps)
 
 
+@pytest.mark.simd
 @pytest.mark.parametrize("name", FIXTURES)
 def test_batched_carleson_equals_scalar_on_fixtures(name, request):
     space = request.getfixturevalue(name)
@@ -258,6 +258,7 @@ def test_batched_carleson_equals_scalar_on_fixtures(name, request):
         assert_carleson_matches(inst)
 
 
+@pytest.mark.simd
 def test_batched_carleson_equals_scalar_on_multi_point_leaves():
     """Ten leaves of 1 to 12 points, so a leaf's mix integral sums 8 or more points
     pairwise, under two coarser levels: the certified A and worst tail are the
@@ -759,10 +760,11 @@ def test_exact_constants_share_the_cached_layout(monkeypatch):
 @pytest.mark.parametrize("name", ["quad", "wide_points"])
 def test_sweep_of_an_all_nan_objective_raises(name, request):
     space = request.getfixturevalue(name)
+    one = np.ones(space.n)
     with pytest.raises(ValueError, match="nan"):
         _sweep_tails(space, 0, lambda inside: np.full(len(inside), np.nan))
     with pytest.raises(ValueError, match="nan"):
-        _sup_over_tails(space, "T", lambda tails: np.full(len(tails.chi), np.nan), None, "exact")
+        _sup_over_tails(space, "T", lambda tails: np.full(len(tails.total(0)), np.nan), None, "exact", (one,))
 
 
 @pytest.mark.parametrize("name", ["quad", "wide_points"])
@@ -782,9 +784,10 @@ def test_search_of_an_all_nan_objective_raises(name, request):
     with pytest.raises(ValueError, match=rf"on all {8 + 1 + values.size} T_0 search candidates$"):
         heuristic_sup_over_tau(space, 0, nan, guide=guide)
     with pytest.raises(ValueError, match="T_0 search candidates"):
-        _sup_over_tails(space, "T", lambda tails: np.full(len(tails.chi), np.nan), guide, "heuristic")
+        _sup_over_tails(space, "T", lambda tails: np.full(len(tails.total(0)), np.nan), guide, "heuristic", guide)
 
 
+@pytest.mark.simd
 def test_carleson_keeps_the_first_worst_tail_across_blocks(wide_points):
     space = wide_points
     one = np.ones(space.n)
@@ -799,6 +802,7 @@ def test_carleson_keeps_the_first_worst_tail_across_blocks(wide_points):
         assert finest_mask(space, worst.tail_set()) == want_mask == (1 if coeff == 0 else 4)
 
 
+@pytest.mark.simd
 def test_carleson_sums_entries_in_entry_order(quad):
     """Nested entries with coefficients 1, 2^-53, 2^-53 on the full tail: in
     entry order they add to 1.0, in reverse order to 1 + 2^-52, so A pins the
@@ -815,6 +819,7 @@ def test_carleson_sums_entries_in_entry_order(quad):
     assert finest_mask(quad, worst.tail_set()) == want_mask == 15
 
 
+@pytest.mark.simd
 def test_carleson_sums_denominators_in_leaf_order():
     """Leaf mix integrals 1, 2^-53, 2^-53 under one entry on every point: in leaf
     order the full tail's denominator adds to 1.0, in reverse order to 1 + 2^-52,
@@ -842,6 +847,7 @@ def assert_certified_as_scalar(space, family, sigma1, sigma2, exps):
     return want_a, want_mask
 
 
+@pytest.mark.simd
 def test_carleson_unions_of_nested_and_repeated_entries(quad, lumpy5):
     exps = Exponents(2.0, 2.0)
     one = np.ones(quad.n)
@@ -859,6 +865,7 @@ def test_carleson_unions_of_nested_and_repeated_entries(quad, lumpy5):
         assert_certified_as_scalar(lumpy5, union_family(lumpy5, point_sets, coeffs), sigma1, sigma2, exps)
 
 
+@pytest.mark.simd
 @pytest.mark.parametrize("name", [*FIXTURES, "generated"])
 def test_carleson_unions_with_more_entries_than_leaves(name, request):
     """Random unions of leaves, more of them than leaves, with coefficients
@@ -878,6 +885,7 @@ def test_carleson_unions_with_more_entries_than_leaves(name, request):
         assert_certified_as_scalar(space, union_family(space, sets, coeffs), sigma1, sigma2, exps)
 
 
+@pytest.mark.simd
 @pytest.mark.parametrize("name", ["quad", "mixed6", "lumpy5"])
 def test_carleson_with_a_zero_constant_keeps_the_first_tail(name, request):
     """A = 0 (all coefficients zero, or no entries): every tail ties, and the
@@ -896,6 +904,7 @@ def test_carleson_with_a_zero_constant_keeps_the_first_tail(name, request):
     assert_certified_as_scalar(space, union_family(space, [[], leaves[-1].tolist()], [1.0, 3.0]), weights, one, exps)
 
 
+@pytest.mark.simd
 def test_carleson_certification_never_sweeps_the_tails(monkeypatch):
     """Certification scores unions of entries, so it runs with the sweep
     disabled, and past the atom budget it certifies the same A and tail."""
@@ -916,6 +925,7 @@ def test_carleson_certification_never_sweeps_the_tails(monkeypatch):
     assert again.carleson_A == certified.carleson_A and again_worst == worst
 
 
+@pytest.mark.simd
 def test_carleson_certification_past_the_atom_budget():
     """81 leaves (121 atoms, past the atom budget and an int64 mask): A and the
     worst tail are bit-equal to the per-tail sums over every union of entries
@@ -934,6 +944,7 @@ def test_carleson_certification_past_the_atom_budget():
         assert finest_mask(inst.space, worst.tail_set()) == want_mask, variant
 
 
+@pytest.mark.simd
 def test_carleson_certification_refuses_past_the_union_cap():
     """k disjoint entries have 2**k distinct unions (the empty one too): at the
     cap they are certified, one more entry is refused, naming the entry count."""
@@ -949,6 +960,7 @@ def test_carleson_certification_refuses_past_the_union_cap():
         certify_carleson_constant(space, family, one, one, Exponents(2.0, 2.0))
 
 
+@pytest.mark.simd
 def test_carleson_certification_rejects_negative_coefficients(quad):
     entry = CarlesonEntry(0, 0, 0, np.array([0, 1]), -1.0)
     one = np.ones(quad.n)
@@ -959,24 +971,25 @@ def test_carleson_certification_rejects_negative_coefficients(quad):
 @pytest.mark.parametrize("name", ["quad", "wide_points"])
 def test_exact_sweep_keeps_the_first_maximizer_across_blocks(name, request):
     space = request.getfixturevalue(name)
+    per_point = (1.0 / space.masses,)  # a density of about 1 at each point: a tail's total counts its points
 
     def tied(tails):
-        return np.ones(len(tails.chi))
+        return np.ones(len(tails.total(0)))
 
-    def full_tail_nan(tails):  # chi holds a row of the finest atoms (exact) or of the points (search)
-        size = tails.chi.sum(axis=1)
-        return np.where(size == tails.chi.shape[1], np.nan, size)
+    def full_tail_nan(tails):  # the leaves hold equally many points
+        size = np.round(tails.total(0))
+        return np.where(size == space.n, np.nan, size)
 
-    c = _sup_over_tails(space, "T", tied, None, "exact")
+    c = _sup_over_tails(space, "T", tied, None, "exact", per_point)
     assert finest_mask(space, c.witness["tail"]) == 1
     # nan is skipped, as a per-tail `>` skips it: the first 3-leaf tail wins
-    c = _sup_over_tails(space, "T", full_tail_nan, None, "exact")
+    c = _sup_over_tails(space, "T", full_tail_nan, None, "exact", per_point)
     assert finest_mask(space, c.witness["tail"]) == 7
     # the search too, whether a block is one slice (quad) or one per tail
     # (wide_points): the full stop comes first, then adding leaves to a half
-    c = _sup_over_tails(space, "T", tied, None, "heuristic")
+    c = _sup_over_tails(space, "T", tied, None, "heuristic", per_point)
     assert c.witness["tau"] == [0] * space.n
-    c = _sup_over_tails(space, "T", full_tail_nan, None, "heuristic")
+    c = _sup_over_tails(space, "T", full_tail_nan, None, "heuristic", per_point)
     assert finest_mask(space, c.witness["tail"]) == 7
 
 
@@ -1167,8 +1180,8 @@ class ReferenceTails:
 
 
 def block_masks(tails):
-    """The finest-atom masks of a block's rows, read from the bits of its leaves."""
-    return [sum(1 << int(tails.leaves[c]) for c in np.flatnonzero(row)) for row in tails.chi]
+    """The finest-atom masks of a block's rows."""
+    return list(range(*tails.span))
 
 
 def kept_leaves(space, masks, bits):
@@ -1182,22 +1195,20 @@ def kept_leaves(space, masks, bits):
 
 def assert_view_matches(space, tails, ref, leaves, rng):
     """A block's view on `leaves` equals the per-tail reference at those leaves
-    bit for bit: chi, the weighted row sums of chi and of a positive block inside
-    each tail (`inside_sum`, handed an F-ordered copy, as the objectives hand it
-    their level maxima), every total and level mean, and the level maxima of each
-    density and of a product."""
+    bit for bit: the weighted sums of ones and of a positive block inside each
+    tail (`inside_sum`, handed F-ordered blocks, as the objectives hand it their
+    level maxima), every total and coarse level mean (`_coarse_means`), and the
+    level maxima of each density and of a product."""
     assert tails.leaves.tolist() == leaves
-    chi = ref.chi[:, leaves]
-    assert tails.chi.tobytes() == chi.tobytes() and tails.chi.shape == chi.shape
     x = np.exp(rng.standard_normal(ref.chi.shape))
+    ones = np.ones((len(leaves), len(ref.chi))).T
     for s in range(len(ref.leaf_sums)):
-        assert tails.row_sum(tails.chi, s).tobytes() == ref.row_sum(ref.chi, s).tobytes()
+        assert tails.inside_sum(ones.copy(order="F"), s).tobytes() == ref.row_sum(ref.chi, s).tobytes()
         inside = tails.inside_sum(x[:, leaves].copy(order="F"), s)
         assert inside.tobytes() == ref.row_sum(x * ref.chi, s).tobytes()
         assert tails.total(s).tobytes() == ref.total(s).tobytes()
-        got, want = tails.means(s), ref.means(s)
-        want[-1] = want[-1][:, leaves]
-        assert len(got) == len(want) == space.n_levels
+        got, want = tails._coarse_means(s), ref.means(s)[:-1]
+        assert len(got) == len(want) == space.last_level
         for a, b in zip(got, want):
             assert a.shape == b.shape and np.ascontiguousarray(a).tobytes() == b.tobytes()
     for s in ((0,), (1,), (0, 1)) if len(ref.leaf_sums) > 1 else ((0,),):
@@ -1232,6 +1243,7 @@ def table_densities(space, seed):
     return tuple(np.exp(1.5 * rng.standard_normal(space.n)) * space.masses for _ in range(3))
 
 
+@pytest.mark.simd
 @pytest.mark.parametrize("name", [*LEVEL_MAX_SPACES, "wide_points", "one_level"])
 @pytest.mark.parametrize("cap", [None, 64])
 def test_tail_tables_equal_ascending_sums(name, cap, request, monkeypatch):
@@ -1245,6 +1257,7 @@ def test_tail_tables_equal_ascending_sums(name, cap, request, monkeypatch):
     assert_tables_match(space, table_densities(space, 67))
 
 
+@pytest.mark.simd
 @settings(max_examples=25, deadline=None)
 @given(small_instances(), st.sampled_from([None, 8, 64]))
 def test_tail_tables_equal_ascending_sums_on_generated_spaces(inst, rows):
@@ -1254,41 +1267,60 @@ def test_tail_tables_equal_ascending_sums_on_generated_spaces(inst, rows):
         assert_tables_match(inst.space, tuple(w * inst.space.masses for w in (inst.omega1, inst.omega2, inst.v)))
 
 
+def ascending_totals(tables, bits):
+    """Each mask's sum of each density's leaf sums: its leaves below `bits`, then
+    its leaves from there up, each added in ascending order from 0, then the two
+    added; one row per density, the masks 0..2**leaves - 1 in order."""
+    masks = np.arange(1 << len(tables.rows))
+    low = high = np.zeros((len(tables.leaf_sums), masks.size))
+    for leaf, sums in enumerate(tables.leaf_sums.T):
+        part = np.where(masks >> leaf & 1, sums[:, None], 0.0)
+        if leaf < bits:
+            low = low + part
+        else:
+            high = high + part
+    return low + high
+
+
 @pytest.mark.parametrize("cap", [None, 16 * 1024, 8 * 16 * 4, 8 * 16])
 @pytest.mark.parametrize("name", ["mixed6", "wide_points", "sixteen_leaves"])
 def test_span_totals_equal_the_blocks_totals(name, cap, request, monkeypatch):
-    """Exact RH reads `_BLOCK_BYTES // 8` tails per call (`_span_bits`): each
-    span's totals equal its blocks' `_LeafTails` totals bit for bit, and the
-    spans cover the nonempty tails in order.  On 16 one-point leaves the caps give
-    b = 10, 7, 2 and 0, so spans of 16 blocks, the first from mask 1, and with the
-    smallest cap spans of 16 one-tail blocks."""
+    """The totals of each block's span of masks (`_LeafTails.span`) equal the
+    per-mask ascending totals bit for bit: a tail's low leaves, then its set high
+    leaves, each added in ascending order from 0.  Exact RH calls its objective
+    once per `_low_bits` block of `_TailTables.read`, and its blocks cover the
+    nonempty tails in ascending order, the first from mask 1, so RH, S and Winf
+    sweep the same blocks: 64 calls of 1024 tails at 16 one-point leaves, where
+    the caps give b = 10, 7, 2 and 0."""
     if cap is not None:
         monkeypatch.setattr("filtermax.stopping._BLOCK_BYTES", cap)
-    if name == "sixteen_leaves":
-        space = gen_instance(3, depth=2, branching=4).space
-    else:
-        space = level_max_space(name, request)
-    densities = table_densities(space, 5)
-    tables = _TailTables(space, densities)
-    bits, span = _low_bits(space), _span_bits(space)
-    assert span == min(max(bits, (_BLOCK_BYTES if cap is None else cap).bit_length() - 4), len(tables.rows))
-    seen = []
+    inst = gen_instance(3, depth=2, branching=4) if name == "sixteen_leaves" else None
+    space = inst.space if inst else level_max_space(name, request)
+    v, omega1, omega2 = (inst.v, inst.omega1, inst.omega2) if inst else random_weights(np.random.default_rng(5), space.n)
+    bits, leaves = _low_bits(space), len(space.atoms[space.last_level])
+    calls, want = [], {}
 
-    def objective(tails):
-        lo, hi = seen[-1]
-        blocks = [tables.read(max(lo, start), start + (1 << bits)) for start in range(lo >> bits << bits, hi, 1 << bits)]
-        for s in range(len(densities)):
-            want = np.concatenate([block.total(s) for block in blocks])
-            assert tails.total(s).tobytes() == want.tobytes()
-        return np.zeros(hi - lo)
+    def recorded(space, i, objective, read):
+        def counted(tails):
+            calls.append(tails.span)
+            if tails.tables not in want:
+                want[tails.tables] = ascending_totals(tails.tables, bits)
+            totals = want[tails.tables]
+            for s in range(len(totals)):
+                assert tails.total(s).tobytes() == totals[s, slice(*tails.span)].tobytes()
+            return objective(tails)
 
-    def read(lo, hi):
-        seen.append((lo, hi))
-        return tables.read_totals(lo, hi)
+        return _sweep_tails(space, i, counted, read)
 
-    _sweep_tails(space, 0, objective, read, span)
-    assert [mask for lo, hi in seen for mask in range(lo, hi)] == list(range(1, 1 << len(tables.rows)))
-    assert all(hi - lo == 1 << span for lo, hi in seen[1:])
+    monkeypatch.setattr("filtermax.weights._sweep_tails", recorded)
+    width = 1 << bits
+    blocks = [(max(lo, 1), lo + width) for lo in range(0, 1 << leaves, width) if lo + width > 1]
+    keys = ("rh", "s", "winf") if cap is None else ("rh",)
+    for key in keys:
+        compute_constant(key, space, v, omega1, omega2, Exponents(1.5, 3.0))
+    assert calls == len(keys) * blocks
+    if name == "sixteen_leaves" and cap is None:
+        assert len(blocks) == 64
 
 
 def exercise_tables(space, densities):
@@ -1297,7 +1329,7 @@ def exercise_tables(space, densities):
     tables = _TailTables(space, densities)
 
     def objective(tails):
-        tails.chi, tails.means(0)
+        tails.level_max(0)
         m = tails.level_max(0, 1)
         tails.level_max(1)
         m **= 1.5
@@ -1307,6 +1339,7 @@ def exercise_tables(space, densities):
     return tables
 
 
+@pytest.mark.simd
 @pytest.mark.parametrize("name", [*LEVEL_MAX_SPACES, "wide_points", "one_level"])
 def test_tail_tables_are_read_only(name, request):
     """The objectives work in place on their blocks, so every cached table
@@ -1316,7 +1349,7 @@ def test_tail_tables_are_read_only(name, request):
     tables = exercise_tables(space, densities)
     fresh = exercise_tables(space, densities)
     low = [arr for pair in tables._low_tables.values() for arr in pair]
-    assert len(low) == 2 * len(fresh._low_tables) == 2 * 5  # chi, means of 0, of 1 and of (0, 1), sums of 2
+    assert len(low) == 2 * len(fresh._low_tables) == 2 * 4  # means of 0, of 1 and of (0, 1), sums of 2
     for arr in (tables.table, tables.leaf_sums, tables.leaf_means, *low):
         with pytest.raises(ValueError, match="read-only"):
             arr *= 1.0
@@ -1387,7 +1420,7 @@ def test_atom_level_max_on_the_matmul_kernel_equals_the_point_max(name, request)
         for s in ((0,), (1,), (0, 1)):
             got = tails.every_leaf().level_max(*s).take(leaf_of, axis=1)
             assert_same_block(got, point_level_max(space, cond, 0, *s))
-        return np.zeros(len(tails.chi))
+        return np.zeros(len(ref.chi))
 
     _sweep_tails(space, 0, objective, _TailTables(space, densities).read)
 
@@ -1423,6 +1456,7 @@ def reference_objectives(space, v, omega1, omega2, exps):
     return {"rh": rh, "s": s, "winf": winf}
 
 
+@pytest.mark.simd
 @pytest.mark.parametrize("name", [*LEVEL_MAX_SPACES, "wide_points", "one_level"])
 def test_s_and_winf_keep_the_point_max_bits(name, request):
     """Exact RH, S and Winf equal a sweep of the per-tail reference objectives
@@ -1450,23 +1484,19 @@ def test_s_and_winf_keep_the_point_max_bits(name, request):
 
 @pytest.mark.parametrize("name", [*LEVEL_MAX_SPACES, "wide_points"])
 def test_exact_objectives_never_see_the_empty_tail(name, request, monkeypatch):
-    """Every block or span the exact RH, S and Winf objectives get holds nonempty
-    tails only (the sweep starts at mask 1, and each S or Winf row holds a leaf),
-    the spans and blocks cover every nonempty tail once, and no RuntimeWarning is
-    raised: 0/0 on the empty tail would be nan."""
+    """Every block the exact RH, S and Winf objectives get holds nonempty tails
+    only (the sweep starts at mask 1), the blocks cover every nonempty tail once,
+    and no RuntimeWarning is raised: 0/0 on the empty tail would be nan."""
     space = level_max_space(name, request)
     v, omega1, omega2 = random_weights(np.random.default_rng(71), space.n)
-    spans, rows = [], []
+    spans = []
 
-    def checked(space, i, objective, read, bits=None):
+    def checked(space, i, objective, read):
         def watched(lo, hi):
             spans.append((lo, hi))
-            tails = read(lo, hi)
-            if hasattr(tails, "chi"):
-                rows.extend(tails.chi.sum(axis=1).tolist())
-            return tails
+            return read(lo, hi)
 
-        return _sweep_tails(space, i, objective, watched, bits)
+        return _sweep_tails(space, i, objective, watched)
 
     monkeypatch.setattr("filtermax.weights._sweep_tails", checked)
     with warnings.catch_warnings():
@@ -1476,8 +1506,6 @@ def test_exact_objectives_never_see_the_empty_tail(name, request, monkeypatch):
     tails = 2 ** len(space.atoms[space.last_level]) - 1
     masks = [mask for lo, hi in spans for mask in range(lo, hi)]
     assert masks == 3 * list(range(1, tails + 1))
-    assert len(rows) == 2 * tails
-    assert min(rows) >= 1
 
 
 def past_range_instances():
@@ -1508,6 +1536,7 @@ def outcome(key, space, v, omega1, omega2, exps):
     return got.value, got.witness["tail"]
 
 
+@pytest.mark.simd
 @pytest.mark.parametrize("case", list(past_range_instances()), ids=lambda case: case[0])
 def test_exact_sweeps_score_each_block_as_on_every_leaf(case, monkeypatch):
     """Exact S and Winf read a block on its low and set high leaves only, and
@@ -1519,7 +1548,7 @@ def test_exact_sweeps_score_each_block_as_on_every_leaf(case, monkeypatch):
     exps = Exponents(2.0, 2.0)
     finite, nan = [], []
 
-    def checked(space, i, objective, read, bits=None):
+    def checked(space, i, objective, read):
         def scored(tails):
             values = objective(tails)
             every = objective(tails.every_leaf())
@@ -1528,7 +1557,7 @@ def test_exact_sweeps_score_each_block_as_on_every_leaf(case, monkeypatch):
             nan.append(bool(np.isnan(every).any()))
             return values
 
-        return _sweep_tails(space, i, scored, read, bits)
+        return _sweep_tails(space, i, scored, read)
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1596,6 +1625,7 @@ def assert_atom_maxima_match(space, v, omega1, omega2, exps):
     return got
 
 
+@pytest.mark.simd
 @pytest.mark.parametrize("name", [*FIXTURES, "worked4", "generated"])
 def test_atom_maxima_equal_the_per_level_loop(name, request):
     space = level_max_space(name, request)
@@ -1604,6 +1634,7 @@ def test_atom_maxima_equal_the_per_level_loop(name, request):
         assert_atom_maxima_match(space, *random_weights(rng, space.n), exps)
 
 
+@pytest.mark.simd
 @pytest.mark.parametrize("shape", [dict(depth=3), dict(depth=5, model="product", p1=2.5, p2=2.5), dict(depth=8)])
 def test_atom_maxima_equal_the_per_level_loop_on_generated_instances(shape):
     for seed in range(3):
@@ -1611,6 +1642,7 @@ def test_atom_maxima_equal_the_per_level_loop_on_generated_instances(shape):
         assert_atom_maxima_match(inst.space, inst.v, inst.omega1, inst.omega2, inst.exps)
 
 
+@pytest.mark.simd
 @settings(max_examples=40, deadline=None)
 @given(small_instances())
 def test_atom_maxima_equal_the_per_level_loop_on_generated_spaces(inst):
@@ -1618,6 +1650,7 @@ def test_atom_maxima_equal_the_per_level_loop_on_generated_spaces(inst):
     assert_atom_maxima_match(inst.space, inst.v, inst.omega1, inst.omega2, inst.exps)
 
 
+@pytest.mark.simd
 def test_atom_maxima_ties_go_to_the_earliest_level(chain, lumpy5):
     """Equal values on several levels: the earliest level's first atom wins."""
     one = np.ones(chain.n)
@@ -2058,6 +2091,7 @@ def assert_pair_norms_match(inst, seed):
     assert _pair_norms(inst, chi, chi, inside) == reference_pair_norms(inst, chi, chi, inside)
 
 
+@pytest.mark.simd
 @pytest.mark.parametrize("name", FIXTURES)
 def test_pair_norms_equal_the_public_operators_on_fixtures(name, request):
     space = request.getfixturevalue(name)
@@ -2067,18 +2101,21 @@ def test_pair_norms_equal_the_public_operators_on_fixtures(name, request):
         assert_pair_norms_match(Instance(space, v, omega1, omega2, exps, False), 5)
 
 
+@pytest.mark.simd
 @pytest.mark.parametrize("shape", [dict(depth=3), dict(depth=2, branching=4, p1=1.5, p2=3.0), dict(depth=5)])
 def test_pair_norms_equal_the_public_operators_on_generated_instances(shape):
     for seed in range(3):
         assert_pair_norms_match(gen_instance(seed, **shape), seed)
 
 
+@pytest.mark.simd
 @settings(max_examples=25, deadline=None)
 @given(small_instances(), st.integers(0, 2**32 - 1))
 def test_pair_norms_equal_the_public_operators_on_generated_spaces(inst, seed):
     assert_pair_norms_match(inst, seed)
 
 
+@pytest.mark.simd
 def test_restricted_pair_norms_in_every_summation_regime():
     """Rows with fewer than 8, 8 to 128 and more than 128 points inside (numpy's
     pairwise sum adds each size range its own way), counts repeated and rows
@@ -2100,6 +2137,7 @@ def test_restricted_pair_norms_in_every_summation_regime():
         assert list(map(float.hex, _pair_norms(inst, F1, F2, inside)[2])) == list(map(float.hex, want))
 
 
+@pytest.mark.simd
 def test_roots_are_python_float_powers():
     rng = np.random.default_rng(73)
     totals = np.concatenate([[0.0, 5e-324, 1.0, 1e308], np.exp(20.0 * rng.standard_normal(40))])
@@ -2176,6 +2214,7 @@ def assert_properties_match(inst, draws=20, seed=None):
     assert check_properties(inst, draws, seed) == want_rows
 
 
+@pytest.mark.simd
 @pytest.mark.parametrize("name", FIXTURES)
 def test_properties_equal_the_per_draw_loop_on_fixtures(name, request):
     space = request.getfixturevalue(name)
@@ -2185,6 +2224,7 @@ def test_properties_equal_the_per_draw_loop_on_fixtures(name, request):
         assert_properties_match(Instance(space, v, omega1, omega2, exps, False), seed=seed)
 
 
+@pytest.mark.simd
 @pytest.mark.parametrize(
     "shape",
     [
@@ -2201,6 +2241,7 @@ def test_properties_equal_the_per_draw_loop_on_generated_instances(shape):
         assert_properties_match(gen_instance(seed, **shape))
 
 
+@pytest.mark.simd
 @pytest.mark.parametrize("draws", [0, 1, 40])
 def test_properties_equal_the_per_draw_loop_for_any_draw_count(draws):
     inst = gen_instance(5, depth=3)
@@ -2211,12 +2252,14 @@ def test_properties_equal_the_per_draw_loop_for_any_draw_count(draws):
         assert all(r.lhs == 0.0 and r.detail == {"draws": 0} for r in rows[:5])
 
 
+@pytest.mark.simd
 @settings(max_examples=25, deadline=None)
 @given(small_instances(), st.integers(0, 2**32 - 1))
 def test_properties_equal_the_per_draw_loop_on_generated_spaces(inst, seed):
     assert_properties_match(inst, seed=seed)
 
 
+@pytest.mark.simd
 @pytest.mark.parametrize("name", [*FIXTURES, "deep"])
 def test_the_self_test_makes_two_cond_exp_calls_per_level(name, request, monkeypatch):
     """One `check_properties` call makes exactly 2 * n_levels public `cond_exp`
@@ -2241,6 +2284,7 @@ def test_the_self_test_makes_two_cond_exp_calls_per_level(name, request, monkeyp
     assert sorted(calls) == sorted([*range(inst.space.n_levels)] * 2)
 
 
+@pytest.mark.simd
 @pytest.mark.parametrize("draws", [0, 1, 40])
 @pytest.mark.parametrize("name", [*FIXTURES, "deep"])
 def test_the_self_test_conditions_each_draw_row_once(name, draws, request, monkeypatch):

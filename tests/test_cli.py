@@ -3,6 +3,7 @@ on the worked instance, and byte determinism."""
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -581,10 +582,42 @@ def test_sigma_products_past_float_range_are_refused_without_a_warning(tmp_path,
 
 
 @pytest.mark.parametrize(
+    "argv, template",
+    [
+        (("constants", "--which", "s"), "constant S is 0.0 at tail [0], underflowed below the normal float range"),
+        (("verify", "--suite", "thm11"), "thm11_converse: rhs r_B [RH]^(1/p) underflows to 0 at the [A] witness atom B (r_B 0.0)"),
+        (("verify", "--suite", "thm12"), "constant S is 0.0 at tail [0], underflowed below the normal float range"),
+        (("verify", "--suite", "thm14"), "thm14_bound: rhs const ||f1|| ||f2|| underflows to 0 at pair 'rand0' (const {})"),
+        (("verify", "--suite", "thm15"), "thm15_bound: rhs const ||f1|| ||f2|| underflows to 0 at pair 'rand0' (const {})"),
+    ],
+    ids=["constants", "thm11", "thm12", "thm14", "thm15"],
+)
+def test_underflowed_constants_and_bound_rows_are_refused(tmp_path, capsys, argv, template):
+    """omega1 and omega2 scaled by 2^300 (p1 = p2 = 1.5, so sigma by 2^-600): the
+    true [S] is about 3.3e-120, but its level-maximum products underflow and it
+    reads 0.0, which is refused rather than reported as exact; the bound rows'
+    rhs const ||f1|| ||f2|| underflows to 0 past their nonvanishing-denominator
+    filter, and thm11_converse's r_B [RH]^(1/p) to 0 (it read falsified once
+    its bound row lost the absolute tolerance).  Each is one located refusal,
+    exit 2, with no warning."""
+    data = verify.instance_to_dict(verify.gen_instance(3, depth=2, branching=4, p1=1.5, p2=1.5))
+    for key in ("omega1", "omega2"):
+        data[key] = [math.ldexp(x, 300) for x in data[key]]
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv[0], str(path), *argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    _assert_error(err, template)
+
+
+@pytest.mark.parametrize(
     "suite, message",
     [
         ("thm11", "thm11_converse: the [A] witness atom B has ||1_B||_{p1,sigma1} ||1_B||_{p2,sigma2} = 0"),
-        ("thm12", "thm12: the [S] witness tail E has ||1_E||_{p1,sigma1} ||1_E||_{p2,sigma2} = 0"),
+        ("thm12", "constant S is 0.0 at tail [0], underflowed below the normal float range"),
     ],
     ids=["thm11", "thm12"],
 )
@@ -592,7 +625,9 @@ def test_witness_indicator_pairs_with_vanishing_norms_are_refused(tmp_path, caps
     """p1 = p2 = 1.5 and omega = 1e161 give sigma = 1e-322, so sigma times a
     point's mass underflows to 0 and the witness set's indicator pair has no
     norm ratio (`norm_ratio` is None): a refusal (exit 2) naming the row, not a
-    ZeroDivisionError or TypeError (exit 1)."""
+    ZeroDivisionError or TypeError (exit 1).  [S] itself underflows to 0 there,
+    which is refused before its witness tail is read
+    (`test_thm12_refuses_a_witness_tail_without_a_norm_ratio` reaches that)."""
     data = verify.instance_to_dict(verify.gen_instance(3, depth=3, p1=1.5, p2=1.5))
     n = len(data["masses"])
     data.update(omega1=[1e161] * n, omega2=[1e161] * n, v=[1.0] * n)

@@ -49,6 +49,8 @@ from filtermax import (
     run_instance_suite,
 )
 from filtermax.stopping import EnumerationBudgetError
+from filtermax.verify import IDENTITY_TOL
+from filtermax.weights import WeightConstant
 
 H = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -478,9 +480,17 @@ def test_check_result_status_rules():
     soft = CheckResult("x", lhs=2.0, rhs=1.0, mode="lower-bound")
     assert soft.status == "indeterminate" and not soft.hard_failure
     assert soft.slack == -1.0
-    # tolerance is relative with a tiny absolute floor
+    # the default tolerance is relative only
     edge = CheckResult("x", lhs=1.0 + 5e-10, rhs=1.0)
     assert edge.passed
+
+
+def test_bound_rows_take_no_absolute_tolerance():
+    """Two tiny sides of a bound row are compared as they are: 1e-20 <= 1e-30
+    fails.  An identity row with the same sides passes through IDENTITY_TOL,
+    which it passes explicitly."""
+    assert CheckResult("thm15_bound", 1e-20, 1e-30).status == "fail"
+    assert CheckResult("thm14_subst", 1e-20, 1e-30, abs_tol=IDENTITY_TOL).status == "pass"
 
 
 def test_check_result_is_slotted_and_pickles(flat):
@@ -539,6 +549,25 @@ def test_thm12_flat(flat):
     assert upper.passed
     heur = {r.theorem for r in check_thm12(flat, ones_pair(), mode="heuristic")}
     assert heur == {"thm12_lower", "thm12_upper"}  # no attainment row without enumeration
+
+
+def test_thm12_refuses_a_witness_tail_without_a_norm_ratio():
+    """A witness tail whose indicator pair has ||1_E|| ||1_E|| = 0 (sigma = 1e-322
+    times a point's mass underflows) is refused naming thm12.  An underflowed
+    [S] is refused before its tail is read, so a finite [S] is set on it here."""
+    inst = gen_instance(3, depth=3, p1=1.5, p2=1.5)
+    tiny = np.full(inst.space.n, 1e161)
+    inst = dataclasses.replace(inst, omega1=tiny, omega2=tiny, v=np.ones(inst.space.n))
+    inst._constants[("s", "exact")] = WeightConstant("S", 1.0, "exact", {"origin": 0, "tail": [0]})
+    with pytest.raises(ValueError, match=r"^thm12: the \[S\] witness tail E has .* = 0$"):
+        check_thm12(inst)
+
+
+@pytest.mark.parametrize("value", [0.0, 5e-324])
+def test_weight_constants_refuse_an_underflowed_value(value):
+    with pytest.raises(ValueError, match=r"^constant S is .* at tail \[0\], underflowed below the normal float range$"):
+        WeightConstant("S", value, "exact", {"origin": 0, "tail": [0]})
+    assert WeightConstant("S", 2.2250738585072014e-308, "exact", {"tail": [0]}).value > 0
 
 
 def test_thm14_flat(flat):
